@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -51,13 +52,15 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Run ``write(tmp)`` on a temp file in path's directory, then rename
+    it over path; the temp file is removed if anything fails."""
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                prefix=".dtlsim-tmp-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        write(tmp)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -71,20 +74,13 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(out, text.encode("utf-8"))
+        data = text.encode("utf-8")
+        _atomic_write(out, lambda tmp: pathlib.Path(tmp).write_bytes(data))
 
 
 def _load_circuit(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _IOFail(str(exc))
-    return parse_netlist(text)
-
-
-class _IOFail(Exception):
-    pass
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_netlist(fh.read())
 
 
 def _directive(circuit, kind: str):
@@ -221,18 +217,8 @@ def _cmd_detector(args) -> int:
 def _cmd_gen_gaussian(args) -> int:
     img = imaging.gen_gaussian_image(size=args.size, sigma=args.sigma,
                                      amplitude=args.amplitude)
-    tmpdir = os.path.dirname(os.path.abspath(args.out))
-    fd, tmp = tempfile.mkstemp(dir=tmpdir, prefix=".dtlsim-tmp-")
-    os.close(fd)
-    try:
-        imaging.write_pgm(tmp, img, binary=not args.ascii)
-        os.replace(tmp, args.out)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    _atomic_write(args.out, lambda tmp: imaging.write_pgm(
+        tmp, img, binary=not args.ascii))
     _note(f"wrote {img.width}x{img.height} gaussian to {args.out}")
     return 0
 
@@ -249,18 +235,7 @@ def _cmd_segment(args) -> int:
                                   v_high=args.v_high)
     if args.out:
         out_img = imaging.ImageGray(np.rint(resp * 255.0).astype(np.uint8))
-        tmpdir = os.path.dirname(os.path.abspath(args.out))
-        fd, tmp = tempfile.mkstemp(dir=tmpdir, prefix=".dtlsim-tmp-")
-        os.close(fd)
-        try:
-            imaging.write_pgm(tmp, out_img)
-            os.replace(tmp, args.out)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_write(args.out, lambda tmp: imaging.write_pgm(tmp, out_img))
     m = imaging.ring_metrics(resp)
     sys.stdout.write("metric,value\n"
                      f"peak_radius,{_fmt(m.peak_radius)}\n"
@@ -404,9 +379,6 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"dtlsim: solver error: {exc}", file=sys.stderr)
         return 3
-    except _IOFail as exc:
-        print(f"dtlsim: i/o error: {exc}", file=sys.stderr)
-        return 4
     except PgmError as exc:
         print(f"dtlsim: image error: {exc}", file=sys.stderr)
         return 4

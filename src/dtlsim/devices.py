@@ -281,12 +281,23 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 
 # ---------------------------------------------------------------------------
 # stamps
+#
+# A stamp reads the iterate ``x``, a flat sequence indexed by unknown
+# number whose last slot is ground and holds 0.0, and adds into its target
+# ``out``:
+#
+# * ``out.slots[elem.name]``: the element's unknown numbers, its nodes in
+#   netlist order, then its source branch current or memristor state;
+# * ``out.jac[row][col]``, ``out.res[row]``: Jacobian and residual rows;
+# * ``out.scale[row]``: the sum of the residual contributions' magnitudes,
+#   the solver's local convergence scale;
+# * ``out.memory[elem.name]``: companion memory that the next transient
+#   step reads back as ``ctx.hist`` (capacitor current, memristor drift
+#   rate), recorded at every assembly so the converged one holds it.
+#
+# Ground is an ordinary row and column of the target; the solver drops it.
 
 GROUND = "0"
-
-
-def vkey(node: str) -> tuple[str, str]:
-    return ("v", node)
 
 
 @dataclass
@@ -300,61 +311,39 @@ class StampContext:
     srcscale: float = 1.0             # source-stepping homotopy scale
     gmin: float = 0.0
     overrides: dict = field(default_factory=dict)   # source name -> forced level
-    prev_step: dict = field(default_factory=dict)   # unknown key -> value at t_n
-    prev_iter: dict = field(default_factory=dict)   # unknown key -> last Newton iterate
+    prev_step: list = field(default_factory=list)   # iterate at t_n
+    prev_iter: list = field(default_factory=list)   # last Newton iterate
     hist: dict = field(default_factory=dict)        # element name -> companion memory
 
 
-class StampAccumulator:
-    """Collects Jacobian and residual contributions keyed by unknown.
-
-    Residual rows also accumulate the sum of contribution magnitudes,
-    which the solver uses as the local convergence scale.
-    """
-
-    def __init__(self):
-        self.jac: dict[tuple, float] = {}
-        self.res: dict[tuple, float] = {}
-        self.scale: dict[tuple, float] = {}
-
-    def add_j(self, row, col, val):
-        if val == 0.0:
-            return
-        key = (row, col)
-        self.jac[key] = self.jac.get(key, 0.0) + val
-
-    def add_f(self, row, val):
-        self.res[row] = self.res.get(row, 0.0) + val
-        self.scale[row] = self.scale.get(row, 0.0) + abs(val)
+def _add_f(out, row: int, val: float) -> None:
+    out.res[row] += val
+    out.scale[row] += abs(val)
 
 
-def _get(x: dict, key) -> float:
-    if key[0] == "v" and key[1] == GROUND:
-        return 0.0
-    return x[key]
-
-
-def _stamp_two_terminal(out: StampAccumulator, a, b, i: float, g: float):
-    out.add_f(a, i)
-    out.add_f(b, -i)
-    out.add_j(a, a, g)
-    out.add_j(a, b, -g)
-    out.add_j(b, a, -g)
-    out.add_j(b, b, g)
+def _stamp_two_terminal(out, a: int, b: int, i: float, g: float) -> None:
+    _add_f(out, a, i)
+    _add_f(out, b, -i)
+    ja, jb = out.jac[a], out.jac[b]
+    ja[a] += g
+    ja[b] -= g
+    jb[a] -= g
+    jb[b] += g
 
 
 def _stamp_resistor(elem, x, ctx, out):
-    a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
+    a, b = out.slots[elem.name]
     g = 1.0 / elem.params.resistance
-    _stamp_two_terminal(out, a, b, (_get(x, a) - _get(x, b)) * g, g)
+    _stamp_two_terminal(out, a, b, (x[a] - x[b]) * g, g)
 
 
 def _stamp_capacitor(elem, x, ctx, out):
     if ctx.mode == "dc":
-        return  # open circuit
-    a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
-    v = _get(x, a) - _get(x, b)
-    vp = _get(ctx.prev_step, a) - _get(ctx.prev_step, b)
+        out.memory[elem.name] = 0.0   # open circuit
+        return
+    a, b = out.slots[elem.name]
+    v = x[a] - x[b]
+    vp = ctx.prev_step[a] - ctx.prev_step[b]
     c = elem.params.capacitance
     if ctx.method == "trapezoidal":
         g = 2.0 * c / ctx.dt
@@ -362,27 +351,27 @@ def _stamp_capacitor(elem, x, ctx, out):
     else:
         g = c / ctx.dt
         i = g * (v - vp)
+    out.memory[elem.name] = i
     _stamp_two_terminal(out, a, b, i, g)
 
 
 def _stamp_vsource(elem, x, ctx, out):
-    a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
-    ik = ("i", elem.name)
+    a, b, k = out.slots[elem.name]
     if elem.name in ctx.overrides:
         level = ctx.overrides[elem.name]
     else:
         level = elem.params.value(ctx.time if ctx.mode == "tran" else 0.0)
     level *= ctx.srcscale
-    i = x[ik]
-    out.add_f(a, i)
-    out.add_f(b, -i)
-    out.add_j(a, ik, 1.0)
-    out.add_j(b, ik, -1.0)
-    out.add_f(ik, _get(x, a))
-    out.add_f(ik, -_get(x, b))
-    out.add_f(ik, -level)
-    out.add_j(ik, a, 1.0)
-    out.add_j(ik, b, -1.0)
+    i = x[k]
+    _add_f(out, a, i)
+    _add_f(out, b, -i)
+    out.jac[a][k] += 1.0
+    out.jac[b][k] -= 1.0
+    _add_f(out, k, x[a])
+    _add_f(out, k, -x[b])
+    _add_f(out, k, -level)
+    out.jac[k][a] += 1.0
+    out.jac[k][b] -= 1.0
 
 
 def _pnjlim(vnew: float, vold: float, nvt: float, vcrit: float) -> float:
@@ -406,11 +395,11 @@ def _zener_limited_v(p: ZenerParams, v: float, vprev: float) -> float:
 
 
 def _stamp_zener(elem, x, ctx, out):
-    a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
+    a, b = out.slots[elem.name]
     p = elem.params
-    v = _get(x, a) - _get(x, b)
+    v = x[a] - x[b]
     if ctx.prev_iter:
-        vlim = _zener_limited_v(p, v, _get(ctx.prev_iter, a) - _get(ctx.prev_iter, b))
+        vlim = _zener_limited_v(p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
     else:
         vlim = v
     i0, g = zener_ig(p, vlim)
@@ -421,56 +410,53 @@ def _stamp_zener(elem, x, ctx, out):
 
 
 def _stamp_mosfet(elem, x, ctx, out):
-    d, g_, s, b = (vkey(n) for n in elem.nodes)
-    vd, vg, vs, vb = (_get(x, k) for k in (d, g_, s, b))
+    d, g_, s, b = cols = out.slots[elem.name]
     i, di_dvgs, di_dvds, di_dvsb = mosfet_ids_grad(
-        elem.params, vg - vs, vd - vs, vs - vb, clamp_body=True)
-    out.add_f(d, i)
-    out.add_f(s, -i)
-    dd = di_dvds
-    dg = di_dvgs
-    db = -di_dvsb
-    ds = -di_dvgs - di_dvds + di_dvsb
-    for col, val in ((d, dd), (g_, dg), (s, ds), (b, db)):
-        out.add_j(d, col, val)
-        out.add_j(s, col, -val)
+        elem.params, x[g_] - x[s], x[d] - x[s], x[s] - x[b], clamp_body=True)
+    _add_f(out, d, i)
+    _add_f(out, s, -i)
+    jd, js = out.jac[d], out.jac[s]
+    vals = (di_dvds, di_dvgs, -di_dvgs - di_dvds + di_dvsb, -di_dvsb)
+    for col, val in zip(cols, vals):
+        jd[col] += val
+        js[col] -= val
 
 
 def _stamp_memristor(elem, x, ctx, out):
-    a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
     p = elem.params
-    va, vb = _get(x, a), _get(x, b)
     if ctx.mode == "dc":
-        g = 1.0 / memristance(p, p.w0)
-        _stamp_two_terminal(out, a, b, (va - vb) * g, g)
-        return
-    wk = ("w", elem.name)
-    w = min(max(x[wk], 0.0), 1.0)
+        a, b = out.slots[elem.name]
+        w = p.w0
+    else:
+        a, b, k = out.slots[elem.name]
+        w = min(max(x[k], 0.0), 1.0)
+    va, vb = x[a], x[b]
     r = memristance(p, w)
     g = 1.0 / r
     i = (va - vb) * g
     _stamp_two_terminal(out, a, b, i, g)
+    rate = memristor_state_rate(p, w, i)
+    out.memory[elem.name] = rate
+    if ctx.mode == "dc":
+        return  # state frozen at w0
     di_dw = -(va - vb) * (p.r_on - p.r_off) / (r * r)
-    out.add_j(a, wk, di_dw)
-    out.add_j(b, wk, -di_dw)
+    out.jac[a][k] += di_dw
+    out.jac[b][k] -= di_dw
     # implicit state equation, same integration rule as the node system
     fw = window_factor(p, w)
-    dfw = _window_grad(p, w)
-    rate = p.k_drift * i * fw
-    drate_dw = p.k_drift * (di_dw * fw + i * dfw)
+    drate_dw = p.k_drift * (di_dw * fw + i * _window_grad(p, w))
     drate_dv = p.k_drift * fw * g
-    wprev = ctx.prev_step.get(wk, p.w0)
+    _add_f(out, k, w - ctx.prev_step[k])
     if ctx.method == "trapezoidal":
         dte = 0.5 * ctx.dt
-        out.add_f(wk, w - wprev)
-        out.add_f(wk, -dte * (rate + ctx.hist.get(elem.name, 0.0)))
+        _add_f(out, k, -dte * (rate + ctx.hist.get(elem.name, 0.0)))
     else:
         dte = ctx.dt
-        out.add_f(wk, w - wprev)
-        out.add_f(wk, -dte * rate)
-    out.add_j(wk, wk, 1.0 - dte * drate_dw)
-    out.add_j(wk, a, -dte * drate_dv)
-    out.add_j(wk, b, dte * drate_dv)
+        _add_f(out, k, -dte * rate)
+    jk = out.jac[k]
+    jk[k] += 1.0 - dte * drate_dw
+    jk[a] -= dte * drate_dv
+    jk[b] += dte * drate_dv
 
 
 _STAMPS = {
@@ -483,62 +469,6 @@ _STAMPS = {
 }
 
 
-def stamp(elem, x: dict, ctx: StampContext, out: StampAccumulator) -> None:
-    """Add elem's Jacobian and residual contributions at iterate x."""
+def stamp(elem, x, ctx: StampContext, out) -> None:
+    """Add elem's Jacobian, residual and companion memory at iterate x."""
     _STAMPS[elem.kind](elem, x, ctx, out)
-
-
-def element_current(elem, x: dict, ctx: StampContext) -> float:
-    """Branch current at a solved point (first node to second)."""
-    if elem.kind == "r":
-        a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
-        return (_get(x, a) - _get(x, b)) / elem.params.resistance
-    if elem.kind == "xmr":
-        a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
-        if ctx.mode == "dc":
-            w = elem.params.w0
-        else:
-            w = min(max(x[("w", elem.name)], 0.0), 1.0)
-        return (_get(x, a) - _get(x, b)) / memristance(elem.params, w)
-    if elem.kind == "d":
-        a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
-        return zener_current(elem.params, _get(x, a) - _get(x, b))
-    if elem.kind == "v":
-        return x[("i", elem.name)]
-    raise ValueError(f"no branch current defined for kind {elem.kind!r}")
-
-
-def initial_history(elements, x0: dict) -> dict:
-    """Companion memory at t = 0: capacitors carry no current at the DC
-    point, memristor drift rates follow from the DC currents."""
-    hist = {}
-    ctx = StampContext(mode="dc")
-    for elem in elements:
-        if elem.kind == "c":
-            hist[elem.name] = 0.0
-        elif elem.kind == "xmr":
-            i = element_current(elem, x0, ctx)
-            hist[elem.name] = memristor_state_rate(elem.params, elem.params.w0, i)
-    return hist
-
-
-def post_step_history(elements, x: dict, ctx: StampContext) -> dict:
-    """Companion memory after an accepted step at iterate x."""
-    hist = {}
-    for elem in elements:
-        if elem.kind == "c":
-            a, b = vkey(elem.nodes[0]), vkey(elem.nodes[1])
-            v = _get(x, a) - _get(x, b)
-            vp = _get(ctx.prev_step, a) - _get(ctx.prev_step, b)
-            c = elem.params.capacitance
-            if ctx.method == "trapezoidal":
-                hist[elem.name] = 2.0 * c / ctx.dt * (v - vp) - ctx.hist.get(elem.name, 0.0)
-            else:
-                hist[elem.name] = c / ctx.dt * (v - vp)
-        elif elem.kind == "xmr":
-            wk = ("w", elem.name)
-            w = min(max(x[wk], 0.0), 1.0)
-            i = (_get(x, vkey(elem.nodes[0])) - _get(x, vkey(elem.nodes[1]))) \
-                / memristance(elem.params, w)
-            hist[elem.name] = memristor_state_rate(elem.params, w, i)
-    return hist

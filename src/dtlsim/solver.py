@@ -1,10 +1,18 @@
 """Modified nodal analysis with damped Newton iteration.
 
-Unknowns are ordered: node voltages (sorted names, ground ``0`` excluded),
-then voltage-source branch currents (element order), then memristor states
-(transient only). The residual form is used throughout: F(x) collects KCL
-sums per node, source voltage equations and implicit state equations, and
-Newton solves J dx = -F.
+Unknowns are numbered once per circuit and analysis mode (``_System``):
+node voltages (sorted names, ground ``0`` excluded), then voltage-source
+branch currents (element order), then memristor states (transient only).
+The iterate is a flat vector in that order, and every element carries its
+unknown numbers as a tuple. Ground takes one extra slot past the last
+unknown: stamps read 0.0 from it and write into its row and column like
+any other, and the solver drops them. The residual form is used
+throughout: F(x) collects KCL sums per node, source voltage equations and
+implicit state equations, and Newton solves J dx = -F.
+
+Transient companion memory (capacitor currents, memristor drift rates) is
+computed only by the stamps: every assembly records it, and the record of
+the assembly that converged a step seeds the next step.
 
 Robustness ladder for operating points: a structural no-DC-path-to-ground
 check first (names the offending node), then plain Newton with zero gmin so
@@ -25,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from . import devices
-from .devices import StampAccumulator, StampContext, vkey
+from .devices import StampContext
 from .errors import NoConvergence, SingularMatrix
 
 _W_ABSTOL = 1e-12
@@ -77,73 +85,78 @@ class TransientResult:
         return self.voltages[node]
 
 
+class _Assembly:
+    """Stamp target of one assembly: rows and columns are unknown numbers
+    plus the ground slot (see the stamps section of ``devices``)."""
+
+    __slots__ = ("slots", "jac", "res", "scale", "memory")
+
+    def __init__(self, slots: dict[str, tuple[int, ...]], size: int):
+        self.slots = slots
+        self.jac = [[0.0] * size for _ in range(size)]
+        self.res = [0.0] * size
+        self.scale = [0.0] * size
+        self.memory: dict[str, float] = {}
+
+
 class _System:
-    """Frozen unknown indexing for one circuit and analysis mode."""
+    """Frozen unknown numbering for one circuit and analysis mode."""
 
     def __init__(self, circuit, transient: bool):
-        self.circuit = circuit
-        self.transient = transient
-        keys: list[tuple] = [vkey(n) for n in circuit.nodes if n != devices.GROUND]
+        self.elements = circuit.elements
+        nodes = [nd for nd in circuit.nodes if nd != devices.GROUND]
+        keys = [("v", nd) for nd in nodes]
         keys += [("i", e.name) for e in circuit.elements if e.kind == "v"]
         if transient:
             keys += [("w", e.name) for e in circuit.elements if e.kind == "xmr"]
         self.keys = keys
-        self.index = {k: i for i, k in enumerate(keys)}
-        self.n = len(keys)
-        nl: set[tuple] = set()
+        self.n = n = len(keys)
+        self.nv = len(nodes)
+        self.states = slice(n - sum(k[0] == "w" for k in keys), n)
+        index = {k: i for i, k in enumerate(keys)}
+        index[("v", devices.GROUND)] = n   # the ground slot
+        self.slots = {}
+        nonlinear = np.zeros(n + 1, dtype=bool)
         for e in circuit.elements:
-            if e.kind == "d" or e.kind == "m":
-                nl.update(vkey(n) for n in e.nodes)
+            slots = tuple(index[("v", nd)] for nd in e.nodes)
+            if e.kind == "v":
+                slots += (index[("i", e.name)],)
             elif e.kind == "xmr" and transient:
-                nl.update(vkey(n) for n in e.nodes)
-                nl.add(("w", e.name))
-        self.nonlinear = nl
+                slots += (index[("w", e.name)],)
+            if e.kind in ("d", "m") or (e.kind == "xmr" and transient):
+                nonlinear[list(slots)] = True
+            self.slots[e.name] = slots
+        self.nonlinear = nonlinear[:n]
 
-    def zeros(self) -> dict:
-        return {k: 0.0 for k in self.keys}
-
-    def assemble(self, x: dict, ctx: StampContext):
-        acc = StampAccumulator()
-        for e in self.circuit.elements:
-            devices.stamp(e, x, ctx, acc)
-        jac = np.zeros((self.n, self.n))
-        res = np.zeros(self.n)
-        scale = np.zeros(self.n)
-        idx = self.index
-        for (r, c), val in acc.jac.items():
-            ri = idx.get(r)
-            ci = idx.get(c)
-            if ri is not None and ci is not None:
-                jac[ri, ci] += val
-        for r, val in acc.res.items():
-            ri = idx.get(r)
-            if ri is not None:
-                res[ri] += val
-        for r, val in acc.scale.items():
-            ri = idx.get(r)
-            if ri is not None:
-                scale[ri] += val
+    def assemble(self, xs: list[float], ctx: StampContext):
+        """Jacobian, residual, residual scale and companion memory at the
+        iterate ``xs`` (unknowns, then 0.0 for the ground slot)."""
+        out = _Assembly(self.slots, self.n + 1)
+        for e in self.elements:
+            devices.stamp(e, xs, ctx, out)
+        n, nv = self.n, self.nv
+        jac = np.array(out.jac)[:n, :n]
+        res = np.array(out.res[:n])
+        scale = np.array(out.scale[:n])
         if ctx.gmin:
-            for k in self.keys:
-                if k[0] == "v":
-                    i = idx[k]
-                    jac[i, i] += ctx.gmin
-                    leak = ctx.gmin * x[k]
-                    res[i] += leak
-                    scale[i] += abs(leak)
-        return jac, res, scale
+            diag = np.arange(nv)
+            jac[diag, diag] += ctx.gmin
+            leak = ctx.gmin * np.array(xs[:nv])
+            res[:nv] += leak
+            scale[:nv] += np.abs(leak)
+        return jac, res, scale, out.memory
 
-    def row_tol(self, options: SolverOptions, scale: np.ndarray) -> np.ndarray:
-        tol = np.empty(self.n)
-        for i, k in enumerate(self.keys):
-            if k[0] == "v":
-                base = options.abstol_i
-            elif k[0] == "i":
-                base = options.abstol_v
-            else:
-                base = _W_ABSTOL
-            tol[i] = base + options.reltol * scale[i]
-        return tol
+    def abstol(self, options: SolverOptions) -> np.ndarray:
+        """Absolute residual tolerance per row: KCL rows are currents,
+        source rows voltages, state rows dimensionless."""
+        base = {"v": options.abstol_i, "i": options.abstol_v, "w": _W_ABSTOL}
+        return np.array([base[k[0]] for k in self.keys])
+
+
+def _with_ground(x: np.ndarray) -> list[float]:
+    xs = x.tolist()
+    xs.append(0.0)
+    return xs
 
 
 def _check_dc_paths(circuit, transient: bool) -> None:
@@ -194,34 +207,30 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-def _newton(sys: _System, x0: dict, ctx: StampContext,
-            options: SolverOptions) -> tuple[dict, int]:
-    x = dict(x0)
-    ctx.prev_iter = dict(x)
+def _newton(sys: _System, x0: np.ndarray, ctx: StampContext,
+            options: SolverOptions) -> tuple[np.ndarray, int, dict]:
+    """Damped Newton from x0; returns the solution, the iteration count
+    and the companion memory recorded by the converged assembly."""
+    abstol = sys.abstol(options)
+    x = x0
+    xs = ctx.prev_iter = _with_ground(x)
     iters = 0
-    last_res = math.inf
     while True:
-        jac, res, scale = sys.assemble(x, ctx)
-        tol = sys.row_tol(options, scale)
+        jac, res, scale, memory = sys.assemble(xs, ctx)
         absres = np.abs(res)
-        if np.all(absres <= tol):
-            return x, iters
-        last_res = float(absres.max())
+        if np.all(absres <= abstol + options.reltol * scale):
+            return x, iters, memory
         if iters >= options.max_newton_iters:
+            last_res = float(absres.max())
             raise NoConvergence(
                 f"no convergence after {iters} Newton iterations "
                 f"(max residual {last_res:.3e})", residual=last_res)
         dx = _lu_solve(jac, -res, sys.keys)
-        ctx.prev_iter = dict(x)
         lim = options.damping_limit
-        for i, k in enumerate(sys.keys):
-            step = dx[i]
-            if k in sys.nonlinear and abs(step) > lim:
-                step = math.copysign(lim, step)
-            xi = x[k] + step
-            if k[0] == "w":
-                xi = min(max(xi, 0.0), 1.0)
-            x[k] = xi
+        x = x + np.where(sys.nonlinear, np.clip(dx, -lim, lim), dx)
+        x[sys.states] = np.clip(x[sys.states], 0.0, 1.0)
+        ctx.prev_iter = xs
+        xs = _with_ground(x)
         iters += 1
 
 
@@ -235,50 +244,54 @@ def _gmin_ladder(options: SolverOptions) -> list[float]:
     return out
 
 
-def _solve_point(sys: _System, x0: dict, ctx: StampContext,
-                 options: SolverOptions) -> tuple[dict, int, str]:
-    """Newton with homotopy fallbacks; ctx.gmin/srcscale are scratch."""
+def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
+                 options: SolverOptions) -> tuple[np.ndarray, int, str, dict]:
+    """Newton with homotopy fallbacks; ctx.gmin/srcscale are scratch.
+
+    Returns the solution, the total iteration count, the strategy that
+    won and the companion memory of the solution's assembly.
+    """
     try:
         ctx.gmin = 0.0
         ctx.srcscale = 1.0
-        x, iters = _newton(sys, x0, ctx, options)
-        return x, iters, "newton"
+        x, iters, memory = _newton(sys, x0, ctx, options)
+        return x, iters, "newton", memory
     except (NoConvergence, SingularMatrix):
         pass
     total = 0
-    x = dict(x0)
+    x = x0
     try:
         for g in _gmin_ladder(options):
             ctx.gmin = g
-            x, iters = _newton(sys, x, ctx, options)
+            x, iters, memory = _newton(sys, x, ctx, options)
             total += iters
         try:
             ctx.gmin = 0.0
-            x, iters = _newton(sys, x, ctx, options)
+            x, iters, memory = _newton(sys, x, ctx, options)
             total += iters
         except (NoConvergence, SingularMatrix):
             pass  # keep the gmin_final solution; the leak is 1e-12 S
-        return x, total, "gmin-stepping"
+        return x, total, "gmin-stepping", memory
     except (NoConvergence, SingularMatrix):
         pass
-    x = sys.zeros()
-    x.update((k, v) for k, v in x0.items() if k[0] == "w")
+    x = np.zeros(sys.n)
+    x[sys.states] = x0[sys.states]
     total = 0
     last: Exception | None = None
     try:
         for k in range(1, options.source_steps + 1):
             ctx.gmin = options.gmin_final
             ctx.srcscale = k / options.source_steps
-            x, iters = _newton(sys, x, ctx, options)
+            x, iters, memory = _newton(sys, x, ctx, options)
             total += iters
         ctx.srcscale = 1.0
         ctx.gmin = 0.0
         try:
-            x, iters = _newton(sys, x, ctx, options)
+            x, iters, memory = _newton(sys, x, ctx, options)
             total += iters
         except (NoConvergence, SingularMatrix):
             pass
-        return x, total, "source-stepping"
+        return x, total, "source-stepping", memory
     except (NoConvergence, SingularMatrix) as exc:
         last = exc
     ctx.srcscale = 1.0
@@ -288,8 +301,16 @@ def _solve_point(sys: _System, x0: dict, ctx: StampContext,
         residual=getattr(last, "residual", None))
 
 
-def _voltages(sys: _System, x: dict) -> dict[str, float]:
-    return {k[1]: x[k] for k in sys.keys if k[0] == "v"}
+def _operating_point(circuit, options: SolverOptions, overrides=None,
+                     x0: dict | None = None):
+    """Checked DC solve: returns the system and _solve_point's result."""
+    circuit.validate()
+    _check_dc_paths(circuit, transient=False)
+    sys = _System(circuit, transient=False)
+    ctx = StampContext(mode="dc", overrides=dict(overrides or {}))
+    x0 = x0 or {}
+    start = np.array([x0.get(k, 0.0) for k in sys.keys], dtype=float)
+    return sys, _solve_point(sys, start, ctx, options)
 
 
 def dc_operating_point(circuit, options: SolverOptions | None = None, *,
@@ -300,16 +321,11 @@ def dc_operating_point(circuit, options: SolverOptions | None = None, *,
     Returns an OpPoint mapping node name -> voltage (ground excluded), with
     ``raw`` (all unknowns), ``iterations`` and ``strategy`` attached.
     """
-    options = options or SolverOptions()
-    circuit.validate()
-    _check_dc_paths(circuit, transient=False)
-    sys = _System(circuit, transient=False)
-    ctx = StampContext(mode="dc", overrides=dict(overrides or {}))
-    start = dict(x0) if x0 is not None else sys.zeros()
-    for k in sys.keys:
-        start.setdefault(k, 0.0)
-    x, iters, strategy = _solve_point(sys, start, ctx, options)
-    return OpPoint(_voltages(sys, x), x, iters, strategy)
+    sys, (x, iters, strategy, _) = _operating_point(
+        circuit, options or SolverOptions(), overrides, x0)
+    raw = dict(zip(sys.keys, x.tolist()))
+    voltages = {k[1]: v for k, v in raw.items() if k[0] == "v"}
+    return OpPoint(voltages, raw, iters, strategy)
 
 
 def sweep_points(start: float, stop: float, step: float) -> np.ndarray:
@@ -320,6 +336,9 @@ def sweep_points(start: float, stop: float, step: float) -> np.ndarray:
 def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
              options: SolverOptions | None = None) -> SweepResult:
     """Swept operating points with continuation (each solution seeds the next)."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"sweep needs finite start, stop and step, got "
+                         f"{start}, {stop}, {step}")
     if not stop > start:
         raise ValueError(f"sweep needs stop > start, got {start} .. {stop}")
     if not step > 0.0:
@@ -333,23 +352,22 @@ def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
     _check_dc_paths(circuit, transient=False)
     sys = _System(circuit, transient=False)
     values = sweep_points(start, stop, step)
-    nodes = [k[1] for k in sys.keys if k[0] == "v"]
-    columns = {n: np.empty(values.size) for n in nodes}
+    volts = np.empty((sys.nv, values.size))
     iterations: list[int] = []
     strategies: list[str] = []
-    x = sys.zeros()
+    x = np.zeros(sys.n)
     for i, val in enumerate(values):
         ctx = StampContext(mode="dc", overrides={source: float(val)})
         try:
-            x, iters, strategy = _solve_point(sys, x, ctx, options)
+            x, iters, strategy, _ = _solve_point(sys, x, ctx, options)
         except NoConvergence as exc:
             raise NoConvergence(
                 f"sweep failed at {source}={val:.6g}: {exc}",
                 residual=exc.residual, at=float(val)) from exc
-        for n in nodes:
-            columns[n][i] = x[vkey(n)]
+        volts[:, i] = x[:sys.nv]
         iterations.append(iters)
         strategies.append(strategy)
+    columns = {k[1]: col for k, col in zip(sys.keys, volts)}
     return SweepResult(source, values, columns, iterations, strategies)
 
 
@@ -360,54 +378,51 @@ def transient(circuit, tstop: float, dt: float,
 
     The t=0 row is the DC operating point with sources evaluated at t=0;
     memristor states start at w0, advance by the chosen implicit rule and
-    are clamped to [0, 1] after every accepted step.
+    stay in [0, 1] (every Newton update clamps them). Companion memory
+    starts from the operating point's assembly: no capacitor current and
+    the DC memristor drift rates.
     """
     if method not in ("backward-euler", "trapezoidal"):
         raise ValueError(f"unknown method {method!r}")
+    if not (math.isfinite(tstop) and math.isfinite(dt)):
+        raise ValueError(f"transient needs finite tstop and dt, got "
+                         f"{tstop}, {dt}")
     if not tstop > 0.0 or not dt > 0.0 or dt > tstop:
         raise ValueError("transient needs tstop > 0 and 0 < dt <= tstop")
     options = options or SolverOptions()
     circuit.validate()
     _check_dc_paths(circuit, transient=True)
 
-    op = dc_operating_point(circuit, options)
+    _, (x_op, op_iters, _, memory) = _operating_point(circuit, options)
     sys = _System(circuit, transient=True)
-    x = dict(op.raw)
-    for e in circuit.elements:
-        if e.kind == "xmr":
-            x[("w", e.name)] = e.params.w0
-    hist = devices.initial_history(circuit.elements, op.raw)
+    # the transient numbering extends the DC one by the memristor states
+    x = np.concatenate((x_op, [e.params.w0 for e in circuit.elements
+                               if e.kind == "xmr"]))
 
     nsteps = int(math.floor(tstop / dt + 1e-9))
     times = dt * np.arange(nsteps + 1)
-    nodes = [k[1] for k in sys.keys if k[0] == "v"]
-    wkeys = [k for k in sys.keys if k[0] == "w"]
-    columns = {n: np.empty(nsteps + 1) for n in nodes}
-    states = {k[1]: np.empty(nsteps + 1) for k in wkeys}
-    iterations = [op.iterations]
-    for n in nodes:
-        columns[n][0] = x[vkey(n)]
-    for k in wkeys:
-        states[k[1]][0] = x[k]
+    volts = np.empty((sys.nv, nsteps + 1))
+    states = np.empty((len(sys.keys[sys.states]), nsteps + 1))
+    iterations = [op_iters]
+    volts[:, 0] = x[:sys.nv]
+    states[:, 0] = x[sys.states]
 
     for step_no in range(1, nsteps + 1):
         t = float(times[step_no])
         ctx = StampContext(mode="tran", time=t, dt=dt, method=method,
-                           prev_step=dict(x), hist=hist)
+                           prev_step=_with_ground(x), hist=memory)
         try:
-            x, iters, _ = _solve_point(sys, x, ctx, options)
+            x, iters, _, memory = _solve_point(sys, x, ctx, options)
         except NoConvergence as exc:
             raise NoConvergence(f"transient failed at t={t:.6g}s: {exc}",
                                 residual=exc.residual, at=t) from exc
-        for k in wkeys:
-            x[k] = min(max(x[k], 0.0), 1.0)
-        hist = devices.post_step_history(circuit.elements, x, ctx)
-        for n in nodes:
-            columns[n][step_no] = x[vkey(n)]
-        for k in wkeys:
-            states[k[1]][step_no] = x[k]
+        volts[:, step_no] = x[:sys.nv]
+        states[:, step_no] = x[sys.states]
         iterations.append(iters)
-    return TransientResult(times, columns, states, iterations)
+    keys = sys.keys
+    return TransientResult(
+        times, {k[1]: col for k, col in zip(keys, volts)},
+        {k[1]: col for k, col in zip(keys[sys.states], states)}, iterations)
 
 
 def residual_report(circuit, op: OpPoint,
@@ -422,6 +437,7 @@ def residual_report(circuit, op: OpPoint,
     options = options or SolverOptions()
     sys = _System(circuit, transient=False)
     ctx = StampContext(mode="dc", overrides=dict(overrides or {}))
-    _, res, scale = sys.assemble(op.raw, ctx)
-    tol = sys.row_tol(options, scale)
+    xs = [op.raw[k] for k in sys.keys] + [0.0]
+    _, res, scale, _ = sys.assemble(xs, ctx)
+    tol = sys.abstol(options) + options.reltol * scale
     return {k: (abs(float(res[i])), float(tol[i])) for i, k in enumerate(sys.keys)}

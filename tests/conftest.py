@@ -61,10 +61,10 @@ d_1 0 c zen
 """
 
 
-def mosfet_boundary_distance(e, x):
+def mosfet_boundary_distance(e, xs, slots):
     """Distance of a trial point from the nearest C1 kink of one MOSFET."""
     p = e.params
-    vd, vg, vs, vb = (x.get(devices.vkey(n), 0.0) for n in e.nodes)
+    vd, vg, vs, vb = (xs[i] for i in slots[e.name])
     vgs, vds, vsb = vg - vs, vd - vs, vs - vb
     if p.polarity == "p":
         vgs, vds, vsb = -vgs, -vds, -vsb
@@ -76,16 +76,15 @@ def mosfet_boundary_distance(e, x):
     return min(abs(vds), abs(body), abs(vov), abs(vov - vds))
 
 
-def zener_bias_sane(e, x):
+def zener_bias_sane(e, xs, slots):
     """Reject draws that shove a junction volts past its forward knee.
 
     A forward exponential that far up dwarfs every other term in its KCL
     row and turns the central difference into ulp noise; the solver's
     junction limiting never lets an iterate get there either.
     """
-    v = (x.get(devices.vkey(e.nodes[0]), 0.0)
-         - x.get(devices.vkey(e.nodes[1]), 0.0))
-    return -3.0 < v < 0.75
+    a, b = slots[e.name]
+    return -3.0 < xs[a] - xs[b] < 0.75
 
 
 def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
@@ -102,24 +101,25 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
     zeners = [e for e in circuit.elements if e.kind == "d"]
     checked = 0
     while checked < n_points:
-        x = {k: float(rng.uniform(-1.5, 1.5)) for k in sys_.keys}
-        for k in sys_.keys:
-            if k[0] == "w":
-                x[k] = float(rng.uniform(0.05, 0.95))
-        if any(mosfet_boundary_distance(e, x) < 1e-3 for e in mosfets):
+        # iterate slots, the last one ground
+        xs = [float(rng.uniform(-1.5, 1.5)) for _ in range(sys_.n)] + [0.0]
+        for i in range(sys_.n)[sys_.states]:
+            xs[i] = float(rng.uniform(0.05, 0.95))
+        if any(mosfet_boundary_distance(e, xs, sys_.slots) < 1e-3
+               for e in mosfets):
             continue
-        if not all(zener_bias_sane(e, x) for e in zeners):
+        if not all(zener_bias_sane(e, xs, sys_.slots) for e in zeners):
             continue
-        jac, res, _ = sys_.assemble(x, ctx_maker())
+        jac, res, _, _ = sys_.assemble(xs, ctx_maker())
         h = 1e-7
         fd = np.empty_like(jac)
-        for j, k in enumerate(sys_.keys):
-            xp = dict(x)
-            xm = dict(x)
-            xp[k] += h
-            xm[k] -= h
-            _, rp, _ = sys_.assemble(xp, ctx_maker())
-            _, rm, _ = sys_.assemble(xm, ctx_maker())
+        for j in range(sys_.n):
+            xp = list(xs)
+            xm = list(xs)
+            xp[j] += h
+            xm[j] -= h
+            _, rp, _, _ = sys_.assemble(xp, ctx_maker())
+            _, rm, _, _ = sys_.assemble(xm, ctx_maker())
             fd[:, j] = (rp - rm) / (2 * h)
         scale = np.maximum(np.abs(jac), np.abs(fd))
         assert np.all(np.abs(fd - jac) <= rel * scale + floor)
@@ -128,16 +128,24 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
 
 
 def make_tran_ctx_maker(circuit, dt=1e-6, method="trapezoidal"):
-    """Context factory for transient-mode FD checks, seeded from the DC op."""
+    """Context factory for transient-mode FD checks, seeded from the DC op.
+
+    The companion memory is the record of an assembly at the operating
+    point, as the transient's first step sees it.
+    """
     op = solver.dc_operating_point(circuit)
-    prev = dict(op.raw)
+    dc = solver._System(circuit, transient=False)
+    _, _, _, hist = dc.assemble([op.raw[k] for k in dc.keys] + [0.0],
+                                devices.StampContext(mode="dc"))
+    start = dict(op.raw)
     for e in circuit.elements:
         if e.kind == "xmr":
-            prev[("w", e.name)] = e.params.w0
-    hist = devices.initial_history(circuit.elements, op.raw)
+            start[("w", e.name)] = e.params.w0
+    prev = [start[k] for k in solver._System(circuit, transient=True).keys]
+    prev.append(0.0)
 
     def ctx_maker():
         return devices.StampContext(mode="tran", time=dt, dt=dt,
-                                    method=method, prev_step=dict(prev),
+                                    method=method, prev_step=list(prev),
                                     hist=dict(hist))
     return ctx_maker

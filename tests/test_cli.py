@@ -114,6 +114,15 @@ def test_sweep_invalid_range_maps_to_usage_exit(divider, capsys):
     assert "invalid argument" in capsys.readouterr().err
 
 
+def test_non_finite_ranges_map_to_usage_exit(divider, rc, capsys):
+    assert main(["sweep", divider, "--source", "v_1", "--start=-inf",
+                 "--stop", "1", "--step", "0.1"]) == 1
+    assert main(["tran", rc, "--tstop", "inf", "--dt", "1e-6"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("invalid argument") == 2
+    assert "Traceback" not in err
+
+
 # --- tran ------------------------------------------------------------------
 
 def test_tran_uses_directive_and_starts_at_dc(rc, capsys):

@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from dtlsim import devices, solver
+from dtlsim import cells, devices, solver
 from dtlsim.devices import StampContext, ZenerParams, zener_current
 from dtlsim.errors import NoConvergence, SingularMatrix
 from dtlsim.netlist import parse_netlist
@@ -185,6 +185,11 @@ def test_sweep_argument_validation():
         dc_sweep(c, "v_1", 1.0, 0.0, 0.1)     # descending
     with pytest.raises(ValueError):
         dc_sweep(c, "v_1", 0.0, 1.0, -0.1)
+    for start, stop, step in ((-math.inf, 1.0, 0.1), (0.0, math.inf, 0.1),
+                              (0.0, 1.0, math.inf), (math.nan, 1.0, 0.1),
+                              (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            dc_sweep(c, "v_1", start, stop, step)
 
 
 # --- failure modes ----------------------------------------------------------------
@@ -227,6 +232,10 @@ def test_transient_argument_validation():
         transient(c, tstop=0.0, dt=1e-5)
     with pytest.raises(ValueError):
         transient(c, tstop=1e-5, dt=1e-3)
+    for tstop, dt in ((math.inf, 1e-6), (1e-3, math.nan), (math.nan, 1e-6),
+                      (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            transient(c, tstop=tstop, dt=dt)
 
 
 # --- memristor dynamics -------------------------------------------------------------
@@ -297,6 +306,31 @@ r_1 b 0 1k
     p = devices.MemristorParams(w0=0.25)
     r_total = devices.memristance(p, 0.25) + 1e3
     assert op["b"] == pytest.approx(6.0 * 1e3 / r_total, rel=1e-9)
+
+
+# --- pinned Newton work ---------------------------------------------------------
+
+# Counts of the paper's cells: a refactor of assembly or history handling
+# must reproduce them exactly; the trapezoidal run reads companion history.
+@pytest.mark.parametrize("case, expected", [
+    ("detector-config2", 302),
+    ("xor-backward-euler", 903),
+    ("xor-trapezoidal", 1222),
+])
+def test_newton_work_is_pinned(case, expected):
+    if case == "detector-config2":
+        c = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
+        d = next(d for d in c.analyses if d.kind == "dc")
+        s = dc_sweep(c, d.source, d.start, d.stop, d.step)
+        assert len(s.inputs) == 151
+        assert s.strategies == ["gmin-stepping"] + 150 * ["newton"]
+        assert sum(s.iterations) == expected
+    else:
+        c = cells.build_xor_circuit()
+        d = next(d for d in c.analyses if d.kind == "tran")
+        tr = transient(c, d.tstop, d.dt, method=case.removeprefix("xor-"))
+        assert len(tr.times) == 801
+        assert sum(tr.iterations) == expected
 
 
 # --- system-level finite-difference Jacobians -----------------------------------
