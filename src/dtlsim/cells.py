@@ -262,9 +262,26 @@ def smooth3(y: Sequence[float] | np.ndarray) -> np.ndarray:
     if y.ndim != 1:
         raise ValueError("smooth3 expects a 1-D sequence")
     out = y.copy()
-    for i in range(1, len(y) - 1):
-        out[i] = np.median(y[i - 1:i + 2])
+    a, b, c = y[:-2], y[1:-1], y[2:]
+    out[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
     return out
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of equal values."""
+    change = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return (np.concatenate(([0], change)),
+            np.concatenate((change - 1, [len(values) - 1])))
+
+
+def _half_crossings(x: np.ndarray, y: np.ndarray, half: float, i0: int,
+                    i1: int) -> tuple[float | None, float | None]:
+    """Linearly interpolated crossings of ``half`` just below and above the
+    run y[i0..i1]; None where the run reaches the end of the data."""
+    def cross(a: int) -> float:   # between samples a and a + 1
+        return x[a] + (half - y[a]) * (x[a + 1] - x[a]) / (y[a + 1] - y[a])
+    return (cross(i0 - 1) if i0 > 0 else None,
+            cross(i1) if i1 < len(y) - 1 else None)
 
 
 @dataclass(frozen=True)
@@ -275,22 +292,6 @@ class BandResponse:
     theta_high: float
     height: float
     width: float
-
-
-def _above_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
 
 
 def extract_band(sweep: SweepResult, node: str) -> BandResponse:
@@ -318,21 +319,20 @@ def extract_band(sweep: SweepResult, node: str) -> BandResponse:
         raise NoBand(f"peak {height:.6g} is below twice the baseline "
                      f"{baseline:.6g}")
     half = 0.5 * height
-    runs = _above_runs(ys >= half)
-    if not runs:
+    above = ys >= half
+    first, last = _runs(above)
+    regions = np.flatnonzero(above[first])
+    if not regions.size:
         raise NoBand("smoothed response never reaches half height")
-    if len(runs) > 1:
+    if regions.size > 1:
         raise NotUnimodal(
-            f"{len(runs)} half-height regions (more than two crossings)")
-    i0, i1 = runs[0]
-    if i0 == 0:
+            f"{regions.size} half-height regions (more than two crossings)")
+    k = regions[0]
+    theta_low, theta_high = _half_crossings(x, ys, half, first[k], last[k])
+    if theta_low is None:
         raise NoBand("no lower half-height crossing inside the sweep")
-    if i1 == len(x) - 1:
+    if theta_high is None:
         raise NoBand("no upper half-height crossing inside the sweep")
-    theta_low = x[i0 - 1] + (half - ys[i0 - 1]) * (x[i0] - x[i0 - 1]) \
-        / (ys[i0] - ys[i0 - 1])
-    theta_high = x[i1] + (half - ys[i1]) * (x[i1 + 1] - x[i1]) \
-        / (ys[i1 + 1] - ys[i1])
     return BandResponse(theta_low=float(theta_low),
                         theta_high=float(theta_high),
                         height=height,
@@ -350,25 +350,15 @@ def peak_input(sweep: SweepResult, node: str) -> float:
     """
     x = np.asarray(sweep.inputs, dtype=float)
     ys = smooth3(sweep.column(node))
-    runs: list[tuple[float, int, int]] = []
-    i = 0
-    n = len(ys)
-    while i < n:
-        j = i
-        while j + 1 < n and ys[j + 1] == ys[i]:
-            j += 1
-        runs.append((float(ys[i]), i, j))
-        i = j + 1
-    maxima = []
-    for k in range(1, len(runs) - 1):
-        val, i0, i1 = runs[k]
-        if runs[k - 1][0] < val and runs[k + 1][0] < val:
-            maxima.append((i0, i1))
-    if len(maxima) != 1:
+    first, last = _runs(ys)
+    vals = ys[first]
+    maxima = np.flatnonzero((vals[1:-1] > vals[:-2])
+                            & (vals[1:-1] > vals[2:])) + 1
+    if maxima.size != 1:
         raise NotUnimodal(
-            f"expected exactly one interior maximum, found {len(maxima)}")
-    i0, i1 = maxima[0]
-    return float(x[(i0 + i1) // 2])
+            f"expected exactly one interior maximum, found {maxima.size}")
+    k = maxima[0]
+    return float(x[(first[k] + last[k]) // 2])
 
 
 @dataclass(frozen=True)

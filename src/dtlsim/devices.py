@@ -186,7 +186,8 @@ def _square_law(p: MosfetParams, vgs: float, vds: float, vsb: float,
                 clamp_body: bool) -> tuple[float, float, float, float]:
     """n-sense level-1 current and partials, vds >= 0 assumed.
 
-    Returns (ids, di/dvgs, di/dvds, di/dvsb).
+    Returns (ids, di/dvgs, di/dvds, di/dvsb). ``p.polarity`` is not read:
+    p-channel devices arrive here mirrored.
     """
     body = p.phi2 + vsb
     if body < 0.0:
@@ -227,17 +228,14 @@ def mosfet_ids_grad(p: MosfetParams, vgs: float, vds: float, vsb: float,
     the "wrong" sign, so the result is differentiable except at the usual
     region boundaries.
     """
-    if p.polarity == "p":
-        i, gg, gd, gb = mosfet_ids_grad(
-            MosfetParams(polarity="n", vth0=p.vth0, kprime=p.kprime,
-                         w_over_l=p.w_over_l, lam=p.lam, gamma=p.gamma, phi2=p.phi2),
-            -vgs, -vds, -vsb, clamp_body)
-        return -i, gg, gd, gb
+    s = -1.0 if p.polarity == "p" else 1.0   # p-channel: mirrored n-sense
+    vgs, vds, vsb = s * vgs, s * vds, s * vsb
     if vds >= 0.0:
-        return _square_law(p, vgs, vds, vsb, clamp_body)
-    # swapped operation: the drain terminal acts as source
-    i, gg, gd, gb = _square_law(p, vgs - vds, -vds, vsb + vds, clamp_body)
-    return -i, -gg, gg + gd - gb, -gb
+        i, gg, gd, gb = _square_law(p, vgs, vds, vsb, clamp_body)
+    else:   # swapped operation: the drain terminal acts as source
+        i, gg, gd, gb = _square_law(p, vgs - vds, -vds, vsb + vds, clamp_body)
+        i, gg, gd, gb = -i, -gg, gg + gd - gb, -gb
+    return s * i, gg, gd, gb
 
 
 def mosfet_current(p: MosfetParams, vgs: float, vds: float, vsb: float = 0.0) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cells import _half_crossings, _runs
 from .errors import (BadHeader, BadMagic, DomainError, LutRangeError, NoRing,
                      TruncatedData, UnsupportedMaxval)
 from .solver import SweepResult
@@ -285,16 +286,10 @@ def ring_metrics(response, center: tuple[float, float] | None = None
     if ipk == 0:
         raise NoRing("response peaks at the center, not on a ring")
     half = 0.5 * peak
-    lo = None
-    for i in range(ipk, 0, -1):
-        if prof[i - 1] < half <= prof[i]:
-            lo = (i - 1) + (half - prof[i - 1]) / (prof[i] - prof[i - 1])
-            break
-    hi = None
-    for i in range(ipk, len(prof) - 1):
-        if prof[i] >= half > prof[i + 1]:
-            hi = i + (prof[i] - half) / (prof[i] - prof[i + 1])
-            break
+    first, last = _runs(prof >= half)
+    k = first.searchsorted(ipk, side="right") - 1   # the run holding the peak
+    lo, hi = _half_crossings(np.arange(len(prof), dtype=float), prof, half,
+                             first[k], last[k])
     if lo is None or hi is None:
         raise NoRing("ring does not fall to half height on both sides")
     return RingMetrics(peak_radius=float(ipk),

@@ -26,6 +26,7 @@ Grammar subset:
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -58,7 +59,10 @@ def parse_number(token: str, line: int | None = None) -> float:
     e = int(exp) if exp else 0
     if suffix:
         e += _SUFFIX_EXP[suffix]
-    return float(f"{mantissa}e{e}")
+    value = float(f"{mantissa}e{e}")
+    if not math.isfinite(value):
+        raise MalformedNumber(f"number {token!r} is out of range", line)
+    return value
 
 
 @dataclass(frozen=True)
@@ -215,26 +219,17 @@ def _parse_model_card(tokens: list[str], lineno: int):
             else:
                 kv_tokens.append(tok)
         kv = _keyvals(kv_tokens, fields, lineno, "mosfet model")
-        try:
-            params = dataclasses.replace(devices.mosfet_defaults(polarity), **kv)
-        except DomainError as exc:
-            raise NetlistError(str(exc), lineno) from exc
+        params = dataclasses.replace(devices.mosfet_defaults(polarity), **kv)
         return name, ("mosfet", params)
     if kind == "zener":
         kv = _keyvals(tokens[3:], _ZENER_KEYS, lineno, "zener model")
-        try:
-            params = dataclasses.replace(devices.ZenerParams(), **kv)
-        except DomainError as exc:
-            raise NetlistError(str(exc), lineno) from exc
+        params = dataclasses.replace(devices.ZenerParams(), **kv)
         return name, ("zener", params)
     if kind == "memristor":
         kv = _keyvals(tokens[3:], _MEMRISTOR_KEYS, lineno, "memristor model")
         if "p_window" in kv:
             kv["p_window"] = int(kv["p_window"])
-        try:
-            params = dataclasses.replace(devices.MemristorParams(), **kv)
-        except DomainError as exc:
-            raise NetlistError(str(exc), lineno) from exc
+        params = dataclasses.replace(devices.MemristorParams(), **kv)
         return name, ("memristor", params)
     raise UnknownModel(f"unknown model kind {kind!r}", lineno)
 
@@ -250,10 +245,7 @@ def _parse_waveform(tokens: list[str], lineno: int) -> devices.SourceWaveform:
         inside = inside[:-1]  # trailing ')'
         vals = tuple(parse_number(t, lineno)
                      for t in inside.replace(",", " ").split())
-        try:
-            return devices.SourceWaveform(kind, vals)
-        except DomainError as exc:
-            raise NetlistError(str(exc), lineno) from exc
+        return devices.SourceWaveform(kind, vals)
     if head == "dc":
         tokens = tokens[1:]
         if not tokens:
@@ -283,11 +275,8 @@ def _parse_element(tokens: list[str], lineno: int,
         if len(tokens) != 4:
             raise ArityError(f"{name}: expected '<name> n+ n- value'", lineno)
         value = parse_number(tokens[3], lineno)
-        try:
-            params = (devices.ResistorParams(value) if kind == "r"
-                      else devices.CapacitorParams(value))
-        except DomainError as exc:
-            raise NetlistError(str(exc), lineno) from exc
+        params = (devices.ResistorParams(value) if kind == "r"
+                  else devices.CapacitorParams(value))
         return Element(name, kind, (tokens[1], tokens[2]), params)
     if kind == "v":
         if len(tokens) < 4:
@@ -318,10 +307,7 @@ def _parse_element(tokens: list[str], lineno: int,
     if mname not in models or models[mname][0] != "memristor":
         raise UnknownModel(f"{name}: no memristor model named {mname!r}", lineno)
     overrides = _keyvals(tokens[4:], {"w0": "w0"}, lineno, "memristor instance")
-    try:
-        params = dataclasses.replace(models[mname][1], **overrides)
-    except DomainError as exc:
-        raise NetlistError(str(exc), lineno) from exc
+    params = dataclasses.replace(models[mname][1], **overrides)
     return Element(name, kind, (tokens[1], tokens[2]), params, model=mname,
                    overrides=overrides)
 
@@ -381,7 +367,7 @@ def _card_shape_ok(tokens: list[str]) -> bool:
             return False
         _keyvals(tokens[4:], {"w0": "w0"}, None, "memristor instance")
         return True
-    except NetlistError:
+    except (NetlistError, DomainError):
         return False
 
 
@@ -416,26 +402,28 @@ def parse_netlist(text: str) -> Circuit:
 
     # models may be referenced before their card appears, so collect first
     models: dict[str, tuple[str, object]] = {}
-    for lineno, tokens, kind in content:
-        if kind == "directive" and tokens[0] == ".model":
-            name, spec = _parse_model_card(tokens, lineno)
-            if name in models:
-                raise DuplicateName(f"duplicate model name {name!r}", lineno)
-            models[name] = spec
-
     circuit = Circuit(title=title, models=models)
     seen: set[str] = set()
-    for lineno, tokens, kind in content:
-        if kind == "directive":
-            if tokens[0] == ".model":
-                continue
-            circuit.analyses.append(_parse_directive(tokens, lineno))
-        else:
-            elem = _parse_element(tokens, lineno, models)
-            if elem.name in seen:
-                raise DuplicateName(f"duplicate element name {elem.name!r}", lineno)
-            seen.add(elem.name)
-            circuit.elements.append(elem)
+    try:   # a device parameter out of its domain is an error of its card
+        for lineno, tokens, kind in content:
+            if kind == "directive" and tokens[0] == ".model":
+                name, spec = _parse_model_card(tokens, lineno)
+                if name in models:
+                    raise DuplicateName(f"duplicate model name {name!r}", lineno)
+                models[name] = spec
+        for lineno, tokens, kind in content:
+            if kind == "directive":
+                if tokens[0] == ".model":
+                    continue
+                circuit.analyses.append(_parse_directive(tokens, lineno))
+            else:
+                elem = _parse_element(tokens, lineno, models)
+                if elem.name in seen:
+                    raise DuplicateName(f"duplicate element name {elem.name!r}", lineno)
+                seen.add(elem.name)
+                circuit.elements.append(elem)
+    except DomainError as exc:
+        raise NetlistError(str(exc), lineno) from exc
     return circuit.validate()
 
 

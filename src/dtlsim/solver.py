@@ -21,22 +21,25 @@ stepping. Update damping clamps per-component steps at
 ``options.damping_limit`` but only for unknowns that nonlinear device
 stamps touch; purely linear circuits therefore converge in exactly one
 Newton iteration.
+
+A Newton step that ``numpy.linalg.solve`` finds singular, or that comes
+out non-finite, raises SingularMatrix naming the unknown with the largest
+component of the Jacobian's null vector (its last right-singular vector).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import devices
 from .devices import StampContext
 from .errors import NoConvergence, SingularMatrix
 
 _W_ABSTOL = 1e-12
+_MAX_POINTS = 10**6   # points of a sweep, rows of a transient
 
 
 @dataclass
@@ -193,18 +196,18 @@ def _check_dc_paths(circuit, transient: bool) -> None:
 
 
 def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray:
-    with warnings.catch_warnings():
-        # the diagonal check below reports singularity as SingularMatrix
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(jac, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    ref = diag.max() if diag.size else 0.0
-    bad = np.where(diag <= ref * 1e-14)[0]
-    if ref == 0.0 or bad.size:
-        k = keys[int(bad[0])] if bad.size else keys[0]
-        name = k[1]
-        raise SingularMatrix(f"singular system at unknown {k!r}", node=name)
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    try:
+        dx = np.linalg.solve(jac, rhs)
+        if np.all(np.isfinite(dx)):
+            return dx
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        weight = np.abs(np.linalg.svd(jac)[2][-1])
+    except np.linalg.LinAlgError:   # no SVD: name the first non-finite row
+        weight = ~np.isfinite(jac).all(axis=1)
+    k = keys[int(weight.argmax())]
+    raise SingularMatrix(f"singular system at unknown {k!r}", node=k[1])
 
 
 def _newton(sys: _System, x0: np.ndarray, ctx: StampContext,
@@ -248,66 +251,65 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
                  options: SolverOptions) -> tuple[np.ndarray, int, str, dict]:
     """Newton with homotopy fallbacks; ctx.gmin/srcscale are scratch.
 
+    Each strategy walks its (gmin, source scale) rungs from its start,
+    then solves at zero gmin and full sources; after a homotopy a failure
+    of that last solve keeps the last rung's solution.
+
     Returns the solution, the total iteration count, the strategy that
     won and the companion memory of the solution's assembly.
     """
-    try:
-        ctx.gmin = 0.0
-        ctx.srcscale = 1.0
-        x, iters, memory = _newton(sys, x0, ctx, options)
-        return x, iters, "newton", memory
-    except (NoConvergence, SingularMatrix):
-        pass
-    total = 0
-    x = x0
-    try:
-        for g in _gmin_ladder(options):
-            ctx.gmin = g
-            x, iters, memory = _newton(sys, x, ctx, options)
-            total += iters
-        try:
-            ctx.gmin = 0.0
-            x, iters, memory = _newton(sys, x, ctx, options)
-            total += iters
-        except (NoConvergence, SingularMatrix):
-            pass  # keep the gmin_final solution; the leak is 1e-12 S
-        return x, total, "gmin-stepping", memory
-    except (NoConvergence, SingularMatrix):
-        pass
-    x = np.zeros(sys.n)
-    x[sys.states] = x0[sys.states]
-    total = 0
+    zeros = np.zeros(sys.n)
+    zeros[sys.states] = x0[sys.states]
+    strategies = (
+        ("newton", x0, []),
+        ("gmin-stepping", x0, [(g, 1.0) for g in _gmin_ladder(options)]),
+        ("source-stepping", zeros, [(options.gmin_final, k / options.source_steps)
+                                    for k in range(1, options.source_steps + 1)]),
+    )
     last: Exception | None = None
-    try:
-        for k in range(1, options.source_steps + 1):
-            ctx.gmin = options.gmin_final
-            ctx.srcscale = k / options.source_steps
-            x, iters, memory = _newton(sys, x, ctx, options)
-            total += iters
-        ctx.srcscale = 1.0
-        ctx.gmin = 0.0
+    for name, x, rungs in strategies:
+        total = 0
+        try:
+            for ctx.gmin, ctx.srcscale in rungs:
+                x, iters, memory = _newton(sys, x, ctx, options)
+                total += iters
+        except (NoConvergence, SingularMatrix) as exc:
+            last = exc
+            continue
+        ctx.gmin, ctx.srcscale = 0.0, 1.0
         try:
             x, iters, memory = _newton(sys, x, ctx, options)
             total += iters
-        except (NoConvergence, SingularMatrix):
-            pass
-        return x, total, "source-stepping", memory
-    except (NoConvergence, SingularMatrix) as exc:
-        last = exc
-    ctx.srcscale = 1.0
+        except (NoConvergence, SingularMatrix) as exc:
+            if not rungs:
+                last = exc
+                continue
+        return x, total, name, memory
     raise NoConvergence(
         f"operating point did not converge (newton, gmin stepping and "
         f"source stepping all failed: {last})",
         residual=getattr(last, "residual", None))
 
 
+def _dc_context(circuit, overrides: dict[str, float] | None) -> StampContext:
+    """DC stamp context; overrides must set voltage sources to finite levels."""
+    overrides = dict(overrides or {})
+    sources = {e.name for e in circuit.elements if e.kind == "v"}
+    for name, level in overrides.items():
+        if name not in sources:
+            raise ValueError(f"override {name!r} is not a voltage source")
+        if not math.isfinite(level):
+            raise ValueError(f"override {name}={level} is not finite")
+    return StampContext(mode="dc", overrides=overrides)
+
+
 def _operating_point(circuit, options: SolverOptions, overrides=None,
                      x0: dict | None = None):
     """Checked DC solve: returns the system and _solve_point's result."""
     circuit.validate()
+    ctx = _dc_context(circuit, overrides)
     _check_dc_paths(circuit, transient=False)
     sys = _System(circuit, transient=False)
-    ctx = StampContext(mode="dc", overrides=dict(overrides or {}))
     x0 = x0 or {}
     start = np.array([x0.get(k, 0.0) for k in sys.keys], dtype=float)
     return sys, _solve_point(sys, start, ctx, options)
@@ -329,8 +331,11 @@ def dc_operating_point(circuit, options: SolverOptions | None = None, *,
 
 
 def sweep_points(start: float, stop: float, step: float) -> np.ndarray:
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_POINTS:
+        raise ValueError(f"{np.floor(steps) + 1:.7g} points from {start} to "
+                         f"{stop} exceed the limit of {_MAX_POINTS}")
+    return start + step * np.arange(int(math.floor(steps)) + 1)
 
 
 def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
@@ -343,6 +348,7 @@ def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
         raise ValueError(f"sweep needs stop > start, got {start} .. {stop}")
     if not step > 0.0:
         raise ValueError(f"sweep needs step > 0, got {step}")
+    values = sweep_points(start, stop, step)
     options = options or SolverOptions()
     circuit.validate()
     source = source.lower()
@@ -351,7 +357,6 @@ def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
         raise ValueError(f"{source!r} is not a DC voltage source")
     _check_dc_paths(circuit, transient=False)
     sys = _System(circuit, transient=False)
-    values = sweep_points(start, stop, step)
     volts = np.empty((sys.nv, values.size))
     iterations: list[int] = []
     strategies: list[str] = []
@@ -389,6 +394,7 @@ def transient(circuit, tstop: float, dt: float,
                          f"{tstop}, {dt}")
     if not tstop > 0.0 or not dt > 0.0 or dt > tstop:
         raise ValueError("transient needs tstop > 0 and 0 < dt <= tstop")
+    times = sweep_points(0.0, tstop, dt)
     options = options or SolverOptions()
     circuit.validate()
     _check_dc_paths(circuit, transient=True)
@@ -399,15 +405,13 @@ def transient(circuit, tstop: float, dt: float,
     x = np.concatenate((x_op, [e.params.w0 for e in circuit.elements
                                if e.kind == "xmr"]))
 
-    nsteps = int(math.floor(tstop / dt + 1e-9))
-    times = dt * np.arange(nsteps + 1)
-    volts = np.empty((sys.nv, nsteps + 1))
-    states = np.empty((len(sys.keys[sys.states]), nsteps + 1))
+    volts = np.empty((sys.nv, times.size))
+    states = np.empty((len(sys.keys[sys.states]), times.size))
     iterations = [op_iters]
     volts[:, 0] = x[:sys.nv]
     states[:, 0] = x[sys.states]
 
-    for step_no in range(1, nsteps + 1):
+    for step_no in range(1, times.size):
         t = float(times[step_no])
         ctx = StampContext(mode="tran", time=t, dt=dt, method=method,
                            prev_step=_with_ground(x), hist=memory)
@@ -435,8 +439,8 @@ def residual_report(circuit, op: OpPoint,
     same ``overrides`` the point was solved with.
     """
     options = options or SolverOptions()
+    ctx = _dc_context(circuit, overrides)
     sys = _System(circuit, transient=False)
-    ctx = StampContext(mode="dc", overrides=dict(overrides or {}))
     xs = [op.raw[k] for k in sys.keys] + [0.0]
     _, res, scale, _ = sys.assemble(xs, ctx)
     tol = sys.abstol(options) + options.reltol * scale

@@ -68,6 +68,76 @@ def test_smooth3_stays_within_local_range(y):
         assert lo <= s[i] <= hi
 
 
+# --- loop references of the vectorized curve scans --------------------------
+
+def _smooth3_loop(y):
+    y = np.asarray(y, dtype=float)
+    out = y.copy()
+    for i in range(1, len(y) - 1):
+        out[i] = np.median(y[i - 1:i + 2])
+    return out
+
+
+def _runs_loop(ys):
+    """(first, last) of each maximal run of equal values."""
+    runs = []
+    i = 0
+    while i < len(ys):
+        j = i
+        while j + 1 < len(ys) and ys[j + 1] == ys[i]:
+            j += 1
+        runs.append((i, j))
+        i = j + 1
+    return runs
+
+
+def _peak_index_loop(ys):
+    runs = [(ys[i0], i0, i1) for i0, i1 in _runs_loop(ys)]
+    return [(i0 + i1) // 2 for k, (val, i0, i1) in enumerate(runs)
+            if 0 < k < len(runs) - 1
+            and runs[k - 1][0] < val and runs[k + 1][0] < val]
+
+
+def _crossings_loop(prof, half, ipk):
+    lo = hi = None
+    for i in range(ipk, 0, -1):
+        if prof[i - 1] < half <= prof[i]:
+            lo = (i - 1) + (half - prof[i - 1]) / (prof[i] - prof[i - 1])
+            break
+    for i in range(ipk, len(prof) - 1):
+        if prof[i] >= half > prof[i + 1]:
+            hi = i + (prof[i] - half) / (prof[i] - prof[i + 1])
+            break
+    return lo, hi
+
+
+# plateaus and ties come from the few sampled levels
+_CURVES = st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                             st.floats(-1.0, 3.0)), min_size=3, max_size=40)
+
+
+@given(_CURVES)
+def test_curve_scans_equal_their_loops(y):
+    y = np.array(y)
+    assert np.array_equal(smooth3(y), _smooth3_loop(y))
+    first, last = cells._runs(y)
+    assert list(zip(first.tolist(), last.tolist())) == _runs_loop(y)
+
+    xs = np.arange(len(y)) / 20.0
+    maxima = _peak_index_loop(smooth3(y))
+    if len(maxima) == 1:
+        assert peak_input(_sweep(xs, y), "out") == xs[maxima[0]]
+    else:
+        with pytest.raises(NotUnimodal):
+            peak_input(_sweep(xs, y), "out")
+
+    half, ipk = 0.5 * y.max(), int(y.argmax())
+    if half > 0.0:
+        (i0, i1), = [r for r in _runs_loop(y >= half) if r[0] <= ipk <= r[1]]
+        assert cells._half_crossings(np.arange(len(y), dtype=float), y, half,
+                                     i0, i1) == _crossings_loop(y, half, ipk)
+
+
 # --- extract_band on synthetic curves ---------------------------------------
 
 def test_extract_band_triangle_exact():

@@ -67,6 +67,15 @@ def test_op_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("card", ["v_1 in 0 1e999",
+                                  "m_1 in in 0 0 nmod wl=-1"])
+def test_op_out_of_range_card_is_parse_error(tmp_path, capsys, card):
+    p = tmp_path / "bad.cir"
+    p.write_text(f"t\nr_1 in 0 1k\n{card}\nv_2 in 0 1\n.model nmod mosfet\n")
+    assert main(["op", str(p)]) == 2
+    assert "parse error: line 3:" in capsys.readouterr().err
+
+
 def test_op_solver_error_exit_code(divider, capsys, monkeypatch):
     def boom(*a, **k):
         raise NoConvergence("newton starved")

@@ -34,7 +34,8 @@ def test_si_suffixes_exact():
 
 
 @pytest.mark.parametrize("bad", ["", "k", "1.2.3", "1x", "--5", "1e",
-                                 "0x10", "1ee3", "meg", "1.1kk", "nan"])
+                                 "0x10", "1ee3", "meg", "1.1kk", "nan",
+                                 "1e999", "-2e308", "1e306meg"])
 def test_malformed_numbers(bad):
     with pytest.raises(MalformedNumber):
         parse_number(bad)
@@ -70,6 +71,9 @@ def test_title_looking_like_an_element_stays_title():
     c = parse_netlist("R load test bench\nr_1 a 0 1k\nv_1 a 0 1\n")
     assert c.title == "R load test bench"
     assert len(c.elements) == 2
+    # a card whose device parameters are out of their domain titles too
+    c = parse_netlist("v_1 a 0 pwl(1 0 0 1)\nr_1 a 0 1k\nv_2 a 0 1\n")
+    assert c.title == "v_1 a 0 pwl(1 0 0 1)"
 
 
 def test_comment_first_means_no_title():
@@ -198,6 +202,9 @@ def test_directive_validation():
 def test_model_param_validation_is_a_netlist_error():
     with pytest.raises(NetlistError):
         parse_netlist("t\nr_1 a 0 1k\n.model mem memristor ron=-5\n")
+    with pytest.raises(NetlistError, match="^line 3:"):
+        parse_netlist("t\nv_1 a 0 1\nm_1 a a 0 0 nmod wl=-1\n"
+                      ".model nmod mosfet\n")
 
 
 # --- round-trips ------------------------------------------------------------

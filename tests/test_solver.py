@@ -2,12 +2,17 @@
 state integration, and finite-difference Jacobian checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
 
+import dtlsim
 from dtlsim import cells, devices, solver
 from dtlsim.devices import StampContext, ZenerParams, zener_current
 from dtlsim.errors import NoConvergence, SingularMatrix
@@ -74,6 +79,12 @@ def test_op_overrides():
     assert abs(op["mid"] - 2.0) <= 1e-9
     rep = residual_report(c, op, overrides={"v_1": 3.0})
     assert all(res <= tol for res, tol in rep.values())
+    for bad in ({"v_1": math.nan}, {"v_1": math.inf}, {"r_1": 1.0},
+                {"v_9": 1.0}):
+        with pytest.raises(ValueError):
+            dc_operating_point(c, overrides=bad)
+        with pytest.raises(ValueError):
+            residual_report(c, op, overrides=bad)
 
 
 # --- diode vs bisection --------------------------------------------------------
@@ -146,6 +157,7 @@ def test_sweep_points_counts():
     # inclusive endpoint despite float division
     assert len(sweep_points(0.0, 0.3, 0.1)) == 4
     assert len(sweep_points(0.0, 6.0, 0.05)) == 121
+    assert len(sweep_points(0.0, 999999.0, 1.0)) == 10**6
 
 
 # default tolerances leave ~1e-5 of slack between differently seeded Newton
@@ -187,9 +199,11 @@ def test_sweep_argument_validation():
         dc_sweep(c, "v_1", 0.0, 1.0, -0.1)
     for start, stop, step in ((-math.inf, 1.0, 0.1), (0.0, math.inf, 0.1),
                               (0.0, 1.0, math.inf), (math.nan, 1.0, 0.1),
-                              (0.0, 1.0, math.nan)):
+                              (0.0, 1.0, math.nan), (-1e308, 1e308, 1.0)):
         with pytest.raises(ValueError):
             dc_sweep(c, "v_1", start, stop, step)
+    with pytest.raises(ValueError, match="1000001 points"):
+        dc_sweep(c, "v_1", 0.0, 1.0, 1e-6)
 
 
 # --- failure modes ----------------------------------------------------------------
@@ -218,6 +232,30 @@ def test_capacitor_only_path_floats_in_dc():
         transient(parse_netlist(text), tstop=1e-6, dt=1e-7)
 
 
+def test_singular_step_names_null_vector_unknown():
+    keys = [("v", "a"), ("v", "b"), ("i", "v_1")]
+    jac = np.diag([1.0, 0.0, 1.0])
+    with pytest.raises(SingularMatrix) as ei:
+        solver._lu_solve(jac, np.ones(3), keys)
+    assert ei.value.node == "b"
+    jac[0, 0] = math.nan   # no SVD exists: the non-finite row is named
+    with pytest.raises(SingularMatrix) as ei:
+        solver._lu_solve(jac, np.ones(3), keys)
+    assert ei.value.node == "a"
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(dtlsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dtlsim; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_no_convergence_when_starved():
     opts = SolverOptions(max_newton_iters=1)
     with pytest.raises(NoConvergence):
@@ -233,9 +271,11 @@ def test_transient_argument_validation():
     with pytest.raises(ValueError):
         transient(c, tstop=1e-5, dt=1e-3)
     for tstop, dt in ((math.inf, 1e-6), (1e-3, math.nan), (math.nan, 1e-6),
-                      (math.inf, math.inf)):
+                      (math.inf, math.inf), (1e300, 1e-300)):
         with pytest.raises(ValueError):
             transient(c, tstop=tstop, dt=dt)
+    with pytest.raises(ValueError, match="1000001 points"):
+        transient(c, tstop=1.0, dt=1e-6)
 
 
 # --- memristor dynamics -------------------------------------------------------------
@@ -311,14 +351,22 @@ r_1 b 0 1k
 # --- pinned Newton work ---------------------------------------------------------
 
 # Counts of the paper's cells: a refactor of assembly or history handling
-# must reproduce them exactly; the trapezoidal run reads companion history.
+# must reproduce them exactly; the trapezoidal run reads companion history,
+# and the starved spike cell is the one case that wins by source stepping.
 @pytest.mark.parametrize("case, expected", [
     ("detector-config2", 302),
     ("xor-backward-euler", 903),
     ("xor-trapezoidal", 1222),
+    ("spike-w0.3-source-stepping", 18),
 ])
 def test_newton_work_is_pinned(case, expected):
-    if case == "detector-config2":
+    if case == "spike-w0.3-source-stepping":
+        opts = SolverOptions(max_newton_iters=10, damping_limit=0.5,
+                             source_steps=5)
+        op = dc_operating_point(cells.build_spike_cell(0.3), opts)
+        assert op.strategy == "source-stepping"
+        assert op.iterations == expected
+    elif case == "detector-config2":
         c = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
         d = next(d for d in c.analyses if d.kind == "dc")
         s = dc_sweep(c, d.source, d.start, d.stop, d.step)
