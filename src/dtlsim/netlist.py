@@ -2,25 +2,30 @@
 
 Grammar subset:
 
-* A first line that does not parse as a card, directive or comment is the
-  title. Comment lines start with ``*``; a line starting with ``+``
-  continues the previous line. Parsing stops at ``.end``.
-* Element cards are selected by the first letter of the name:
-  ``R``/``C``: ``<name> n+ n- <value>``; ``V``: ``<name> n+ n- <level>`` or
-  ``dc <level>`` or ``pulse(v1 v2 delay rise fall width period)`` or
-  ``pwl(t0 v0 t1 v1 ...)``; ``D``: ``<name> n+ n- <model>``;
-  ``M``: ``<name> nd ng ns nb <model> [wl=<value>]``; memristors are
-  ``XMR<name> n+ n- <model> [w0=<value>]``. Any other leading letter is an
-  unknown element kind.
+* The first line is the title unless it parses as an element card
+  (its model is not looked up), starts with ``.`` or is a comment. Comment
+  lines start with ``*``; a line starting with ``+`` continues the
+  previous line. Parsing stops at ``.end``.
+* Element cards are selected by the first letter of the name (``xmr`` for
+  memristors): ``<name> <nodes> <value|waveform|model> [key=value ...]``.
+  ``R``/``C`` take a value; ``V`` a level, ``dc <level>``,
+  ``pulse(v1 v2 delay rise fall width period)`` or ``pwl(t0 v0 t1 v1 ...)``;
+  ``D``, ``M`` (nodes ``nd ng ns nb``) and ``XMR`` name a model and may
+  override some of its parameters. Any other leading letter is an unknown
+  element kind.
 * Directives: ``.op``, ``.dc <vsource> <start> <stop> <step>``,
-  ``.tran <tstop> <dt>``, ``.model <name> <kind> key=value ...`` with kinds
-  mosfet (keys vth0 kp wl lambda gamma phi2 type), zener (is n vt vz ibv)
-  and memristor (ron roff w0 k p).
+  ``.tran <tstop> <dt>`` and ``.model <name> <kind> key=value ...``; a
+  mosfet model also takes ``type=n|p``.
 * Numbers take scientific notation plus the SI suffixes t g meg k m u n p f.
   Suffixes are recombined with any written exponent at the string level, so
   ``1.1k`` parses bit-identically to ``1.1e3``.
 * Names and node labels are case-insensitive and normalized to lower case;
   the title keeps its case.
+
+The tables ``_MODELS``, ``_ELEMENTS`` and ``_DIRECTIVES`` are the single
+statement of the grammar: node counts, model references, card keys and
+directive fields are read from them by the parser, ``Circuit.validate``
+and the serializer alike.
 """
 
 from __future__ import annotations
@@ -40,8 +45,6 @@ from .errors import (
     UnknownElementKind,
     UnknownModel,
 )
-
-ELEMENT_KINDS = ("r", "c", "v", "d", "m", "xmr")
 
 _NUM_RE = re.compile(
     r"^([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?(meg|[tgkmunpf])?$")
@@ -130,9 +133,9 @@ class Circuit:
             if e.name in names:
                 raise DuplicateName(f"duplicate element name {e.name!r}")
             names.add(e.name)
-            if e.kind not in ELEMENT_KINDS:
+            if e.kind not in _ELEMENTS:
                 raise UnknownElementKind(f"unknown element kind {e.kind!r}")
-            want = 4 if e.kind == "m" else 2
+            want = _ELEMENTS[e.kind][0]
             if len(e.nodes) != want:
                 raise ArityError(f"{e.name}: expected {want} nodes, got {len(e.nodes)}")
         return self
@@ -141,12 +144,35 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # parsing
 
-_MODEL_KINDS = ("mosfet", "zener", "memristor")
+# model kind -> (params class, {card key: params field}); a mosfet card
+# also takes type=n|p, which picks devices.mosfet_defaults
+_MODELS = {
+    "mosfet": (devices.MosfetParams, {
+        "vth0": "vth0", "kp": "kprime", "wl": "w_over_l", "lambda": "lam",
+        "gamma": "gamma", "phi2": "phi2"}),
+    "zener": (devices.ZenerParams, {
+        "is": "i_sat", "n": "n", "vt": "v_thermal", "vz": "vz", "ibv": "i_bv"}),
+    "memristor": (devices.MemristorParams, {
+        "ron": "r_on", "roff": "r_off", "w0": "w0", "k": "k_drift", "p": "p_window"}),
+}
 
-_MOSFET_KEYS = {"vth0": "vth0", "kp": "kprime", "wl": "w_over_l",
-                "lambda": "lam", "gamma": "gamma", "phi2": "phi2"}
-_ZENER_KEYS = {"is": "i_sat", "n": "n", "vt": "v_thermal", "vz": "vz", "ibv": "i_bv"}
-_MEMRISTOR_KEYS = {"ron": "r_on", "roff": "r_off", "w0": "w0", "k": "k_drift", "p": "p_window"}
+# element kind -> (node count, model kind it names or None,
+#                  {instance key: params field it overrides})
+_ELEMENTS = {
+    "r": (2, None, {}),
+    "c": (2, None, {}),
+    "v": (2, None, {}),
+    "d": (2, "zener", {}),
+    "m": (4, "mosfet", {"wl": "w_over_l"}),
+    "xmr": (2, "memristor", {"w0": "w0"}),
+}
+
+# directive -> AnalysisDirective fields, in card order
+_DIRECTIVES = {
+    ".op": (),
+    ".dc": ("source", "start", "stop", "step"),
+    ".tran": ("tstop", "dt"),
+}
 
 
 def _join_continuations(text: str) -> list[tuple[int, str]]:
@@ -206,32 +232,27 @@ def _keyvals(tokens: list[str], allowed: dict[str, str], lineno: int,
 def _parse_model_card(tokens: list[str], lineno: int):
     if len(tokens) < 3:
         raise ArityError(".model needs a name and a kind", lineno)
-    name, kind = tokens[1], tokens[2]
+    name, kind, rest = tokens[1], tokens[2], tokens[3:]
+    if kind not in _MODELS:
+        raise UnknownModel(f"unknown model kind {kind!r}", lineno)
+    cls, keys = _MODELS[kind]
+    base = cls()
     if kind == "mosfet":
-        fields = dict(_MOSFET_KEYS)
-        kv_tokens = []
-        polarity = "n"
-        for tok in tokens[3:]:
+        polarity, kv_tokens = "n", []
+        for tok in rest:
             if tok.startswith("type="):
                 polarity = tok.partition("=")[2]
                 if polarity not in ("n", "p"):
                     raise NetlistError(f"mosfet type must be n or p, got {polarity!r}", lineno)
             else:
                 kv_tokens.append(tok)
-        kv = _keyvals(kv_tokens, fields, lineno, "mosfet model")
-        params = dataclasses.replace(devices.mosfet_defaults(polarity), **kv)
-        return name, ("mosfet", params)
-    if kind == "zener":
-        kv = _keyvals(tokens[3:], _ZENER_KEYS, lineno, "zener model")
-        params = dataclasses.replace(devices.ZenerParams(), **kv)
-        return name, ("zener", params)
-    if kind == "memristor":
-        kv = _keyvals(tokens[3:], _MEMRISTOR_KEYS, lineno, "memristor model")
-        if "p_window" in kv:
-            kv["p_window"] = int(kv["p_window"])
-        params = dataclasses.replace(devices.MemristorParams(), **kv)
-        return name, ("memristor", params)
-    raise UnknownModel(f"unknown model kind {kind!r}", lineno)
+        base, rest = devices.mosfet_defaults(polarity), kv_tokens
+    kv = _keyvals(rest, keys, lineno, f"{kind} model")
+    # an integer field (the memristor window exponent) takes a whole number
+    # as an int; a fractional one is left for the params check to reject
+    kv = {f: int(v) if isinstance(getattr(base, f), int) and v.is_integer() else v
+          for f, v in kv.items()}
+    return name, (kind, dataclasses.replace(base, **kv))
 
 
 def _parse_waveform(tokens: list[str], lineno: int) -> devices.SourceWaveform:
@@ -256,128 +277,80 @@ def _parse_waveform(tokens: list[str], lineno: int) -> devices.SourceWaveform:
 
 
 def _element_kind(name: str, lineno: int) -> str:
-    first = name[0]
-    if first == "x":
-        if name.startswith("xmr"):
-            return "xmr"
-        raise UnknownElementKind(
-            f"unknown element kind for {name!r} (only xmr... is supported)", lineno)
-    if first in ("r", "c", "v", "d", "m"):
-        return first
-    raise UnknownElementKind(f"unknown element kind for {name!r}", lineno)
+    kind = "xmr" if name.startswith("xmr") else name[0]
+    if kind not in _ELEMENTS:
+        hint = " (only xmr... is supported)" if kind == "x" else ""
+        raise UnknownElementKind(f"unknown element kind for {name!r}{hint}", lineno)
+    return kind
 
 
-def _parse_element(tokens: list[str], lineno: int,
-                   models: dict[str, tuple[str, object]]) -> Element:
+def _parse_card(tokens: list[str], lineno: int) -> Element:
+    """Read one element card without looking up its model.
+
+    Checks the arity, the numbers and the instance keys and builds a
+    source's waveform. An R/C card's ``params`` holds its number until
+    :func:`_resolve` builds the params.
+    """
     name = tokens[0]
     kind = _element_kind(name, lineno)
-    if kind in ("r", "c"):
-        if len(tokens) != 4:
-            raise ArityError(f"{name}: expected '<name> n+ n- value'", lineno)
-        value = parse_number(tokens[3], lineno)
-        params = (devices.ResistorParams(value) if kind == "r"
-                  else devices.CapacitorParams(value))
-        return Element(name, kind, (tokens[1], tokens[2]), params)
+    n_nodes, model_kind, instance_keys = _ELEMENTS[kind]
+    what = "a model" if model_kind else "a value"
+    if len(tokens) < n_nodes + 2:
+        raise ArityError(f"{name}: expected {n_nodes} nodes and {what}", lineno)
+    nodes = tuple(tokens[1:n_nodes + 1])
+    head, rest = tokens[n_nodes + 1], tokens[n_nodes + 2:]
     if kind == "v":
-        if len(tokens) < 4:
-            raise ArityError(f"{name}: expected '<name> n+ n- <level|waveform>'", lineno)
-        wf = _parse_waveform(tokens[3:], lineno)
-        return Element(name, kind, (tokens[1], tokens[2]), wf)
-    if kind == "d":
-        if len(tokens) != 4:
-            raise ArityError(f"{name}: expected '<name> n+ n- <model>'", lineno)
-        mname = tokens[3]
-        if mname not in models or models[mname][0] != "zener":
-            raise UnknownModel(f"{name}: no zener model named {mname!r}", lineno)
-        return Element(name, kind, (tokens[1], tokens[2]), models[mname][1], model=mname)
-    if kind == "m":
-        if len(tokens) < 6:
-            raise ArityError(f"{name}: expected '<name> nd ng ns nb <model> [wl=..]'", lineno)
-        mname = tokens[5]
-        if mname not in models or models[mname][0] != "mosfet":
-            raise UnknownModel(f"{name}: no mosfet model named {mname!r}", lineno)
-        overrides = _keyvals(tokens[6:], {"wl": "w_over_l"}, lineno, "mosfet instance")
-        params = dataclasses.replace(models[mname][1], **overrides)
-        return Element(name, kind, tuple(tokens[1:5]), params, model=mname,
-                       overrides=overrides)
-    # memristor
-    if len(tokens) < 4:
-        raise ArityError(f"{name}: expected '<name> n+ n- <model> [w0=..]'", lineno)
-    mname = tokens[3]
-    if mname not in models or models[mname][0] != "memristor":
-        raise UnknownModel(f"{name}: no memristor model named {mname!r}", lineno)
-    overrides = _keyvals(tokens[4:], {"w0": "w0"}, lineno, "memristor instance")
-    params = dataclasses.replace(models[mname][1], **overrides)
-    return Element(name, kind, (tokens[1], tokens[2]), params, model=mname,
-                   overrides=overrides)
+        return Element(name, kind, nodes, _parse_waveform([head, *rest], lineno))
+    if rest and not instance_keys:
+        raise ArityError(f"{name}: unexpected tokens after {what}", lineno)
+    if model_kind is None:
+        return Element(name, kind, nodes, parse_number(head, lineno))
+    overrides = _keyvals(rest, instance_keys, lineno, f"{model_kind} instance")
+    return Element(name, kind, nodes, None, model=head, overrides=overrides)
+
+
+def _resolve(card: Element, models: dict[str, tuple[str, object]],
+             lineno: int) -> Element:
+    """Build a parsed card's params: R/C from its number, the model-based
+    kinds from their model with the instance overrides applied."""
+    model_kind = _ELEMENTS[card.kind][1]
+    if card.kind == "r":
+        card.params = devices.ResistorParams(card.params)
+    elif card.kind == "c":
+        card.params = devices.CapacitorParams(card.params)
+    elif model_kind:
+        kind, base = models.get(card.model, (None, None))
+        if kind != model_kind:
+            raise UnknownModel(
+                f"{card.name}: no {model_kind} model named {card.model!r}", lineno)
+        card.params = dataclasses.replace(base, **card.overrides)
+    return card
 
 
 def _parse_directive(tokens: list[str], lineno: int) -> AnalysisDirective:
-    head = tokens[0]
-    try:
-        if head == ".op":
-            if len(tokens) != 1:
-                raise ArityError(".op takes no arguments", lineno)
-            return AnalysisDirective("op")
-        if head == ".dc":
-            if len(tokens) != 5:
-                raise ArityError(".dc needs '<vsource> <start> <stop> <step>'", lineno)
-            return AnalysisDirective(
-                "dc", source=tokens[1],
-                start=parse_number(tokens[2], lineno),
-                stop=parse_number(tokens[3], lineno),
-                step=parse_number(tokens[4], lineno))
-        if head == ".tran":
-            if len(tokens) != 3:
-                raise ArityError(".tran needs '<tstop> <dt>'", lineno)
-            return AnalysisDirective("tran",
-                                     tstop=parse_number(tokens[1], lineno),
-                                     dt=parse_number(tokens[2], lineno))
+    head, args = tokens[0], tokens[1:]
+    if head not in _DIRECTIVES:
+        raise NetlistError(f"unsupported directive {head!r}", lineno)
+    fields = _DIRECTIVES[head]
+    if len(args) != len(fields):
+        usage = " ".join([head, *(f"<{f}>" for f in fields)])
+        raise ArityError(f"expected '{usage}'", lineno)
+    try:   # the source is a name, every other field a number
+        return AnalysisDirective(head[1:], **{
+            f: tok if f == "source" else parse_number(tok, lineno)
+            for f, tok in zip(fields, args)})
     except NetlistError as exc:
         if exc.line is None:
             raise type(exc)(str(exc), lineno) from exc
         raise
-    raise NetlistError(f"unsupported directive {head!r}", lineno)
-
-
-def _card_shape_ok(tokens: list[str]) -> bool:
-    """Syntactic check only: does this look like a well-formed element card?
-
-    Model references are not resolved here; this exists so the title-line
-    heuristic never depends on declaration order.
-    """
-    try:
-        kind = _element_kind(tokens[0], None)
-        if kind in ("r", "c"):
-            if len(tokens) != 4:
-                return False
-            parse_number(tokens[3])
-            return True
-        if kind == "v":
-            _parse_waveform(tokens[3:], None)
-            return True
-        if kind == "d":
-            return len(tokens) == 4
-        if kind == "m":
-            if len(tokens) < 6:
-                return False
-            _keyvals(tokens[6:], {"wl": "w_over_l"}, None, "mosfet instance")
-            return True
-        if len(tokens) < 4:
-            return False
-        _keyvals(tokens[4:], {"w0": "w0"}, None, "memristor instance")
-        return True
-    except (NetlistError, DomainError):
-        return False
 
 
 def parse_netlist(text: str) -> Circuit:
     """Parse netlist text into a validated Circuit."""
-    lines = _join_continuations(text)
-    content: list[tuple[int, list[str], str]] = []  # (lineno, tokens, kind)
+    content: list[tuple[int, list[str]]] = []
     title = ""
     title_candidate = True
-    for lineno, line in lines:
+    for lineno, line in _join_continuations(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("*"):
             continue
@@ -388,36 +361,30 @@ def parse_netlist(text: str) -> Circuit:
             title_candidate = False
             if not low.startswith("."):
                 try:
-                    shape_ok = _card_shape_ok(_split_fields(low, lineno))
-                except NetlistError:
-                    shape_ok = False
-                if not shape_ok:
+                    _parse_card(_split_fields(low, lineno), lineno)
+                except (NetlistError, DomainError):
                     title = stripped
                     continue
-        tokens = _split_fields(low, lineno)
-        if low.startswith("."):
-            content.append((lineno, tokens, "directive"))
-        else:
-            content.append((lineno, tokens, "element"))
+        content.append((lineno, _split_fields(low, lineno)))
 
     # models may be referenced before their card appears, so collect first
     models: dict[str, tuple[str, object]] = {}
     circuit = Circuit(title=title, models=models)
     seen: set[str] = set()
     try:   # a device parameter out of its domain is an error of its card
-        for lineno, tokens, kind in content:
-            if kind == "directive" and tokens[0] == ".model":
+        for lineno, tokens in content:
+            if tokens[0] == ".model":
                 name, spec = _parse_model_card(tokens, lineno)
                 if name in models:
                     raise DuplicateName(f"duplicate model name {name!r}", lineno)
                 models[name] = spec
-        for lineno, tokens, kind in content:
-            if kind == "directive":
-                if tokens[0] == ".model":
-                    continue
+        for lineno, tokens in content:
+            if tokens[0] == ".model":
+                continue
+            if tokens[0].startswith("."):
                 circuit.analyses.append(_parse_directive(tokens, lineno))
             else:
-                elem = _parse_element(tokens, lineno, models)
+                elem = _resolve(_parse_card(tokens, lineno), models, lineno)
                 if elem.name in seen:
                     raise DuplicateName(f"duplicate element name {elem.name!r}", lineno)
                 seen.add(elem.name)
@@ -436,21 +403,10 @@ def _fmt(x: float) -> str:
 
 
 def _model_card(name: str, kind: str, params) -> str:
-    if kind == "mosfet":
-        return (f".model {name} mosfet type={params.polarity} "
-                f"vth0={_fmt(params.vth0)} kp={_fmt(params.kprime)} "
-                f"wl={_fmt(params.w_over_l)} lambda={_fmt(params.lam)} "
-                f"gamma={_fmt(params.gamma)} phi2={_fmt(params.phi2)}")
-    if kind == "zener":
-        return (f".model {name} zener is={_fmt(params.i_sat)} n={_fmt(params.n)} "
-                f"vt={_fmt(params.v_thermal)} vz={_fmt(params.vz)} "
-                f"ibv={_fmt(params.i_bv)}")
-    return (f".model {name} memristor ron={_fmt(params.r_on)} "
-            f"roff={_fmt(params.r_off)} w0={_fmt(params.w0)} "
-            f"k={_fmt(params.k_drift)} p={_fmt(float(params.p_window))}")
-
-
-_OVERRIDE_KEYS = {"w_over_l": "wl", "w0": "w0"}
+    polarity = f"type={params.polarity} " if kind == "mosfet" else ""
+    kv = " ".join(f"{key}={_fmt(getattr(params, f))}"
+                  for key, f in _MODELS[kind][1].items())
+    return f".model {name} {kind} {polarity}{kv}"
 
 
 def _element_card(e: Element) -> str:
@@ -464,19 +420,15 @@ def _element_card(e: Element) -> str:
             return f"{e.name} {nodes} {_fmt(wf.params[0])}"
         inner = " ".join(_fmt(p) for p in wf.params)
         return f"{e.name} {nodes} {wf.kind}({inner})"
-    tail = ""
-    if e.overrides:
-        tail = " " + " ".join(f"{_OVERRIDE_KEYS[k]}={_fmt(v)}"
-                              for k, v in sorted(e.overrides.items()))
+    key_of = {f: key for key, f in _ELEMENTS[e.kind][2].items()}
+    tail = "".join(f" {key_of[f]}={_fmt(v)}" for f, v in sorted(e.overrides.items()))
     return f"{e.name} {nodes} {e.model}{tail}"
 
 
 def _directive_card(a: AnalysisDirective) -> str:
-    if a.kind == "op":
-        return ".op"
-    if a.kind == "dc":
-        return f".dc {a.source} {_fmt(a.start)} {_fmt(a.stop)} {_fmt(a.step)}"
-    return f".tran {_fmt(a.tstop)} {_fmt(a.dt)}"
+    head = "." + a.kind
+    return " ".join([head, *(a.source if f == "source" else _fmt(getattr(a, f))
+                             for f in _DIRECTIVES[head])])
 
 
 def serialize_netlist(circuit: Circuit) -> str:

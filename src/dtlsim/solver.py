@@ -53,6 +53,22 @@ class SolverOptions:
     gmin_final: float = 1e-12
     source_steps: int = 10
 
+    def __post_init__(self):
+        inf = math.inf   # every bound below is also False for NaN
+        for name, ok, rule in (
+                ("reltol", 0.0 <= self.reltol < inf, "finite and >= 0"),
+                ("abstol_v", 0.0 <= self.abstol_v < inf, "finite and >= 0"),
+                ("abstol_i", 0.0 <= self.abstol_i < inf, "finite and >= 0"),
+                ("damping_limit", 0.0 < self.damping_limit < inf, "finite and > 0"),
+                ("gmin_final", 0.0 < self.gmin_final < inf, "finite and > 0"),
+                ("gmin_start", self.gmin_final <= self.gmin_start < inf,
+                 "finite and >= gmin_final"),
+                ("max_newton_iters", 0 <= self.max_newton_iters < inf, "finite and >= 0"),
+                ("source_steps", self.source_steps >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"SolverOptions.{name} must be {rule}, "
+                                 f"got {getattr(self, name)!r}")
+
 
 class OpPoint(dict):
     """Node name -> voltage mapping with solve metadata attached."""
@@ -162,7 +178,7 @@ def _with_ground(x: np.ndarray) -> list[float]:
     return xs
 
 
-def _check_dc_paths(circuit, transient: bool) -> None:
+def _check_dc_paths(circuit) -> None:
     """Every node needs a potential conductive path to ground."""
     nodes = set(circuit.nodes)
     if devices.GROUND not in nodes:
@@ -172,16 +188,13 @@ def _check_dc_paths(circuit, transient: bool) -> None:
     adj: dict[str, set[str]] = {n: set() for n in nodes}
     for e in circuit.elements:
         if e.kind in ("r", "v", "d", "xmr"):
-            pairs = [(e.nodes[0], e.nodes[1])]
+            a, b = e.nodes
         elif e.kind == "m":
-            pairs = [(e.nodes[0], e.nodes[2])]   # channel
-        elif e.kind == "c" and transient:
-            pairs = [(e.nodes[0], e.nodes[1])]
+            a, b = e.nodes[0], e.nodes[2]   # channel
         else:
             continue
-        for a, b in pairs:
-            adj[a].add(b)
-            adj[b].add(a)
+        adj[a].add(b)
+        adj[b].add(a)
     seen = {devices.GROUND}
     stack = [devices.GROUND]
     while stack:
@@ -308,7 +321,7 @@ def _operating_point(circuit, options: SolverOptions, overrides=None,
     """Checked DC solve: returns the system and _solve_point's result."""
     circuit.validate()
     ctx = _dc_context(circuit, overrides)
-    _check_dc_paths(circuit, transient=False)
+    _check_dc_paths(circuit)
     sys = _System(circuit, transient=False)
     x0 = x0 or {}
     start = np.array([x0.get(k, 0.0) for k in sys.keys], dtype=float)
@@ -352,10 +365,10 @@ def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
     options = options or SolverOptions()
     circuit.validate()
     source = source.lower()
-    elem = circuit.element(source)
-    if elem.kind != "v" or elem.params.kind != "dc":
+    elem = next((e for e in circuit.elements if e.name == source), None)
+    if elem is None or elem.kind != "v" or elem.params.kind != "dc":
         raise ValueError(f"{source!r} is not a DC voltage source")
-    _check_dc_paths(circuit, transient=False)
+    _check_dc_paths(circuit)
     sys = _System(circuit, transient=False)
     volts = np.empty((sys.nv, values.size))
     iterations: list[int] = []
@@ -396,9 +409,6 @@ def transient(circuit, tstop: float, dt: float,
         raise ValueError("transient needs tstop > 0 and 0 < dt <= tstop")
     times = sweep_points(0.0, tstop, dt)
     options = options or SolverOptions()
-    circuit.validate()
-    _check_dc_paths(circuit, transient=True)
-
     _, (x_op, op_iters, _, memory) = _operating_point(circuit, options)
     sys = _System(circuit, transient=True)
     # the transient numbering extends the DC one by the memristor states

@@ -123,6 +123,14 @@ def test_sweep_invalid_range_maps_to_usage_exit(divider, capsys):
     assert "invalid argument" in capsys.readouterr().err
 
 
+def test_sweep_unknown_source_maps_to_usage_exit(divider, capsys):
+    assert main(["sweep", divider, "--source", "v_nope", "--start", "0",
+                 "--stop", "1", "--step", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid argument" in err and "v_nope" in err
+    assert "Traceback" not in err
+
+
 def test_non_finite_ranges_map_to_usage_exit(divider, rc, capsys):
     assert main(["sweep", divider, "--source", "v_1", "--start=-inf",
                  "--stop", "1", "--step", "0.1"]) == 1

@@ -1,12 +1,17 @@
 """Netlist grammar: numbers, titles, cards, errors, round-trips."""
 
-import pytest
-from hypothesis import given, strategies as st
+import dataclasses
 
-from dtlsim.devices import CapacitorParams, ResistorParams, SourceWaveform
-from dtlsim.errors import (ArityError, DuplicateName, MalformedNumber,
-                           NetlistError, UnknownElementKind, UnknownModel)
-from dtlsim.netlist import (AnalysisDirective, Circuit, Element,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dtlsim.devices import (CapacitorParams, MemristorParams, MosfetParams,
+                            ResistorParams, SourceWaveform, ZenerParams)
+from dtlsim.errors import (ArityError, DomainError, DuplicateName,
+                           MalformedNumber, NetlistError, UnknownElementKind,
+                           UnknownModel)
+from dtlsim.netlist import (AnalysisDirective, Circuit, Element, _keyvals,
+                            _parse_waveform, _split_fields,
                             parse_netlist, parse_number, serialize_netlist)
 
 
@@ -74,6 +79,83 @@ def test_title_looking_like_an_element_stays_title():
     # a card whose device parameters are out of their domain titles too
     c = parse_netlist("v_1 a 0 pwl(1 0 0 1)\nr_1 a 0 1k\nv_2 a 0 1\n")
     assert c.title == "v_1 a 0 pwl(1 0 0 1)"
+
+
+def _card_shape_ok(tokens: list[str]) -> bool:
+    """Reference for the title rule, written out per card kind apart from
+    the grammar tables: does this line look like a well-formed element
+    card? Model references are not resolved."""
+    try:
+        name = tokens[0]
+        kind = "xmr" if name.startswith("xmr") else name[0]
+        if kind not in ("r", "c", "v", "d", "m", "xmr"):
+            return False
+        if kind in ("r", "c"):
+            if len(tokens) != 4:
+                return False
+            parse_number(tokens[3])
+            return True
+        if kind == "v":
+            _parse_waveform(tokens[3:], None)
+            return True
+        if kind == "d":
+            return len(tokens) == 4
+        if kind == "m":
+            if len(tokens) < 6:
+                return False
+            _keyvals(tokens[6:], {"wl": "w_over_l"}, None, "mosfet instance")
+            return True
+        if len(tokens) < 4:
+            return False
+        _keyvals(tokens[4:], {"w0": "w0"}, None, "memristor instance")
+        return True
+    except (NetlistError, DomainError):
+        return False
+
+
+_CARD_NUMBER = st.one_of(
+    st.sampled_from(["1k", "-1", "0", "2.5", ".5", "1meg", "3", "1e999",
+                     "5q", "nan", "k"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_KEYVAL = st.builds(lambda key, val: f"{key}={val}",
+                    st.sampled_from(["wl", "w0", "p", "type", "foo", ""]),
+                    st.one_of(_CARD_NUMBER, st.just("n")))
+_CARD_TOKEN = st.one_of(
+    st.sampled_from(["0", "a", "zen", "nmod", "mem", "dc", "(", ")", "w0"]),
+    _CARD_NUMBER, _KEYVAL,
+    st.builds(lambda kind, vals: f"{kind}({' '.join(vals)})",
+              st.sampled_from(["pulse", "pwl"]),
+              st.lists(_CARD_NUMBER, max_size=8)))
+
+
+@st.composite
+def _first_lines(draw):
+    """Element-card-like lines, mostly within one token of a real card."""
+    prefix, n_nodes = draw(st.sampled_from([
+        ("r", 2), ("c", 2), ("v", 2), ("d", 2), ("m", 4), ("xmr", 2),
+        ("M", 4), ("XMR", 2), ("x", 2), ("Xm", 2), ("q", 2)]))
+    name = prefix + draw(st.sampled_from(["", "_1", "1"]))
+    nodes = ["n1"] * (n_nodes + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    head = draw(st.one_of(st.sampled_from(["zen", "nmod", "mem", "1k", "-1"]),
+                          _CARD_TOKEN))
+    tail = draw(st.lists(st.sampled_from([
+        "wl=2", "w0=0.5", "w0=2", "p=2", "foo=1", "wl=bad", "w0", "1k", "zen"]),
+        max_size=2))
+    return " ".join([name, *nodes, head, *tail])
+
+
+@settings(max_examples=400)
+@given(_first_lines())
+def test_first_line_is_title_exactly_when_reference_says(line):
+    try:
+        expected = not _card_shape_ok(_split_fields(line.lower(), 1))
+    except NetlistError:
+        expected = True
+    try:
+        title = parse_netlist(line + "\nr_zz a 0 1k\nv_zz a 0 1\n").title
+    except NetlistError:   # only a card can fail: the rest is well formed
+        title = ""
+    assert (title == line) == expected
 
 
 def test_comment_first_means_no_title():
@@ -205,6 +287,12 @@ def test_model_param_validation_is_a_netlist_error():
     with pytest.raises(NetlistError, match="^line 3:"):
         parse_netlist("t\nv_1 a 0 1\nm_1 a a 0 0 nmod wl=-1\n"
                       ".model nmod mosfet\n")
+    # a fractional window exponent is rejected, not truncated
+    with pytest.raises(NetlistError, match="^line 3:"):
+        parse_netlist("t\nr_1 a 0 1k\n.model mem memristor p=2.5\n")
+    c = parse_netlist("t\nr_1 a 0 1k\n.model mem memristor p=2\n")
+    assert c.models["mem"][1].p_window == 2
+    assert type(c.models["mem"][1].p_window) is int
 
 
 # --- round-trips ------------------------------------------------------------
@@ -246,15 +334,65 @@ _VALUE = st.floats(min_value=1e-9, max_value=1e9,
                    allow_nan=False, allow_infinity=False)
 
 
-@given(_NAMES, st.data())
-def test_round_trip_generated_circuits(suffixes, data):
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+_NON_NEGATIVE = st.floats(min_value=0.0, max_value=10.0)
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def _model_params(draw, kind):
+    if kind == "mosfet":
+        return MosfetParams(
+            polarity=draw(st.sampled_from(["n", "p"])),
+            vth0=draw(st.floats(min_value=-2.0, max_value=2.0)),
+            kprime=draw(_POSITIVE), w_over_l=draw(_POSITIVE),
+            lam=draw(_NON_NEGATIVE), gamma=draw(_NON_NEGATIVE),
+            phi2=draw(_POSITIVE))
+    if kind == "zener":
+        return ZenerParams(*(draw(_POSITIVE) for _ in range(5)))
+    r_on = draw(_POSITIVE)
+    return MemristorParams(
+        r_on=r_on, r_off=draw(st.floats(min_value=r_on, max_value=1e9)),
+        w0=draw(_UNIT), k_drift=draw(_POSITIVE),
+        p_window=draw(st.integers(min_value=1, max_value=8)))
+
+
+_DEVICE_OF = {"d": ("zener", 2, st.just({})),
+              "m": ("mosfet", 4, st.one_of(st.just({}), st.fixed_dictionaries(
+                  {"w_over_l": _POSITIVE}))),
+              "xmr": ("memristor", 2, st.one_of(st.just({}), st.fixed_dictionaries(
+                  {"w0": _UNIT})))}
+
+
+@given(_NAMES, st.booleans(), st.data())
+def test_round_trip_generated_circuits(suffixes, with_devices, data):
+    # two families: r/c/v only, and every model kind with d/m/xmr cards
+    # that name them, with and without instance overrides
+    models = {}
+    if with_devices:
+        model_kinds = ["mosfet", "zener", "memristor"]
+        model_kinds += data.draw(st.lists(st.sampled_from(model_kinds), max_size=3))
+        for i, kind in enumerate(model_kinds):
+            models[f"mod{i}"] = (kind, data.draw(_model_params(kind)))
+    kinds = ["r", "c", "v"] + (list(_DEVICE_OF) if with_devices else [])
     elements = []
     for i, suffix in enumerate(suffixes):
-        kind = data.draw(st.sampled_from(["r", "c", "v"]))
+        kind = data.draw(st.sampled_from(kinds))
+        name = f"{kind}_{suffix}"
+        if kind in _DEVICE_OF:
+            model_kind, n_nodes, overrides = _DEVICE_OF[kind]
+            model = data.draw(st.sampled_from(
+                [m for m, (k, _) in models.items() if k == model_kind]))
+            overrides = data.draw(overrides)
+            params = dataclasses.replace(models[model][1], **overrides)
+            nodes = tuple(data.draw(_NODE) for _ in range(n_nodes))
+            elements.append(Element(name=name, kind=kind, nodes=nodes,
+                                    params=params, model=model,
+                                    overrides=overrides))
+            continue
         n1 = data.draw(_NODE)
         n2 = data.draw(_NODE.filter(lambda n: n != n1))
         value = data.draw(_VALUE)
-        name = f"{kind}_{suffix}"
         if kind == "r":
             params = ResistorParams(value)
         elif kind == "c":
@@ -264,7 +402,7 @@ def test_round_trip_generated_circuits(suffixes, data):
         elements.append(Element(name=name, kind=kind, nodes=(n1, n2),
                                 params=params))
     c = Circuit(title="generated", elements=elements,
-                analyses=[AnalysisDirective(kind="op")], models={})
+                analyses=[AnalysisDirective(kind="op")], models=models)
     assert _rt(c) == c
 
 

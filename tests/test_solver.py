@@ -193,6 +193,8 @@ def test_sweep_argument_validation():
     c = parse_netlist(DIODE)
     with pytest.raises(ValueError):
         dc_sweep(c, "r_1", 0.0, 1.0, 0.1)     # not a source
+    with pytest.raises(ValueError, match="'v_nope' is not a DC voltage source"):
+        dc_sweep(c, "v_nope", 0.0, 1.0, 0.1)  # no such element
     with pytest.raises(ValueError):
         dc_sweep(c, "v_1", 1.0, 0.0, 0.1)     # descending
     with pytest.raises(ValueError):
@@ -260,6 +262,19 @@ def test_no_convergence_when_starved():
     opts = SolverOptions(max_newton_iters=1)
     with pytest.raises(NoConvergence):
         dc_operating_point(parse_netlist(DIODE), opts)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(reltol=-1e-3), dict(reltol=math.nan), dict(abstol_v=math.inf),
+    dict(abstol_i=-1e-9), dict(damping_limit=0.0), dict(damping_limit=math.inf),
+    dict(gmin_final=0.0), dict(gmin_final=-1e-12), dict(gmin_final=math.nan),
+    dict(gmin_start=math.inf), dict(gmin_start=1e-13), dict(gmin_start=math.nan),
+    dict(max_newton_iters=-1), dict(max_newton_iters=math.inf),
+    dict(source_steps=0)])
+def test_solver_options_validated(bad):
+    # only constructed: a solver handed some of these would never return
+    with pytest.raises(ValueError, match=f"SolverOptions.{next(iter(bad))} "):
+        SolverOptions(**bad)
 
 
 def test_transient_argument_validation():
