@@ -3,7 +3,9 @@
 Images are 8-bit grayscale with maxval fixed at 255; both the ASCII
 (P2) and binary (P5) PGM variants are read, P5 is the default on
 write. Comments are tolerated anywhere in a header being read but are
-never emitted, so writes are byte-deterministic.
+never emitted, so writes are byte-deterministic. A P2 sample is a run
+of ASCII digits (leading zeros allowed, so ``0255`` is 255) separated
+by ASCII whitespace; a sign or any other character is rejected.
 
 Segmentation maps pixel intensities onto detector input voltages, looks
 the swept response up in a table and normalizes it to [0, 1]. Applied
@@ -14,6 +16,8 @@ its thickness tracks the band width.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +81,16 @@ def gen_gaussian_image(size: int = 129, sigma: float | None = None,
     is the distance to the image center (size-1)/2. sigma defaults to
     size/6 so the blob decays to roughly nothing at the borders.
     """
+    try:
+        size = operator.index(size)
+    except TypeError:
+        raise DomainError(f"size must be an integer, got {size!r}") from None
     if size < 3:
         raise DomainError(f"size must be >= 3, got {size}")
     if sigma is None:
         sigma = size / 6.0
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"sigma must be finite and positive, got {sigma}")
     if not 0 < amplitude <= 255:
         raise DomainError(f"amplitude must lie in (0, 255], got {amplitude}")
     c = (size - 1) / 2.0
@@ -120,6 +128,37 @@ def _read_header_tokens(data: bytes) -> tuple[list[bytes], int]:
     return tokens, i
 
 
+def _p2_samples(raster, count: int) -> np.ndarray:
+    """The first count samples of a P2 raster (a bytes-like object).
+
+    Samples are runs of ASCII digits between runs of the whitespace that
+    bytes.split() splits on; leading zeros are allowed.
+    """
+    # padding puts whitespace on both sides of every sample and keeps the
+    # indices of a sample's last three digits in bounds
+    buf = np.frombuffer(b"  " + raster + b" ", np.uint8)
+    ws = (buf == 32) | (buf - np.uint8(9) < 5)      # \t \n \v \f \r, space
+    found = np.count_nonzero(ws[:-1] & ~ws[1:])
+    if found < count:
+        raise TruncatedData(f"expected {count} samples, got {found}")
+    ends = np.flatnonzero(~ws[:-1] & ws[1:])[:count]
+    region = slice(0, ends[-1] + 1)
+    digit = buf[region] - np.uint8(48)
+    token = ~ws[region]
+    if np.any(token & (digit > 9)):
+        raise TruncatedData("non-numeric sample in P2 raster")
+    digit[~token] = 0
+    # the last three digits; whitespace reads as 0, and the third counts
+    # only when the second belongs to the sample
+    value = (digit[ends] + digit[ends - 1] * np.uint16(10)
+             + digit[ends - 2] * token[ends - 1] * np.uint16(100))
+    # out of range: above 255, or a nonzero digit left of the last three
+    far = token[1:-2] & token[2:-1] & token[3:] & (digit[:-3] != 0)
+    if np.any(value > 255) or np.any(far):
+        raise TruncatedData("P2 sample outside [0, 255]")
+    return value.astype(np.uint8)
+
+
 def read_pgm(path) -> ImageGray:
     """Read a P2 or P5 PGM file with maxval 255."""
     with open(path, "rb") as fh:
@@ -146,18 +185,23 @@ def read_pgm(path) -> ImageGray:
                                 f"got {len(raster)}")
         arr = np.frombuffer(raster, dtype=np.uint8, count=count)
     else:
-        fields = data[off:].split()
-        if len(fields) < count:
-            raise TruncatedData(f"expected {count} samples, "
-                                f"got {len(fields)}")
-        try:
-            vals = [int(f) for f in fields[:count]]
-        except ValueError:
-            raise TruncatedData("non-numeric sample in P2 raster")
-        if min(vals) < 0 or max(vals) > 255:
-            raise TruncatedData("P2 sample outside [0, 255]")
-        arr = np.array(vals, dtype=np.uint8)
+        arr = _p2_samples(memoryview(data)[off:], count)
     return ImageGray(arr.reshape(height, width))
+
+
+# each byte value's P2 text (its decimal digits and a space) and length
+_P2_TEXT = np.array([list(f"{v} ".encode().ljust(4)) for v in range(256)],
+                    dtype=np.uint8)
+_P2_LEN = np.array([len(str(v)) + 1 for v in range(256)], dtype=np.uint8)
+
+
+def _p2_raster(px: np.ndarray) -> bytes:
+    """P2 text of a pixel array: one row per line, samples separated by
+    single spaces."""
+    text = _P2_TEXT[px]
+    length = _P2_LEN[px]
+    text[np.arange(px.shape[0]), -1, length[:, -1] - 1] = ord("\n")
+    return text[np.arange(4) < length[..., None]].tobytes()
 
 
 def write_pgm(path, image: ImageGray, binary: bool = True) -> None:
@@ -166,12 +210,7 @@ def write_pgm(path, image: ImageGray, binary: bool = True) -> None:
     header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n255\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if binary:
-            fh.write(px.tobytes())
-        else:
-            for row in px:
-                fh.write((" ".join(str(int(v)) for v in row) + "\n")
-                         .encode("ascii"))
+        fh.write(px.tobytes() if binary else _p2_raster(px))
 
 
 def pixel_to_voltage(pixels, v_low: float = 0.0,
@@ -196,6 +235,8 @@ class ResponseLut:
         y = np.asarray(outputs, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
             raise DomainError("lut needs matching 1-D arrays of >= 2 points")
+        if not np.all(np.isfinite(x) & np.isfinite(y)):
+            raise DomainError("lut inputs and outputs must be finite")
         if not np.all(np.diff(x) > 0):
             raise DomainError("lut inputs must be strictly increasing")
         self.inputs = x
@@ -208,8 +249,9 @@ class ResponseLut:
     def __call__(self, voltages) -> np.ndarray:
         v = np.asarray(voltages, dtype=float)
         lo, hi = self.inputs[0], self.inputs[-1]
-        if v.size and (v.min() < lo or v.max() > hi):
-            bad = float(v.min()) if v.min() < lo else float(v.max())
+        vmin, vmax = (v.min(), v.max()) if v.size else (lo, hi)
+        if not lo <= vmin <= vmax <= hi:            # a NaN fails too
+            bad = float(vmax if lo <= vmin else vmin)
             raise LutRangeError(
                 f"voltage {bad:.6g} outside sweep range [{lo:.6g}, {hi:.6g}]")
         return np.interp(v, self.inputs, self.outputs)
@@ -254,16 +296,21 @@ def _radial_profile(response: np.ndarray,
     if center is None:
         center = ((h - 1) / 2.0, (w - 1) / 2.0)
     cy, cx = center
-    yy, xx = np.mgrid[0:h, 0:w]
-    radii = np.rint(np.hypot(yy - cy, xx - cx)).astype(int)
     rmax = int(min(cy, cx, h - 1 - cy, w - 1 - cx))
     if rmax < 2:
         raise NoRing("image too small for a radial profile")
-    prof = np.empty(rmax + 1)
-    for r in range(rmax + 1):
-        m = radii == r
-        prof[r] = response[m].mean() if m.any() else 0.0
-    return prof
+    yy, xx = np.ogrid[0:h, 0:w]
+    radii = np.rint(np.hypot(yy - cy, xx - cx))
+    inside = radii <= rmax
+    # a stable (radix) sort keeps each radius's pixels in row-major order,
+    # so every slice's mean adds the same values in the same order as
+    # response[radii == r].mean(); bincount or reduceat would reorder them
+    radii = radii[inside].astype(np.min_scalar_type(rmax))
+    order = np.argsort(radii, kind="stable")
+    values = response[inside][order]
+    bounds = np.searchsorted(radii[order], np.arange(rmax + 2))
+    return np.array([values[a:b].mean() if b > a else 0.0
+                     for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 def ring_metrics(response, center: tuple[float, float] | None = None
@@ -273,11 +320,16 @@ def ring_metrics(response, center: tuple[float, float] | None = None
     The response is averaged over integer-rounded radii out to the
     largest full annulus. Raises NoRing when the profile is flat, peaks
     at the center (a blob, not a ring), or never falls back to half
-    height on both sides of the peak.
+    height on both sides of the peak. A non-finite center or response
+    value is a DomainError.
     """
     resp = np.asarray(response, dtype=float)
     if resp.ndim != 2:
         raise DomainError("response must be a 2-D array")
+    if center is not None and not np.all(np.isfinite(center)):
+        raise DomainError(f"ring center must be finite, got {center}")
+    if not np.all(np.isfinite(resp)):
+        raise DomainError("response holds a non-finite value")
     prof = _radial_profile(resp, center)
     peak = float(prof.max())
     if peak <= 0.0 or peak - float(prof.min()) < 1e-12:

@@ -59,7 +59,12 @@ def parse_number(token: str, line: int | None = None) -> float:
     if not m:
         raise MalformedNumber(f"malformed number {token!r}", line)
     mantissa, exp, suffix = m.groups()
-    e = int(exp) if exp else 0
+    digits = (exp or "").lstrip("+-").lstrip("0")
+    # past 5 digits the power of ten over- or underflows a double anyway;
+    # clamping keeps int() inside Python's integer-string digit limit
+    e = 99999 if len(digits) > 5 else int(digits or 0)
+    if exp and exp[0] == "-":
+        e = -e
     if suffix:
         e += _SUFFIX_EXP[suffix]
     value = float(f"{mantissa}e{e}")

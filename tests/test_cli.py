@@ -272,6 +272,15 @@ def test_gen_gaussian_invalid_size():
     assert main(["gen-gaussian", "--size", "1", "--out", "x.pgm"]) == 1
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_gen_gaussian_non_finite_sigma_is_domain_exit(tmp_path, sigma, capsys):
+    out = tmp_path / "g.pgm"
+    assert main(["gen-gaussian", "--size", "9", "--sigma", sigma,
+                 "--out", str(out)]) == 1
+    assert "sigma must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- segment ------------------------------------------------------------------------
 
 def test_segment_gaussian_reports_ring(tmp_path, capsys):

@@ -7,13 +7,19 @@ reported thickness must be exactly 5.0.
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from dtlsim import imaging
+from dtlsim.cells import (DETECTOR_CONFIG_1, DETECTOR_CONFIG_2,
+                          build_intensity_detector)
 from dtlsim.errors import (BadHeader, BadMagic, DomainError, LutRangeError,
                            NoRing, PgmError, TruncatedData, UnsupportedMaxval)
-from dtlsim.imaging import (ImageGray, ResponseLut, apply_detector,
+from dtlsim.imaging import (ImageGray, ResponseLut, RingMetrics, apply_detector,
                             gen_gaussian_image, pixel_to_voltage, read_pgm,
                             ring_metrics, write_pgm)
 from dtlsim.solver import SweepResult
+
+from conftest import dc_from_directive
 
 
 # --- ImageGray -------------------------------------------------------------
@@ -83,6 +89,14 @@ def test_gaussian_validation():
         gen_gaussian_image(65, amplitude=0)
     with pytest.raises(DomainError):
         gen_gaussian_image(65, amplitude=256)
+    with pytest.raises(DomainError):
+        gen_gaussian_image(9.5)                  # not an integer size
+    with pytest.raises(DomainError):
+        gen_gaussian_image(9.0)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            gen_gaussian_image(9, sigma=sigma)
+    assert gen_gaussian_image(np.int64(9)) == gen_gaussian_image(9)
 
 
 # --- PGM I/O ---------------------------------------------------------------------
@@ -212,6 +226,13 @@ def test_lut_range_error():
         lut(-0.01)
     with pytest.raises(LutRangeError):
         lut(np.array([0.5, 1.01]))
+    with pytest.raises(LutRangeError, match="voltage nan"):
+        lut([float("nan")])
+    with pytest.raises(LutRangeError, match="voltage nan"):
+        lut(np.array([0.5, float("nan"), 0.25]))
+    with pytest.raises(LutRangeError, match="voltage inf"):
+        lut([0.5, float("inf")])
+    assert lut([]).size == 0
 
 
 def test_lut_validation():
@@ -221,6 +242,12 @@ def test_lut_validation():
         ResponseLut([0.0], [1.0])
     with pytest.raises(DomainError):
         ResponseLut([0.0, 1.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError):
+        ResponseLut([0.0, 1.0], [0.0, float("nan")])
+    with pytest.raises(DomainError):
+        ResponseLut([0.0, 1.0], [float("-inf"), 1.0])
+    with pytest.raises(DomainError):
+        ResponseLut([0.0, float("inf")], [0.0, 1.0])
 
 
 def test_lut_normalized_scales_by_table_extrema():
@@ -298,6 +325,19 @@ def test_ring_metrics_too_small():
         ring_metrics(np.ones(9))
 
 
+def test_ring_metrics_rejects_non_finite_input():
+    resp = _annulus()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            ring_metrics(resp, center=(bad, 32.0))
+        with pytest.raises(DomainError):
+            ring_metrics(resp, center=(32.0, -bad))
+        poisoned = resp.copy()
+        poisoned[32, 44] = bad
+        with pytest.raises(DomainError):
+            ring_metrics(poisoned)
+
+
 # --- end-to-end: blob through a band lut lights a ring ------------------------------
 
 def test_gaussian_through_band_lut_gives_ring():
@@ -312,3 +352,137 @@ def test_gaussian_through_band_lut_gives_ring():
     assert 12.0 <= m.peak_radius <= 17.0
     assert 1.0 <= m.thickness <= 8.0
     assert m.peak_brightness > 0.5
+
+
+def test_gaussian_rings_are_frozen():
+    # exact values: radial means from np.bincount, which reorders the
+    # sums, move config 1's peak radius to 357 and config 2's to 335
+    image = gen_gaussian_image(1025)
+    rings = [ring_metrics(apply_detector(image, ResponseLut.from_sweep(
+                 dc_from_directive(build_intensity_detector(cfg)), "out")))
+             for cfg in (DETECTOR_CONFIG_1, DETECTOR_CONFIG_2)]
+    assert rings == [
+        RingMetrics(356.0, 40.01882745708974, 0.9993243624463775),
+        RingMetrics(336.0, 172.9144214930884, 0.9990405956617089)]
+
+
+# --- loop references of the vectorized imaging paths --------------------------------
+
+def _radial_profile_loop(response, center):
+    h, w = response.shape
+    if center is None:
+        center = ((h - 1) / 2.0, (w - 1) / 2.0)
+    cy, cx = center
+    yy, xx = np.mgrid[0:h, 0:w]
+    radii = np.rint(np.hypot(yy - cy, xx - cx)).astype(int)
+    rmax = int(min(cy, cx, h - 1 - cy, w - 1 - cx))
+    if rmax < 2:
+        raise NoRing("image too small for a radial profile")
+    prof = np.empty(rmax + 1)
+    for r in range(rmax + 1):
+        m = radii == r
+        prof[r] = response[m].mean() if m.any() else 0.0
+    return prof
+
+
+def _p2_raster_loop(px):
+    return b"".join((" ".join(str(int(v)) for v in row) + "\n").encode("ascii")
+                    for row in px)
+
+
+def _p2_samples_loop(raster, count):
+    fields = raster.split()
+    if len(fields) < count:
+        raise TruncatedData(f"expected {count} samples, got {len(fields)}")
+    try:
+        vals = [int(f) for f in fields[:count]]
+    except ValueError:
+        raise TruncatedData("non-numeric sample in P2 raster")
+    if min(vals) < 0 or max(vals) > 255:
+        raise TruncatedData("P2 sample outside [0, 255]")
+    return np.array(vals, dtype=np.uint8)
+
+
+def _outcome(f, *args):
+    """The result as a list (exact float comparison), or the error."""
+    try:
+        return f(*args).tolist()
+    except (NoRing, TruncatedData) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _responses(draw):
+    h, w = draw(st.integers(3, 90)), draw(st.integers(3, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # plateaus and ties from a few levels, or all-distinct values
+    levels = rng.choice([0.0, 0.1, 0.3, 1.0], size=(h, w))
+    kind = draw(st.sampled_from(["levels", "random", "mixed"]))
+    resp = {"levels": levels, "random": rng.random((h, w)),
+            "mixed": np.where(rng.random((h, w)) < 0.5, levels,
+                              rng.random((h, w)))}[kind]
+    center = draw(st.one_of(
+        st.none(),
+        st.tuples(st.floats(0.0, h - 1.0), st.floats(0.0, w - 1.0)),
+        st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+          .map(lambda c: (c[0] + 0.5, c[1] + 0.5))))
+    return resp, center
+
+
+@given(_responses())
+def test_radial_profile_equals_its_loop(rc):
+    resp, center = rc
+    assert (_outcome(imaging._radial_profile, resp, center)
+            == _outcome(_radial_profile_loop, resp, center))
+
+
+_SEPARATORS = [b" ", b"  ", b"\t", b"\r\n", b"\n", b" \t\n", b"\x0b\x0c"]
+_BAD_SAMPLES = [b"zz", b"300", b"0300", b"1000", b"256", b"00000999", b"1a"]
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_p2_writer_equals_its_loop(h, w, seed):
+    rng = np.random.default_rng(seed)
+    px = rng.choice(np.array([0, 1, 9, 10, 99, 100, 254, 255], np.uint8),
+                    size=(h, w))
+    px[rng.random((h, w)) < 0.5] = rng.integers(0, 256, dtype=np.uint8)
+    text = imaging._p2_raster(px)
+    assert text == _p2_raster_loop(px)
+    assert np.array_equal(imaging._p2_samples(text, px.size), px.ravel())
+
+
+@given(st.lists(st.one_of(st.integers(0, 255), st.sampled_from(_BAD_SAMPLES)),
+                max_size=30),
+       st.data())
+def test_p2_reader_equals_its_loop(samples, data):
+    # valid samples get random leading zeros, every gap a random run
+    # of whitespace; the count may ask for more samples than there are
+    raster = b""
+    for v in samples:
+        raster += data.draw(st.sampled_from(_SEPARATORS))
+        zeros = b"0" * data.draw(st.integers(0, 3))
+        raster += zeros + b"%d" % v if isinstance(v, int) else v
+    raster += data.draw(st.sampled_from([b"", b"\n"] + _SEPARATORS))
+    count = data.draw(st.integers(1, len(samples) + 2))
+    assert (_outcome(imaging._p2_samples, raster, count)
+            == _outcome(_p2_samples_loop, raster, count))
+
+
+@pytest.mark.parametrize("raster, error", [
+    (b"0 1 2", "expected 4 samples, got 3"),
+    (b"0 zz 1 2", "non-numeric sample in P2 raster"),
+    (b"0 300 1 2", "P2 sample outside [0, 255]"),
+    (b"0 0300 1 2", "P2 sample outside [0, 255]"),
+    (b"0 1000 1 2", "P2 sample outside [0, 255]"),
+])
+def test_p2_reader_errors_match_its_loop(raster, error):
+    assert (_outcome(imaging._p2_samples, raster, 4)
+            == _outcome(_p2_samples_loop, raster, 4) == (TruncatedData, error))
+
+
+@pytest.mark.parametrize("sample", [b"+5", b"-0", b"1_0", b"-5"])
+def test_p2_samples_are_digits_only(sample):
+    # int() would take the first three; PGM samples are ASCII decimal
+    with pytest.raises(TruncatedData, match="non-numeric"):
+        imaging._p2_samples(b"1 " + sample, 2)
+    assert np.array_equal(imaging._p2_samples(b"0255\t007\r\n", 2), [255, 7])

@@ -40,10 +40,22 @@ def test_si_suffixes_exact():
 
 @pytest.mark.parametrize("bad", ["", "k", "1.2.3", "1x", "--5", "1e",
                                  "0x10", "1ee3", "meg", "1.1kk", "nan",
-                                 "1e999", "-2e308", "1e306meg"])
+                                 "1e999", "-2e308", "1e306meg",
+                                 "1e" + "9" * 5000, "-1e+" + "9" * 5000])
 def test_malformed_numbers(bad):
     with pytest.raises(MalformedNumber):
         parse_number(bad)
+
+
+def test_long_exponents_saturate():
+    # exponents past Python's 4300-digit int() limit: a negative one
+    # underflows like 1e-99999, leading zeros do not count as digits
+    assert parse_number("1e-" + "9" * 5000) == 0.0
+    assert parse_number("1e-99999") == 0.0
+    assert parse_number("5e" + "0" * 5000 + "3k") == 5e6
+    with pytest.raises(MalformedNumber) as info:
+        parse_netlist("t\nr_1 a 0 1e" + "9" * 5000 + "\n")
+    assert info.value.line == 2
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
