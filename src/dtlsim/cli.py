@@ -252,13 +252,13 @@ def _grid(spec: str) -> np.ndarray:
             return np.array([float(parts[0])])
         if len(parts) == 3:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
+            if not 1 <= count <= dendrite.MAX_COMBINATIONS:
                 raise ValueError
             return np.linspace(start, stop, count)
     except ValueError:
         pass
-    raise _UsageError(f"grid must be 'value' or 'start:stop:count', "
-                      f"got {spec!r}")
+    raise _UsageError(f"grid must be 'value' or 'start:stop:count' with "
+                      f"1 <= count <= {dendrite.MAX_COMBINATIONS}, got {spec!r}")
 
 
 def _cmd_calibrate_xor(args) -> int:

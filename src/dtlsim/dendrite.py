@@ -7,9 +7,12 @@ its input reaches the firing region and 1 below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidThreshold
+
+MAX_COMBINATIONS = 10**6   # (theta2, eps, theta3) triples calibrate_xor tries
 
 
 def f1(x: float, theta1: float) -> float:
@@ -56,6 +59,11 @@ class ThresholdUnit:
     def __post_init__(self):
         if self.kind not in _UNIT_KINDS:
             raise InvalidThreshold(f"unknown unit kind {self.kind!r}")
+        if not (math.isfinite(self.theta) and math.isfinite(self.eps)):
+            raise InvalidThreshold(f"thresholds must be finite, got "
+                                   f"theta={self.theta}, eps={self.eps}")
+        if self.kind == "sat" and not self.theta > 0.0:
+            raise InvalidThreshold(f"sat needs theta > 0, got {self.theta}")
         if self.kind == "spk1" and not 0.0 < self.eps < self.theta:
             raise InvalidThreshold(f"spk1 needs 0 < eps < theta, got eps={self.eps}")
 
@@ -86,6 +94,9 @@ class DendriteBranch:
     def __post_init__(self):
         if not self.weights or any(w not in (1.0, -1.0) for w in self.weights):
             raise InvalidThreshold("branch weights must be +1 or -1")
+        if not (math.isfinite(self.theta2) and math.isfinite(self.eps)):
+            raise InvalidThreshold(f"thresholds must be finite, got "
+                                   f"theta2={self.theta2}, eps={self.eps}")
 
     def collect(self, inputs: tuple[float, ...], level: float) -> float:
         if len(inputs) != len(self.weights):
@@ -113,8 +124,9 @@ class NeuronModel:
             raise InvalidThreshold("neuron needs at least one branch")
         if self.soma_combine not in ("avg", "sum"):
             raise InvalidThreshold(f"unknown soma combine {self.soma_combine!r}")
-        if self.logic_high <= 0.0:
-            raise InvalidThreshold("logic_high must be positive")
+        if not 0.0 < self.logic_high < math.inf:
+            raise InvalidThreshold(
+                f"logic_high must be positive and finite, got {self.logic_high}")
         peak = self.max_soma_input()
         if not peak > self.theta3 > peak / 2.0:
             raise InvalidThreshold(
@@ -171,9 +183,14 @@ def calibrate_xor(theta2_grid, eps_grid, theta3_grid,
                   logic_high: float = 1.0) -> list[tuple[float, float, float]]:
     """Grid-search the (theta2, eps, theta3) triples whose truth table is XOR.
 
-    Combinations that fail threshold validity cannot produce a truth table
-    and are skipped rather than raised.
+    The grids are sequences with at most MAX_COMBINATIONS triples between
+    them. Combinations that fail threshold validity cannot produce a truth
+    table and are skipped rather than raised.
     """
+    combos = len(theta2_grid) * len(eps_grid) * len(theta3_grid)
+    if combos > MAX_COMBINATIONS:
+        raise InvalidThreshold(f"{combos} combinations exceed the limit of "
+                               f"{MAX_COMBINATIONS}")
     hits = []
     for theta2 in theta2_grid:
         for eps in eps_grid:

@@ -23,7 +23,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import DomainError
 
@@ -41,11 +41,22 @@ def _safe_exp(x: float) -> tuple[float, float]:
     return cap * (1.0 + (x - _EXP_CAP)), cap
 
 
+def _require_finite(params) -> None:
+    """DomainError for a number among params' fields that is not finite."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if not isinstance(v, str) and not math.isfinite(v):
+                raise DomainError(
+                    f"{type(params).__name__}.{f.name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class ResistorParams:
     resistance: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.resistance > 0.0:
             raise DomainError(f"resistance must be positive, got {self.resistance}")
 
@@ -55,6 +66,7 @@ class CapacitorParams:
     capacitance: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.capacitance > 0.0:
             raise DomainError(f"capacitance must be positive, got {self.capacitance}")
 
@@ -72,6 +84,7 @@ class SourceWaveform:
     params: tuple[float, ...]
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kind == "dc":
             if len(self.params) != 1:
                 raise DomainError("dc source takes one level")
@@ -132,6 +145,7 @@ class MosfetParams:
     phi2: float = 0.7
 
     def __post_init__(self):
+        _require_finite(self)
         if self.polarity not in ("n", "p"):
             raise DomainError(f"polarity must be 'n' or 'p', got {self.polarity!r}")
         if self.kprime <= 0 or self.w_over_l <= 0 or self.phi2 <= 0:
@@ -155,6 +169,7 @@ class ZenerParams:
     i_bv: float = 1e-3
 
     def __post_init__(self):
+        _require_finite(self)
         if self.i_sat <= 0 or self.n <= 0 or self.v_thermal <= 0 or self.vz <= 0 or self.i_bv <= 0:
             raise DomainError("zener parameters must all be positive")
 
@@ -168,6 +183,7 @@ class MemristorParams:
     p_window: int = 2
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0 < self.r_on <= self.r_off:
             raise DomainError("need 0 < r_on <= r_off")
         if not 0.0 <= self.w0 <= 1.0:
@@ -300,15 +316,15 @@ GROUND = "0"
 
 @dataclass
 class StampContext:
-    """Everything a stamp may need beyond the current iterate."""
+    """Everything a stamp may need beyond the current iterate; the solver
+    makes one per operating point, sweep point or time step."""
 
     mode: str = "dc"                  # "dc" or "tran"
-    time: float = 0.0                 # evaluation time (t_{n+1} in transient)
     dt: float = 0.0
     method: str = "backward-euler"    # or "trapezoidal"
     srcscale: float = 1.0             # source-stepping homotopy scale
     gmin: float = 0.0
-    overrides: dict = field(default_factory=dict)   # source name -> forced level
+    levels: dict = field(default_factory=dict)      # source name -> level before srcscale
     prev_step: list = field(default_factory=list)   # iterate at t_n
     prev_iter: list = field(default_factory=list)   # last Newton iterate
     hist: dict = field(default_factory=dict)        # element name -> companion memory
@@ -355,11 +371,7 @@ def _stamp_capacitor(elem, x, ctx, out):
 
 def _stamp_vsource(elem, x, ctx, out):
     a, b, k = out.slots[elem.name]
-    if elem.name in ctx.overrides:
-        level = ctx.overrides[elem.name]
-    else:
-        level = elem.params.value(ctx.time if ctx.mode == "tran" else 0.0)
-    level *= ctx.srcscale
+    level = ctx.levels[elem.name] * ctx.srcscale
     i = x[k]
     _add_f(out, a, i)
     _add_f(out, b, -i)

@@ -53,11 +53,16 @@ _SUFFIX_EXP = {"t": 12, "g": 9, "meg": 6, "k": 3,
                "m": -3, "u": -6, "n": -9, "p": -12, "f": -15}
 
 
+def _shown(token: str) -> str:
+    """The token quoted for a message, cut to its first 40 characters."""
+    return repr(token) if len(token) <= 40 else repr(token[:40]) + "..."
+
+
 def parse_number(token: str, line: int | None = None) -> float:
     """Parse a number with optional SI suffix; exact w.r.t. e-notation."""
     m = _NUM_RE.match(token.strip().lower())
     if not m:
-        raise MalformedNumber(f"malformed number {token!r}", line)
+        raise MalformedNumber(f"malformed number {_shown(token)}", line)
     mantissa, exp, suffix = m.groups()
     digits = (exp or "").lstrip("+-").lstrip("0")
     # past 5 digits the power of ten over- or underflows a double anyway;
@@ -69,7 +74,7 @@ def parse_number(token: str, line: int | None = None) -> float:
         e += _SUFFIX_EXP[suffix]
     value = float(f"{mantissa}e{e}")
     if not math.isfinite(value):
-        raise MalformedNumber(f"number {token!r} is out of range", line)
+        raise MalformedNumber(f"number {_shown(token)} is out of range", line)
     return value
 
 

@@ -10,17 +10,24 @@ any other, and the solver drops them. The residual form is used
 throughout: F(x) collects KCL sums per node, source voltage equations and
 implicit state equations, and Newton solves J dx = -F.
 
+Every analysis starts from ``_System``, the one place that validates the
+circuit and runs the structural checks: every node needs a DC path to
+ground (the offending node is named) and no voltage sources may form a
+loop (the loop's sources are named). Each solved point gets a fresh
+``StampContext`` whose ``levels`` hold every source's level at that point,
+evaluated once (``_System.levels``, which also checks overrides). DC sweeps
+and transients share one point loop (``_march``): each point starts from
+the last solution, and its iterations and winning strategy are recorded.
+
 Transient companion memory (capacitor currents, memristor drift rates) is
 computed only by the stamps: every assembly records it, and the record of
 the assembly that converged a step seeds the next step.
 
-Robustness ladder for operating points: a structural no-DC-path-to-ground
-check first (names the offending node), then plain Newton with zero gmin so
-linear circuits are exact, then a geometric gmin ladder, then source
-stepping. Update damping clamps per-component steps at
-``options.damping_limit`` but only for unknowns that nonlinear device
-stamps touch; purely linear circuits therefore converge in exactly one
-Newton iteration.
+Robustness ladder for each point: plain Newton with zero gmin so linear
+circuits are exact, then a geometric gmin ladder, then source stepping.
+Update damping clamps per-component steps at ``options.damping_limit``
+but only for unknowns that nonlinear device stamps touch; purely linear
+circuits therefore converge in exactly one Newton iteration.
 
 A Newton step that ``numpy.linalg.solve`` finds singular, or that comes
 out non-finite, raises SingularMatrix naming the unknown with the largest
@@ -99,6 +106,7 @@ class TransientResult:
     voltages: dict[str, np.ndarray]
     states: dict[str, np.ndarray]
     iterations: list[int] = field(default_factory=list)
+    strategies: list[str] = field(default_factory=list)
 
     def column(self, node: str) -> np.ndarray:
         return self.voltages[node]
@@ -119,13 +127,18 @@ class _Assembly:
 
 
 class _System:
-    """Frozen unknown numbering for one circuit and analysis mode."""
+    """Frozen unknown numbering for one circuit and analysis mode; the one
+    place that validates the circuit and runs the structural checks."""
 
     def __init__(self, circuit, transient: bool):
+        circuit.validate()
+        _check_dc_paths(circuit)
+        _check_source_loops(circuit)
         self.elements = circuit.elements
+        self.sources = {e.name: e.params for e in circuit.elements if e.kind == "v"}
         nodes = [nd for nd in circuit.nodes if nd != devices.GROUND]
         keys = [("v", nd) for nd in nodes]
-        keys += [("i", e.name) for e in circuit.elements if e.kind == "v"]
+        keys += [("i", name) for name in self.sources]
         if transient:
             keys += [("w", e.name) for e in circuit.elements if e.kind == "xmr"]
         self.keys = keys
@@ -164,6 +177,19 @@ class _System:
             res[:nv] += leak
             scale[:nv] += np.abs(leak)
         return jac, res, scale, out.memory
+
+    def levels(self, t: float = 0.0,
+               overrides: dict[str, float] | None = None) -> dict[str, float]:
+        """Every voltage source's level at time t, before source stepping;
+        ``overrides`` must set voltage sources to finite levels."""
+        overrides = overrides or {}
+        for name, level in overrides.items():
+            if name not in self.sources:
+                raise ValueError(f"override {name!r} is not a voltage source")
+            if not math.isfinite(level):
+                raise ValueError(f"override {name}={level} is not finite")
+        return {name: overrides[name] if name in overrides else wave.value(t)
+                for name, wave in self.sources.items()}
 
     def abstol(self, options: SolverOptions) -> np.ndarray:
         """Absolute residual tolerance per row: KCL rows are currents,
@@ -206,6 +232,29 @@ def _check_dc_paths(circuit) -> None:
     if floating:
         bad = min(floating)
         raise SingularMatrix(f"node {bad!r} has no DC path to ground", node=bad)
+
+
+def _check_source_loops(circuit) -> None:
+    """No loop of voltage sources: its branch currents would be undetermined."""
+    adj: dict[str, list[tuple[str, str]]] = {}   # a forest of the sources so far
+    for e in circuit.elements:
+        if e.kind != "v":
+            continue
+        a, b = e.nodes
+        # depth-first search for the forest path a -> b, by source names
+        paths = {a: []}
+        stack = [a]
+        while stack and b not in paths:
+            nd = stack.pop()
+            for nxt, name in adj.get(nd, ()):
+                if nxt not in paths:
+                    paths[nxt] = paths[nd] + [name]
+                    stack.append(nxt)
+        if b in paths:
+            loop = ", ".join(sorted(paths[b] + [e.name]))
+            raise SingularMatrix(f"voltage sources {loop} form a loop", node=a)
+        adj.setdefault(a, []).append((b, e.name))
+        adj.setdefault(b, []).append((a, e.name))
 
 
 def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray:
@@ -304,25 +353,32 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
         residual=getattr(last, "residual", None))
 
 
-def _dc_context(circuit, overrides: dict[str, float] | None) -> StampContext:
-    """DC stamp context; overrides must set voltage sources to finite levels."""
-    overrides = dict(overrides or {})
-    sources = {e.name for e in circuit.elements if e.kind == "v"}
-    for name, level in overrides.items():
-        if name not in sources:
-            raise ValueError(f"override {name!r} is not a voltage source")
-        if not math.isfinite(level):
-            raise ValueError(f"override {name}={level} is not finite")
-    return StampContext(mode="dc", overrides=overrides)
+def _march(sys: _System, x: np.ndarray, memory: dict, points: np.ndarray,
+           context, options: SolverOptions, where):
+    """Solve the points in order, each from the last solution and its
+    companion memory through a fresh ``context(point, x, memory)``; a
+    failure is re-raised naming ``where(point)``. Returns the solutions as
+    columns, the iterations and the strategies."""
+    cols = np.empty((sys.n, points.size))
+    iterations, strategies = [], []
+    for i, at in enumerate(points.tolist()):
+        try:
+            x, iters, strategy, memory = _solve_point(
+                sys, x, context(at, x, memory), options)
+        except NoConvergence as exc:
+            raise NoConvergence(f"{where(at)}: {exc}",
+                                residual=exc.residual, at=at) from exc
+        cols[:, i] = x
+        iterations.append(iters)
+        strategies.append(strategy)
+    return cols, iterations, strategies
 
 
 def _operating_point(circuit, options: SolverOptions, overrides=None,
                      x0: dict | None = None):
     """Checked DC solve: returns the system and _solve_point's result."""
-    circuit.validate()
-    ctx = _dc_context(circuit, overrides)
-    _check_dc_paths(circuit)
     sys = _System(circuit, transient=False)
+    ctx = StampContext(levels=sys.levels(0.0, overrides))
     x0 = x0 or {}
     start = np.array([x0.get(k, 0.0) for k in sys.keys], dtype=float)
     return sys, _solve_point(sys, start, ctx, options)
@@ -344,6 +400,11 @@ def dc_operating_point(circuit, options: SolverOptions | None = None, *,
 
 
 def sweep_points(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop (within 1e-9 of a step)."""
+    if not (all(map(math.isfinite, (start, stop, step)))
+            and stop > start and step > 0.0):
+        raise ValueError(f"range needs finite start < stop and step > 0, got "
+                         f"{start}, {stop}, {step}")
     steps = (stop - start) / step + 1e-9
     if not steps < _MAX_POINTS:
         raise ValueError(f"{np.floor(steps) + 1:.7g} points from {start} to "
@@ -354,38 +415,19 @@ def sweep_points(start: float, stop: float, step: float) -> np.ndarray:
 def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
              options: SolverOptions | None = None) -> SweepResult:
     """Swept operating points with continuation (each solution seeds the next)."""
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"sweep needs finite start, stop and step, got "
-                         f"{start}, {stop}, {step}")
-    if not stop > start:
-        raise ValueError(f"sweep needs stop > start, got {start} .. {stop}")
-    if not step > 0.0:
-        raise ValueError(f"sweep needs step > 0, got {step}")
     values = sweep_points(start, stop, step)
-    options = options or SolverOptions()
-    circuit.validate()
-    source = source.lower()
-    elem = next((e for e in circuit.elements if e.name == source), None)
-    if elem is None or elem.kind != "v" or elem.params.kind != "dc":
-        raise ValueError(f"{source!r} is not a DC voltage source")
-    _check_dc_paths(circuit)
     sys = _System(circuit, transient=False)
-    volts = np.empty((sys.nv, values.size))
-    iterations: list[int] = []
-    strategies: list[str] = []
-    x = np.zeros(sys.n)
-    for i, val in enumerate(values):
-        ctx = StampContext(mode="dc", overrides={source: float(val)})
-        try:
-            x, iters, strategy, _ = _solve_point(sys, x, ctx, options)
-        except NoConvergence as exc:
-            raise NoConvergence(
-                f"sweep failed at {source}={val:.6g}: {exc}",
-                residual=exc.residual, at=float(val)) from exc
-        volts[:, i] = x[:sys.nv]
-        iterations.append(iters)
-        strategies.append(strategy)
-    columns = {k[1]: col for k, col in zip(sys.keys, volts)}
+    source = source.lower()
+    wave = sys.sources.get(source)
+    if wave is None or wave.kind != "dc":
+        raise ValueError(f"{source!r} is not a DC voltage source")
+    levels = sys.levels()
+    cols, iterations, strategies = _march(
+        sys, np.zeros(sys.n), {}, values,
+        lambda val, x, memory: StampContext(levels={**levels, source: val}),
+        options or SolverOptions(),
+        lambda val: f"sweep failed at {source}={val:.6g}")
+    columns = {k[1]: col for k, col in zip(sys.keys, cols[:sys.nv])}
     return SweepResult(source, values, columns, iterations, strategies)
 
 
@@ -398,45 +440,32 @@ def transient(circuit, tstop: float, dt: float,
     memristor states start at w0, advance by the chosen implicit rule and
     stay in [0, 1] (every Newton update clamps them). Companion memory
     starts from the operating point's assembly: no capacitor current and
-    the DC memristor drift rates.
+    the DC memristor drift rates. ``iterations`` and ``strategies`` have
+    one entry per row, the operating point's first.
     """
     if method not in ("backward-euler", "trapezoidal"):
         raise ValueError(f"unknown method {method!r}")
-    if not (math.isfinite(tstop) and math.isfinite(dt)):
-        raise ValueError(f"transient needs finite tstop and dt, got "
-                         f"{tstop}, {dt}")
-    if not tstop > 0.0 or not dt > 0.0 or dt > tstop:
-        raise ValueError("transient needs tstop > 0 and 0 < dt <= tstop")
     times = sweep_points(0.0, tstop, dt)
+    if dt > tstop:
+        raise ValueError(f"transient needs dt <= tstop, got {dt} > {tstop}")
     options = options or SolverOptions()
-    _, (x_op, op_iters, _, memory) = _operating_point(circuit, options)
+    _, (x_op, op_iters, op_strategy, memory) = _operating_point(circuit, options)
     sys = _System(circuit, transient=True)
     # the transient numbering extends the DC one by the memristor states
     x = np.concatenate((x_op, [e.params.w0 for e in circuit.elements
                                if e.kind == "xmr"]))
-
-    volts = np.empty((sys.nv, times.size))
-    states = np.empty((len(sys.keys[sys.states]), times.size))
-    iterations = [op_iters]
-    volts[:, 0] = x[:sys.nv]
-    states[:, 0] = x[sys.states]
-
-    for step_no in range(1, times.size):
-        t = float(times[step_no])
-        ctx = StampContext(mode="tran", time=t, dt=dt, method=method,
-                           prev_step=_with_ground(x), hist=memory)
-        try:
-            x, iters, _, memory = _solve_point(sys, x, ctx, options)
-        except NoConvergence as exc:
-            raise NoConvergence(f"transient failed at t={t:.6g}s: {exc}",
-                                residual=exc.residual, at=t) from exc
-        volts[:, step_no] = x[:sys.nv]
-        states[:, step_no] = x[sys.states]
-        iterations.append(iters)
+    cols, iterations, strategies = _march(
+        sys, x, memory, times[1:],
+        lambda t, x, memory: StampContext(
+            mode="tran", dt=dt, method=method, levels=sys.levels(t),
+            prev_step=_with_ground(x), hist=memory),
+        options, lambda t: f"transient failed at t={t:.6g}s")
+    cols = np.column_stack((x, cols))
     keys = sys.keys
     return TransientResult(
-        times, {k[1]: col for k, col in zip(keys, volts)},
-        {k[1]: col for k, col in zip(keys[sys.states], states)}, iterations)
+        times, {k[1]: col for k, col in zip(keys, cols[:sys.nv])},
+        {k[1]: col for k, col in zip(keys[sys.states], cols[sys.states])},
+        [op_iters] + iterations, [op_strategy] + strategies)
 
 
 def residual_report(circuit, op: OpPoint,
@@ -449,8 +478,8 @@ def residual_report(circuit, op: OpPoint,
     same ``overrides`` the point was solved with.
     """
     options = options or SolverOptions()
-    ctx = _dc_context(circuit, overrides)
     sys = _System(circuit, transient=False)
+    ctx = StampContext(levels=sys.levels(0.0, overrides))
     xs = [op.raw[k] for k in sys.keys] + [0.0]
     _, res, scale, _ = sys.assemble(xs, ctx)
     tol = sys.abstol(options) + options.reltol * scale

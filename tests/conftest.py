@@ -136,16 +136,19 @@ def make_tran_ctx_maker(circuit, dt=1e-6, method="trapezoidal"):
     op = solver.dc_operating_point(circuit)
     dc = solver._System(circuit, transient=False)
     _, _, _, hist = dc.assemble([op.raw[k] for k in dc.keys] + [0.0],
-                                devices.StampContext(mode="dc"))
+                                devices.StampContext(mode="dc",
+                                                     levels=dc.levels()))
     start = dict(op.raw)
     for e in circuit.elements:
         if e.kind == "xmr":
             start[("w", e.name)] = e.params.w0
-    prev = [start[k] for k in solver._System(circuit, transient=True).keys]
+    tran = solver._System(circuit, transient=True)
+    prev = [start[k] for k in tran.keys]
     prev.append(0.0)
+    levels = tran.levels(dt)
 
     def ctx_maker():
-        return devices.StampContext(mode="tran", time=dt, dt=dt,
+        return devices.StampContext(mode="tran", dt=dt, levels=levels,
                                     method=method, prev_step=list(prev),
                                     hist=dict(hist))
     return ctx_maker

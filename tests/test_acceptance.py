@@ -182,8 +182,11 @@ def test_solver_matches_independent_oracles():
     ratio = errs["backward-euler"] / errs["trapezoidal"]
 
     rng = np.random.default_rng(20240820)
-    n_dc = fd_jacobian_check(parse_netlist(FD_BENCH_DC),
-                             lambda: StampContext(mode="dc"), rng, 50)
+    dc_circuit = parse_netlist(FD_BENCH_DC)
+    dc_levels = solver._System(dc_circuit, transient=False).levels()
+    n_dc = fd_jacobian_check(dc_circuit,
+                             lambda: StampContext(mode="dc", levels=dc_levels),
+                             rng, 50)
     tran_circuit = parse_netlist(FD_BENCH_TRAN)
     n_tr = fd_jacobian_check(tran_circuit, make_tran_ctx_maker(tran_circuit),
                              rng, 50)

@@ -76,6 +76,15 @@ def test_op_out_of_range_card_is_parse_error(tmp_path, capsys, card):
     assert "parse error: line 3:" in capsys.readouterr().err
 
 
+def test_long_number_is_cut_on_stderr(tmp_path, capsys):
+    p = tmp_path / "bad.cir"
+    p.write_text("t\nr_1 in 0 1e" + "9" * 5000 + "\nv_1 in 0 1\n")
+    assert main(["op", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error: line 2: number '1e999" in err
+    assert len(err) < 120
+
+
 def test_op_solver_error_exit_code(divider, capsys, monkeypatch):
     def boom(*a, **k):
         raise NoConvergence("newton starved")
@@ -340,6 +349,18 @@ def test_calibrate_bad_grid_spec():
     assert main(["calibrate-xor", "--theta2", "1:2"]) == 1
     assert main(["calibrate-xor", "--theta2", "a:b:3"]) == 1
     assert main(["calibrate-xor", "--theta2", "1:2:0"]) == 1
+
+
+def test_calibrate_grid_over_limit_is_usage_exit(monkeypatch, capsys):
+    linspace = np.linspace
+
+    def small_linspace(start, stop, count):
+        assert count <= 10**6, "over-limit grid allocated"
+        return linspace(start, stop, count)
+    monkeypatch.setattr(np, "linspace", small_linspace)
+    for flag in ("--theta2", "--eps", "--theta3"):
+        assert main(["calibrate-xor", flag, "1:2:1000001"]) == 1
+        assert "count <= 1000000" in capsys.readouterr().err
 
 
 # --- parser level ----------------------------------------------------------------------

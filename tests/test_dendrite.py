@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dtlsim import dendrite
 from dtlsim.dendrite import (DendriteBranch, NeuronModel, ThresholdUnit,
                              calibrate_xor, complement, eval_neuron, f1,
                              f_sat, f_sat_clamp, f_spk1, f_spk2, truth_table,
@@ -79,6 +80,15 @@ def test_threshold_unit_validation():
         ThresholdUnit("spk1", 1.5, eps=0.0)
     with pytest.raises(InvalidThreshold):
         ThresholdUnit("spk1", 1.5, eps=1.5)
+    for kind in ("f1", "sat", "sat_clamp", "spk1", "spk2"):
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidThreshold):
+                ThresholdUnit(kind, theta, eps=0.1)
+    for theta in (0.0, -1.0):   # a + 0 divisor or a sign flip
+        with pytest.raises(InvalidThreshold):
+            ThresholdUnit("sat", theta)
+    with pytest.raises(InvalidThreshold):
+        ThresholdUnit("f1", 1.0, eps=math.nan)
 
 
 def test_branch_validation():
@@ -89,6 +99,9 @@ def test_branch_validation():
     b = DendriteBranch((1.0, -1.0), 1.5, 0.1)
     with pytest.raises(InvalidThreshold):
         b.collect((1.0,), 1.0)
+    for theta2, eps in ((math.nan, 0.1), (math.inf, 0.1), (1.5, math.nan)):
+        with pytest.raises(InvalidThreshold):
+            DendriteBranch((1.0, -1.0), theta2, eps)
 
 
 def test_neuron_model_validation():
@@ -102,8 +115,11 @@ def test_neuron_model_validation():
         NeuronModel((), theta3=0.75)
     with pytest.raises(InvalidThreshold):
         NeuronModel(b, theta3=0.75, soma_combine="median")
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidThreshold):
+            NeuronModel(b, theta3=0.75, logic_high=bad)
     with pytest.raises(InvalidThreshold):
-        NeuronModel(b, theta3=0.75, logic_high=0.0)
+        NeuronModel(b, theta3=math.nan)
     # summing soma shifts the window to (1, 2)
     assert NeuronModel(b, theta3=1.5, soma_combine="sum").max_soma_input() == 2.0
     with pytest.raises(InvalidThreshold):
@@ -200,3 +216,19 @@ def test_calibrate_skips_invalid_combinations():
 
 def test_calibrate_empty_grid():
     assert calibrate_xor([1.99], [1.5], [0.75]) == []
+
+
+def test_calibrate_refuses_too_many_combinations(monkeypatch):
+    class Tried(Exception):
+        pass
+
+    def tried(*args):
+        raise Tried
+    monkeypatch.setattr(dendrite, "xor_model", tried)
+    # ranges have a length without holding their values
+    with pytest.raises(InvalidThreshold, match="1000001 combinations"):
+        calibrate_xor(range(1000001), range(1), range(1))
+    with pytest.raises(InvalidThreshold, match="1001000 combinations"):
+        calibrate_xor(range(1001), range(1000), range(1))
+    with pytest.raises(Tried):   # exactly at the limit: evaluation starts
+        calibrate_xor(range(1000), range(1000), range(1))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtlsim.devices import (MemristorParams, MosfetParams, SourceWaveform,
-                            ZenerParams, memristance, memristor_state_rate,
+from dtlsim.devices import (CapacitorParams, MemristorParams, MosfetParams,
+                            ResistorParams, SourceWaveform, ZenerParams,
+                            memristance, memristor_state_rate,
                             mosfet_current, mosfet_defaults, mosfet_ids_grad,
                             window_factor, zener_current, zener_ig)
 from dtlsim.errors import DomainError
@@ -242,3 +243,12 @@ def test_param_validation():
         MosfetParams(polarity="x")
     with pytest.raises(DomainError):
         ZenerParams(i_sat=-1.0)
+    nan, inf = math.nan, math.inf
+    for make in (lambda: MosfetParams(vth0=nan), lambda: MosfetParams(kprime=inf),
+                 lambda: ZenerParams(vz=nan), lambda: MemristorParams(k_drift=inf),
+                 lambda: MemristorParams(r_off=inf), lambda: ResistorParams(inf),
+                 lambda: CapacitorParams(inf), lambda: SourceWaveform("dc", (nan,)),
+                 lambda: SourceWaveform("pwl", (0, 0, nan, 1)),
+                 lambda: SourceWaveform("pulse", (0, -inf, 0, 0, 0, 0, 1))):
+        with pytest.raises(DomainError, match="must be finite"):
+            make()

@@ -43,8 +43,9 @@ def test_si_suffixes_exact():
                                  "1e999", "-2e308", "1e306meg",
                                  "1e" + "9" * 5000, "-1e+" + "9" * 5000])
 def test_malformed_numbers(bad):
-    with pytest.raises(MalformedNumber):
+    with pytest.raises(MalformedNumber) as info:
         parse_number(bad)
+    assert len(str(info.value)) < 80   # a long token is cut, not quoted whole
 
 
 def test_long_exponents_saturate():

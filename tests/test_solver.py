@@ -148,6 +148,16 @@ def test_transient_starts_from_dc_op():
     assert tr.times[0] == 0.0
     assert tr.column("out")[0] == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(np.diff(tr.times), 1e-5)
+    assert tr.strategies == len(tr.times) * ["newton"]
+
+
+def test_transient_records_strategies_from_t0():
+    # the XOR cell's t=0 operating point falls back to gmin stepping
+    c = cells.build_xor_circuit()
+    d = next(d for d in c.analyses if d.kind == "tran")
+    tr = transient(c, 10 * d.dt, d.dt)
+    assert len(tr.strategies) == len(tr.iterations) == len(tr.times) == 11
+    assert tr.strategies == ["gmin-stepping"] + 10 * ["newton"]
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -158,6 +168,11 @@ def test_sweep_points_counts():
     assert len(sweep_points(0.0, 0.3, 0.1)) == 4
     assert len(sweep_points(0.0, 6.0, 0.05)) == 121
     assert len(sweep_points(0.0, 999999.0, 1.0)) == 10**6
+    assert len(sweep_points(0.0, 1.0, 2.0)) == 1   # a step past stop
+    for start, stop, step in ((1.0, 0.0, 0.1), (0.0, 0.0, 0.1),
+                              (0.0, 1.0, 0.0), (0.0, math.nan, 0.1)):
+        with pytest.raises(ValueError, match="range needs"):
+            sweep_points(start, stop, step)
 
 
 # default tolerances leave ~1e-5 of slack between differently seeded Newton
@@ -206,6 +221,7 @@ def test_sweep_argument_validation():
             dc_sweep(c, "v_1", start, stop, step)
     with pytest.raises(ValueError, match="1000001 points"):
         dc_sweep(c, "v_1", 0.0, 1.0, 1e-6)
+    assert len(dc_sweep(c, "v_1", 0.0, 1.0, 2.0).inputs) == 1
 
 
 # --- failure modes ----------------------------------------------------------------
@@ -234,6 +250,33 @@ def test_capacitor_only_path_floats_in_dc():
         transient(parse_netlist(text), tstop=1e-6, dt=1e-7)
 
 
+@pytest.mark.parametrize("text, loop", [
+    ("parallel\nv_1 a 0 1\nv_2 a 0 2\n", "v_1, v_2"),
+    ("self\nv_1 a a 1\nr_1 a 0 1k\n", "v_1"),
+    ("ring\nv_1 a 0 1\nv_2 a b 1\nv_3 b 0 1\n", "v_1, v_2, v_3"),
+])
+def test_voltage_source_loop_named(text, loop, monkeypatch):
+    def no_newton(*args):
+        raise AssertionError("Newton ran on a structurally singular circuit")
+    monkeypatch.setattr(solver, "_newton", no_newton)
+    c = parse_netlist(text)
+    for run in (lambda: dc_operating_point(c),
+                lambda: dc_sweep(c, "v_1", 0.0, 1.0, 0.5),
+                lambda: transient(c, 1e-6, 1e-7)):
+        with pytest.raises(SingularMatrix,
+                           match=f"^voltage sources {loop} form a loop$"):
+            run()
+
+
+def test_voltage_sources_without_loop_solve():
+    # in series with a resistor, and in a chain, sources form no loop
+    for text, node, level in (("t\nv_1 a 0 1\nr_1 a b 1k\nv_2 b 0 2\n", "b", 2.0),
+                              ("t\nv_1 a b 1\nv_2 b 0 2\nr_1 a 0 1k\n", "a", 3.0)):
+        op = dc_operating_point(parse_netlist(text))
+        assert op[node] == pytest.approx(level, abs=1e-12)
+        assert op.strategy == "newton"
+
+
 def test_singular_step_names_null_vector_unknown():
     keys = [("v", "a"), ("v", "b"), ("i", "v_1")]
     jac = np.diag([1.0, 0.0, 1.0])
@@ -256,6 +299,27 @@ def test_import_leaves_scipy_out():
          "if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_failure_names_its_point(monkeypatch):
+    solve, calls = solver._solve_point, []
+
+    def third_fails(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NoConvergence("stuck", residual=1.0)
+        return solve(*args)
+    monkeypatch.setattr(solver, "_solve_point", third_fails)
+    c = parse_netlist("braces\nv_{x} a 0 1\nr_1 a 0 1k\n")
+    with pytest.raises(NoConvergence,
+                       match=r"^sweep failed at v_\{x\}=1: stuck$") as ei:
+        dc_sweep(c, "v_{x}", 0.0, 2.0, 0.5)
+    assert (ei.value.at, ei.value.residual) == (1.0, 1.0)
+    calls.clear()   # the t=0 operating point is the first solve
+    with pytest.raises(NoConvergence,
+                       match=r"^transient failed at t=2e-06s: stuck$") as ei:
+        transient(parse_netlist(RC_STEP), tstop=1e-5, dt=1e-6)
+    assert (ei.value.at, ei.value.residual) == (2e-6, 1.0)
 
 
 def test_no_convergence_when_starved():
@@ -400,9 +464,32 @@ def test_newton_work_is_pinned(case, expected):
 
 def test_dc_jacobian_matches_finite_difference():
     circuit = parse_netlist(FD_BENCH_DC)
+    levels = solver._System(circuit, transient=False).levels()
     rng = np.random.default_rng(20240818)
-    assert fd_jacobian_check(circuit, lambda: StampContext(mode="dc"),
+    assert fd_jacobian_check(circuit,
+                             lambda: StampContext(mode="dc", levels=levels),
                              rng, 50) == 50
+
+
+def test_one_stamp_call_per_element_and_one_context_per_point(monkeypatch):
+    # perfbench/tracing.py counts assemblies as devices.stamp calls over
+    # elements, and fallback points as the distinct contexts stamped with
+    # gmin or scaled sources
+    c = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
+    d = next(d for d in c.analyses if d.kind == "dc")
+    stamp, contexts, fallback = devices.stamp, [], []
+
+    def counted(elem, x, ctx, out):
+        contexts.append(ctx)
+        if ctx.gmin or ctx.srcscale != 1.0:
+            fallback.append(ctx)
+        return stamp(elem, x, ctx, out)
+    monkeypatch.setattr(devices, "stamp", counted)
+    s = dc_sweep(c, d.source, d.start, d.stop, d.step)
+    assert len(contexts) == 465 * len(c.elements)
+    assert len({id(ctx) for ctx in contexts}) == len(s.inputs) == 151
+    assert len({id(ctx) for ctx in fallback}) == sum(
+        st != "newton" for st in s.strategies) == 1
 
 
 def test_transient_jacobian_matches_finite_difference():
