@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import pathlib
 import sys
@@ -247,18 +248,20 @@ def _cmd_segment(args) -> int:
 
 def _grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
+    if len(parts) == 1:   # one value is a grid of one
+        parts = [parts[0], parts[0], "1"]
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
         if len(parts) == 3:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if not 1 <= count <= dendrite.MAX_COMBINATIONS:
-                raise ValueError
-            return np.linspace(start, stop, count)
+            # a finite span has finite bounds and keeps linspace's step finite
+            if (math.isfinite(stop - start)
+                    and 1 <= count <= dendrite.MAX_COMBINATIONS):
+                return np.linspace(start, stop, count)
     except ValueError:
         pass
-    raise _UsageError(f"grid must be 'value' or 'start:stop:count' with "
-                      f"1 <= count <= {dendrite.MAX_COMBINATIONS}, got {spec!r}")
+    raise _UsageError(f"grid must be 'value' or 'start:stop:count' with finite "
+                      f"values and 1 <= count <= {dendrite.MAX_COMBINATIONS}, "
+                      f"got {spec!r}")
 
 
 def _cmd_calibrate_xor(args) -> int:

@@ -2,7 +2,8 @@
 
 Unknowns are numbered once per circuit and analysis mode (``_System``):
 node voltages (sorted names, ground ``0`` excluded), then voltage-source
-branch currents (element order), then memristor states (transient only).
+branch currents (element order), then memristor states (transient only:
+``_System.with_states`` extends the checked DC system by them).
 The iterate is a flat vector in that order, and every element carries its
 unknown numbers as a tuple. Ground takes one extra slot past the last
 unknown: stamps read 0.0 from it and write into its row and column like
@@ -36,6 +37,7 @@ component of the Jacobian's null vector (its last right-singular vector).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -128,28 +130,39 @@ class _Assembly:
 
 class _System:
     """Frozen unknown numbering for one circuit and analysis mode; the one
-    place that validates the circuit and runs the structural checks."""
+    place that validates the circuit and runs the structural checks.
+    ``with_states`` gives the transient numbering of a checked DC system."""
 
-    def __init__(self, circuit, transient: bool):
+    def __init__(self, circuit, transient: bool = False):
         circuit.validate()
         _check_dc_paths(circuit)
         _check_source_loops(circuit)
         self.elements = circuit.elements
         self.sources = {e.name: e.params for e in circuit.elements if e.kind == "v"}
-        nodes = [nd for nd in circuit.nodes if nd != devices.GROUND]
-        keys = [("v", nd) for nd in nodes]
+        self.nodes = [nd for nd in circuit.nodes if nd != devices.GROUND]
+        self.nv = len(self.nodes)
+        self._number(transient)
+
+    def with_states(self) -> _System:
+        """This system's transient twin: the DC numbering extended by the
+        memristor states, without checking the circuit again."""
+        tran = copy.copy(self)
+        tran._number(transient=True)
+        return tran
+
+    def _number(self, transient: bool) -> None:
+        keys = [("v", nd) for nd in self.nodes]
         keys += [("i", name) for name in self.sources]
         if transient:
-            keys += [("w", e.name) for e in circuit.elements if e.kind == "xmr"]
+            keys += [("w", e.name) for e in self.elements if e.kind == "xmr"]
         self.keys = keys
         self.n = n = len(keys)
-        self.nv = len(nodes)
         self.states = slice(n - sum(k[0] == "w" for k in keys), n)
         index = {k: i for i, k in enumerate(keys)}
         index[("v", devices.GROUND)] = n   # the ground slot
         self.slots = {}
         nonlinear = np.zeros(n + 1, dtype=bool)
-        for e in circuit.elements:
+        for e in self.elements:
             slots = tuple(index[("v", nd)] for nd in e.nodes)
             if e.kind == "v":
                 slots += (index[("i", e.name)],)
@@ -377,7 +390,7 @@ def _march(sys: _System, x: np.ndarray, memory: dict, points: np.ndarray,
 def _operating_point(circuit, options: SolverOptions, overrides=None,
                      x0: dict | None = None):
     """Checked DC solve: returns the system and _solve_point's result."""
-    sys = _System(circuit, transient=False)
+    sys = _System(circuit)
     ctx = StampContext(levels=sys.levels(0.0, overrides))
     x0 = x0 or {}
     start = np.array([x0.get(k, 0.0) for k in sys.keys], dtype=float)
@@ -416,7 +429,7 @@ def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
              options: SolverOptions | None = None) -> SweepResult:
     """Swept operating points with continuation (each solution seeds the next)."""
     values = sweep_points(start, stop, step)
-    sys = _System(circuit, transient=False)
+    sys = _System(circuit)
     source = source.lower()
     wave = sys.sources.get(source)
     if wave is None or wave.kind != "dc":
@@ -449,8 +462,8 @@ def transient(circuit, tstop: float, dt: float,
     if dt > tstop:
         raise ValueError(f"transient needs dt <= tstop, got {dt} > {tstop}")
     options = options or SolverOptions()
-    _, (x_op, op_iters, op_strategy, memory) = _operating_point(circuit, options)
-    sys = _System(circuit, transient=True)
+    dc, (x_op, op_iters, op_strategy, memory) = _operating_point(circuit, options)
+    sys = dc.with_states()
     # the transient numbering extends the DC one by the memristor states
     x = np.concatenate((x_op, [e.params.w0 for e in circuit.elements
                                if e.kind == "xmr"]))
@@ -478,7 +491,7 @@ def residual_report(circuit, op: OpPoint,
     same ``overrides`` the point was solved with.
     """
     options = options or SolverOptions()
-    sys = _System(circuit, transient=False)
+    sys = _System(circuit)
     ctx = StampContext(levels=sys.levels(0.0, overrides))
     xs = [op.raw[k] for k in sys.keys] + [0.0]
     _, res, scale, _ = sys.assemble(xs, ctx)

@@ -363,6 +363,28 @@ def test_calibrate_grid_over_limit_is_usage_exit(monkeypatch, capsys):
         assert "count <= 1000000" in capsys.readouterr().err
 
 
+def test_calibrate_logic_high_must_be_positive_finite(capsys):
+    for bad in ("nan", "inf", "0"):
+        assert main(["calibrate-xor", "--logic-high", bad]) == 1
+        err = capsys.readouterr().err
+        assert "invalid argument" in err and "logic_high" in err
+
+
+def test_calibrate_nonfinite_grid_is_usage_exit(monkeypatch, capsys):
+    linspace = np.linspace
+
+    def finite_linspace(start, stop, count):
+        assert np.isfinite(stop - start), "non-finite grid reached linspace"
+        return linspace(start, stop, count)
+    monkeypatch.setattr(np, "linspace", finite_linspace)
+    for flag in ("--theta2", "--eps", "--theta3"):
+        for spec in ("nan", "-inf", "inf:1.9:3", "1:nan:3", "-1e308:1e308:3"):
+            assert main(["calibrate-xor", f"{flag}={spec}"]) == 1
+            err = capsys.readouterr().err
+            assert "usage error" in err and "finite" in err
+            assert "Warning" not in err
+
+
 # --- parser level ----------------------------------------------------------------------
 
 def test_unknown_subcommand_and_empty_argv(capsys):

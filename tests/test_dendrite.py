@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtlsim import dendrite
@@ -224,7 +224,8 @@ def test_calibrate_refuses_too_many_combinations(monkeypatch):
 
     def tried(*args):
         raise Tried
-    monkeypatch.setattr(dendrite, "xor_model", tried)
+    # the soma spike runs only once the grid is being evaluated
+    monkeypatch.setattr(dendrite, "f_spk2", tried)
     # ranges have a length without holding their values
     with pytest.raises(InvalidThreshold, match="1000001 combinations"):
         calibrate_xor(range(1000001), range(1), range(1))
@@ -232,3 +233,129 @@ def test_calibrate_refuses_too_many_combinations(monkeypatch):
         calibrate_xor(range(1001), range(1000), range(1))
     with pytest.raises(Tried):   # exactly at the limit: evaluation starts
         calibrate_xor(range(1000), range(1000), range(1))
+
+
+def reference_calibrate_xor(theta2_grid, eps_grid, theta3_grid,
+                            logic_high=1.0):
+    """The one-combination-at-a-time search through xor_model and
+    truth_table, as calibrate_xor did it before the grid was broadcast."""
+    hits = []
+    for theta2 in theta2_grid:
+        for eps in eps_grid:
+            for theta3 in theta3_grid:
+                try:
+                    model = xor_model(logic_high, theta2, eps, theta3)
+                except InvalidThreshold:
+                    continue
+                if truth_table(model) == [0, 1, 1, 0]:
+                    hits.append((float(theta2), float(eps), float(theta3)))
+    return hits
+
+
+def near(x, ulps=2):
+    """x and the floats up to ``ulps`` steps either side of it."""
+    out = [x]
+    for to in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = np.nextafter(y, to).item()
+            out.append(y)
+    return out
+
+
+@st.composite
+def calibration_grids(draw):
+    """Random grids seeded with every boundary of the validity windows and
+    the spike comparisons: theta2 at L and 2L, eps at theta2 and at theta2
+    minus each branch sum (0, L, 2L) and a few ulps either side, theta3 at
+    0.5 and 1."""
+    level = draw(st.sampled_from([1.0, 6.0, 0.3]) | st.floats(0.01, 100.0))
+
+    def scaled(lo, hi):
+        return st.floats(lo, hi).map(lambda f: f * level)
+    theta2 = draw(st.lists(scaled(0.8, 2.2)
+                           | st.sampled_from([level, 2.0 * level]),
+                           min_size=1, max_size=6))
+    edges = [e for t in theta2 for s in (0.0, level, 2.0 * level)
+             for e in near(t - s)]
+    eps = draw(st.lists(scaled(-0.1, 1.1) | st.sampled_from(edges),
+                        min_size=1, max_size=6))
+    theta3 = draw(st.lists(st.floats(0.4, 1.1)
+                           | st.sampled_from([0.5, 1.0, 0.75]),
+                           min_size=1, max_size=6))
+    return theta2, eps, theta3, level
+
+
+@settings(max_examples=300)
+@given(calibration_grids())
+def test_calibrate_grid_equals_reference_loop(grids):
+    theta2, eps, theta3, level = grids
+    want = reference_calibrate_xor(theta2, eps, theta3, level)
+    got = calibrate_xor(theta2, eps, theta3, level)
+    assert got == want
+    assert all(type(v) is float for hit in got for v in hit)
+    got = calibrate_xor(np.array(theta2), np.array(eps), np.array(theta3),
+                        level)
+    assert got == want
+
+
+def test_calibrate_evaluates_without_the_scalar_model(monkeypatch):
+    cases = [((np.linspace(1.1, 1.9, 21), np.linspace(0.05, 0.45, 21),
+               np.linspace(0.55, 0.95, 21)), 1.0),
+             (([1.0, 1.5, 2.0], [0.5, 1.5, 0.0, 0.1], [0.5, 0.75, 1.0]), 1.0)]
+    for level in (1.0, 6.0, 0.3):   # eps within three ulps of theta2 - L
+        theta2 = np.linspace(level, 2.0 * level, 13).tolist()
+        eps = [e for t in theta2 for e in near(t - level, 3)]
+        cases.append(((theta2, eps, [0.5, 0.75, 1.0]), level))
+    want = [reference_calibrate_xor(*grids, level) for grids, level in cases]
+    assert len(want[0]) == 7371 and want[1] == [(1.5, 0.1, 0.75)]
+    assert all(want[2:])
+
+    def refuse(*args):
+        raise AssertionError("scalar model used")
+    monkeypatch.setattr(dendrite, "xor_model", refuse)
+    monkeypatch.setattr(dendrite, "eval_neuron", refuse)
+    assert [calibrate_xor(*grids, level) for grids, level in cases] == want
+
+
+def test_calibrate_logic_high_must_be_positive_finite():
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(InvalidThreshold, match="logic_high"):
+            calibrate_xor([1.5], [0.1], [0.75], logic_high=bad)
+
+
+def test_calibrate_grid_values_must_be_finite():
+    for name, grids in (("theta2_grid", ([1.5, math.nan], [0.1], [0.75])),
+                        ("eps_grid", ([1.5], [math.inf], [0.75])),
+                        ("theta3_grid", ([1.5], [0.1], np.array([-math.inf])))):
+        with pytest.raises(InvalidThreshold, match=f"{name} values must be finite"):
+            calibrate_xor(*grids)
+
+
+def test_calibrate_grid_must_be_1d_real_sequence():
+    good = [0.75]
+    for bad in (np.full((2, 2), 0.75), ["x"], [[0.75], [0.75, 0.8]],
+                [0.75j], [None], "0.75", np.float64(0.75),
+                (t for t in good)):
+        with pytest.raises(InvalidThreshold, match="theta3_grid must be a "
+                                                   "one-dimensional"):
+            calibrate_xor([1.5], [0.1], bad)
+    assert calibrate_xor([1.5], [], [0.75]) == []
+    assert calibrate_xor(np.array([1.5]), np.array([]), good) == []
+
+
+def test_elementwise_maps_equal_scalar_calls():
+    xs = np.array([-1.0, 0.0, 0.75, 1.4, 1.5, 2.0, 3.0])
+    for fn, args in ((f1, (1.5,)), (f_sat, (1.5,)), (f_sat_clamp, (1.5,)),
+                     (f_spk1, (1.5, 0.1)), (f_spk2, (0.75,)),
+                     (complement, (1.0,))):
+        got = fn(xs, *args)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [fn(float(x), *args) for x in xs]
+        assert all(type(fn(float(x), *args)) is not np.ndarray for x in xs)
+    assert f_sat(0.0, 0.0) == f_sat(1.0, 0.0) == 1.0   # no division kept
+    model = xor_model()
+    grid = np.array([0.0, 1.0])
+    x1, x2 = np.meshgrid(grid, grid, indexing="ij")
+    tr = eval_neuron(model, (x1.ravel(), x2.ravel()))
+    assert tr.output.tolist() == truth_table(model)

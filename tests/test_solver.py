@@ -16,7 +16,7 @@ import dtlsim
 from dtlsim import cells, devices, solver
 from dtlsim.devices import StampContext, ZenerParams, zener_current
 from dtlsim.errors import NoConvergence, SingularMatrix
-from dtlsim.netlist import parse_netlist
+from dtlsim.netlist import Circuit, parse_netlist
 from dtlsim.solver import (SolverOptions, dc_operating_point, dc_sweep,
                            residual_report, sweep_points, transient)
 
@@ -158,6 +158,27 @@ def test_transient_records_strategies_from_t0():
     tr = transient(c, 10 * d.dt, d.dt)
     assert len(tr.strategies) == len(tr.iterations) == len(tr.times) == 11
     assert tr.strategies == ["gmin-stepping"] + 10 * ["newton"]
+
+
+def test_transient_checks_the_circuit_once(monkeypatch):
+    c = cells.build_xor_circuit()
+    d = next(d for d in c.analyses if d.kind == "tran")
+    calls = {"validate": 0, "_check_dc_paths": 0, "_check_source_loops": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(Circuit, "validate",
+                        counted("validate", Circuit.validate))
+    for name in ("_check_dc_paths", "_check_source_loops"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    tr = transient(c, 10 * d.dt, d.dt)
+    assert calls == {"validate": 1, "_check_dc_paths": 1,
+                     "_check_source_loops": 1}
+    # the memristor states are numbered after the DC unknowns
+    assert list(tr.states) == [e.name for e in c.elements if e.kind == "xmr"]
 
 
 # --- sweeps ---------------------------------------------------------------------
