@@ -20,6 +20,8 @@ the output goes high only inside a band of input voltages.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,6 +54,13 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
+def _check_finite(**values: float) -> None:
+    """Name the first non-finite value before any netlist text is built."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def _check_w0(w0: float) -> None:
     if not 0.0 <= w0 <= 1.0:
         raise DomainError(f"w0 must lie in [0, 1], got {w0}")
@@ -65,6 +74,7 @@ def build_saturation_cell(vdd: float = 6.0, w0: float = 0.5) -> Circuit:
     input minus a negligible drop; past breakdown the output saturates
     just under the 4.2 V zener voltage.
     """
+    _check_finite(vdd=vdd)
     _check_w0(w0)
     if vdd <= 0:
         raise DomainError(f"vdd must be positive, got {vdd}")
@@ -90,6 +100,7 @@ def build_spike_cell(w0: float = 0.5, vdd: float = 6.0) -> Circuit:
     lower input voltage. The zener bounds the peak height if the flip
     threshold exceeds its breakdown.
     """
+    _check_finite(vdd=vdd)
     _check_w0(w0)
     if vdd <= 0:
         raise DomainError(f"vdd must be positive, got {vdd}")
@@ -129,13 +140,14 @@ def build_xor_circuit(vdd: float = 6.0, w0: float = 0.5,
     ``phase`` seconds each with ``edge`` second transitions. The
     embedded ``.tran`` uses ``dt`` (default phase/200).
     """
+    if dt is None:
+        dt = phase / 200.0
+    _check_finite(vdd=vdd, phase=phase, edge=edge, dt=dt, load_cap=load_cap)
     _check_w0(w0)
     if vdd <= 0:
         raise DomainError(f"vdd must be positive, got {vdd}")
     if phase <= 0 or edge <= 0 or edge >= phase:
         raise DomainError(f"need 0 < edge < phase, got {edge} vs {phase}")
-    if dt is None:
-        dt = phase / 200.0
     if dt <= 0 or dt > phase:
         raise DomainError(f"dt must lie in (0, phase], got {dt}")
     if load_cap <= 0:
@@ -199,10 +211,10 @@ class DetectorConfig:
     w0: float = 0.5
 
     def __post_init__(self):
-        for name in ("vdd1", "vss1", "vdd2", "vss2",
-                     "bulk_p1", "bulk_n1", "bulk_n2"):
-            val = getattr(self, name)
-            if val < 0:
+        values = dataclasses.asdict(self)
+        _check_finite(**values)
+        for name, val in values.items():
+            if name != "w0" and val < 0:
                 raise DomainError(
                     f"{name} is a magnitude and must be >= 0, got {val}")
         if self.vdd1 <= 0 or self.vdd2 <= 0:
@@ -228,6 +240,7 @@ def build_intensity_detector(config: DetectorConfig = DETECTOR_CONFIG_1,
     stage devices lowers their effective thresholds, which is what
     keeps the lower band edge in the sub-volt range.
     """
+    _check_finite(sweep_stop=sweep_stop, sweep_step=sweep_step)
     if sweep_stop <= 0 or sweep_step <= 0 or sweep_step > sweep_stop:
         raise DomainError(
             f"need 0 < step <= stop, got {sweep_step} vs {sweep_stop}")

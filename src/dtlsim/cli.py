@@ -6,8 +6,11 @@ yield nothing (no band, no ring, empty calibration).
 
 Data goes to stdout as CSV with all floats rendered as %.9f and node
 columns in sorted order; summary statistics ride along as trailing
-lines starting with ``#``. Diagnostics go to stderr. ``--out`` writes
-are atomic: a temp file in the destination directory is renamed over
+lines starting with ``#``. Every table goes through the one writer
+``_csv``, one ``%`` operation per row, and every analysis through the
+one runner ``_run``, which takes the embedded ``.dc``/``.tran``
+directive with flags named like its fields overriding it. Diagnostics
+go to stderr. ``--out`` writes are atomic: a temp file in the destination directory is renamed over
 the target, so a crashed run never leaves a half-written file.
 """
 
@@ -26,7 +29,7 @@ import numpy as np
 from . import cells, dendrite, imaging, solver
 from .errors import (AnalysisEmpty, DomainError, InvalidThreshold,
                      LutRangeError, NetlistError, PgmError, SolverError)
-from .netlist import parse_netlist
+from .netlist import _DIRECTIVES, parse_netlist
 
 _FMT = "%.9f"
 
@@ -46,11 +49,26 @@ def _fmt(v) -> str:
     return _FMT % float(v)
 
 
-def _csv(header: list[str], rows) -> str:
+def _csv(header: list[str], rows, row_fmt: str | None = None) -> str:
+    """The header line, then one ``row_fmt % row`` line per row (``%.9f``
+    for every column by default)."""
+    if row_fmt is None:
+        row_fmt = ",".join([_FMT] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [row_fmt % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _table(axis: str, values, voltages: dict,
+           states: dict | None = None) -> str:
+    """One row per point: the axis value, the node voltages in sorted
+    order, then the memristor states as ``w(name)`` columns."""
+    states = states or {}
+    nodes, names = sorted(voltages), sorted(states)
+    columns = [values, *(voltages[n] for n in nodes),
+               *(states[n] for n in names)]
+    return _csv([axis, *nodes, *(f"w({n})" for n in names)],
+                np.column_stack(columns).tolist())
 
 
 def _atomic_write(path: str, write) -> None:
@@ -84,11 +102,27 @@ def _load_circuit(path: str):
         return parse_netlist(fh.read())
 
 
-def _directive(circuit, kind: str):
-    for d in circuit.analyses:
-        if d.kind == kind:
-            return d
-    return None
+# the usage message of the command that takes each directive's fields as flags
+_NEEDS = {"dc": "sweep needs {} or a .dc directive in the netlist",
+          "tran": "tran needs {} or a .tran directive"}
+
+
+def _run(circuit, kind: str, args=None):
+    """Run the circuit's embedded ``.dc`` or ``.tran`` directive; a flag
+    in ``args`` named like one of the directive's fields overrides it."""
+    fields = _DIRECTIVES["." + kind]
+    d = next((d for d in circuit.analyses if d.kind == kind), None)
+    values = [getattr(args, f, None) for f in fields]
+    if d is not None:
+        values = [getattr(d, f) if v is None else v
+                  for f, v in zip(fields, values)]
+    if None in values:
+        raise _UsageError(_NEEDS[kind].format(
+            "/".join(f"--{f}" for f in fields)))
+    if kind == "dc":
+        return solver.dc_sweep(circuit, *values)
+    options = {} if args is None else {"method": args.method}
+    return solver.transient(circuit, *values, **options)
 
 
 def _note(msg: str) -> None:
@@ -101,62 +135,23 @@ def _cmd_op(args) -> int:
     rows = [(n, op[n]) for n in sorted(op)]
     rows += [(f"i({k[1]})", v) for k, v in sorted(op.raw.items())
              if k[0] == "i"]
-    text = "name,value\n" + "".join(f"{n},{_fmt(v)}\n" for n, v in rows)
-    _emit(text, args.out)
+    _emit(_csv(["name", "value"], rows, "%s," + _FMT), args.out)
     _note(f"operating point converged in {op.iterations} iterations "
           f"({op.strategy})")
     return 0
 
 
-def _sweep_args(args, circuit):
-    d = _directive(circuit, "dc")
-    source = args.source or (d.source if d else None)
-    start = args.start if args.start is not None else (d.start if d else None)
-    stop = args.stop if args.stop is not None else (d.stop if d else None)
-    step = args.step if args.step is not None else (d.step if d else None)
-    if source is None or start is None or stop is None or step is None:
-        raise _UsageError("sweep needs --source/--start/--stop/--step "
-                          "or a .dc directive in the netlist")
-    return source, float(start), float(stop), float(step)
-
-
-def _sweep_csv(s: solver.SweepResult) -> str:
-    nodes = sorted(s.voltages)
-    header = [s.source] + nodes
-    rows = ([x] + [s.voltages[n][i] for n in nodes]
-            for i, x in enumerate(s.inputs))
-    return _csv(header, rows)
-
-
 def _cmd_sweep(args) -> int:
-    c = _load_circuit(args.netlist)
-    source, start, stop, step = _sweep_args(args, c)
-    s = solver.dc_sweep(c, source, start, stop, step)
-    _emit(_sweep_csv(s), args.out)
+    s = _run(_load_circuit(args.netlist), "dc", args)
+    _emit(_table(s.source, s.inputs, s.voltages), args.out)
     _note(f"swept {len(s.inputs)} points, {sum(s.iterations)} Newton "
           f"iterations")
     return 0
 
 
-def _tran_csv(tr: solver.TransientResult) -> str:
-    nodes = sorted(tr.voltages)
-    states = sorted(tr.states)
-    header = ["time"] + nodes + [f"w({n})" for n in states]
-    rows = ([t] + [tr.voltages[n][i] for n in nodes]
-            + [tr.states[n][i] for n in states]
-            for i, t in enumerate(tr.times))
-    return _csv(header, rows)
-
-
 def _cmd_tran(args) -> int:
-    c = _load_circuit(args.netlist)
-    d = _directive(c, "tran")
-    tstop = args.tstop if args.tstop is not None else (d.tstop if d else None)
-    dt = args.dt if args.dt is not None else (d.dt if d else None)
-    if tstop is None or dt is None:
-        raise _UsageError("tran needs --tstop/--dt or a .tran directive")
-    tr = solver.transient(c, float(tstop), float(dt), method=args.method)
-    _emit(_tran_csv(tr), args.out)
+    tr = _run(_load_circuit(args.netlist), "tran", args)
+    _emit(_table("time", tr.times, tr.voltages, tr.states), args.out)
     _note(f"{len(tr.times) - 1} timesteps, max {max(tr.iterations)} "
           f"Newton iterations per step")
     return 0
@@ -166,41 +161,41 @@ def _cmd_xor(args) -> int:
     c = cells.build_xor_circuit(vdd=args.vdd, w0=args.w0, phase=args.phase,
                                 edge=args.edge, dt=args.dt,
                                 load_cap=args.load_cap)
-    d = _directive(c, "tran")
-    tr = solver.transient(c, d.tstop, d.dt)
+    tr = _run(c, "tran")
     levels = cells.settle_phase_levels(tr, "out", 4)
     bits = [int(v > args.vdd / 2.0) for v in levels]
     expected = [0, 1, 1, 0]
     pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    lines = [_tran_csv(tr).rstrip("\n")]
+    lines = [_table("time", tr.times, tr.voltages, tr.states)]
     for k, (lv, bit) in enumerate(zip(levels, bits)):
         a, b = pairs[k]
         lines.append(f"# phase {k}: inputs=({a},{b}) settled={_fmt(lv)} "
-                     f"logic={bit}")
+                     f"logic={bit}\n")
     agree = sum(x == y for x, y in zip(bits, expected)) / 4.0
     lines.append(f"# truth table {bits} expected {expected} "
-                 f"agreement={agree:.3f}")
-    _emit("\n".join(lines) + "\n", args.out)
+                 f"agreement={agree:.3f}\n")
+    _emit("".join(lines), args.out)
     _note(f"{len(tr.times) - 1} timesteps")
     return 0 if bits == expected else 5
 
 
-def _detector_config(args) -> cells.DetectorConfig:
+_DETECTOR_FIELDS = [f.name for f in dataclasses.fields(cells.DetectorConfig)]
+
+
+def _detector_sweep(args, sweep_stop: float) -> solver.SweepResult:
+    """Sweep the preset detector with the overrides given as flags."""
     cfg = (cells.DETECTOR_CONFIG_2 if args.config == 2
            else cells.DETECTOR_CONFIG_1)
-    over = {name: getattr(args, name) for name in
-            ("vdd1", "vss1", "vdd2", "vss2", "bulk_p1", "bulk_n1",
-             "bulk_n2", "w0") if getattr(args, name) is not None}
-    return dataclasses.replace(cfg, **over) if over else cfg
+    cfg = dataclasses.replace(cfg, **{
+        name: getattr(args, name) for name in _DETECTOR_FIELDS
+        if getattr(args, name) is not None})
+    return _run(cells.build_intensity_detector(
+        cfg, sweep_stop=sweep_stop, sweep_step=args.step), "dc")
 
 
 def _cmd_detector(args) -> int:
-    cfg = _detector_config(args)
-    c = cells.build_intensity_detector(cfg, sweep_stop=args.stop,
-                                       sweep_step=args.step)
-    d = _directive(c, "dc")
-    s = solver.dc_sweep(c, d.source, d.start, d.stop, d.step)
-    text = _sweep_csv(s)
+    s = _detector_sweep(args, args.stop)
+    text = _table(s.source, s.inputs, s.voltages)
     try:
         band = cells.extract_band(s, "out")
     except AnalysisEmpty as exc:
@@ -226,11 +221,7 @@ def _cmd_gen_gaussian(args) -> int:
 
 def _cmd_segment(args) -> int:
     img = imaging.read_pgm(args.image)
-    cfg = _detector_config(args)
-    c = cells.build_intensity_detector(cfg, sweep_stop=args.v_high,
-                                       sweep_step=args.step)
-    d = _directive(c, "dc")
-    s = solver.dc_sweep(c, d.source, d.start, d.stop, d.step)
+    s = _detector_sweep(args, args.v_high)
     lut = imaging.ResponseLut.from_sweep(s, "out")
     resp = imaging.apply_detector(img, lut, v_low=args.v_low,
                                   v_high=args.v_high)
@@ -238,10 +229,8 @@ def _cmd_segment(args) -> int:
         out_img = imaging.ImageGray(np.rint(resp * 255.0).astype(np.uint8))
         _atomic_write(args.out, lambda tmp: imaging.write_pgm(tmp, out_img))
     m = imaging.ring_metrics(resp)
-    sys.stdout.write("metric,value\n"
-                     f"peak_radius,{_fmt(m.peak_radius)}\n"
-                     f"thickness,{_fmt(m.thickness)}\n"
-                     f"peak_brightness,{_fmt(m.peak_brightness)}\n")
+    sys.stdout.write(_csv(["metric", "value"],
+                          dataclasses.asdict(m).items(), "%s," + _FMT))
     _note(f"segmented {img.width}x{img.height} image")
     return 0
 
@@ -281,10 +270,15 @@ def _cmd_calibrate_xor(args) -> int:
 def _add_detector_flags(p) -> None:
     p.add_argument("--config", type=int, choices=(1, 2), default=1,
                    help="detector preset (default 1, the narrow band)")
-    for name in ("vdd1", "vss1", "vdd2", "vss2",
-                 "bulk-p1", "bulk-n1", "bulk-n2", "w0"):
-        p.add_argument(f"--{name}", type=float, default=None,
-                       help=f"override {name.replace('-', '_')}")
+    for name in _DETECTOR_FIELDS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=float,
+                       default=None, help=f"override {name}")
+
+
+def _add_directive_flags(p, kind: str) -> None:
+    for name in _DIRECTIVES["." + kind]:   # the source is a name
+        p.add_argument(f"--{name}", type=None if name == "source" else float,
+                       default=None)
 
 
 def _build_parser() -> _Parser:
@@ -300,17 +294,13 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("sweep", help="DC sweep of a netlist source")
     q.add_argument("netlist")
-    q.add_argument("--source", default=None)
-    q.add_argument("--start", type=float, default=None)
-    q.add_argument("--stop", type=float, default=None)
-    q.add_argument("--step", type=float, default=None)
+    _add_directive_flags(q, "dc")
     q.add_argument("--out", default=None)
     q.set_defaults(func=_cmd_sweep)
 
     q = sub.add_parser("tran", help="transient analysis of a netlist")
     q.add_argument("netlist")
-    q.add_argument("--tstop", type=float, default=None)
-    q.add_argument("--dt", type=float, default=None)
+    _add_directive_flags(q, "tran")
     q.add_argument("--method", choices=("backward-euler", "trapezoidal"),
                    default="backward-euler")
     q.add_argument("--out", default=None)

@@ -39,6 +39,8 @@ __all__ = [
     "write_pgm",
 ]
 
+MAX_GAUSSIAN_SIZE = 4096   # largest side; its float work arrays peak near 670 MB
+
 
 class ImageGray:
     """8-bit grayscale image backed by a (height, width) uint8 array."""
@@ -79,7 +81,8 @@ def gen_gaussian_image(size: int = 129, sigma: float | None = None,
 
     Pixel (y, x) gets round(amplitude * exp(-r^2 / (2 sigma^2))) where r
     is the distance to the image center (size-1)/2. sigma defaults to
-    size/6 so the blob decays to roughly nothing at the borders.
+    size/6 so the blob decays to roughly nothing at the borders. size
+    lies in [3, MAX_GAUSSIAN_SIZE].
     """
     try:
         size = operator.index(size)
@@ -87,6 +90,9 @@ def gen_gaussian_image(size: int = 129, sigma: float | None = None,
         raise DomainError(f"size must be an integer, got {size!r}") from None
     if size < 3:
         raise DomainError(f"size must be >= 3, got {size}")
+    if size > MAX_GAUSSIAN_SIZE:
+        raise DomainError(f"size {size} exceeds the limit of "
+                          f"{MAX_GAUSSIAN_SIZE}")
     if sigma is None:
         sigma = size / 6.0
     if not (math.isfinite(sigma) and sigma > 0):

@@ -335,6 +335,36 @@ def test_builder_validation():
         DetectorConfig(w0=2.0)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, kwargs, name", [
+    (build_saturation_cell, {"vdd": _NAN}, "vdd"),
+    (build_spike_cell, {"vdd": _INF}, "vdd"),
+    (build_xor_circuit, {"vdd": _INF}, "vdd"),
+    (build_xor_circuit, {"phase": _NAN}, "phase"),
+    (build_xor_circuit, {"phase": _INF}, "phase"),
+    (build_xor_circuit, {"edge": _NAN}, "edge"),
+    (build_xor_circuit, {"dt": _NAN}, "dt"),
+    (build_xor_circuit, {"load_cap": _NAN}, "load_cap"),
+    (build_xor_circuit, {"load_cap": _INF}, "load_cap"),
+    (build_intensity_detector, {"sweep_stop": _NAN}, "sweep_stop"),
+    (build_intensity_detector, {"sweep_stop": _INF}, "sweep_stop"),
+    (build_intensity_detector, {"sweep_step": _NAN}, "sweep_step"),
+    (DetectorConfig, {"vdd1": _NAN}, "vdd1"),
+    (DetectorConfig, {"vss2": _INF}, "vss2"),
+    (DetectorConfig, {"bulk_n2": -_INF}, "bulk_n2"),
+    (DetectorConfig, {"w0": _NAN}, "w0"),
+])
+def test_non_finite_parameters_are_domain_errors(monkeypatch, build, kwargs,
+                                                 name):
+    def no_text(text):
+        raise AssertionError("netlist text built for a non-finite parameter")
+    monkeypatch.setattr(cells, "parse_netlist", no_text)
+    with pytest.raises(DomainError, match=name):
+        build(**kwargs)
+
+
 def test_builders_embed_their_directive():
     d = build_saturation_cell(vdd=6.0).analyses[0]
     assert (d.kind, d.source, d.start, d.stop) == ("dc", "v_in", 0.0, 6.0)

@@ -4,6 +4,8 @@ Everything runs in-process through main(argv) so stdout/stderr and exit
 codes can be asserted without spawning an interpreter.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -383,6 +385,89 @@ def test_calibrate_nonfinite_grid_is_usage_exit(monkeypatch, capsys):
             err = capsys.readouterr().err
             assert "usage error" in err and "finite" in err
             assert "Warning" not in err
+
+
+# --- pinned stdout --------------------------------------------------------------------
+
+# sha256 of stdout, recorded before the command layer was reshaped around
+# one analysis runner and one CSV writer; any byte that moves fails here
+@pytest.mark.parametrize("argv, digest", [
+    (["op", "{divider}"],
+     "eac87252650f369160889fb6b1cc5b6b5df36ceab0364f29fc5c303226971316"),
+    (["sweep", "{divider}"],
+     "d773cac69abde4611b437a30f9e71c951c50406d626fa9273cba3ac564a8063d"),
+    (["sweep", "{divider}", "--stop", "3.0"],
+     "d31496e44087cf59e147afad64f5fb6c553af4faab331e07cb1c3974a61dfd61"),
+    (["sweep", "{divider}", "--source", "v_1", "--start", "0.5",
+      "--stop", "2.5", "--step", "0.25"],
+     "b1857119bb3d5d981d429c59bf43cc059b46453faea671824673117cb4ff983a"),
+    (["tran", "{rc}"],
+     "153382308f50dde8fa2feb9fef4cc00385362606bdf84ab8cd6aa0d9cdc6a42c"),
+    (["tran", "{rc}", "--dt", "2e-6"],
+     "cc7008df62a636f1fa4f6c00174b3d206c11324a7d4b2d26a1112fe160c36569"),
+    (["tran", "{rc}", "--method", "trapezoidal", "--dt", "2e-6"],
+     "b64e0a18b521772c7c5b1476ed5fd683bd6449bed3d9fa4eef1dd3ec636dab3e"),
+    (["calibrate-xor", "--theta2", "1.1:1.9:9", "--eps", "0.1",
+      "--theta3", "0.55:0.95:9"],
+     "0fde6ecca1be0bd4e9d8ee998de8069301d1e83a828133fd0a2e8d9f7b9a96f9"),
+    (["calibrate-xor", "--theta2", "1.1:1.9:21", "--eps", "0.05:0.45:21",
+      "--theta3", "0.55:0.95:21"],
+     "90fdc8f3f8a15efa1f21555fdeb70c3d57a7a1d4da3a27501a085f586d26de5b"),
+])
+def test_stdout_is_pinned(divider, rc, capsys, argv, digest):
+    argv = [a.format(divider=divider, rc=rc) for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_missing_directive_usage_messages(tmp_path, capsys):
+    p = tmp_path / "plain.cir"
+    p.write_text("t\nv_1 in 0 5\nr_1 in 0 1k\n")
+    assert main(["sweep", str(p), "--start", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "dtlsim: usage error: sweep needs --source/--start/--stop/--step "
+        "or a .dc directive in the netlist\n")
+    assert main(["tran", str(p), "--dt", "1e-6"]) == 1
+    assert capsys.readouterr().err == (
+        "dtlsim: usage error: tran needs --tstop/--dt or a .tran directive\n")
+
+
+# --- non-finite and unbounded arguments -------------------------------------------------
+
+@pytest.mark.parametrize("argv, name", [
+    (["detector", "--vdd1", "nan"], "vdd1"),
+    (["detector", "--vss2", "inf"], "vss2"),
+    (["detector", "--stop", "nan"], "sweep_stop"),
+    (["detector", "--step", "inf"], "sweep_step"),
+    (["xor", "--phase", "nan"], "phase"),
+    (["xor", "--vdd", "inf"], "vdd"),
+    (["xor", "--edge", "nan"], "edge"),
+    (["xor", "--load-cap", "nan"], "load_cap"),
+    (["xor", "--dt", "nan"], "dt"),
+])
+def test_non_finite_cell_parameters_are_invalid_arguments(capsys, argv, name):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"dtlsim: invalid argument: {name} must be finite, got " \
+                  f"{float(argv[-1])}\n"
+
+
+def test_segment_non_finite_detector_arguments_are_invalid(tmp_path, capsys):
+    img_path = tmp_path / "blob.pgm"
+    write_pgm(img_path, gen_gaussian_image(9))
+    assert main(["segment", str(img_path), "--w0", "nan"]) == 1
+    assert "invalid argument: w0" in capsys.readouterr().err
+    assert main(["segment", str(img_path), "--v-high", "nan"]) == 1
+    assert "invalid argument: sweep_stop" in capsys.readouterr().err
+
+
+def test_gen_gaussian_size_over_limit_is_domain_exit(tmp_path, capsys):
+    out = tmp_path / "g.pgm"
+    assert main(["gen-gaussian", "--size", "1000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid argument: size 1000000 exceeds the limit of 4096" in err
+    assert not out.exists()
 
 
 # --- parser level ----------------------------------------------------------------------

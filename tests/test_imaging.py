@@ -99,6 +99,14 @@ def test_gaussian_validation():
     assert gen_gaussian_image(np.int64(9)) == gen_gaussian_image(9)
 
 
+@pytest.mark.parametrize("size", [4097, 10**6, 10**12])
+def test_gaussian_size_is_bounded(size):
+    # 10**12 would ask numpy for exabytes if the check came after the grid
+    with pytest.raises(DomainError, match=f"size {size} exceeds the limit "
+                                          f"of 4096"):
+        gen_gaussian_image(size)
+
+
 # --- PGM I/O ---------------------------------------------------------------------
 
 def _random_image(rng, h=11, w=7):
