@@ -73,13 +73,18 @@ def _table(axis: str, values, voltages: dict,
 
 def _atomic_write(path: str, write) -> None:
     """Run ``write(tmp)`` on a temp file in path's directory, then rename
-    it over path; the temp file is removed if anything fails."""
+    it over path; the temp file is removed if anything fails. The file
+    gets the mode of a newly created one (0o666 less the umask), not the
+    temp file's owner-only 0o600."""
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                prefix=".dtlsim-tmp-")
     os.close(fd)
     try:
         write(tmp)
+        umask = os.umask(0)   # reading the umask sets it: put it back
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         try:

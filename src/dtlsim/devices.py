@@ -297,17 +297,27 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 # stamps
 #
 # A stamp reads the iterate ``x``, a flat sequence indexed by unknown
-# number whose last slot is ground and holds 0.0, and adds into its target
-# ``out``:
+# number whose last slot is ground and holds 0.0, and writes into its
+# target ``out``:
 #
 # * ``out.slots[elem.name]``: the element's unknown numbers, its nodes in
 #   netlist order, then its source branch current or memristor state;
-# * ``out.jac[row][col]``, ``out.res[row]``: Jacobian and residual rows;
-# * ``out.scale[row]``: the sum of the residual contributions' magnitudes,
-#   the solver's local convergence scale;
+# * ``out.res``, ``out.jac``: ``array('d')`` buffers that each take the
+#   element's residual or Jacobian values in one ``extend``;
 # * ``out.memory[elem.name]``: companion memory that the next transient
 #   step reads back as ``ctx.hist`` (capacitor current, memristor drift
 #   rate), recorded at every assembly so the converged one holds it.
+#
+# A stamp writes values only. Where they go is fixed per kind and mode and
+# is stated once, beside the stamp, as its pattern: the residual rows and
+# the Jacobian (row, col) cells it fills, in the order it lists their
+# values, as positions in the element's slots. The solver turns the
+# patterns into flat index arrays when it numbers the unknowns and adds
+# every value into place with ``np.bincount``, which adds in input order.
+# The residual scale, the solver's local convergence scale, is the sum of
+# the residual values' magnitudes, so a row with several contributions
+# (a source's branch row, a memristor's state row) lists each one as a
+# separate value rather than their sum.
 #
 # Ground is an ordinary row and column of the target; the solver drops it.
 
@@ -330,25 +340,18 @@ class StampContext:
     hist: dict = field(default_factory=dict)        # element name -> companion memory
 
 
-def _add_f(out, row: int, val: float) -> None:
-    out.res[row] += val
-    out.scale[row] += abs(val)
-
-
-def _stamp_two_terminal(out, a: int, b: int, i: float, g: float) -> None:
-    _add_f(out, a, i)
-    _add_f(out, b, -i)
-    ja, jb = out.jac[a], out.jac[b]
-    ja[a] += g
-    ja[b] -= g
-    jb[a] -= g
-    jb[b] += g
+# (residual rows, Jacobian cells) of a current i(v) with conductance g
+# between slots 0 and 1; values (i, -i) and (g, -g, -g, g)
+_TWO_TERMINAL = ((0, 1), ((0, 0), (0, 1), (1, 0), (1, 1)))
+_OPEN = ((), ())
 
 
 def _stamp_resistor(elem, x, ctx, out):
     a, b = out.slots[elem.name]
     g = 1.0 / elem.params.resistance
-    _stamp_two_terminal(out, a, b, (x[a] - x[b]) * g, g)
+    i = (x[a] - x[b]) * g
+    out.res.extend((i, -i))
+    out.jac.extend((g, -g, -g, g))
 
 
 def _stamp_capacitor(elem, x, ctx, out):
@@ -366,22 +369,21 @@ def _stamp_capacitor(elem, x, ctx, out):
         g = c / ctx.dt
         i = g * (v - vp)
     out.memory[elem.name] = i
-    _stamp_two_terminal(out, a, b, i, g)
+    out.res.extend((i, -i))
+    out.jac.extend((g, -g, -g, g))
+
+
+# slots (a, b, k): the branch current in the KCL rows, and the branch row
+# k = x[a] - x[b] - level as three values
+_VSOURCE = ((0, 1, 2, 2, 2), ((0, 2), (1, 2), (2, 0), (2, 1)))
 
 
 def _stamp_vsource(elem, x, ctx, out):
     a, b, k = out.slots[elem.name]
     level = ctx.levels[elem.name] * ctx.srcscale
     i = x[k]
-    _add_f(out, a, i)
-    _add_f(out, b, -i)
-    out.jac[a][k] += 1.0
-    out.jac[b][k] -= 1.0
-    _add_f(out, k, x[a])
-    _add_f(out, k, -x[b])
-    _add_f(out, k, -level)
-    out.jac[k][a] += 1.0
-    out.jac[k][b] -= 1.0
+    out.res.extend((i, -i, x[a], -x[b], -level))
+    out.jac.extend((1.0, -1.0, 1.0, -1.0))
 
 
 def _pnjlim(vnew: float, vold: float, nvt: float, vcrit: float) -> float:
@@ -416,20 +418,31 @@ def _stamp_zener(elem, x, ctx, out):
     # tangent extrapolation back to the unlimited voltage; exact once
     # the iterates stop moving
     i = i0 + g * (v - vlim)
-    _stamp_two_terminal(out, a, b, i, g)
+    out.res.extend((i, -i))
+    out.jac.extend((g, -g, -g, g))
+
+
+# slots (d, g, s, b): the drain current in rows d and s, its partials in
+# columns d, g, s, b
+_MOSFET = ((0, 2), ((0, 0), (2, 0), (0, 1), (2, 1),
+                    (0, 2), (2, 2), (0, 3), (2, 3)))
 
 
 def _stamp_mosfet(elem, x, ctx, out):
-    d, g_, s, b = cols = out.slots[elem.name]
+    d, g_, s, b = out.slots[elem.name]
     i, di_dvgs, di_dvds, di_dvsb = mosfet_ids_grad(
         elem.params, x[g_] - x[s], x[d] - x[s], x[s] - x[b], clamp_body=True)
-    _add_f(out, d, i)
-    _add_f(out, s, -i)
-    jd, js = out.jac[d], out.jac[s]
-    vals = (di_dvds, di_dvgs, -di_dvgs - di_dvds + di_dvsb, -di_dvsb)
-    for col, val in zip(cols, vals):
-        jd[col] += val
-        js[col] -= val
+    di_dvs = -di_dvgs - di_dvds + di_dvsb
+    out.res.extend((i, -i))
+    out.jac.extend((di_dvds, -di_dvds, di_dvgs, -di_dvgs,
+                    di_dvs, -di_dvs, -di_dvsb, di_dvsb))
+
+
+# transient slots (a, b, k): the two-terminal pattern, the current's
+# partial in column k, then the state row k = w - w_n - dt*rate as two
+# values; in DC the state is frozen and the pattern is _TWO_TERMINAL
+_MEMRISTOR_TRAN = ((0, 1, 2, 2), _TWO_TERMINAL[1] + (
+    (0, 2), (1, 2), (2, 2), (2, 0), (2, 1)))
 
 
 def _stamp_memristor(elem, x, ctx, out):
@@ -444,29 +457,26 @@ def _stamp_memristor(elem, x, ctx, out):
     r = memristance(p, w)
     g = 1.0 / r
     i = (va - vb) * g
-    _stamp_two_terminal(out, a, b, i, g)
     rate = memristor_state_rate(p, w, i)
     out.memory[elem.name] = rate
-    if ctx.mode == "dc":
-        return  # state frozen at w0
+    if ctx.mode == "dc":   # state frozen at w0
+        out.res.extend((i, -i))
+        out.jac.extend((g, -g, -g, g))
+        return
     di_dw = -(va - vb) * (p.r_on - p.r_off) / (r * r)
-    out.jac[a][k] += di_dw
-    out.jac[b][k] -= di_dw
     # implicit state equation, same integration rule as the node system
     fw = window_factor(p, w)
     drate_dw = p.k_drift * (di_dw * fw + i * _window_grad(p, w))
     drate_dv = p.k_drift * fw * g
-    _add_f(out, k, w - ctx.prev_step[k])
     if ctx.method == "trapezoidal":
         dte = 0.5 * ctx.dt
-        _add_f(out, k, -dte * (rate + ctx.hist.get(elem.name, 0.0)))
+        drift = -dte * (rate + ctx.hist.get(elem.name, 0.0))
     else:
         dte = ctx.dt
-        _add_f(out, k, -dte * rate)
-    jk = out.jac[k]
-    jk[k] += 1.0 - dte * drate_dw
-    jk[a] -= dte * drate_dv
-    jk[b] += dte * drate_dv
+        drift = -dte * rate
+    out.res.extend((i, -i, w - ctx.prev_step[k], drift))
+    out.jac.extend((g, -g, -g, g, di_dw, -di_dw, 1.0 - dte * drate_dw,
+                    -(dte * drate_dv), dte * drate_dv))
 
 
 _STAMPS = {
@@ -478,7 +488,18 @@ _STAMPS = {
     "xmr": _stamp_memristor,
 }
 
+# kind -> mode -> (residual rows, Jacobian cells) of its stamp
+PATTERNS = {
+    "r": {"dc": _TWO_TERMINAL, "tran": _TWO_TERMINAL},
+    "c": {"dc": _OPEN, "tran": _TWO_TERMINAL},
+    "v": {"dc": _VSOURCE, "tran": _VSOURCE},
+    "d": {"dc": _TWO_TERMINAL, "tran": _TWO_TERMINAL},
+    "m": {"dc": _MOSFET, "tran": _MOSFET},
+    "xmr": {"dc": _TWO_TERMINAL, "tran": _MEMRISTOR_TRAN},
+}
+
 
 def stamp(elem, x, ctx: StampContext, out) -> None:
-    """Add elem's Jacobian, residual and companion memory at iterate x."""
+    """Write elem's residual and Jacobian values (in the order of its
+    ``PATTERNS`` entry) and its companion memory at iterate x."""
     _STAMPS[elem.kind](elem, x, ctx, out)

@@ -100,10 +100,12 @@ def gen_gaussian_image(size: int = 129, sigma: float | None = None,
     if not 0 < amplitude <= 255:
         raise DomainError(f"amplitude must lie in (0, 255], got {amplitude}")
     c = (size - 1) / 2.0
-    yy, xx = np.mgrid[0:size, 0:size]
-    r2 = (yy - c) ** 2 + (xx - c) ** 2
-    vals = np.rint(amplitude * np.exp(-r2 / (2.0 * sigma * sigma)))
-    return ImageGray(vals.astype(np.uint8))
+    yy, xx = np.ogrid[0:size, 0:size]   # a column and a row, broadcast
+    vals = (yy - c) ** 2 + (xx - c) ** 2   # r^2, the one full-size array
+    vals /= -2.0 * sigma * sigma
+    np.exp(vals, out=vals)
+    vals *= amplitude
+    return ImageGray(np.rint(vals, out=vals).astype(np.uint8))
 
 
 def _read_header_tokens(data: bytes) -> tuple[list[bytes], int]:

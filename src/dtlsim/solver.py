@@ -11,6 +11,14 @@ any other, and the solver drops them. The residual form is used
 throughout: F(x) collects KCL sums per node, source voltage equations and
 implicit state equations, and Newton solves J dx = -F.
 
+Assembly is split as in SPICE's setup and load. When it numbers the
+unknowns, ``_System`` maps each element's stamp pattern
+(``devices.PATTERNS``) through its slots into flat residual and Jacobian
+positions, once. Each assembly then only calls the stamps, which list
+values into two buffers, and one ``np.bincount`` per array adds every
+value into its place; it adds in input order, so each sum is the one the
+stamps' own ``+=`` in element order would give.
+
 Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to
 ground (the offending node is named) and no voltage sources may form a
@@ -25,10 +33,13 @@ computed only by the stamps: every assembly records it, and the record of
 the assembly that converged a step seeds the next step.
 
 Robustness ladder for each point: plain Newton with zero gmin so linear
-circuits are exact, then a geometric gmin ladder, then source stepping.
-Update damping clamps per-component steps at ``options.damping_limit``
-but only for unknowns that nonlinear device stamps touch; purely linear
-circuits therefore converge in exactly one Newton iteration.
+circuits are exact, then a geometric gmin ladder, then source stepping;
+the ladders' rungs are built only when plain Newton fails. Update
+damping clamps per-component steps at ``options.damping_limit`` but only
+for unknowns that nonlinear device stamps touch; purely linear circuits
+therefore converge in exactly one Newton iteration. The residual
+tolerances and the step bounds are arrays built once per analysis
+(``_System.bounds``).
 
 A Newton step that ``numpy.linalg.solve`` finds singular, or that comes
 out non-finite, raises SingularMatrix naming the unknown with the largest
@@ -39,7 +50,9 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -72,8 +85,10 @@ class SolverOptions:
                 ("gmin_final", 0.0 < self.gmin_final < inf, "finite and > 0"),
                 ("gmin_start", self.gmin_final <= self.gmin_start < inf,
                  "finite and >= gmin_final"),
-                ("max_newton_iters", 0 <= self.max_newton_iters < inf, "finite and >= 0"),
-                ("source_steps", self.source_steps >= 1, ">= 1")):
+                ("max_newton_iters", isinstance(self.max_newton_iters, Integral)
+                 and self.max_newton_iters >= 0, "an integer >= 0"),
+                ("source_steps", isinstance(self.source_steps, Integral)
+                 and self.source_steps >= 1, "an integer >= 1")):
             if not ok:
                 raise ValueError(f"SolverOptions.{name} must be {rule}, "
                                  f"got {getattr(self, name)!r}")
@@ -115,16 +130,15 @@ class TransientResult:
 
 
 class _Assembly:
-    """Stamp target of one assembly: rows and columns are unknown numbers
-    plus the ground slot (see the stamps section of ``devices``)."""
+    """Stamp target of one assembly: the value buffers that the stamps
+    extend in element order (see the stamps section of ``devices``)."""
 
-    __slots__ = ("slots", "jac", "res", "scale", "memory")
+    __slots__ = ("slots", "res", "jac", "memory")
 
-    def __init__(self, slots: dict[str, tuple[int, ...]], size: int):
+    def __init__(self, slots: dict[str, tuple[int, ...]]):
         self.slots = slots
-        self.jac = [[0.0] * size for _ in range(size)]
-        self.res = [0.0] * size
-        self.scale = [0.0] * size
+        self.res = array("d")
+        self.jac = array("d")
         self.memory: dict[str, float] = {}
 
 
@@ -160,7 +174,9 @@ class _System:
         self.states = slice(n - sum(k[0] == "w" for k in keys), n)
         index = {k: i for i, k in enumerate(keys)}
         index[("v", devices.GROUND)] = n   # the ground slot
+        mode = "tran" if transient else "dc"
         self.slots = {}
+        res_rows, jac_cells = [], []
         nonlinear = np.zeros(n + 1, dtype=bool)
         for e in self.elements:
             slots = tuple(index[("v", nd)] for nd in e.nodes)
@@ -171,18 +187,26 @@ class _System:
             if e.kind in ("d", "m") or (e.kind == "xmr" and transient):
                 nonlinear[list(slots)] = True
             self.slots[e.name] = slots
+            rows, cells = devices.PATTERNS[e.kind][mode]
+            res_rows += [slots[r] for r in rows]
+            jac_cells += [slots[r] * (n + 1) + slots[c] for r, c in cells]
+        # flat positions of every stamped value, in stamping order
+        self.res_index = np.array(res_rows, dtype=np.intp)
+        self.jac_index = np.array(jac_cells, dtype=np.intp)
         self.nonlinear = nonlinear[:n]
 
     def assemble(self, xs: list[float], ctx: StampContext):
         """Jacobian, residual, residual scale and companion memory at the
         iterate ``xs`` (unknowns, then 0.0 for the ground slot)."""
-        out = _Assembly(self.slots, self.n + 1)
+        out = _Assembly(self.slots)
         for e in self.elements:
             devices.stamp(e, xs, ctx, out)
-        n, nv = self.n, self.nv
-        jac = np.array(out.jac)[:n, :n]
-        res = np.array(out.res[:n])
-        scale = np.array(out.scale[:n])
+        n, nv, size = self.n, self.nv, self.n + 1
+        values = np.frombuffer(out.res)
+        res = np.bincount(self.res_index, values, size)[:n]
+        scale = np.bincount(self.res_index, np.abs(values), size)[:n]
+        jac = np.bincount(self.jac_index, np.frombuffer(out.jac),
+                          size * size).reshape(size, size)[:n, :n]
         if ctx.gmin:
             diag = np.arange(nv)
             jac[diag, diag] += ctx.gmin
@@ -204,11 +228,14 @@ class _System:
         return {name: overrides[name] if name in overrides else wave.value(t)
                 for name, wave in self.sources.items()}
 
-    def abstol(self, options: SolverOptions) -> np.ndarray:
-        """Absolute residual tolerance per row: KCL rows are currents,
-        source rows voltages, state rows dimensionless."""
+    def bounds(self, options: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+        """The absolute residual tolerance per row (KCL rows are currents,
+        source rows voltages, state rows dimensionless) and the Newton
+        step bound per unknown: ``damping_limit`` on the unknowns that
+        nonlinear stamps touch, ``inf`` elsewhere."""
         base = {"v": options.abstol_i, "i": options.abstol_v, "w": _W_ABSTOL}
-        return np.array([base[k[0]] for k in self.keys])
+        abstol = np.array([base[k[0]] for k in self.keys])
+        return abstol, np.where(self.nonlinear, options.damping_limit, np.inf)
 
 
 def _with_ground(x: np.ndarray) -> list[float]:
@@ -286,10 +313,11 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
 
 
 def _newton(sys: _System, x0: np.ndarray, ctx: StampContext,
-            options: SolverOptions) -> tuple[np.ndarray, int, dict]:
-    """Damped Newton from x0; returns the solution, the iteration count
-    and the companion memory recorded by the converged assembly."""
-    abstol = sys.abstol(options)
+            options: SolverOptions, bounds) -> tuple[np.ndarray, int, dict]:
+    """Damped Newton from x0 within ``sys.bounds(options)``; returns the
+    solution, the iteration count and the companion memory recorded by
+    the converged assembly."""
+    abstol, step = bounds
     x = x0
     xs = ctx.prev_iter = _with_ground(x)
     iters = 0
@@ -303,9 +331,7 @@ def _newton(sys: _System, x0: np.ndarray, ctx: StampContext,
             raise NoConvergence(
                 f"no convergence after {iters} Newton iterations "
                 f"(max residual {last_res:.3e})", residual=last_res)
-        dx = _lu_solve(jac, -res, sys.keys)
-        lim = options.damping_limit
-        x = x + np.where(sys.nonlinear, np.clip(dx, -lim, lim), dx)
+        x = x + np.clip(_lu_solve(jac, -res, sys.keys), -step, step)
         x[sys.states] = np.clip(x[sys.states], 0.0, 1.0)
         ctx.prev_iter = xs
         xs = _with_ground(x)
@@ -322,8 +348,21 @@ def _gmin_ladder(options: SolverOptions) -> list[float]:
     return out
 
 
+def _strategies(sys: _System, x0: np.ndarray, options: SolverOptions):
+    """(name, start, (gmin, source scale) rungs) of each strategy in turn;
+    the homotopy rungs are built only when the strategies before fail."""
+    yield "newton", x0, ()
+    yield "gmin-stepping", x0, [(g, 1.0) for g in _gmin_ladder(options)]
+    zeros = np.zeros(sys.n)
+    zeros[sys.states] = x0[sys.states]
+    steps = options.source_steps
+    yield "source-stepping", zeros, [(options.gmin_final, k / steps)
+                                     for k in range(1, steps + 1)]
+
+
 def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
-                 options: SolverOptions) -> tuple[np.ndarray, int, str, dict]:
+                 options: SolverOptions,
+                 bounds) -> tuple[np.ndarray, int, str, dict]:
     """Newton with homotopy fallbacks; ctx.gmin/srcscale are scratch.
 
     Each strategy walks its (gmin, source scale) rungs from its start,
@@ -333,27 +372,19 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
     Returns the solution, the total iteration count, the strategy that
     won and the companion memory of the solution's assembly.
     """
-    zeros = np.zeros(sys.n)
-    zeros[sys.states] = x0[sys.states]
-    strategies = (
-        ("newton", x0, []),
-        ("gmin-stepping", x0, [(g, 1.0) for g in _gmin_ladder(options)]),
-        ("source-stepping", zeros, [(options.gmin_final, k / options.source_steps)
-                                    for k in range(1, options.source_steps + 1)]),
-    )
     last: Exception | None = None
-    for name, x, rungs in strategies:
+    for name, x, rungs in _strategies(sys, x0, options):
         total = 0
         try:
             for ctx.gmin, ctx.srcscale in rungs:
-                x, iters, memory = _newton(sys, x, ctx, options)
+                x, iters, memory = _newton(sys, x, ctx, options, bounds)
                 total += iters
         except (NoConvergence, SingularMatrix) as exc:
             last = exc
             continue
         ctx.gmin, ctx.srcscale = 0.0, 1.0
         try:
-            x, iters, memory = _newton(sys, x, ctx, options)
+            x, iters, memory = _newton(sys, x, ctx, options, bounds)
             total += iters
         except (NoConvergence, SingularMatrix) as exc:
             if not rungs:
@@ -374,10 +405,11 @@ def _march(sys: _System, x: np.ndarray, memory: dict, points: np.ndarray,
     columns, the iterations and the strategies."""
     cols = np.empty((sys.n, points.size))
     iterations, strategies = [], []
+    bounds = sys.bounds(options)
     for i, at in enumerate(points.tolist()):
         try:
             x, iters, strategy, memory = _solve_point(
-                sys, x, context(at, x, memory), options)
+                sys, x, context(at, x, memory), options, bounds)
         except NoConvergence as exc:
             raise NoConvergence(f"{where(at)}: {exc}",
                                 residual=exc.residual, at=at) from exc
@@ -394,7 +426,7 @@ def _operating_point(circuit, options: SolverOptions, overrides=None,
     ctx = StampContext(levels=sys.levels(0.0, overrides))
     x0 = x0 or {}
     start = np.array([x0.get(k, 0.0) for k in sys.keys], dtype=float)
-    return sys, _solve_point(sys, start, ctx, options)
+    return sys, _solve_point(sys, start, ctx, options, sys.bounds(options))
 
 
 def dc_operating_point(circuit, options: SolverOptions | None = None, *,
@@ -495,5 +527,5 @@ def residual_report(circuit, op: OpPoint,
     ctx = StampContext(levels=sys.levels(0.0, overrides))
     xs = [op.raw[k] for k in sys.keys] + [0.0]
     _, res, scale, _ = sys.assemble(xs, ctx)
-    tol = sys.abstol(options) + options.reltol * scale
+    tol = sys.bounds(options)[0] + options.reltol * scale
     return {k: (abs(float(res[i])), float(tol[i])) for i, k in enumerate(sys.keys)}

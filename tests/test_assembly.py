@@ -1,0 +1,290 @@
+"""Assembly against the nested-list stamping it replaced.
+
+``reference_assemble`` is the assembly as it was before the stamps wrote
+values only: every stamp added into a nested-list Jacobian and residual
+and a residual scale, row by row, in element order. The solver's
+pattern-and-bincount assembly must give the same Jacobian, residual,
+scale and companion memory bit for bit at any iterate, because
+``np.bincount`` adds in input order, as these loops did.
+"""
+
+import numpy as np
+import pytest
+
+from dtlsim import cells, devices, solver
+from dtlsim.devices import (StampContext, _window_grad, _zener_limited_v,
+                            memristance, memristor_state_rate,
+                            mosfet_ids_grad, window_factor, zener_ig)
+from dtlsim.netlist import parse_netlist
+
+from conftest import FD_BENCH_DC, FD_BENCH_TRAN
+
+# every stamp kind in one circuit, with each kind's terminals off ground
+# at least once: a cell in the ground row or column is dropped unseen
+ALL_KINDS = """all kinds
+v_1 a 0 pwl(0 0 1u 2.5)
+v_2 e d 0.3
+r_1 a b 1k
+c_1 b e 1u
+d_1 b e zen
+m_1 c b d e nmod wl=2.0
+m_2 d c a a pmod
+r_2 c 0 10k
+r_3 a c 22k
+xmr_1 a d mem w0=0.4
+r_4 d 0 4.7k
+r_5 e 0 3.3k
+.model zen zener
+.model nmod mosfet type=n
+.model pmod mosfet type=p
+.model mem memristor k=1e6
+"""
+
+
+# --- the reference: nested-list stamping ----------------------------------------
+
+
+class NestedAssembly:
+    __slots__ = ("slots", "jac", "res", "scale", "memory")
+
+    def __init__(self, slots, size):
+        self.slots = slots
+        self.jac = [[0.0] * size for _ in range(size)]
+        self.res = [0.0] * size
+        self.scale = [0.0] * size
+        self.memory = {}
+
+
+def _add_f(out, row, val):
+    out.res[row] += val
+    out.scale[row] += abs(val)
+
+
+def _stamp_two_terminal(out, a, b, i, g):
+    _add_f(out, a, i)
+    _add_f(out, b, -i)
+    ja, jb = out.jac[a], out.jac[b]
+    ja[a] += g
+    ja[b] -= g
+    jb[a] -= g
+    jb[b] += g
+
+
+def _stamp_resistor(elem, x, ctx, out):
+    a, b = out.slots[elem.name]
+    g = 1.0 / elem.params.resistance
+    _stamp_two_terminal(out, a, b, (x[a] - x[b]) * g, g)
+
+
+def _stamp_capacitor(elem, x, ctx, out):
+    if ctx.mode == "dc":
+        out.memory[elem.name] = 0.0
+        return
+    a, b = out.slots[elem.name]
+    v = x[a] - x[b]
+    vp = ctx.prev_step[a] - ctx.prev_step[b]
+    c = elem.params.capacitance
+    if ctx.method == "trapezoidal":
+        g = 2.0 * c / ctx.dt
+        i = g * (v - vp) - ctx.hist.get(elem.name, 0.0)
+    else:
+        g = c / ctx.dt
+        i = g * (v - vp)
+    out.memory[elem.name] = i
+    _stamp_two_terminal(out, a, b, i, g)
+
+
+def _stamp_vsource(elem, x, ctx, out):
+    a, b, k = out.slots[elem.name]
+    level = ctx.levels[elem.name] * ctx.srcscale
+    i = x[k]
+    _add_f(out, a, i)
+    _add_f(out, b, -i)
+    out.jac[a][k] += 1.0
+    out.jac[b][k] -= 1.0
+    _add_f(out, k, x[a])
+    _add_f(out, k, -x[b])
+    _add_f(out, k, -level)
+    out.jac[k][a] += 1.0
+    out.jac[k][b] -= 1.0
+
+
+def _stamp_zener(elem, x, ctx, out):
+    a, b = out.slots[elem.name]
+    p = elem.params
+    v = x[a] - x[b]
+    if ctx.prev_iter:
+        vlim = _zener_limited_v(p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
+    else:
+        vlim = v
+    i0, g = zener_ig(p, vlim)
+    _stamp_two_terminal(out, a, b, i0 + g * (v - vlim), g)
+
+
+def _stamp_mosfet(elem, x, ctx, out):
+    d, g_, s, b = cols = out.slots[elem.name]
+    i, di_dvgs, di_dvds, di_dvsb = mosfet_ids_grad(
+        elem.params, x[g_] - x[s], x[d] - x[s], x[s] - x[b], clamp_body=True)
+    _add_f(out, d, i)
+    _add_f(out, s, -i)
+    jd, js = out.jac[d], out.jac[s]
+    vals = (di_dvds, di_dvgs, -di_dvgs - di_dvds + di_dvsb, -di_dvsb)
+    for col, val in zip(cols, vals):
+        jd[col] += val
+        js[col] -= val
+
+
+def _stamp_memristor(elem, x, ctx, out):
+    p = elem.params
+    if ctx.mode == "dc":
+        a, b = out.slots[elem.name]
+        w = p.w0
+    else:
+        a, b, k = out.slots[elem.name]
+        w = min(max(x[k], 0.0), 1.0)
+    va, vb = x[a], x[b]
+    r = memristance(p, w)
+    g = 1.0 / r
+    i = (va - vb) * g
+    _stamp_two_terminal(out, a, b, i, g)
+    rate = memristor_state_rate(p, w, i)
+    out.memory[elem.name] = rate
+    if ctx.mode == "dc":
+        return
+    di_dw = -(va - vb) * (p.r_on - p.r_off) / (r * r)
+    out.jac[a][k] += di_dw
+    out.jac[b][k] -= di_dw
+    fw = window_factor(p, w)
+    drate_dw = p.k_drift * (di_dw * fw + i * _window_grad(p, w))
+    drate_dv = p.k_drift * fw * g
+    _add_f(out, k, w - ctx.prev_step[k])
+    if ctx.method == "trapezoidal":
+        dte = 0.5 * ctx.dt
+        _add_f(out, k, -dte * (rate + ctx.hist.get(elem.name, 0.0)))
+    else:
+        dte = ctx.dt
+        _add_f(out, k, -dte * rate)
+    jk = out.jac[k]
+    jk[k] += 1.0 - dte * drate_dw
+    jk[a] -= dte * drate_dv
+    jk[b] += dte * drate_dv
+
+
+REFERENCE_STAMPS = {
+    "r": _stamp_resistor,
+    "c": _stamp_capacitor,
+    "v": _stamp_vsource,
+    "d": _stamp_zener,
+    "m": _stamp_mosfet,
+    "xmr": _stamp_memristor,
+}
+
+
+def reference_assemble(sys_, xs, ctx):
+    out = NestedAssembly(sys_.slots, sys_.n + 1)
+    for e in sys_.elements:
+        REFERENCE_STAMPS[e.kind](e, xs, ctx, out)
+    n, nv = sys_.n, sys_.nv
+    jac = np.array(out.jac)[:n, :n]
+    res = np.array(out.res[:n])
+    scale = np.array(out.scale[:n])
+    if ctx.gmin:
+        diag = np.arange(nv)
+        jac[diag, diag] += ctx.gmin
+        leak = ctx.gmin * np.array(xs[:nv])
+        res[:nv] += leak
+        scale[:nv] += np.abs(leak)
+    return jac, res, scale, out.memory
+
+
+# --- the comparison ---------------------------------------------------------------
+
+CIRCUITS = {
+    "saturation": cells.build_saturation_cell,
+    "spike w0=0.3": lambda: cells.build_spike_cell(0.3),
+    "spike w0=0.8": lambda: cells.build_spike_cell(0.8),
+    "xor": cells.build_xor_circuit,
+    "detector config1": lambda: cells.build_intensity_detector(
+        cells.DETECTOR_CONFIG_1),
+    "detector config2": lambda: cells.build_intensity_detector(
+        cells.DETECTOR_CONFIG_2),
+    "fd bench dc": lambda: parse_netlist(FD_BENCH_DC),
+    "fd bench tran": lambda: parse_netlist(FD_BENCH_TRAN),
+    "all kinds": lambda: parse_netlist(ALL_KINDS),
+}
+
+# (mode, method, gmin, srcscale)
+CONTEXTS = [
+    ("dc", "backward-euler", 0.0, 1.0),
+    ("dc", "backward-euler", 1e-3, 1.0),
+    ("dc", "backward-euler", 1e-12, 0.4),
+    ("tran", "backward-euler", 0.0, 1.0),
+    ("tran", "trapezoidal", 0.0, 1.0),
+    ("tran", "trapezoidal", 1e-4, 0.7),
+    ("tran", "backward-euler", 1e-12, 0.2),
+]
+
+
+def _iterate(sys_, rng):
+    """Node voltages and branch currents in a cell's range, memristor
+    states a little past [0, 1] (the stamp clamps them), then ground."""
+    x = rng.uniform(-2.0, 7.0, sys_.n)
+    x[sys_.nv:] = rng.uniform(-1e-3, 1e-3, sys_.n - sys_.nv)
+    x[sys_.states] = rng.uniform(-0.1, 1.1, len(x[sys_.states]))
+    return x.tolist() + [0.0]
+
+
+@pytest.mark.parametrize("mode, method, gmin, srcscale", CONTEXTS)
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
+                                               srcscale):
+    circuit = CIRCUITS[name]()
+    sys_ = solver._System(circuit)
+    if mode == "tran":
+        sys_ = sys_.with_states()
+    rng = np.random.default_rng(
+        [list(CIRCUITS).index(name),
+         CONTEXTS.index((mode, method, gmin, srcscale))])
+    history = {e.name: float(rng.uniform(-1e-3, 1e-3))
+               for e in circuit.elements if e.kind in ("c", "xmr")}
+    for trial in range(12):
+        ctx = StampContext(
+            mode=mode, dt=float(rng.choice([1e-7, 1e-5])), method=method,
+            srcscale=srcscale, gmin=gmin,
+            levels=sys_.levels(float(rng.uniform(0.0, 1e-3))),
+            prev_step=_iterate(sys_, rng) if mode == "tran" else [],
+            # the first assembly of a point has no last iterate to limit by
+            prev_iter=_iterate(sys_, rng) if trial % 3 else [],
+            hist=dict(history))
+        xs = _iterate(sys_, rng)
+        jac, res, scale, memory = sys_.assemble(xs, ctx)
+        want = reference_assemble(sys_, xs, ctx)
+        assert np.array_equal(jac, want[0])
+        assert np.array_equal(res, want[1])
+        assert np.array_equal(scale, want[2])
+        assert memory == want[3]
+
+
+def test_each_stamp_lists_its_pattern():
+    # every value a stamp writes has a place in its kind's pattern, in
+    # every mode, and every place gets a value
+    circuit = parse_netlist(ALL_KINDS)
+    assert {e.kind for e in circuit.elements} == set(devices.PATTERNS)
+    dc = solver._System(circuit)
+    tran = dc.with_states()
+    rng = np.random.default_rng(7)
+    prev = _iterate(tran, rng)
+    for sys_, ctx in [(dc, StampContext(levels=dc.levels()))] + [
+            (tran, StampContext(mode="tran", dt=1e-6, method=method,
+                                levels=dc.levels(), prev_step=prev))
+            for method in ("backward-euler", "trapezoidal")]:
+        xs = _iterate(sys_, rng)
+        for e in circuit.elements:
+            out = solver._Assembly(sys_.slots)
+            devices.stamp(e, xs, ctx, out)
+            rows, cells_ = devices.PATTERNS[e.kind][ctx.mode]
+            assert (len(out.res), len(out.jac)) == (len(rows), len(cells_)), \
+                (e.name, ctx.mode, ctx.method)
+            width = len(sys_.slots[e.name])
+            assert all(0 <= p < width for p in rows)
+            assert all(0 <= p < width for cell in cells_ for p in cell)

@@ -5,6 +5,8 @@ codes can be asserted without spawning an interpreter.
 """
 
 import hashlib
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -486,3 +488,18 @@ def test_out_files_are_written_atomically(tmp_path, divider):
                  if p.name.startswith(".dtlsim-tmp-")]
     assert leftovers == []
     assert out.read_text().startswith("name,value\n")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_out_files_get_the_mode_of_a_new_file(tmp_path, divider, umask, mode):
+    # the temp file is owner-only; the renamed file is 0o666 less the umask
+    saved = os.umask(umask)
+    try:
+        assert main(["gen-gaussian", "--size", "9",
+                     "--out", str(tmp_path / "g.pgm")]) == 0
+        assert main(["op", divider, "--out", str(tmp_path / "op.csv")]) == 0
+        assert os.umask(umask) == umask   # left as it was
+    finally:
+        os.umask(saved)
+    for name in ("g.pgm", "op.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode

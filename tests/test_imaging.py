@@ -80,6 +80,17 @@ def test_gaussian_amplitude_and_monotone_profile():
     assert np.all(np.diff(row) <= 0)   # radially non-increasing
 
 
+@pytest.mark.parametrize("size", [3, 129, 1025, 4096])
+def test_gaussian_equals_full_grid_formula(size):
+    # the formula on two full np.mgrid index grids, as it was first written
+    yy, xx = np.mgrid[0:size, 0:size]
+    c = (size - 1) / 2.0
+    r2 = (yy - c) ** 2 + (xx - c) ** 2
+    sigma = size / 6.0
+    want = np.rint(255 * np.exp(-r2 / (2.0 * sigma * sigma))).astype(np.uint8)
+    assert gen_gaussian_image(size).pixels.tobytes() == want.tobytes()
+
+
 def test_gaussian_validation():
     with pytest.raises(DomainError):
         gen_gaussian_image(2)

@@ -355,11 +355,18 @@ def test_no_convergence_when_starved():
     dict(gmin_final=0.0), dict(gmin_final=-1e-12), dict(gmin_final=math.nan),
     dict(gmin_start=math.inf), dict(gmin_start=1e-13), dict(gmin_start=math.nan),
     dict(max_newton_iters=-1), dict(max_newton_iters=math.inf),
-    dict(source_steps=0)])
+    dict(max_newton_iters=2.5), dict(source_steps=0), dict(source_steps=1.5),
+    dict(source_steps=math.inf)])
 def test_solver_options_validated(bad):
     # only constructed: a solver handed some of these would never return
     with pytest.raises(ValueError, match=f"SolverOptions.{next(iter(bad))} "):
         SolverOptions(**bad)
+
+
+def test_solver_options_accept_numpy_integers():
+    opts = SolverOptions(max_newton_iters=np.int64(10), source_steps=np.int32(5))
+    op = dc_operating_point(cells.build_spike_cell(0.3), opts)
+    assert (op.strategy, op.iterations) == ("source-stepping", 18)
 
 
 def test_transient_argument_validation():
