@@ -73,24 +73,29 @@ def _table(axis: str, values, voltages: dict,
 
 def _atomic_write(path: str, write) -> None:
     """Run ``write(tmp)`` on a temp file in path's directory, then rename
-    it over path; the temp file is removed if anything fails. The file
-    gets the mode of a newly created one (0o666 less the umask), not the
-    temp file's owner-only 0o600."""
+    it over path; the temp file is removed if anything fails, and an
+    OSError is raised again naming path. The file gets the mode of a newly
+    created one (0o666 less the umask), not the temp file's owner-only
+    0o600."""
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
-                               prefix=".dtlsim-tmp-")
-    os.close(fd)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
+                                   prefix=".dtlsim-tmp-")
+        os.close(fd)
         write(tmp)
         umask = os.umask(0)   # reading the umask sets it: put it back
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -103,8 +108,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_circuit(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_netlist(fh.read())
+    data = pathlib.Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the line as the parser would: the text before the byte
+        # (valid UTF-8) and one character of the byte's own line
+        line = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise NetlistError(f"byte 0x{data[exc.start]:02x} is not valid UTF-8",
+                           line) from None
+    return parse_netlist(text)
 
 
 # the usage message of the command that takes each directive's fields as flags
@@ -187,19 +200,19 @@ def _cmd_xor(args) -> int:
 _DETECTOR_FIELDS = [f.name for f in dataclasses.fields(cells.DetectorConfig)]
 
 
-def _detector_sweep(args, sweep_stop: float) -> solver.SweepResult:
-    """Sweep the preset detector with the overrides given as flags."""
+def _detector(args, sweep_stop: float):
+    """The preset detector with the overrides given as flags."""
     cfg = (cells.DETECTOR_CONFIG_2 if args.config == 2
            else cells.DETECTOR_CONFIG_1)
     cfg = dataclasses.replace(cfg, **{
         name: getattr(args, name) for name in _DETECTOR_FIELDS
         if getattr(args, name) is not None})
-    return _run(cells.build_intensity_detector(
-        cfg, sweep_stop=sweep_stop, sweep_step=args.step), "dc")
+    return cells.build_intensity_detector(cfg, sweep_stop=sweep_stop,
+                                          sweep_step=args.step)
 
 
 def _cmd_detector(args) -> int:
-    s = _detector_sweep(args, args.stop)
+    s = _run(_detector(args, args.stop), "dc")
     text = _table(s.source, s.inputs, s.voltages)
     try:
         band = cells.extract_band(s, "out")
@@ -225,8 +238,11 @@ def _cmd_gen_gaussian(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    circuit = _detector(args, args.v_high)
+    # the voltage range's check, before the image is read and swept
+    imaging.pixel_to_voltage(0, args.v_low, args.v_high)
     img = imaging.read_pgm(args.image)
-    s = _detector_sweep(args, args.v_high)
+    s = _run(circuit, "dc")
     lut = imaging.ResponseLut.from_sweep(s, "out")
     resp = imaging.apply_detector(img, lut, v_low=args.v_low,
                                   v_high=args.v_high)

@@ -16,7 +16,7 @@ Conventions used throughout:
   i(v) = i_sat*(exp(v/(n*vt)) - 1) - i_bv*exp(-(v + vz)/(n*vt)).
 * The memristor is linear ion drift with a Joglekar window:
   R(w) = r_on*w + r_off*(1 - w), dw/dt = k_drift*i*(1 - (2w - 1)**(2p)).
-  State is frozen in DC and integrated alongside the node equations in
+  State is held at w0 in DC and integrated alongside the node equations in
   transient runs.
 """
 
@@ -306,18 +306,21 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 #   element's residual or Jacobian values in one ``extend``;
 # * ``out.memory[elem.name]``: companion memory that the next transient
 #   step reads back as ``ctx.hist`` (capacitor current, memristor drift
-#   rate), recorded at every assembly so the converged one holds it.
+#   rate), recorded at every assembly so the converged one holds it;
+# * ``out.limited``: set when junction limiting moved a voltage, so the
+#   residual is not the iterate's own.
 #
-# A stamp writes values only. Where they go is fixed per kind and mode and
-# is stated once, beside the stamp, as its pattern: the residual rows and
-# the Jacobian (row, col) cells it fills, in the order it lists their
-# values, as positions in the element's slots. The solver turns the
-# patterns into flat index arrays when it numbers the unknowns and adds
-# every value into place with ``np.bincount``, which adds in input order.
-# The residual scale, the solver's local convergence scale, is the sum of
-# the residual values' magnitudes, so a row with several contributions
-# (a source's branch row, a memristor's state row) lists each one as a
-# separate value rather than their sum.
+# A stamp writes values only. Where they go is fixed per kind, the same in
+# every mode, and is stated once, beside the stamp, as its pattern: the
+# residual rows and the Jacobian (row, col) cells it fills, in the order it
+# lists their values, as positions in the element's slots. A place that a
+# mode leaves unused gets 0.0, which leaves every sum as it was. The solver
+# turns the patterns into flat index arrays when it numbers the unknowns
+# and adds every value into place with ``np.bincount``, which adds in input
+# order. The residual scale, the solver's local convergence scale, is the
+# sum of the residual values' magnitudes, so a row with several
+# contributions (a source's branch row, a memristor's state row) lists each
+# one as a separate value rather than their sum.
 #
 # Ground is an ordinary row and column of the target; the solver drops it.
 
@@ -341,9 +344,9 @@ class StampContext:
 
 
 # (residual rows, Jacobian cells) of a current i(v) with conductance g
-# between slots 0 and 1; values (i, -i) and (g, -g, -g, g)
+# between slots 0 and 1; values (i, -i) and (g, -g, -g, g), all zeros for
+# a capacitor in DC (open circuit)
 _TWO_TERMINAL = ((0, 1), ((0, 0), (0, 1), (1, 0), (1, 1)))
-_OPEN = ((), ())
 
 
 def _stamp_resistor(elem, x, ctx, out):
@@ -355,19 +358,19 @@ def _stamp_resistor(elem, x, ctx, out):
 
 
 def _stamp_capacitor(elem, x, ctx, out):
-    if ctx.mode == "dc":
-        out.memory[elem.name] = 0.0   # open circuit
-        return
     a, b = out.slots[elem.name]
-    v = x[a] - x[b]
-    vp = ctx.prev_step[a] - ctx.prev_step[b]
-    c = elem.params.capacitance
-    if ctx.method == "trapezoidal":
-        g = 2.0 * c / ctx.dt
-        i = g * (v - vp) - ctx.hist.get(elem.name, 0.0)
+    if ctx.mode == "dc":   # open circuit
+        g = i = 0.0
     else:
-        g = c / ctx.dt
-        i = g * (v - vp)
+        v = x[a] - x[b]
+        vp = ctx.prev_step[a] - ctx.prev_step[b]
+        c = elem.params.capacitance
+        if ctx.method == "trapezoidal":
+            g = 2.0 * c / ctx.dt
+            i = g * (v - vp) - ctx.hist.get(elem.name, 0.0)
+        else:
+            g = c / ctx.dt
+            i = g * (v - vp)
     out.memory[elem.name] = i
     out.res.extend((i, -i))
     out.jac.extend((g, -g, -g, g))
@@ -396,14 +399,18 @@ def _pnjlim(vnew: float, vold: float, nvt: float, vcrit: float) -> float:
     return nvt * math.log(max(vnew / nvt, 1.0 + 1e-12))
 
 
-def _zener_limited_v(p: ZenerParams, v: float, vprev: float) -> float:
+def _zener_limited_v(p: ZenerParams, v: float,
+                     vprev: float) -> tuple[float, bool]:
+    """The voltage to linearize at, and whether either branch's limiting
+    moved it."""
     nvt = p.n * p.v_thermal
     vcrit_f = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_sat))
-    v = _pnjlim(v, vprev, nvt, vcrit_f)
+    vf = _pnjlim(v, vprev, nvt, vcrit_f)
     # breakdown branch, mirrored: overdrive u = -(v + vz)
     vcrit_r = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_bv))
-    u = _pnjlim(-(v + p.vz), -(vprev + p.vz), nvt, vcrit_r)
-    return -u - p.vz
+    u = -(vf + p.vz)
+    ur = _pnjlim(u, -(vprev + p.vz), nvt, vcrit_r)
+    return -ur - p.vz, vf != v or ur != u
 
 
 def _stamp_zener(elem, x, ctx, out):
@@ -411,7 +418,11 @@ def _stamp_zener(elem, x, ctx, out):
     p = elem.params
     v = x[a] - x[b]
     if ctx.prev_iter:
-        vlim = _zener_limited_v(p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
+        vlim, limited = _zener_limited_v(
+            p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
+        # the tangent then belongs to another voltage than the iterate's:
+        # the assembly cannot end Newton (SPICE's non-convergence count)
+        out.limited |= limited
     else:
         vlim = v
     i0, g = zener_ig(p, vlim)
@@ -438,30 +449,27 @@ def _stamp_mosfet(elem, x, ctx, out):
                     di_dvs, -di_dvs, -di_dvsb, di_dvsb))
 
 
-# transient slots (a, b, k): the two-terminal pattern, the current's
-# partial in column k, then the state row k = w - w_n - dt*rate as two
-# values; in DC the state is frozen and the pattern is _TWO_TERMINAL
-_MEMRISTOR_TRAN = ((0, 1, 2, 2), _TWO_TERMINAL[1] + (
+# slots (a, b, k): the two-terminal pattern, the current's partial in
+# column k, then the state row k = w - w_n - dt*rate as two values. In DC
+# the current reads w0 and the state row is k = x[k] - w0 with a unit
+# diagonal and zero couplings, so the state stays at w0.
+_MEMRISTOR = ((0, 1, 2, 2), _TWO_TERMINAL[1] + (
     (0, 2), (1, 2), (2, 2), (2, 0), (2, 1)))
 
 
 def _stamp_memristor(elem, x, ctx, out):
     p = elem.params
-    if ctx.mode == "dc":
-        a, b = out.slots[elem.name]
-        w = p.w0
-    else:
-        a, b, k = out.slots[elem.name]
-        w = min(max(x[k], 0.0), 1.0)
+    a, b, k = out.slots[elem.name]
+    w = p.w0 if ctx.mode == "dc" else min(max(x[k], 0.0), 1.0)
     va, vb = x[a], x[b]
     r = memristance(p, w)
     g = 1.0 / r
     i = (va - vb) * g
     rate = memristor_state_rate(p, w, i)
     out.memory[elem.name] = rate
-    if ctx.mode == "dc":   # state frozen at w0
-        out.res.extend((i, -i))
-        out.jac.extend((g, -g, -g, g))
+    if ctx.mode == "dc":   # state held at w0, decoupled from the nodes
+        out.res.extend((i, -i, x[k] - w, 0.0))
+        out.jac.extend((g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
         return
     di_dw = -(va - vb) * (p.r_on - p.r_off) / (r * r)
     # implicit state equation, same integration rule as the node system
@@ -488,14 +496,14 @@ _STAMPS = {
     "xmr": _stamp_memristor,
 }
 
-# kind -> mode -> (residual rows, Jacobian cells) of its stamp
+# kind -> (residual rows, Jacobian cells) of its stamp, in every mode
 PATTERNS = {
-    "r": {"dc": _TWO_TERMINAL, "tran": _TWO_TERMINAL},
-    "c": {"dc": _OPEN, "tran": _TWO_TERMINAL},
-    "v": {"dc": _VSOURCE, "tran": _VSOURCE},
-    "d": {"dc": _TWO_TERMINAL, "tran": _TWO_TERMINAL},
-    "m": {"dc": _MOSFET, "tran": _MOSFET},
-    "xmr": {"dc": _TWO_TERMINAL, "tran": _MEMRISTOR_TRAN},
+    "r": _TWO_TERMINAL,
+    "c": _TWO_TERMINAL,
+    "v": _VSOURCE,
+    "d": _TWO_TERMINAL,
+    "m": _MOSFET,
+    "xmr": _MEMRISTOR,
 }
 
 

@@ -1,23 +1,25 @@
 """Modified nodal analysis with damped Newton iteration.
 
-Unknowns are numbered once per circuit and analysis mode (``_System``):
-node voltages (sorted names, ground ``0`` excluded), then voltage-source
-branch currents (element order), then memristor states (transient only:
-``_System.with_states`` extends the checked DC system by them).
-The iterate is a flat vector in that order, and every element carries its
-unknown numbers as a tuple. Ground takes one extra slot past the last
-unknown: stamps read 0.0 from it and write into its row and column like
-any other, and the solver drops them. The residual form is used
-throughout: F(x) collects KCL sums per node, source voltage equations and
-implicit state equations, and Newton solves J dx = -F.
+Unknowns are numbered once per circuit (``_System``), the same for every
+analysis: node voltages (sorted names, ground ``0`` excluded), then
+voltage-source branch currents (element order), then memristor states
+(element order). In DC a state's row holds it at w0 and couples to no
+node, so the node equations are those of the frozen circuit; a transient
+starts from the operating point's own solution. The iterate is a flat
+vector in that order, and every element carries its unknown numbers as a
+tuple. Ground takes one extra slot past the last unknown: stamps read 0.0
+from it and write into its row and column like any other, and the solver
+drops them. The residual form is used throughout: F(x) collects KCL sums
+per node, source voltage equations and implicit state equations, and
+Newton solves J dx = -F.
 
 Assembly is split as in SPICE's setup and load. When it numbers the
 unknowns, ``_System`` maps each element's stamp pattern
-(``devices.PATTERNS``) through its slots into flat residual and Jacobian
-positions, once. Each assembly then only calls the stamps, which list
-values into two buffers, and one ``np.bincount`` per array adds every
-value into its place; it adds in input order, so each sum is the one the
-stamps' own ``+=`` in element order would give.
+(``devices.PATTERNS``, one per kind in every mode) through its slots into
+flat residual and Jacobian positions, once. Each assembly then only calls
+the stamps, which list values into two buffers, and one ``np.bincount``
+per array adds every value into its place; it adds in input order, so
+each sum is the one the stamps' own ``+=`` in element order would give.
 
 Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to
@@ -36,10 +38,10 @@ Robustness ladder for each point: plain Newton with zero gmin so linear
 circuits are exact, then a geometric gmin ladder, then source stepping;
 the ladders' rungs are built only when plain Newton fails. Update
 damping clamps per-component steps at ``options.damping_limit`` but only
-for unknowns that nonlinear device stamps touch; purely linear circuits
-therefore converge in exactly one Newton iteration. The residual
-tolerances and the step bounds are arrays built once per analysis
-(``_System.bounds``).
+for unknowns that the analysis mode's nonlinear stamps touch (a memristor
+is one in transient runs only); purely linear circuits therefore converge
+in exactly one Newton iteration. The residual tolerances and the step
+bounds are arrays built once per analysis (``_System.bounds``).
 
 A Newton step that ``numpy.linalg.solve`` finds singular, or that comes
 out non-finite, raises SingularMatrix naming the unknown with the largest
@@ -48,7 +50,6 @@ component of the Jacobian's null vector (its last right-singular vector).
 
 from __future__ import annotations
 
-import copy
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -95,7 +96,9 @@ class SolverOptions:
 
 
 class OpPoint(dict):
-    """Node name -> voltage mapping with solve metadata attached."""
+    """Node name -> voltage mapping with solve metadata attached; ``raw``
+    maps every unknown's key (``("v", node)``, ``("i", source)``,
+    ``("w", memristor)``) to its value."""
 
     def __init__(self, voltages: dict[str, float], raw: dict, iterations: int,
                  strategy: str):
@@ -133,21 +136,22 @@ class _Assembly:
     """Stamp target of one assembly: the value buffers that the stamps
     extend in element order (see the stamps section of ``devices``)."""
 
-    __slots__ = ("slots", "res", "jac", "memory")
+    __slots__ = ("slots", "res", "jac", "memory", "limited")
 
     def __init__(self, slots: dict[str, tuple[int, ...]]):
         self.slots = slots
         self.res = array("d")
         self.jac = array("d")
         self.memory: dict[str, float] = {}
+        self.limited = False
 
 
 class _System:
-    """Frozen unknown numbering for one circuit and analysis mode; the one
-    place that validates the circuit and runs the structural checks.
-    ``with_states`` gives the transient numbering of a checked DC system."""
+    """Frozen unknown numbering of one circuit, shared by every analysis
+    of it; the one place that validates the circuit and runs the
+    structural checks."""
 
-    def __init__(self, circuit, transient: bool = False):
+    def __init__(self, circuit):
         circuit.validate()
         _check_dc_paths(circuit)
         _check_source_loops(circuit)
@@ -155,49 +159,38 @@ class _System:
         self.sources = {e.name: e.params for e in circuit.elements if e.kind == "v"}
         self.nodes = [nd for nd in circuit.nodes if nd != devices.GROUND]
         self.nv = len(self.nodes)
-        self._number(transient)
-
-    def with_states(self) -> _System:
-        """This system's transient twin: the DC numbering extended by the
-        memristor states, without checking the circuit again."""
-        tran = copy.copy(self)
-        tran._number(transient=True)
-        return tran
-
-    def _number(self, transient: bool) -> None:
+        memristors = [e for e in self.elements if e.kind == "xmr"]
         keys = [("v", nd) for nd in self.nodes]
         keys += [("i", name) for name in self.sources]
-        if transient:
-            keys += [("w", e.name) for e in self.elements if e.kind == "xmr"]
+        keys += [("w", e.name) for e in memristors]
         self.keys = keys
         self.n = n = len(keys)
-        self.states = slice(n - sum(k[0] == "w" for k in keys), n)
+        self.states = slice(n - len(memristors), n)
+        # the iterate every analysis starts from: zeros, the states at w0
+        self.start = np.zeros(n)
+        self.start[self.states] = [e.params.w0 for e in memristors]
         index = {k: i for i, k in enumerate(keys)}
         index[("v", devices.GROUND)] = n   # the ground slot
-        mode = "tran" if transient else "dc"
         self.slots = {}
         res_rows, jac_cells = [], []
-        nonlinear = np.zeros(n + 1, dtype=bool)
         for e in self.elements:
             slots = tuple(index[("v", nd)] for nd in e.nodes)
             if e.kind == "v":
                 slots += (index[("i", e.name)],)
-            elif e.kind == "xmr" and transient:
+            elif e.kind == "xmr":
                 slots += (index[("w", e.name)],)
-            if e.kind in ("d", "m") or (e.kind == "xmr" and transient):
-                nonlinear[list(slots)] = True
             self.slots[e.name] = slots
-            rows, cells = devices.PATTERNS[e.kind][mode]
+            rows, cells = devices.PATTERNS[e.kind]
             res_rows += [slots[r] for r in rows]
             jac_cells += [slots[r] * (n + 1) + slots[c] for r, c in cells]
         # flat positions of every stamped value, in stamping order
         self.res_index = np.array(res_rows, dtype=np.intp)
         self.jac_index = np.array(jac_cells, dtype=np.intp)
-        self.nonlinear = nonlinear[:n]
 
     def assemble(self, xs: list[float], ctx: StampContext):
-        """Jacobian, residual, residual scale and companion memory at the
-        iterate ``xs`` (unknowns, then 0.0 for the ground slot)."""
+        """Jacobian, residual, residual scale, companion memory and the
+        junction-limiting flag at the iterate ``xs`` (unknowns, then 0.0
+        for the ground slot)."""
         out = _Assembly(self.slots)
         for e in self.elements:
             devices.stamp(e, xs, ctx, out)
@@ -213,7 +206,7 @@ class _System:
             leak = ctx.gmin * np.array(xs[:nv])
             res[:nv] += leak
             scale[:nv] += np.abs(leak)
-        return jac, res, scale, out.memory
+        return jac, res, scale, out.memory, out.limited
 
     def levels(self, t: float = 0.0,
                overrides: dict[str, float] | None = None) -> dict[str, float]:
@@ -228,14 +221,21 @@ class _System:
         return {name: overrides[name] if name in overrides else wave.value(t)
                 for name, wave in self.sources.items()}
 
-    def bounds(self, options: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self, options: SolverOptions,
+               mode: str) -> tuple[np.ndarray, np.ndarray]:
         """The absolute residual tolerance per row (KCL rows are currents,
         source rows voltages, state rows dimensionless) and the Newton
         step bound per unknown: ``damping_limit`` on the unknowns that
-        nonlinear stamps touch, ``inf`` elsewhere."""
+        the mode's nonlinear stamps touch, ``inf`` elsewhere."""
         base = {"v": options.abstol_i, "i": options.abstol_v, "w": _W_ABSTOL}
         abstol = np.array([base[k[0]] for k in self.keys])
-        return abstol, np.where(self.nonlinear, options.damping_limit, np.inf)
+        # in DC a memristor is a resistor of fixed state
+        nonlinear = ("d", "m", "xmr") if mode == "tran" else ("d", "m")
+        step = np.full(self.n + 1, np.inf)
+        for e in self.elements:
+            if e.kind in nonlinear:
+                step[list(self.slots[e.name])] = options.damping_limit
+        return abstol, step[:self.n]
 
 
 def _with_ground(x: np.ndarray) -> list[float]:
@@ -314,17 +314,18 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
 
 def _newton(sys: _System, x0: np.ndarray, ctx: StampContext,
             options: SolverOptions, bounds) -> tuple[np.ndarray, int, dict]:
-    """Damped Newton from x0 within ``sys.bounds(options)``; returns the
+    """Damped Newton from x0 within ``sys.bounds``; returns the
     solution, the iteration count and the companion memory recorded by
-    the converged assembly."""
+    the converged assembly. An assembly in which junction limiting moved
+    a voltage does not end the loop: its residual is not the iterate's."""
     abstol, step = bounds
     x = x0
     xs = ctx.prev_iter = _with_ground(x)
     iters = 0
     while True:
-        jac, res, scale, memory = sys.assemble(xs, ctx)
+        jac, res, scale, memory, limited = sys.assemble(xs, ctx)
         absres = np.abs(res)
-        if np.all(absres <= abstol + options.reltol * scale):
+        if not limited and np.all(absres <= abstol + options.reltol * scale):
             return x, iters, memory
         if iters >= options.max_newton_iters:
             last_res = float(absres.max())
@@ -397,15 +398,15 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
         residual=getattr(last, "residual", None))
 
 
-def _march(sys: _System, x: np.ndarray, memory: dict, points: np.ndarray,
-           context, options: SolverOptions, where):
+def _march(sys: _System, mode: str, x: np.ndarray, memory: dict,
+           points: np.ndarray, context, options: SolverOptions, where):
     """Solve the points in order, each from the last solution and its
-    companion memory through a fresh ``context(point, x, memory)``; a
-    failure is re-raised naming ``where(point)``. Returns the solutions as
-    columns, the iterations and the strategies."""
+    companion memory through a fresh ``context(point, x, memory)`` of the
+    analysis ``mode``; a failure is re-raised naming ``where(point)``.
+    Returns the solutions as columns, the iterations and the strategies."""
     cols = np.empty((sys.n, points.size))
     iterations, strategies = [], []
-    bounds = sys.bounds(options)
+    bounds = sys.bounds(options, mode)
     for i, at in enumerate(points.tolist()):
         try:
             x, iters, strategy, memory = _solve_point(
@@ -425,8 +426,10 @@ def _operating_point(circuit, options: SolverOptions, overrides=None,
     sys = _System(circuit)
     ctx = StampContext(levels=sys.levels(0.0, overrides))
     x0 = x0 or {}
-    start = np.array([x0.get(k, 0.0) for k in sys.keys], dtype=float)
-    return sys, _solve_point(sys, start, ctx, options, sys.bounds(options))
+    start = np.array([x0.get(k, v) for k, v in zip(sys.keys, sys.start)],
+                     dtype=float)
+    return sys, _solve_point(sys, start, ctx, options,
+                             sys.bounds(options, "dc"))
 
 
 def dc_operating_point(circuit, options: SolverOptions | None = None, *,
@@ -435,7 +438,8 @@ def dc_operating_point(circuit, options: SolverOptions | None = None, *,
     """Solve the DC operating point; memristor states stay frozen at w0.
 
     Returns an OpPoint mapping node name -> voltage (ground excluded), with
-    ``raw`` (all unknowns), ``iterations`` and ``strategy`` attached.
+    ``raw`` (all unknowns, the memristor states at w0 among them),
+    ``iterations`` and ``strategy`` attached.
     """
     sys, (x, iters, strategy, _) = _operating_point(
         circuit, options or SolverOptions(), overrides, x0)
@@ -468,7 +472,7 @@ def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
         raise ValueError(f"{source!r} is not a DC voltage source")
     levels = sys.levels()
     cols, iterations, strategies = _march(
-        sys, np.zeros(sys.n), {}, values,
+        sys, "dc", sys.start, {}, values,
         lambda val, x, memory: StampContext(levels={**levels, source: val}),
         options or SolverOptions(),
         lambda val: f"sweep failed at {source}={val:.6g}")
@@ -494,13 +498,9 @@ def transient(circuit, tstop: float, dt: float,
     if dt > tstop:
         raise ValueError(f"transient needs dt <= tstop, got {dt} > {tstop}")
     options = options or SolverOptions()
-    dc, (x_op, op_iters, op_strategy, memory) = _operating_point(circuit, options)
-    sys = dc.with_states()
-    # the transient numbering extends the DC one by the memristor states
-    x = np.concatenate((x_op, [e.params.w0 for e in circuit.elements
-                               if e.kind == "xmr"]))
+    sys, (x, op_iters, op_strategy, memory) = _operating_point(circuit, options)
     cols, iterations, strategies = _march(
-        sys, x, memory, times[1:],
+        sys, "tran", x, memory, times[1:],
         lambda t, x, memory: StampContext(
             mode="tran", dt=dt, method=method, levels=sys.levels(t),
             prev_step=_with_ground(x), hist=memory),
@@ -516,9 +516,10 @@ def transient(circuit, tstop: float, dt: float,
 def residual_report(circuit, op: OpPoint,
                     options: SolverOptions | None = None, *,
                     overrides: dict[str, float] | None = None) -> dict:
-    """Re-assemble the KCL residual at a solved point (zero gmin).
+    """Re-assemble the DC residual at a solved point (zero gmin).
 
-    Returns {unknown key: (|residual|, tolerance)}; useful for verifying
+    Returns {unknown key: (|residual|, tolerance)} for every row of
+    ``op.raw``, memristor states included; useful for verifying
     the convergence contract independently of the Newton loop. Pass the
     same ``overrides`` the point was solved with.
     """
@@ -526,6 +527,6 @@ def residual_report(circuit, op: OpPoint,
     sys = _System(circuit)
     ctx = StampContext(levels=sys.levels(0.0, overrides))
     xs = [op.raw[k] for k in sys.keys] + [0.0]
-    _, res, scale, _ = sys.assemble(xs, ctx)
-    tol = sys.bounds(options)[0] + options.reltol * scale
+    _, res, scale, _, _ = sys.assemble(xs, ctx)
+    tol = sys.bounds(options, "dc")[0] + options.reltol * scale
     return {k: (abs(float(res[i])), float(tol[i])) for i, k in enumerate(sys.keys)}

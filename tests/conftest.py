@@ -96,7 +96,7 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
     boundary, and asserts entrywise agreement to ``rel`` relative with an
     absolute ``floor``. Returns the number of points checked.
     """
-    sys_ = solver._System(circuit, transient=(ctx_maker().mode == "tran"))
+    sys_ = solver._System(circuit)
     mosfets = [e for e in circuit.elements if e.kind == "m"]
     zeners = [e for e in circuit.elements if e.kind == "d"]
     checked = 0
@@ -110,7 +110,7 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
             continue
         if not all(zener_bias_sane(e, xs, sys_.slots) for e in zeners):
             continue
-        jac, res, _, _ = sys_.assemble(xs, ctx_maker())
+        jac, res, _, _, _ = sys_.assemble(xs, ctx_maker())
         h = 1e-7
         fd = np.empty_like(jac)
         for j in range(sys_.n):
@@ -118,8 +118,8 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
             xm = list(xs)
             xp[j] += h
             xm[j] -= h
-            _, rp, _, _ = sys_.assemble(xp, ctx_maker())
-            _, rm, _, _ = sys_.assemble(xm, ctx_maker())
+            _, rp, _, _, _ = sys_.assemble(xp, ctx_maker())
+            _, rm, _, _, _ = sys_.assemble(xm, ctx_maker())
             fd[:, j] = (rp - rm) / (2 * h)
         scale = np.maximum(np.abs(jac), np.abs(fd))
         assert np.all(np.abs(fd - jac) <= rel * scale + floor)
@@ -134,18 +134,11 @@ def make_tran_ctx_maker(circuit, dt=1e-6, method="trapezoidal"):
     point, as the transient's first step sees it.
     """
     op = solver.dc_operating_point(circuit)
-    dc = solver._System(circuit, transient=False)
-    _, _, _, hist = dc.assemble([op.raw[k] for k in dc.keys] + [0.0],
-                                devices.StampContext(mode="dc",
-                                                     levels=dc.levels()))
-    start = dict(op.raw)
-    for e in circuit.elements:
-        if e.kind == "xmr":
-            start[("w", e.name)] = e.params.w0
-    tran = solver._System(circuit, transient=True)
-    prev = [start[k] for k in tran.keys]
-    prev.append(0.0)
-    levels = tran.levels(dt)
+    sys_ = solver._System(circuit)
+    prev = [op.raw[k] for k in sys_.keys] + [0.0]
+    _, _, _, hist, _ = sys_.assemble(prev, devices.StampContext(
+        mode="dc", levels=sys_.levels()))
+    levels = sys_.levels(dt)
 
     def ctx_maker():
         return devices.StampContext(mode="tran", dt=dt, levels=levels,

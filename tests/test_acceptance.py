@@ -183,7 +183,7 @@ def test_solver_matches_independent_oracles():
 
     rng = np.random.default_rng(20240820)
     dc_circuit = parse_netlist(FD_BENCH_DC)
-    dc_levels = solver._System(dc_circuit, transient=False).levels()
+    dc_levels = solver._System(dc_circuit).levels()
     n_dc = fd_jacobian_check(dc_circuit,
                              lambda: StampContext(mode="dc", levels=dc_levels),
                              rng, 50)

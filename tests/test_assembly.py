@@ -8,6 +8,8 @@ scale and companion memory bit for bit at any iterate, because
 ``np.bincount`` adds in input order, as these loops did.
 """
 
+import types
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ def _stamp_zener(elem, x, ctx, out):
     p = elem.params
     v = x[a] - x[b]
     if ctx.prev_iter:
-        vlim = _zener_limited_v(p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
+        vlim, _ = _zener_limited_v(p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
     else:
         vlim = v
     i0, g = zener_ig(p, vlim)
@@ -234,14 +236,26 @@ def _iterate(sys_, rng):
     return x.tolist() + [0.0]
 
 
+def _dc_view(sys_):
+    """The system as the reference's DC stamps see it: a memristor has its
+    two nodes only, and the state rows and columns stay empty."""
+    slots = {e.name: sys_.slots[e.name][:2] if e.kind == "xmr"
+             else sys_.slots[e.name] for e in sys_.elements}
+    return types.SimpleNamespace(elements=sys_.elements, slots=slots,
+                                 n=sys_.n, nv=sys_.nv)
+
+
 @pytest.mark.parametrize("mode, method, gmin, srcscale", CONTEXTS)
 @pytest.mark.parametrize("name", list(CIRCUITS))
 def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
                                                srcscale):
     circuit = CIRCUITS[name]()
     sys_ = solver._System(circuit)
-    if mode == "tran":
-        sys_ = sys_.with_states()
+    oracle = _dc_view(sys_) if mode == "dc" else sys_
+    # DC holds each state at w0 by its own unit row: the reference, which
+    # has no state rows in DC, is compared outside them
+    states = np.arange(sys_.n)[sys_.states]
+    w0 = np.array([e.params.w0 for e in circuit.elements if e.kind == "xmr"])
     rng = np.random.default_rng(
         [list(CIRCUITS).index(name),
          CONTEXTS.index((mode, method, gmin, srcscale))])
@@ -257,32 +271,40 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
             prev_iter=_iterate(sys_, rng) if trial % 3 else [],
             hist=dict(history))
         xs = _iterate(sys_, rng)
-        jac, res, scale, memory = sys_.assemble(xs, ctx)
-        want = reference_assemble(sys_, xs, ctx)
-        assert np.array_equal(jac, want[0])
-        assert np.array_equal(res, want[1])
-        assert np.array_equal(scale, want[2])
+        jac, res, scale, memory, _ = sys_.assemble(xs, ctx)
+        want = reference_assemble(oracle, xs, ctx)
+        keep = np.arange(sys_.n)
+        if mode == "dc":
+            drift = np.array(xs)[states] - w0
+            assert np.array_equal(jac[states], np.eye(sys_.n)[states])
+            assert np.array_equal(res[states], drift)
+            assert np.array_equal(scale[states], np.abs(drift))
+            keep = keep[:sys_.states.start]
+            assert not jac[np.ix_(keep, states)].any()
+        block = np.ix_(keep, keep)
+        assert np.array_equal(jac[block], want[0][block])
+        assert np.array_equal(res[keep], want[1][keep])
+        assert np.array_equal(scale[keep], want[2][keep])
         assert memory == want[3]
 
 
 def test_each_stamp_lists_its_pattern():
-    # every value a stamp writes has a place in its kind's pattern, in
+    # every value a stamp writes has a place in its kind's one pattern, in
     # every mode, and every place gets a value
     circuit = parse_netlist(ALL_KINDS)
     assert {e.kind for e in circuit.elements} == set(devices.PATTERNS)
-    dc = solver._System(circuit)
-    tran = dc.with_states()
+    sys_ = solver._System(circuit)
     rng = np.random.default_rng(7)
-    prev = _iterate(tran, rng)
-    for sys_, ctx in [(dc, StampContext(levels=dc.levels()))] + [
-            (tran, StampContext(mode="tran", dt=1e-6, method=method,
-                                levels=dc.levels(), prev_step=prev))
+    prev = _iterate(sys_, rng)
+    for ctx in [StampContext(levels=sys_.levels())] + [
+            StampContext(mode="tran", dt=1e-6, method=method,
+                         levels=sys_.levels(), prev_step=prev)
             for method in ("backward-euler", "trapezoidal")]:
         xs = _iterate(sys_, rng)
         for e in circuit.elements:
             out = solver._Assembly(sys_.slots)
             devices.stamp(e, xs, ctx, out)
-            rows, cells_ = devices.PATTERNS[e.kind][ctx.mode]
+            rows, cells_ = devices.PATTERNS[e.kind]
             assert (len(out.res), len(out.jac)) == (len(rows), len(cells_)), \
                 (e.name, ctx.mode, ctx.method)
             width = len(sys_.slots[e.name])

@@ -71,6 +71,21 @@ def test_op_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, line", [
+    (b"\xff* title\nr_1 a 0 1k\n", 1),
+    (b"t\r\nv_1 a 0 1\r\nr_1 a 0 1k\r\n* caf\xe9\n", 4),
+    (b"t\nv_1 a 0 1\n* \xe2\x82", 3),   # a cut multi-byte character
+])
+def test_non_utf8_netlist_is_parse_error_naming_line(tmp_path, capsys,
+                                                     data, line):
+    p = tmp_path / "bin.cir"
+    p.write_bytes(data)
+    assert main(["op", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"parse error: line {line}: byte 0x" in err
+    assert "not valid UTF-8" in err
+
+
 @pytest.mark.parametrize("card", ["v_1 in 0 1e999",
                                   "m_1 in in 0 0 nmod wl=-1"])
 def test_op_out_of_range_card_is_parse_error(tmp_path, capsys, card):
@@ -278,7 +293,23 @@ def test_gen_gaussian_requires_out():
 def test_gen_gaussian_unwritable_dir_is_io_error(tmp_path, capsys):
     dest = tmp_path / "no" / "such" / "dir" / "g.pgm"
     assert main(["gen-gaussian", "--out", str(dest)]) == 4
-    assert "i/o error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "i/o error" in err
+    assert str(dest) in err
+    assert ".dtlsim-tmp-" not in err
+
+
+def test_out_onto_a_directory_names_it_and_leaves_no_temp_file(
+        tmp_path, divider, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    for argv in (["gen-gaussian", "--size", "9"], ["sweep", str(divider)]):
+        assert main([*argv, "--out", str(target)]) == 4
+        err = capsys.readouterr().err
+        assert f"i/o error: [Errno 21] Is a directory: '{target}'" in err
+        assert ".dtlsim-tmp-" not in err
+    assert not any(p.name.startswith(".dtlsim-tmp-")
+                   for p in tmp_path.iterdir())
 
 
 def test_gen_gaussian_invalid_size():
@@ -317,6 +348,22 @@ def test_segment_constant_image_no_ring(tmp_path, capsys):
     write_pgm(img_path, gen_gaussian_image(33, sigma=1e6))  # ~constant 255
     assert main(["segment", str(img_path)]) == 5
     assert "empty analysis" in capsys.readouterr().err
+
+
+def test_segment_checks_voltage_range_before_any_work(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the range check")
+    monkeypatch.setattr(solver, "dc_sweep", no_sweep)
+    img_path = tmp_path / "blob.pgm"
+    write_pgm(img_path, gen_gaussian_image(9))
+    for lo, hi in (("2", "1"), ("1", "1"), ("nan", "1")):
+        # a missing image would be an i/o error: the range is checked first
+        for image in (img_path, tmp_path / "missing.pgm"):
+            assert main(["segment", str(image), "--v-low", lo,
+                         "--v-high", hi]) == 1
+            assert ("invalid argument: need v_high > v_low"
+                    in capsys.readouterr().err)
 
 
 def test_segment_truncated_image_is_io_error(tmp_path, capsys):
