@@ -425,8 +425,8 @@ def settle_phase_levels(result: TransientResult, node: str,
     Splits [0, tstop] into ``n_phases`` windows and averages the last
     ``settle_frac`` of each, which discards the transition transients.
     """
-    if n_phases < 1:
-        raise ValueError(f"n_phases must be >= 1, got {n_phases}")
+    if not (isinstance(n_phases, (int, np.integer)) and n_phases >= 1):
+        raise ValueError(f"n_phases must be an integer >= 1, got {n_phases!r}")
     if not 0.0 < settle_frac <= 1.0:
         raise ValueError(f"settle_frac must lie in (0, 1], got {settle_frac}")
     t = np.asarray(result.times, dtype=float)

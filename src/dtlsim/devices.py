@@ -297,14 +297,16 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 # stamps
 #
 # A stamp reads the iterate ``x``, a flat sequence indexed by unknown
-# number whose last slot is ground and holds 0.0, and writes into its
+# number whose last slot is ground and holds 0.0, and its element as the
+# solver bound it once per circuit: ``elem.slots`` are its unknown numbers
+# (its nodes in netlist order, then its source branch current or memristor
+# state) and ``elem.number`` is its position, which indexes the per-point
+# lists ``ctx.levels``, ``ctx.hist`` and ``out.memory``. It writes into its
 # target ``out``:
 #
-# * ``out.slots[elem.name]``: the element's unknown numbers, its nodes in
-#   netlist order, then its source branch current or memristor state;
 # * ``out.res``, ``out.jac``: ``array('d')`` buffers that each take the
 #   element's residual or Jacobian values in one ``extend``;
-# * ``out.memory[elem.name]``: companion memory that the next transient
+# * ``out.memory[elem.number]``: companion memory that the next transient
 #   step reads back as ``ctx.hist`` (capacitor current, memristor drift
 #   rate), recorded at every assembly so the converged one holds it;
 # * ``out.limited``: set when junction limiting moved a voltage, so the
@@ -327,20 +329,29 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 GROUND = "0"
 
 
+def integration(method: str, dt: float) -> tuple[float, float]:
+    """(h, carry) of one step x1 - x0 = h*(f1 + carry*f0) of dx/dt = f:
+    backward Euler is (dt, 0) and the trapezoidal rule (dt/2, 1)."""
+    if method == "backward-euler":
+        return dt, 0.0
+    if method == "trapezoidal":
+        return 0.5 * dt, 1.0
+    raise ValueError(f"unknown method {method!r}")
+
+
 @dataclass
 class StampContext:
     """Everything a stamp may need beyond the current iterate; the solver
     makes one per operating point, sweep point or time step."""
 
-    mode: str = "dc"                  # "dc" or "tran"
-    dt: float = 0.0
-    method: str = "backward-euler"    # or "trapezoidal"
+    h: float = 0.0                    # step coefficients of ``integration``;
+    carry: float = 0.0                # h == 0 is DC
     srcscale: float = 1.0             # source-stepping homotopy scale
     gmin: float = 0.0
-    levels: dict = field(default_factory=dict)      # source name -> level before srcscale
+    levels: list = field(default_factory=list)      # source levels before srcscale
     prev_step: list = field(default_factory=list)   # iterate at t_n
     prev_iter: list = field(default_factory=list)   # last Newton iterate
-    hist: dict = field(default_factory=dict)        # element name -> companion memory
+    hist: list = field(default_factory=list)        # companion memory at t_n
 
 
 # (residual rows, Jacobian cells) of a current i(v) with conductance g
@@ -350,7 +361,7 @@ _TWO_TERMINAL = ((0, 1), ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
 def _stamp_resistor(elem, x, ctx, out):
-    a, b = out.slots[elem.name]
+    a, b = elem.slots
     g = 1.0 / elem.params.resistance
     i = (x[a] - x[b]) * g
     out.res.extend((i, -i))
@@ -358,20 +369,14 @@ def _stamp_resistor(elem, x, ctx, out):
 
 
 def _stamp_capacitor(elem, x, ctx, out):
-    a, b = out.slots[elem.name]
-    if ctx.mode == "dc":   # open circuit
+    a, b = elem.slots
+    if ctx.h:   # companion of c*(v1 - v0) = h*(i1 + carry*i0)
+        g = elem.params.capacitance / ctx.h
+        i = (g * ((x[a] - x[b]) - (ctx.prev_step[a] - ctx.prev_step[b]))
+             - ctx.carry * ctx.hist[elem.number])
+    else:   # DC: open circuit
         g = i = 0.0
-    else:
-        v = x[a] - x[b]
-        vp = ctx.prev_step[a] - ctx.prev_step[b]
-        c = elem.params.capacitance
-        if ctx.method == "trapezoidal":
-            g = 2.0 * c / ctx.dt
-            i = g * (v - vp) - ctx.hist.get(elem.name, 0.0)
-        else:
-            g = c / ctx.dt
-            i = g * (v - vp)
-    out.memory[elem.name] = i
+    out.memory[elem.number] = i
     out.res.extend((i, -i))
     out.jac.extend((g, -g, -g, g))
 
@@ -382,8 +387,8 @@ _VSOURCE = ((0, 1, 2, 2, 2), ((0, 2), (1, 2), (2, 0), (2, 1)))
 
 
 def _stamp_vsource(elem, x, ctx, out):
-    a, b, k = out.slots[elem.name]
-    level = ctx.levels[elem.name] * ctx.srcscale
+    a, b, k = elem.slots
+    level = ctx.levels[elem.number] * ctx.srcscale
     i = x[k]
     out.res.extend((i, -i, x[a], -x[b], -level))
     out.jac.extend((1.0, -1.0, 1.0, -1.0))
@@ -414,7 +419,7 @@ def _zener_limited_v(p: ZenerParams, v: float,
 
 
 def _stamp_zener(elem, x, ctx, out):
-    a, b = out.slots[elem.name]
+    a, b = elem.slots
     p = elem.params
     v = x[a] - x[b]
     if ctx.prev_iter:
@@ -440,7 +445,7 @@ _MOSFET = ((0, 2), ((0, 0), (2, 0), (0, 1), (2, 1),
 
 
 def _stamp_mosfet(elem, x, ctx, out):
-    d, g_, s, b = out.slots[elem.name]
+    d, g_, s, b = elem.slots
     i, di_dvgs, di_dvds, di_dvsb = mosfet_ids_grad(
         elem.params, x[g_] - x[s], x[d] - x[s], x[s] - x[b], clamp_body=True)
     di_dvs = -di_dvgs - di_dvds + di_dvsb
@@ -450,24 +455,26 @@ def _stamp_mosfet(elem, x, ctx, out):
 
 
 # slots (a, b, k): the two-terminal pattern, the current's partial in
-# column k, then the state row k = w - w_n - dt*rate as two values. In DC
-# the current reads w0 and the state row is k = x[k] - w0 with a unit
-# diagonal and zero couplings, so the state stays at w0.
+# column k, then the state row k = w - w_n - h*(rate + carry*rate_n) as
+# two values. In DC the current reads w0 and the state row is
+# k = x[k] - w0 with a unit diagonal and zero couplings, so the state
+# stays at w0.
 _MEMRISTOR = ((0, 1, 2, 2), _TWO_TERMINAL[1] + (
     (0, 2), (1, 2), (2, 2), (2, 0), (2, 1)))
 
 
 def _stamp_memristor(elem, x, ctx, out):
     p = elem.params
-    a, b, k = out.slots[elem.name]
-    w = p.w0 if ctx.mode == "dc" else min(max(x[k], 0.0), 1.0)
+    a, b, k = elem.slots
+    h = ctx.h
+    w = min(max(x[k], 0.0), 1.0) if h else p.w0
     va, vb = x[a], x[b]
     r = memristance(p, w)
     g = 1.0 / r
     i = (va - vb) * g
     rate = memristor_state_rate(p, w, i)
-    out.memory[elem.name] = rate
-    if ctx.mode == "dc":   # state held at w0, decoupled from the nodes
+    out.memory[elem.number] = rate
+    if not h:   # DC: state held at w0, decoupled from the nodes
         out.res.extend((i, -i, x[k] - w, 0.0))
         out.jac.extend((g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
         return
@@ -476,38 +483,24 @@ def _stamp_memristor(elem, x, ctx, out):
     fw = window_factor(p, w)
     drate_dw = p.k_drift * (di_dw * fw + i * _window_grad(p, w))
     drate_dv = p.k_drift * fw * g
-    if ctx.method == "trapezoidal":
-        dte = 0.5 * ctx.dt
-        drift = -dte * (rate + ctx.hist.get(elem.name, 0.0))
-    else:
-        dte = ctx.dt
-        drift = -dte * rate
+    drift = -h * (rate + ctx.carry * ctx.hist[elem.number])
     out.res.extend((i, -i, w - ctx.prev_step[k], drift))
-    out.jac.extend((g, -g, -g, g, di_dw, -di_dw, 1.0 - dte * drate_dw,
-                    -(dte * drate_dv), dte * drate_dv))
+    out.jac.extend((g, -g, -g, g, di_dw, -di_dw, 1.0 - h * drate_dw,
+                    -(h * drate_dv), h * drate_dv))
 
 
-_STAMPS = {
-    "r": _stamp_resistor,
-    "c": _stamp_capacitor,
-    "v": _stamp_vsource,
-    "d": _stamp_zener,
-    "m": _stamp_mosfet,
-    "xmr": _stamp_memristor,
-}
-
-# kind -> (residual rows, Jacobian cells) of its stamp, in every mode
-PATTERNS = {
-    "r": _TWO_TERMINAL,
-    "c": _TWO_TERMINAL,
-    "v": _VSOURCE,
-    "d": _TWO_TERMINAL,
-    "m": _MOSFET,
-    "xmr": _MEMRISTOR,
+# kind -> (stamp, (residual rows, Jacobian cells) of its values in every mode)
+KINDS = {
+    "r": (_stamp_resistor, _TWO_TERMINAL),
+    "c": (_stamp_capacitor, _TWO_TERMINAL),
+    "v": (_stamp_vsource, _VSOURCE),
+    "d": (_stamp_zener, _TWO_TERMINAL),
+    "m": (_stamp_mosfet, _MOSFET),
+    "xmr": (_stamp_memristor, _MEMRISTOR),
 }
 
 
 def stamp(elem, x, ctx: StampContext, out) -> None:
     """Write elem's residual and Jacobian values (in the order of its
-    ``PATTERNS`` entry) and its companion memory at iterate x."""
-    _STAMPS[elem.kind](elem, x, ctx, out)
+    ``KINDS`` pattern) and its companion memory at iterate x."""
+    KINDS[elem.kind][0](elem, x, ctx, out)

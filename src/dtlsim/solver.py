@@ -6,16 +6,17 @@ voltage-source branch currents (element order), then memristor states
 (element order). In DC a state's row holds it at w0 and couples to no
 node, so the node equations are those of the frozen circuit; a transient
 starts from the operating point's own solution. The iterate is a flat
-vector in that order, and every element carries its unknown numbers as a
-tuple. Ground takes one extra slot past the last unknown: stamps read 0.0
-from it and write into its row and column like any other, and the solver
-drops them. The residual form is used throughout: F(x) collects KCL sums
-per node, source voltage equations and implicit state equations, and
-Newton solves J dx = -F.
+vector in that order; ``_System`` binds each element once to its unknown
+numbers and its position, which indexes the per-point lists (source
+levels, companion memory). Ground takes one extra slot past the last
+unknown: stamps read 0.0 from it and write into its row and column like
+any other, and the solver drops them. The residual form is used
+throughout: F(x) collects KCL sums per node, source voltage equations
+and implicit state equations, and Newton solves J dx = -F.
 
 Assembly is split as in SPICE's setup and load. When it numbers the
 unknowns, ``_System`` maps each element's stamp pattern
-(``devices.PATTERNS``, one per kind in every mode) through its slots into
+(``devices.KINDS``, one per kind in every mode) through its slots into
 flat residual and Jacobian positions, once. Each assembly then only calls
 the stamps, which list values into two buffers, and one ``np.bincount``
 per array adds every value into its place; it adds in input order, so
@@ -30,9 +31,11 @@ evaluated once (``_System.levels``, which also checks overrides). DC sweeps
 and transients share one point loop (``_march``): each point starts from
 the last solution, and its iterations and winning strategy are recorded.
 
-Transient companion memory (capacitor currents, memristor drift rates) is
-computed only by the stamps: every assembly records it, and the record of
-the assembly that converged a step seeds the next step.
+A transient step's context carries the coefficients (h, carry) of one
+integration rule (``devices.integration``); DC is h == 0. Companion
+memory (capacitor currents, memristor drift rates) is computed only by
+the stamps: every assembly records it, and the record of the assembly
+that converged a step seeds the next step.
 
 Robustness ladder for each point: plain Newton with zero gmin so linear
 circuits are exact, then a geometric gmin ladder, then source stepping;
@@ -53,7 +56,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -132,17 +135,25 @@ class TransientResult:
         return self.voltages[node]
 
 
+# a netlist element bound to its unknown numbers and its position
+@dataclass(frozen=True, slots=True)
+class _Element:
+    kind: str
+    params: object
+    slots: tuple[int, ...]
+    number: int
+
+
 class _Assembly:
     """Stamp target of one assembly: the value buffers that the stamps
     extend in element order (see the stamps section of ``devices``)."""
 
-    __slots__ = ("slots", "res", "jac", "memory", "limited")
+    __slots__ = ("res", "jac", "memory", "limited")
 
-    def __init__(self, slots: dict[str, tuple[int, ...]]):
-        self.slots = slots
+    def __init__(self, count: int):
         self.res = array("d")
         self.jac = array("d")
-        self.memory: dict[str, float] = {}
+        self.memory = [0.0] * count
         self.limited = False
 
 
@@ -155,13 +166,11 @@ class _System:
         circuit.validate()
         _check_dc_paths(circuit)
         _check_source_loops(circuit)
-        self.elements = circuit.elements
-        self.sources = {e.name: e.params for e in circuit.elements if e.kind == "v"}
-        self.nodes = [nd for nd in circuit.nodes if nd != devices.GROUND]
-        self.nv = len(self.nodes)
-        memristors = [e for e in self.elements if e.kind == "xmr"]
-        keys = [("v", nd) for nd in self.nodes]
-        keys += [("i", name) for name in self.sources]
+        elements = circuit.elements
+        keys = [("v", nd) for nd in circuit.nodes if nd != devices.GROUND]
+        self.nv = len(keys)
+        memristors = [e for e in elements if e.kind == "xmr"]
+        keys += [("i", e.name) for e in elements if e.kind == "v"]
         keys += [("w", e.name) for e in memristors]
         self.keys = keys
         self.n = n = len(keys)
@@ -171,18 +180,20 @@ class _System:
         self.start[self.states] = [e.params.w0 for e in memristors]
         index = {k: i for i, k in enumerate(keys)}
         index[("v", devices.GROUND)] = n   # the ground slot
-        self.slots = {}
+        self.elements = []
         res_rows, jac_cells = [], []
-        for e in self.elements:
+        for number, e in enumerate(elements):
             slots = tuple(index[("v", nd)] for nd in e.nodes)
             if e.kind == "v":
                 slots += (index[("i", e.name)],)
             elif e.kind == "xmr":
                 slots += (index[("w", e.name)],)
-            self.slots[e.name] = slots
-            rows, cells = devices.PATTERNS[e.kind]
+            self.elements.append(_Element(e.kind, e.params, slots, number))
+            rows, cells = devices.KINDS[e.kind][1]
             res_rows += [slots[r] for r in rows]
             jac_cells += [slots[r] * (n + 1) + slots[c] for r, c in cells]
+        self.sources = {e.name: bound for e, bound in zip(elements, self.elements)
+                        if e.kind == "v"}
         # flat positions of every stamped value, in stamping order
         self.res_index = np.array(res_rows, dtype=np.intp)
         self.jac_index = np.array(jac_cells, dtype=np.intp)
@@ -191,7 +202,7 @@ class _System:
         """Jacobian, residual, residual scale, companion memory and the
         junction-limiting flag at the iterate ``xs`` (unknowns, then 0.0
         for the ground slot)."""
-        out = _Assembly(self.slots)
+        out = _Assembly(len(self.elements))
         for e in self.elements:
             devices.stamp(e, xs, ctx, out)
         n, nv, size = self.n, self.nv, self.n + 1
@@ -209,17 +220,18 @@ class _System:
         return jac, res, scale, out.memory, out.limited
 
     def levels(self, t: float = 0.0,
-               overrides: dict[str, float] | None = None) -> dict[str, float]:
-        """Every voltage source's level at time t, before source stepping;
-        ``overrides`` must set voltage sources to finite levels."""
-        overrides = overrides or {}
-        for name, level in overrides.items():
+               overrides: dict[str, float] | None = None) -> list[float]:
+        """Every voltage source's level at time t before source stepping, by
+        element number; ``overrides`` must set voltage sources to finite reals."""
+        levels = [e.params.value(t) if e.kind == "v" else 0.0
+                  for e in self.elements]
+        for name, level in (overrides or {}).items():
             if name not in self.sources:
                 raise ValueError(f"override {name!r} is not a voltage source")
-            if not math.isfinite(level):
-                raise ValueError(f"override {name}={level} is not finite")
-        return {name: overrides[name] if name in overrides else wave.value(t)
-                for name, wave in self.sources.items()}
+            if not (isinstance(level, Real) and math.isfinite(level)):
+                raise ValueError(f"override {name}={level!r} is not a finite real")
+            levels[self.sources[name].number] = float(level)
+        return levels
 
     def bounds(self, options: SolverOptions,
                mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +246,7 @@ class _System:
         step = np.full(self.n + 1, np.inf)
         for e in self.elements:
             if e.kind in nonlinear:
-                step[list(self.slots[e.name])] = options.damping_limit
+                step[list(e.slots)] = options.damping_limit
         return abstol, step[:self.n]
 
 
@@ -313,7 +325,7 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
 
 
 def _newton(sys: _System, x0: np.ndarray, ctx: StampContext,
-            options: SolverOptions, bounds) -> tuple[np.ndarray, int, dict]:
+            options: SolverOptions, bounds) -> tuple[np.ndarray, int, list]:
     """Damped Newton from x0 within ``sys.bounds``; returns the
     solution, the iteration count and the companion memory recorded by
     the converged assembly. An assembly in which junction limiting moved
@@ -363,7 +375,7 @@ def _strategies(sys: _System, x0: np.ndarray, options: SolverOptions):
 
 def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
                  options: SolverOptions,
-                 bounds) -> tuple[np.ndarray, int, str, dict]:
+                 bounds) -> tuple[np.ndarray, int, str, list]:
     """Newton with homotopy fallbacks; ctx.gmin/srcscale are scratch.
 
     Each strategy walks its (gmin, source scale) rungs from its start,
@@ -398,7 +410,7 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
         residual=getattr(last, "residual", None))
 
 
-def _march(sys: _System, mode: str, x: np.ndarray, memory: dict,
+def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
            points: np.ndarray, context, options: SolverOptions, where):
     """Solve the points in order, each from the last solution and its
     companion memory through a fresh ``context(point, x, memory)`` of the
@@ -425,9 +437,13 @@ def _operating_point(circuit, options: SolverOptions, overrides=None,
     """Checked DC solve: returns the system and _solve_point's result."""
     sys = _System(circuit)
     ctx = StampContext(levels=sys.levels(0.0, overrides))
-    x0 = x0 or {}
-    start = np.array([x0.get(k, v) for k, v in zip(sys.keys, sys.start)],
-                     dtype=float)
+    start = sys.start.copy()
+    for key, value in (x0 or {}).items():
+        if key not in sys.keys or not (isinstance(value, Real)
+                                       and math.isfinite(value)):
+            raise ValueError(f"x0[{key!r}] = {value!r}: need a finite real "
+                             f"for an unknown of the circuit")
+        start[sys.keys.index(key)] = value
     return sys, _solve_point(sys, start, ctx, options,
                              sys.bounds(options, "dc"))
 
@@ -439,7 +455,9 @@ def dc_operating_point(circuit, options: SolverOptions | None = None, *,
 
     Returns an OpPoint mapping node name -> voltage (ground excluded), with
     ``raw`` (all unknowns, the memristor states at w0 among them),
-    ``iterations`` and ``strategy`` attached.
+    ``iterations`` and ``strategy`` attached. ``overrides`` set source
+    levels by name and ``x0`` starts unknowns keyed as in ``raw``; both
+    take finite reals only, checked before any Newton work.
     """
     sys, (x, iters, strategy, _) = _operating_point(
         circuit, options or SolverOptions(), overrides, x0)
@@ -467,14 +485,16 @@ def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
     values = sweep_points(start, stop, step)
     sys = _System(circuit)
     source = source.lower()
-    wave = sys.sources.get(source)
-    if wave is None or wave.kind != "dc":
+    swept = sys.sources.get(source)
+    if swept is None or swept.params.kind != "dc":
         raise ValueError(f"{source!r} is not a DC voltage source")
     levels = sys.levels()
+
+    def context(val, x, memory):   # points are solved one at a time
+        levels[swept.number] = val
+        return StampContext(levels=levels)
     cols, iterations, strategies = _march(
-        sys, "dc", sys.start, {}, values,
-        lambda val, x, memory: StampContext(levels={**levels, source: val}),
-        options or SolverOptions(),
+        sys, "dc", sys.start, [], values, context, options or SolverOptions(),
         lambda val: f"sweep failed at {source}={val:.6g}")
     columns = {k[1]: col for k, col in zip(sys.keys, cols[:sys.nv])}
     return SweepResult(source, values, columns, iterations, strategies)
@@ -492,8 +512,7 @@ def transient(circuit, tstop: float, dt: float,
     the DC memristor drift rates. ``iterations`` and ``strategies`` have
     one entry per row, the operating point's first.
     """
-    if method not in ("backward-euler", "trapezoidal"):
-        raise ValueError(f"unknown method {method!r}")
+    h, carry = devices.integration(method, dt)
     times = sweep_points(0.0, tstop, dt)
     if dt > tstop:
         raise ValueError(f"transient needs dt <= tstop, got {dt} > {tstop}")
@@ -502,7 +521,7 @@ def transient(circuit, tstop: float, dt: float,
     cols, iterations, strategies = _march(
         sys, "tran", x, memory, times[1:],
         lambda t, x, memory: StampContext(
-            mode="tran", dt=dt, method=method, levels=sys.levels(t),
+            h=h, carry=carry, levels=sys.levels(t),
             prev_step=_with_ground(x), hist=memory),
         options, lambda t: f"transient failed at t={t:.6g}s")
     cols = np.column_stack((x, cols))

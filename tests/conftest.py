@@ -61,10 +61,10 @@ d_1 0 c zen
 """
 
 
-def mosfet_boundary_distance(e, xs, slots):
+def mosfet_boundary_distance(e, xs):
     """Distance of a trial point from the nearest C1 kink of one MOSFET."""
     p = e.params
-    vd, vg, vs, vb = (xs[i] for i in slots[e.name])
+    vd, vg, vs, vb = (xs[i] for i in e.slots)
     vgs, vds, vsb = vg - vs, vd - vs, vs - vb
     if p.polarity == "p":
         vgs, vds, vsb = -vgs, -vds, -vsb
@@ -76,14 +76,14 @@ def mosfet_boundary_distance(e, xs, slots):
     return min(abs(vds), abs(body), abs(vov), abs(vov - vds))
 
 
-def zener_bias_sane(e, xs, slots):
+def zener_bias_sane(e, xs):
     """Reject draws that shove a junction volts past its forward knee.
 
     A forward exponential that far up dwarfs every other term in its KCL
     row and turns the central difference into ulp noise; the solver's
     junction limiting never lets an iterate get there either.
     """
-    a, b = slots[e.name]
+    a, b = e.slots
     return -3.0 < xs[a] - xs[b] < 0.75
 
 
@@ -97,18 +97,17 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
     absolute ``floor``. Returns the number of points checked.
     """
     sys_ = solver._System(circuit)
-    mosfets = [e for e in circuit.elements if e.kind == "m"]
-    zeners = [e for e in circuit.elements if e.kind == "d"]
+    mosfets = [e for e in sys_.elements if e.kind == "m"]
+    zeners = [e for e in sys_.elements if e.kind == "d"]
     checked = 0
     while checked < n_points:
         # iterate slots, the last one ground
         xs = [float(rng.uniform(-1.5, 1.5)) for _ in range(sys_.n)] + [0.0]
         for i in range(sys_.n)[sys_.states]:
             xs[i] = float(rng.uniform(0.05, 0.95))
-        if any(mosfet_boundary_distance(e, xs, sys_.slots) < 1e-3
-               for e in mosfets):
+        if any(mosfet_boundary_distance(e, xs) < 1e-3 for e in mosfets):
             continue
-        if not all(zener_bias_sane(e, xs, sys_.slots) for e in zeners):
+        if not all(zener_bias_sane(e, xs) for e in zeners):
             continue
         jac, res, _, _, _ = sys_.assemble(xs, ctx_maker())
         h = 1e-7
@@ -137,11 +136,11 @@ def make_tran_ctx_maker(circuit, dt=1e-6, method="trapezoidal"):
     sys_ = solver._System(circuit)
     prev = [op.raw[k] for k in sys_.keys] + [0.0]
     _, _, _, hist, _ = sys_.assemble(prev, devices.StampContext(
-        mode="dc", levels=sys_.levels()))
+        levels=sys_.levels()))
     levels = sys_.levels(dt)
+    h, carry = devices.integration(method, dt)
 
     def ctx_maker():
-        return devices.StampContext(mode="tran", dt=dt, levels=levels,
-                                    method=method, prev_step=list(prev),
-                                    hist=dict(hist))
+        return devices.StampContext(h=h, carry=carry, levels=levels,
+                                    prev_step=list(prev), hist=list(hist))
     return ctx_maker

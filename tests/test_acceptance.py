@@ -185,7 +185,7 @@ def test_solver_matches_independent_oracles():
     dc_circuit = parse_netlist(FD_BENCH_DC)
     dc_levels = solver._System(dc_circuit).levels()
     n_dc = fd_jacobian_check(dc_circuit,
-                             lambda: StampContext(mode="dc", levels=dc_levels),
+                             lambda: StampContext(levels=dc_levels),
                              rng, 50)
     tran_circuit = parse_netlist(FD_BENCH_TRAN)
     n_tr = fd_jacobian_check(tran_circuit, make_tran_ctx_maker(tran_circuit),

@@ -6,6 +6,12 @@ and a residual scale, row by row, in element order. The solver's
 pattern-and-bincount assembly must give the same Jacobian, residual,
 scale and companion memory bit for bit at any iterate, because
 ``np.bincount`` adds in input order, as these loops did.
+
+The reference stamps still read the integration method and step, and
+levels, slots and history by element name; the solver's stamps read the
+coefficients of ``devices.integration`` and lists by element number. Both
+sides are fed from the same random draw, so the comparison also judges
+the coefficient form of the integration rule against its branch form.
 """
 
 import types
@@ -236,12 +242,14 @@ def _iterate(sys_, rng):
     return x.tolist() + [0.0]
 
 
-def _dc_view(sys_):
-    """The system as the reference's DC stamps see it: a memristor has its
-    two nodes only, and the state rows and columns stay empty."""
-    slots = {e.name: sys_.slots[e.name][:2] if e.kind == "xmr"
-             else sys_.slots[e.name] for e in sys_.elements}
-    return types.SimpleNamespace(elements=sys_.elements, slots=slots,
+def _reference_view(sys_, circuit, mode):
+    """The system as the reference's stamps see it: the netlist elements
+    and their slots by name; in DC a memristor has its two nodes only, and
+    the state rows and columns stay empty."""
+    slots = {e.name: bound.slots[:2] if mode == "dc" and e.kind == "xmr"
+             else bound.slots for e, bound in zip(circuit.elements,
+                                                  sys_.elements)}
+    return types.SimpleNamespace(elements=circuit.elements, slots=slots,
                                  n=sys_.n, nv=sys_.nv)
 
 
@@ -251,7 +259,8 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
                                                srcscale):
     circuit = CIRCUITS[name]()
     sys_ = solver._System(circuit)
-    oracle = _dc_view(sys_) if mode == "dc" else sys_
+    oracle = _reference_view(sys_, circuit, mode)
+    names = [e.name for e in circuit.elements]
     # DC holds each state at w0 by its own unit row: the reference, which
     # has no state rows in DC, is compared outside them
     states = np.arange(sys_.n)[sys_.states]
@@ -262,7 +271,7 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
     history = {e.name: float(rng.uniform(-1e-3, 1e-3))
                for e in circuit.elements if e.kind in ("c", "xmr")}
     for trial in range(12):
-        ctx = StampContext(
+        ref = types.SimpleNamespace(
             mode=mode, dt=float(rng.choice([1e-7, 1e-5])), method=method,
             srcscale=srcscale, gmin=gmin,
             levels=sys_.levels(float(rng.uniform(0.0, 1e-3))),
@@ -270,9 +279,18 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
             # the first assembly of a point has no last iterate to limit by
             prev_iter=_iterate(sys_, rng) if trial % 3 else [],
             hist=dict(history))
+        h, carry = (devices.integration(method, ref.dt) if mode == "tran"
+                    else (0.0, 0.0))
+        ctx = StampContext(
+            h=h, carry=carry, srcscale=srcscale, gmin=gmin,
+            levels=ref.levels, prev_step=ref.prev_step,
+            prev_iter=ref.prev_iter,
+            hist=[history.get(name, 0.0) for name in names])
+        ref.levels = {name: ref.levels[e.number]
+                      for name, e in sys_.sources.items()}
         xs = _iterate(sys_, rng)
         jac, res, scale, memory, _ = sys_.assemble(xs, ctx)
-        want = reference_assemble(oracle, xs, ctx)
+        want = reference_assemble(oracle, xs, ref)
         keep = np.arange(sys_.n)
         if mode == "dc":
             drift = np.array(xs)[states] - w0
@@ -285,28 +303,31 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
         assert np.array_equal(jac[block], want[0][block])
         assert np.array_equal(res[keep], want[1][keep])
         assert np.array_equal(scale[keep], want[2][keep])
-        assert memory == want[3]
+        assert {name: memory[names.index(name)] for name in want[3]} == want[3]
+        assert set(want[3]) == set(history)
 
 
 def test_each_stamp_lists_its_pattern():
     # every value a stamp writes has a place in its kind's one pattern, in
     # every mode, and every place gets a value
     circuit = parse_netlist(ALL_KINDS)
-    assert {e.kind for e in circuit.elements} == set(devices.PATTERNS)
+    assert {e.kind for e in circuit.elements} == set(devices.KINDS)
     sys_ = solver._System(circuit)
+    count = len(sys_.elements)
     rng = np.random.default_rng(7)
     prev = _iterate(sys_, rng)
     for ctx in [StampContext(levels=sys_.levels())] + [
-            StampContext(mode="tran", dt=1e-6, method=method,
-                         levels=sys_.levels(), prev_step=prev)
+            StampContext(*devices.integration(method, 1e-6),
+                         levels=sys_.levels(), prev_step=prev,
+                         hist=[0.0] * count)
             for method in ("backward-euler", "trapezoidal")]:
         xs = _iterate(sys_, rng)
-        for e in circuit.elements:
-            out = solver._Assembly(sys_.slots)
+        for e in sys_.elements:
+            out = solver._Assembly(count)
             devices.stamp(e, xs, ctx, out)
-            rows, cells_ = devices.PATTERNS[e.kind]
+            rows, cells_ = devices.KINDS[e.kind][1]
             assert (len(out.res), len(out.jac)) == (len(rows), len(cells_)), \
-                (e.name, ctx.mode, ctx.method)
-            width = len(sys_.slots[e.name])
+                (e.number, ctx.h, ctx.carry)
+            width = len(e.slots)
             assert all(0 <= p < width for p in rows)
             assert all(0 <= p < width for cell in cells_ for p in cell)

@@ -290,8 +290,11 @@ def test_settle_phase_levels_discards_transition():
 def test_settle_phase_levels_validation():
     t = np.linspace(0.0, 1.0, 11)
     r = _tran(t, t)
-    with pytest.raises(ValueError):
-        settle_phase_levels(r, "out", 0)
+    for bad in (0, -1, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError):
+            settle_phase_levels(r, "out", bad)
+    assert settle_phase_levels(r, "out", np.int64(2)) == \
+        settle_phase_levels(r, "out", 2)
     with pytest.raises(ValueError):
         settle_phase_levels(r, "out", 2, settle_frac=0.0)
     with pytest.raises(ValueError):

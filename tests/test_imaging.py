@@ -355,6 +355,9 @@ def test_ring_metrics_rejects_non_finite_input():
         poisoned[32, 44] = bad
         with pytest.raises(DomainError):
             ring_metrics(poisoned)
+    for center in ((1.0, 2.0, 3.0), (32.0,), 32.0, ((32.0, 32.0),)):
+        with pytest.raises(DomainError, match="pair"):
+            ring_metrics(resp, center=center)
 
 
 # --- end-to-end: blob through a band lut lights a ring ------------------------------

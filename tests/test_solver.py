@@ -73,18 +73,35 @@ def test_residual_report_contract():
         assert res <= tol, key
 
 
-def test_op_overrides():
+def test_op_overrides(monkeypatch):
     c = parse_netlist(DIVIDER)
     op = dc_operating_point(c, overrides={"v_1": 3.0})
     assert abs(op["mid"] - 2.0) <= 1e-9
     rep = residual_report(c, op, overrides={"v_1": 3.0})
     assert all(res <= tol for res, tol in rep.values())
-    for bad in ({"v_1": math.nan}, {"v_1": math.inf}, {"r_1": 1.0},
-                {"v_9": 1.0}):
-        with pytest.raises(ValueError):
+    # a start may set any unknown, to any finite real
+    start = dc_operating_point(c, x0={("v", "mid"): np.float64(1.0),
+                                      ("i", "v_1"): 0})
+    assert abs(start["mid"] - 4.0) <= 1e-9
+
+    def no_newton(*args):
+        raise AssertionError("Newton ran on a bad override or start")
+    monkeypatch.setattr(solver, "_newton", no_newton)
+    for bad, named in (({"v_1": math.nan}, "nan"), ({"v_1": math.inf}, "inf"),
+                       ({"r_1": 1.0}, "r_1"), ({"v_9": 1.0}, "v_9"),
+                       ({"v_1": "3"}, "'3'"), ({"v_1": None}, "None")):
+        with pytest.raises(ValueError, match=named):
             dc_operating_point(c, overrides=bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=named):
             residual_report(c, op, overrides=bad)
+    diode = parse_netlist(DIODE)
+    for bad, named in (({("v", "d"): math.nan}, "nan"),
+                       ({("v", "d"): -math.inf}, "inf"),
+                       ({("v", "d"): "0.7"}, "'0.7'"),
+                       ({"d": 0.7}, "'d'"), ({("v", "zz"): 0.7}, "'zz'"),
+                       ({("w", "d_1"): 0.5}, "'d_1'")):
+        with pytest.raises(ValueError, match=named):
+            dc_operating_point(diode, x0=bad)
 
 
 # --- diode vs bisection --------------------------------------------------------
@@ -495,16 +512,14 @@ def test_dc_jacobian_matches_finite_difference():
     levels = solver._System(circuit).levels()
     rng = np.random.default_rng(20240818)
     assert fd_jacobian_check(circuit,
-                             lambda: StampContext(mode="dc", levels=levels),
+                             lambda: StampContext(levels=levels),
                              rng, 50) == 50
 
 
 def test_one_stamp_call_per_element_and_one_context_per_point(monkeypatch):
     # perfbench/tracing.py counts assemblies as devices.stamp calls over
     # elements, and fallback points as the distinct contexts stamped with
-    # gmin or scaled sources
-    c = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
-    d = next(d for d in c.analyses if d.kind == "dc")
+    # gmin or scaled sources; its traced baseline pins both runs' counts
     stamp, contexts, fallback = devices.stamp, [], []
 
     def counted(elem, x, ctx, out):
@@ -513,11 +528,21 @@ def test_one_stamp_call_per_element_and_one_context_per_point(monkeypatch):
             fallback.append(ctx)
         return stamp(elem, x, ctx, out)
     monkeypatch.setattr(devices, "stamp", counted)
-    s = dc_sweep(c, d.source, d.start, d.stop, d.step)
-    assert len(contexts) == 465 * len(c.elements)
-    assert len({id(ctx) for ctx in contexts}) == len(s.inputs) == 151
-    assert len({id(ctx) for ctx in fallback}) == sum(
-        st != "newton" for st in s.strategies) == 1
+    for c, analysis, assemblies, points in (
+            (cells.build_intensity_detector(cells.DETECTOR_CONFIG_2), "dc",
+             465, 151),
+            (cells.build_xor_circuit(), "tran", 1716, 801)):
+        contexts.clear()
+        fallback.clear()
+        d = next(d for d in c.analyses if d.kind == analysis)
+        result = (dc_sweep(c, d.source, d.start, d.stop, d.step)
+                  if analysis == "dc" else
+                  transient(c, d.tstop, d.dt, method="backward-euler"))
+        assert len(contexts) == assemblies * len(c.elements)
+        assert len({id(ctx) for ctx in contexts}) == len(
+            result.strategies) == points
+        assert len({id(ctx) for ctx in fallback}) == sum(
+            st != "newton" for st in result.strategies) == 1
 
 
 def test_transient_jacobian_matches_finite_difference():
