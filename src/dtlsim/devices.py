@@ -304,8 +304,8 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 # lists ``ctx.levels``, ``ctx.hist`` and ``out.memory``. It writes into its
 # target ``out``:
 #
-# * ``out.res``, ``out.jac``: ``array('d')`` buffers that each take the
-#   element's residual or Jacobian values in one ``extend``;
+# * ``out.values``: an ``array('d')`` buffer that takes the element's
+#   residual values, then its Jacobian values, in one ``extend``;
 # * ``out.memory[elem.number]``: companion memory that the next transient
 #   step reads back as ``ctx.hist`` (capacitor current, memristor drift
 #   rate), recorded at every assembly so the converged one holds it;
@@ -317,12 +317,12 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 # residual rows and the Jacobian (row, col) cells it fills, in the order it
 # lists their values, as positions in the element's slots. A place that a
 # mode leaves unused gets 0.0, which leaves every sum as it was. The solver
-# turns the patterns into flat index arrays when it numbers the unknowns
-# and adds every value into place with ``np.bincount``, which adds in input
-# order. The residual scale, the solver's local convergence scale, is the
-# sum of the residual values' magnitudes, so a row with several
-# contributions (a source's branch row, a memristor's state row) lists each
-# one as a separate value rather than their sum.
+# maps the patterns to one flat index over residual and Jacobian bins when
+# it numbers the unknowns and adds every value into place with one
+# ``np.bincount``, which adds in input order. The residual scale, the
+# solver's local convergence scale, is the sum of the residual values'
+# magnitudes, so a row with several contributions (a source's branch row, a
+# memristor's state row) lists each one as a separate value, not their sum.
 #
 # Ground is an ordinary row and column of the target; the solver drops it.
 
@@ -364,8 +364,7 @@ def _stamp_resistor(elem, x, ctx, out):
     a, b = elem.slots
     g = 1.0 / elem.params.resistance
     i = (x[a] - x[b]) * g
-    out.res.extend((i, -i))
-    out.jac.extend((g, -g, -g, g))
+    out.values.extend((i, -i, g, -g, -g, g))
 
 
 def _stamp_capacitor(elem, x, ctx, out):
@@ -377,8 +376,7 @@ def _stamp_capacitor(elem, x, ctx, out):
     else:   # DC: open circuit
         g = i = 0.0
     out.memory[elem.number] = i
-    out.res.extend((i, -i))
-    out.jac.extend((g, -g, -g, g))
+    out.values.extend((i, -i, g, -g, -g, g))
 
 
 # slots (a, b, k): the branch current in the KCL rows, and the branch row
@@ -390,8 +388,7 @@ def _stamp_vsource(elem, x, ctx, out):
     a, b, k = elem.slots
     level = ctx.levels[elem.number] * ctx.srcscale
     i = x[k]
-    out.res.extend((i, -i, x[a], -x[b], -level))
-    out.jac.extend((1.0, -1.0, 1.0, -1.0))
+    out.values.extend((i, -i, x[a], -x[b], -level, 1.0, -1.0, 1.0, -1.0))
 
 
 def _pnjlim(vnew: float, vold: float, nvt: float, vcrit: float) -> float:
@@ -434,8 +431,7 @@ def _stamp_zener(elem, x, ctx, out):
     # tangent extrapolation back to the unlimited voltage; exact once
     # the iterates stop moving
     i = i0 + g * (v - vlim)
-    out.res.extend((i, -i))
-    out.jac.extend((g, -g, -g, g))
+    out.values.extend((i, -i, g, -g, -g, g))
 
 
 # slots (d, g, s, b): the drain current in rows d and s, its partials in
@@ -449,9 +445,8 @@ def _stamp_mosfet(elem, x, ctx, out):
     i, di_dvgs, di_dvds, di_dvsb = mosfet_ids_grad(
         elem.params, x[g_] - x[s], x[d] - x[s], x[s] - x[b], clamp_body=True)
     di_dvs = -di_dvgs - di_dvds + di_dvsb
-    out.res.extend((i, -i))
-    out.jac.extend((di_dvds, -di_dvds, di_dvgs, -di_dvgs,
-                    di_dvs, -di_dvs, -di_dvsb, di_dvsb))
+    out.values.extend((i, -i, di_dvds, -di_dvds, di_dvgs, -di_dvgs,
+                       di_dvs, -di_dvs, -di_dvsb, di_dvsb))
 
 
 # slots (a, b, k): the two-terminal pattern, the current's partial in
@@ -475,8 +470,8 @@ def _stamp_memristor(elem, x, ctx, out):
     rate = memristor_state_rate(p, w, i)
     out.memory[elem.number] = rate
     if not h:   # DC: state held at w0, decoupled from the nodes
-        out.res.extend((i, -i, x[k] - w, 0.0))
-        out.jac.extend((g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
+        out.values.extend((i, -i, x[k] - w, 0.0,
+                           g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
         return
     di_dw = -(va - vb) * (p.r_on - p.r_off) / (r * r)
     # implicit state equation, same integration rule as the node system
@@ -484,9 +479,9 @@ def _stamp_memristor(elem, x, ctx, out):
     drate_dw = p.k_drift * (di_dw * fw + i * _window_grad(p, w))
     drate_dv = p.k_drift * fw * g
     drift = -h * (rate + ctx.carry * ctx.hist[elem.number])
-    out.res.extend((i, -i, w - ctx.prev_step[k], drift))
-    out.jac.extend((g, -g, -g, g, di_dw, -di_dw, 1.0 - h * drate_dw,
-                    -(h * drate_dv), h * drate_dv))
+    out.values.extend((i, -i, w - ctx.prev_step[k], drift,
+                       g, -g, -g, g, di_dw, -di_dw, 1.0 - h * drate_dw,
+                       -(h * drate_dv), h * drate_dv))
 
 
 # kind -> (stamp, (residual rows, Jacobian cells) of its values in every mode)

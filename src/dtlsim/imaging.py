@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -328,14 +329,15 @@ def ring_metrics(response, center: tuple[float, float] | None = None
     The response is averaged over integer-rounded radii out to the
     largest full annulus. Raises NoRing when the profile is flat, peaks
     at the center (a blob, not a ring), or never falls back to half
-    height on both sides of the peak. A center that is not a finite pair,
-    or a non-finite response value, is a DomainError.
+    height on both sides of the peak. A center that is not a pair of
+    finite reals, or a non-finite response value, is a DomainError.
     """
     resp = np.asarray(response, dtype=float)
     if resp.ndim != 2:
         raise DomainError("response must be a 2-D array")
-    if center is not None and not (np.shape(center) == (2,)
-                                   and np.all(np.isfinite(center))):
+    if center is not None and not (
+            np.asarray(center, dtype=object).shape == (2,)
+            and all(isinstance(c, Real) and math.isfinite(c) for c in center)):
         raise DomainError(f"ring center must be a finite pair, got {center}")
     if not np.all(np.isfinite(resp)):
         raise DomainError("response holds a non-finite value")

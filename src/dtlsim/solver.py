@@ -17,10 +17,10 @@ and implicit state equations, and Newton solves J dx = -F.
 Assembly is split as in SPICE's setup and load. When it numbers the
 unknowns, ``_System`` maps each element's stamp pattern
 (``devices.KINDS``, one per kind in every mode) through its slots into
-flat residual and Jacobian positions, once. Each assembly then only calls
-the stamps, which list values into two buffers, and one ``np.bincount``
-per array adds every value into its place; it adds in input order, so
-each sum is the one the stamps' own ``+=`` in element order would give.
+one flat index over the residual bins, then the Jacobian bins, once.
+Each assembly then only calls the stamps, which list values into one
+buffer, and one ``np.bincount`` adds every value into its place; it adds
+in input order, so each sum is the one the stamps' ``+=`` would give.
 
 Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to
@@ -43,8 +43,8 @@ the ladders' rungs are built only when plain Newton fails. Update
 damping clamps per-component steps at ``options.damping_limit`` but only
 for unknowns that the analysis mode's nonlinear stamps touch (a memristor
 is one in transient runs only); purely linear circuits therefore converge
-in exactly one Newton iteration. The residual tolerances and the step
-bounds are arrays built once per analysis (``_System.bounds``).
+in exactly one Newton iteration. The residual tolerances, the step
+bounds and the state box are built once per analysis (``_System.bounds``).
 
 A Newton step that ``numpy.linalg.solve`` finds singular, or that comes
 out non-finite, raises SingularMatrix naming the unknown with the largest
@@ -62,7 +62,7 @@ import numpy as np
 
 from . import devices
 from .devices import StampContext
-from .errors import NoConvergence, SingularMatrix
+from .errors import DomainError, NoConvergence, SingularMatrix
 
 _W_ABSTOL = 1e-12
 _MAX_POINTS = 10**6   # points of a sweep, rows of a transient
@@ -111,28 +111,30 @@ class OpPoint(dict):
         self.strategy = strategy
 
 
+class _Voltages:
+    def column(self, node: str) -> np.ndarray:
+        """The voltages of ``node``; DomainError if the result has none."""
+        if node not in self.voltages:
+            raise DomainError(f"no node {node!r} among {sorted(self.voltages)}")
+        return self.voltages[node]
+
+
 @dataclass
-class SweepResult:
+class SweepResult(_Voltages):
     source: str
     inputs: np.ndarray
     voltages: dict[str, np.ndarray]
     iterations: list[int] = field(default_factory=list)
     strategies: list[str] = field(default_factory=list)
 
-    def column(self, node: str) -> np.ndarray:
-        return self.voltages[node]
-
 
 @dataclass
-class TransientResult:
+class TransientResult(_Voltages):
     times: np.ndarray
     voltages: dict[str, np.ndarray]
     states: dict[str, np.ndarray]
     iterations: list[int] = field(default_factory=list)
     strategies: list[str] = field(default_factory=list)
-
-    def column(self, node: str) -> np.ndarray:
-        return self.voltages[node]
 
 
 # a netlist element bound to its unknown numbers and its position
@@ -145,14 +147,13 @@ class _Element:
 
 
 class _Assembly:
-    """Stamp target of one assembly: the value buffers that the stamps
+    """Stamp target of one assembly: the value buffer that the stamps
     extend in element order (see the stamps section of ``devices``)."""
 
-    __slots__ = ("res", "jac", "memory", "limited")
+    __slots__ = ("values", "memory", "limited")
 
     def __init__(self, count: int):
-        self.res = array("d")
-        self.jac = array("d")
+        self.values = array("d")
         self.memory = [0.0] * count
         self.limited = False
 
@@ -181,7 +182,7 @@ class _System:
         index = {k: i for i, k in enumerate(keys)}
         index[("v", devices.GROUND)] = n   # the ground slot
         self.elements = []
-        res_rows, jac_cells = [], []
+        flat = []
         for number, e in enumerate(elements):
             slots = tuple(index[("v", nd)] for nd in e.nodes)
             if e.kind == "v":
@@ -190,13 +191,12 @@ class _System:
                 slots += (index[("w", e.name)],)
             self.elements.append(_Element(e.kind, e.params, slots, number))
             rows, cells = devices.KINDS[e.kind][1]
-            res_rows += [slots[r] for r in rows]
-            jac_cells += [slots[r] * (n + 1) + slots[c] for r, c in cells]
+            flat += [slots[r] for r in rows]
+            flat += [(slots[r] + 1) * (n + 1) + slots[c] for r, c in cells]
         self.sources = {e.name: bound for e, bound in zip(elements, self.elements)
                         if e.kind == "v"}
-        # flat positions of every stamped value, in stamping order
-        self.res_index = np.array(res_rows, dtype=np.intp)
-        self.jac_index = np.array(jac_cells, dtype=np.intp)
+        self.index = np.array(flat, dtype=np.intp)   # [residual | Jacobian] bins
+        self.scale_index = np.minimum(self.index, n)   # Jacobian into ground row
 
     def assemble(self, xs: list[float], ctx: StampContext):
         """Jacobian, residual, residual scale, companion memory and the
@@ -206,11 +206,11 @@ class _System:
         for e in self.elements:
             devices.stamp(e, xs, ctx, out)
         n, nv, size = self.n, self.nv, self.n + 1
-        values = np.frombuffer(out.res)
-        res = np.bincount(self.res_index, values, size)[:n]
-        scale = np.bincount(self.res_index, np.abs(values), size)[:n]
-        jac = np.bincount(self.jac_index, np.frombuffer(out.jac),
-                          size * size).reshape(size, size)[:n, :n]
+        values = np.frombuffer(out.values)
+        flat = np.bincount(self.index, values, size + size * size)
+        res = flat[:n]
+        jac = flat[size:].reshape(size, size)[:n, :n]
+        scale = np.bincount(self.scale_index, np.abs(values), size)[:n]
         if ctx.gmin:
             diag = np.arange(nv)
             jac[diag, diag] += ctx.gmin
@@ -233,12 +233,12 @@ class _System:
             levels[self.sources[name].number] = float(level)
         return levels
 
-    def bounds(self, options: SolverOptions,
-               mode: str) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self, options: SolverOptions, mode: str) -> tuple[np.ndarray, ...]:
         """The absolute residual tolerance per row (KCL rows are currents,
-        source rows voltages, state rows dimensionless) and the Newton
-        step bound per unknown: ``damping_limit`` on the unknowns that
-        the mode's nonlinear stamps touch, ``inf`` elsewhere."""
+        source rows voltages, state rows dimensionless), the Newton step
+        bound per unknown (``damping_limit`` on the unknowns that the
+        mode's nonlinear stamps touch, ``inf`` elsewhere) and its negative,
+        and the box of every unknown: [0, 1] on states, unbounded elsewhere."""
         base = {"v": options.abstol_i, "i": options.abstol_v, "w": _W_ABSTOL}
         abstol = np.array([base[k[0]] for k in self.keys])
         # in DC a memristor is a resistor of fixed state
@@ -247,7 +247,9 @@ class _System:
         for e in self.elements:
             if e.kind in nonlinear:
                 step[list(e.slots)] = options.damping_limit
-        return abstol, step[:self.n]
+        low, high = np.full(self.n, -np.inf), np.full(self.n, np.inf)
+        low[self.states], high[self.states] = 0.0, 1.0
+        return abstol, step[:self.n], -step[:self.n], low, high
 
 
 def _with_ground(x: np.ndarray) -> list[float]:
@@ -312,7 +314,7 @@ def _check_source_loops(circuit) -> None:
 def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray:
     try:
         dx = np.linalg.solve(jac, rhs)
-        if np.all(np.isfinite(dx)):
+        if np.isfinite(dx).all():
             return dx
     except np.linalg.LinAlgError:
         pass
@@ -324,28 +326,29 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
     raise SingularMatrix(f"singular system at unknown {k!r}", node=k[1])
 
 
-def _newton(sys: _System, x0: np.ndarray, ctx: StampContext,
+def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
             options: SolverOptions, bounds) -> tuple[np.ndarray, int, list]:
-    """Damped Newton from x0 within ``sys.bounds``; returns the
+    """Damped Newton from x within ``sys.bounds``; returns the
     solution, the iteration count and the companion memory recorded by
     the converged assembly. An assembly in which junction limiting moved
     a voltage does not end the loop: its residual is not the iterate's."""
-    abstol, step = bounds
-    x = x0
+    abstol, step, back, low, high = bounds
     xs = ctx.prev_iter = _with_ground(x)
     iters = 0
     while True:
         jac, res, scale, memory, limited = sys.assemble(xs, ctx)
         absres = np.abs(res)
-        if not limited and np.all(absres <= abstol + options.reltol * scale):
+        if not limited and (absres <= abstol + options.reltol * scale).all():
             return x, iters, memory
         if iters >= options.max_newton_iters:
             last_res = float(absres.max())
             raise NoConvergence(
                 f"no convergence after {iters} Newton iterations "
                 f"(max residual {last_res:.3e})", residual=last_res)
-        x = x + np.clip(_lu_solve(jac, -res, sys.keys), -step, step)
-        x[sys.states] = np.clip(x[sys.states], 0.0, 1.0)
+        # plain ufuncs, not np.clip or a fancy index: call overhead dominates
+        x = x + np.minimum(np.maximum(_lu_solve(jac, -res, sys.keys), back), step)
+        np.maximum(x, low, out=x)
+        np.minimum(x, high, out=x)
         ctx.prev_iter = xs
         xs = _with_ground(x)
         iters += 1

@@ -326,7 +326,7 @@ def test_each_stamp_lists_its_pattern():
             out = solver._Assembly(count)
             devices.stamp(e, xs, ctx, out)
             rows, cells_ = devices.KINDS[e.kind][1]
-            assert (len(out.res), len(out.jac)) == (len(rows), len(cells_)), \
+            assert len(out.values) == len(rows) + len(cells_), \
                 (e.number, ctx.h, ctx.carry)
             width = len(e.slots)
             assert all(0 <= p < width for p in rows)

@@ -229,6 +229,17 @@ def test_peak_input_monotone_raises():
         peak_input(_sweep(xs, xs), "out")
 
 
+def test_unknown_node_is_a_domain_error_naming_the_nodes():
+    # each caller of a result's column names the missing node and the nodes held
+    xs = _grid_100ths(300)
+    t = np.linspace(0.0, 1.0, 11)
+    for call in (lambda: extract_band(_sweep(xs, _triangle(xs)), "nope"),
+                 lambda: peak_input(_sweep(xs, _triangle(xs)), "nope"),
+                 lambda: settle_phase_levels(_tran(t, t), "nope", 2)):
+        with pytest.raises(DomainError, match=r"no node 'nope' among \['out'\]"):
+            call()
+
+
 # --- crossvalidate -----------------------------------------------------------------
 
 def test_crossvalidate_identical_and_scaled():

@@ -285,6 +285,8 @@ def test_lut_from_sweep():
                     voltages={"out": np.array([0.0, 5.0, 0.0])})
     lut = ResponseLut.from_sweep(s, "out")
     assert float(lut(0.5)) == 2.5
+    with pytest.raises(DomainError, match=r"no node 'nope' among \['out'\]"):
+        ResponseLut.from_sweep(s, "nope")
 
 
 # --- ring metrics -----------------------------------------------------------------
@@ -355,9 +357,12 @@ def test_ring_metrics_rejects_non_finite_input():
         poisoned[32, 44] = bad
         with pytest.raises(DomainError):
             ring_metrics(poisoned)
-    for center in ((1.0, 2.0, 3.0), (32.0,), 32.0, ((32.0, 32.0),)):
+    for center in ((1.0, 2.0, 3.0), (32.0,), 32.0, ((32.0, 32.0),),
+                   ("a", 1), (32.0, "32"), (32.0, None), (1j, 32.0),
+                   ((32.0, 32.0), 32.0)):
         with pytest.raises(DomainError, match="pair"):
             ring_metrics(resp, center=center)
+    assert ring_metrics(resp, center=np.array([32, 32])) == ring_metrics(resp)
 
 
 # --- end-to-end: blob through a band lut lights a ring ------------------------------

@@ -531,13 +531,15 @@ def test_one_stamp_call_per_element_and_one_context_per_point(monkeypatch):
     for c, analysis, assemblies, points in (
             (cells.build_intensity_detector(cells.DETECTOR_CONFIG_2), "dc",
              465, 151),
-            (cells.build_xor_circuit(), "tran", 1716, 801)):
+            (cells.build_xor_circuit(), "backward-euler", 1716, 801),
+            (cells.build_xor_circuit(), "trapezoidal", 2035, 801)):
         contexts.clear()
         fallback.clear()
-        d = next(d for d in c.analyses if d.kind == analysis)
+        d = next(d for d in c.analyses
+                 if d.kind == ("dc" if analysis == "dc" else "tran"))
         result = (dc_sweep(c, d.source, d.start, d.stop, d.step)
                   if analysis == "dc" else
-                  transient(c, d.tstop, d.dt, method="backward-euler"))
+                  transient(c, d.tstop, d.dt, method=analysis))
         assert len(contexts) == assemblies * len(c.elements)
         assert len({id(ctx) for ctx in contexts}) == len(
             result.strategies) == points
