@@ -211,13 +211,9 @@ def _square_law(p: MosfetParams, vgs: float, vds: float, vsb: float,
             raise DomainError(
                 f"phi2 + vsb = {body:.6g} < 0: source-bulk junction forward biased")
         body = 0.0
-    if p.gamma and body > 0.0:
-        root = math.sqrt(body)
-        vth = p.vth0 + p.gamma * (root - math.sqrt(p.phi2))
-        dvth = p.gamma / (2.0 * root)
-    else:
-        vth = p.vth0 + (p.gamma * (0.0 - math.sqrt(p.phi2)) if p.gamma else 0.0)
-        dvth = 0.0
+    root = math.sqrt(body)
+    vth = p.vth0 + p.gamma * (root - math.sqrt(p.phi2))
+    dvth = p.gamma / (2.0 * root) if p.gamma and root else 0.0
     vov = vgs - vth
     if vov <= 0.0:
         return 0.0, 0.0, 0.0, 0.0

@@ -3,7 +3,8 @@
 Images are 8-bit grayscale with maxval fixed at 255; both the ASCII
 (P2) and binary (P5) PGM variants are read, P5 is the default on
 write. Comments are tolerated anywhere in a header being read but are
-never emitted, so writes are byte-deterministic. A P2 sample is a run
+never emitted, so writes are byte-deterministic. The width, height and
+maxval are runs of ASCII digits, like the samples. A P2 sample is a run
 of ASCII digits (leading zeros allowed, so ``0255`` is 255) separated
 by ASCII whitespace; a sign or any other character is rejected.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from numbers import Real
 
@@ -109,32 +111,11 @@ def gen_gaussian_image(size: int = 129, sigma: float | None = None,
     return ImageGray(np.rint(vals, out=vals).astype(np.uint8))
 
 
-def _read_header_tokens(data: bytes) -> tuple[list[bytes], int]:
-    """First four whitespace-separated tokens, skipping # comments.
-
-    Returns the tokens and the offset one byte past the single
-    whitespace character that terminates the maxval token.
-    """
-    tokens: list[bytes] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < 4:
-        while i < n and data[i:i + 1].isspace():
-            i += 1
-        if i < n and data[i:i + 1] == b"#":
-            while i < n and data[i:i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-            j += 1
-        if j == i:
-            raise BadHeader("header ended before magic, size and maxval")
-        tokens.append(data[i:j])
-        i = j
-    if i < n and data[i:i + 1].isspace():
-        i += 1  # exactly one whitespace separates maxval from raster data
-    return tokens, i
+# a header token after any whitespace and # comments; the lookaheads
+# keep backtracking from ending a comment or a token early. At most one
+# whitespace byte after the maxval is header: the raster starts past it.
+_TOKEN = rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)(?![^\s#])"
+_HEADER = re.compile(_TOKEN * 4 + rb"\s?")
 
 
 def _p2_samples(raster, count: int) -> np.ndarray:
@@ -175,13 +156,15 @@ def read_pgm(path) -> ImageGray:
     if not data.startswith((b"P2", b"P5")):
         magic = data[:2].decode("ascii", "replace") if data else "<empty>"
         raise BadMagic(f"not a P2/P5 PGM file (magic {magic!r})")
-    tokens, off = _read_header_tokens(data)
-    magic = tokens[0]
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
+    header = _HEADER.match(data)
+    if header is None:
+        raise BadHeader("header ended before magic, size and maxval")
+    magic, *fields = header.groups()
+    if not all(t.isdigit() for t in fields):
         raise BadHeader(f"non-integer size or maxval in header: "
-                        f"{b' '.join(tokens[1:]).decode('ascii', 'replace')}")
+                        f"{b' '.join(fields).decode('ascii', 'replace')}")
+    width, height, maxval = map(int, fields)
+    off = header.end()
     if width <= 0 or height <= 0:
         raise BadHeader(f"image size {width}x{height} is not positive")
     if maxval != 255:

@@ -37,9 +37,12 @@ memory (capacitor currents, memristor drift rates) is computed only by
 the stamps: every assembly records it, and the record of the assembly
 that converged a step seeds the next step.
 
-Robustness ladder for each point: plain Newton with zero gmin so linear
-circuits are exact, then a geometric gmin ladder, then source stepping;
-the ladders' rungs are built only when plain Newton fails. Update
+Robustness ladder for each point (SPICE2's): a strategy is a list of
+(gmin, source scale) rungs that Newton solves in turn, ending on the
+circuit itself, (0.0, 1.0). Plain Newton is that rung alone, so linear
+circuits are exact; a geometric gmin ladder, then source stepping, are
+built only when the strategies before them fail. The first strategy
+whose every rung converges wins. Update
 damping clamps per-component steps at ``options.damping_limit`` but only
 for unknowns that the analysis mode's nonlinear stamps touch (a memristor
 is one in transient runs only); purely linear circuits therefore converge
@@ -354,26 +357,21 @@ def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
         iters += 1
 
 
-def _gmin_ladder(options: SolverOptions) -> list[float]:
-    out = []
-    g = options.gmin_start
-    while g > options.gmin_final:
-        out.append(g)
-        g /= 10.0
-    out.append(options.gmin_final)
-    return out
-
-
 def _strategies(sys: _System, x0: np.ndarray, options: SolverOptions):
     """(name, start, (gmin, source scale) rungs) of each strategy in turn;
-    the homotopy rungs are built only when the strategies before fail."""
-    yield "newton", x0, ()
-    yield "gmin-stepping", x0, [(g, 1.0) for g in _gmin_ladder(options)]
+    every list ends on the circuit itself, (0.0, 1.0), and a homotopy's
+    rungs are built only when the strategies before it fail."""
+    yield "newton", x0, [(0.0, 1.0)]
+    gmin, ladder = options.gmin_start, []
+    while gmin > options.gmin_final:
+        ladder.append((gmin, 1.0))
+        gmin /= 10.0
+    yield "gmin-stepping", x0, ladder + [(options.gmin_final, 1.0), (0.0, 1.0)]
     zeros = np.zeros(sys.n)
     zeros[sys.states] = x0[sys.states]
     steps = options.source_steps
     yield "source-stepping", zeros, [(options.gmin_final, k / steps)
-                                     for k in range(1, steps + 1)]
+                                     for k in range(1, steps + 1)] + [(0.0, 1.0)]
 
 
 def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
@@ -382,8 +380,9 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
     """Newton with homotopy fallbacks; ctx.gmin/srcscale are scratch.
 
     Each strategy walks its (gmin, source scale) rungs from its start,
-    then solves at zero gmin and full sources; after a homotopy a failure
-    of that last solve keeps the last rung's solution.
+    each rung's solution starting the next; the first strategy whose every
+    rung converges wins. The last rung is the circuit itself, so no point
+    is reported solved on a gmin-loaded or scaled-source solution.
 
     Returns the solution, the total iteration count, the strategy that
     won and the companion memory of the solution's assembly.
@@ -398,14 +397,6 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
         except (NoConvergence, SingularMatrix) as exc:
             last = exc
             continue
-        ctx.gmin, ctx.srcscale = 0.0, 1.0
-        try:
-            x, iters, memory = _newton(sys, x, ctx, options, bounds)
-            total += iters
-        except (NoConvergence, SingularMatrix) as exc:
-            if not rungs:
-                last = exc
-                continue
         return x, total, name, memory
     raise NoConvergence(
         f"operating point did not converge (newton, gmin stepping and "
@@ -540,13 +531,17 @@ def residual_report(circuit, op: OpPoint,
                     overrides: dict[str, float] | None = None) -> dict:
     """Re-assemble the DC residual at a solved point (zero gmin).
 
-    Returns {unknown key: (|residual|, tolerance)} for every row of
-    ``op.raw``, memristor states included; useful for verifying
-    the convergence contract independently of the Newton loop. Pass the
-    same ``overrides`` the point was solved with.
+    Returns {unknown key: (|residual|, tolerance)} for every unknown of
+    the circuit, memristor states included, each read from ``op.raw``
+    (DomainError names one it lacks); useful for verifying the
+    convergence contract independently of the Newton loop. Pass the same
+    ``overrides`` the point was solved with.
     """
     options = options or SolverOptions()
     sys = _System(circuit)
+    missing = [k for k in sys.keys if k not in op.raw]
+    if missing:
+        raise DomainError(f"the operating point has no unknown {missing[0]!r}")
     ctx = StampContext(levels=sys.levels(0.0, overrides))
     xs = [op.raw[k] for k in sys.keys] + [0.0]
     _, res, scale, _, _ = sys.assemble(xs, ctx)

@@ -65,11 +65,12 @@ def netlists(draw):
 
 def _stamp_bound(points: int, elements: int,
                  options: solver.SolverOptions) -> int:
-    """Stamp calls of ``points`` solves that each run plain Newton, every
-    gmin rung and every source step, plus the final solve after each
-    ladder, to the iteration limit."""
-    solves = 1 + (len(solver._gmin_ladder(options)) + 1) + (
-        options.source_steps + 1)
+    """Stamp calls of ``points`` solves that each walk every rung of every
+    strategy to the iteration limit; the rungs are those ``_strategies``
+    yields for any circuit."""
+    system = solver._System(parse_netlist("rungs\nv_1 a 0 1\nr_1 a 0 1k\n"))
+    solves = sum(len(rungs) for _, _, rungs
+                 in solver._strategies(system, system.start, options))
     return points * solves * (options.max_newton_iters + 1) * elements
 
 

@@ -188,6 +188,35 @@ def test_pgm_bad_header(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("header", [
+    b"P5#c\n2 1\n255\n",                     # a comment right after a token
+    b"P5# m\n2#w\n#\n1 # h #\n255\n",          # one between every pair
+    b"P5\r2\x0b1\x0c255\r",                    # CR, VT and FF separate
+    b"P5\t002 01\n255 ",                        # leading zeros
+])
+def test_pgm_header_separators(tmp_path, header):
+    p = tmp_path / "h.pgm"
+    p.write_bytes(header + bytes([32, 35]))
+    assert np.array_equal(read_pgm(p).pixels, [[32, 35]])
+
+
+@pytest.mark.parametrize("header, error", [
+    (b"P5 2 1", "header ended before"),       # fewer than four tokens
+    (b"P5 2 1 # 255\n", "header ended before"),
+    (b"P5#2 1 255\n", "header ended before"),
+    (b"P5\n1_0 +1\n255\n", "non-integer"),   # int() would read 10x1
+    (b"P5\n+1 1\n255\n", "non-integer"),
+    (b"P5\n1 1\n+255\n", "non-integer"),
+    (b"P5\n1 -1\n255\n", "non-integer"),
+    (b"P5\n\xd9\xa1 1\n255\n", "non-integer"),   # an Arabic-Indic one
+])
+def test_pgm_header_rejects(tmp_path, header, error):
+    p = tmp_path / "h.pgm"
+    p.write_bytes(header)
+    with pytest.raises(BadHeader, match=error):
+        read_pgm(p)
+
+
 def test_pgm_unsupported_maxval(tmp_path):
     p = tmp_path / "deep.pgm"
     p.write_bytes(b"P2\n2 1\n65535\n0 0\n")
@@ -465,6 +494,37 @@ def test_radial_profile_equals_its_loop(rc):
 
 _SEPARATORS = [b" ", b"  ", b"\t", b"\r\n", b"\n", b" \t\n", b"\x0b\x0c"]
 _BAD_SAMPLES = [b"zz", b"300", b"0300", b"1000", b"256", b"00000999", b"1a"]
+
+
+def _header_loop(data):
+    """The first four header tokens and the offset past the one whitespace
+    byte after the last, or None if the header ends before them."""
+    tokens, i, n = [], 0, len(data)
+    while len(tokens) < 4:
+        while i < n and data[i:i + 1].isspace():
+            i += 1
+        if i < n and data[i:i + 1] == b"#":
+            while i < n and data[i:i + 1] != b"\n":
+                i += 1
+            continue
+        j = i
+        while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
+            j += 1
+        if j == i:
+            return None
+        tokens.append(data[i:j])
+        i = j
+    return tokens, i + (i < n and data[i:i + 1].isspace())
+
+
+@given(st.lists(st.sampled_from([b"P5", b"1", b"255", b"#", b"# c", b" ",
+                                 b"\n", b"\r", b"\t", b"\x0b", b"\x0c",
+                                 b"x", b"\x85", b"\xa0"]), max_size=14))
+def test_pgm_header_pattern_equals_its_loop(pieces):
+    data = b"".join(pieces)
+    header = imaging._HEADER.match(data)
+    assert _header_loop(data) == (
+        None if header is None else (list(header.groups()), header.end()))
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))

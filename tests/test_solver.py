@@ -1,6 +1,7 @@
 """Solver oracles: exact linear algebra, bisection, analytic RC, reference
 state integration, and finite-difference Jacobian checks."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ import scipy.optimize
 import dtlsim
 from dtlsim import cells, devices, solver
 from dtlsim.devices import StampContext, ZenerParams, zener_current
-from dtlsim.errors import NoConvergence, SingularMatrix
+from dtlsim.errors import DomainError, NoConvergence, SingularMatrix
 from dtlsim.netlist import Circuit, parse_netlist
 from dtlsim.solver import (SolverOptions, dc_operating_point, dc_sweep,
                            residual_report, sweep_points, transient)
@@ -71,6 +72,9 @@ def test_residual_report_contract():
     assert set(rep) == {("v", "in"), ("v", "mid"), ("i", "v_1")}
     for key, (res, tol) in rep.items():
         assert res <= tol, key
+    partial = {k: v for k, v in op.raw.items() if k != ("v", "mid")}
+    with pytest.raises(DomainError, match=r"no unknown \('v', 'mid'\)"):
+        residual_report(c, solver.OpPoint({}, partial, 1, "newton"))
 
 
 def test_op_overrides(monkeypatch):
@@ -366,6 +370,27 @@ def test_no_convergence_when_starved():
         dc_operating_point(parse_netlist(DIODE), opts)
 
 
+def test_no_point_is_solved_off_the_circuit(monkeypatch):
+    # every strategy ends on the circuit itself, zero gmin and full
+    # sources; a homotopy whose last rung fails gives no answer
+    system = solver._System(parse_netlist(DIVIDER))
+    assert [(name, rungs[-1]) for name, _, rungs in solver._strategies(
+        system, system.start, SolverOptions())] == [
+            ("newton", (0.0, 1.0)), ("gmin-stepping", (0.0, 1.0)),
+            ("source-stepping", (0.0, 1.0))]
+    newton, walked = solver._newton, []
+
+    def circuit_fails(system, x, ctx, options, bounds):
+        walked.append((ctx.gmin, ctx.srcscale))
+        if ctx.gmin == 0.0 and ctx.srcscale == 1.0:
+            raise NoConvergence("stuck", residual=1.0)
+        return newton(system, x, ctx, options, bounds)
+    monkeypatch.setattr(solver, "_newton", circuit_fails)
+    with pytest.raises(NoConvergence, match=r"all failed: stuck\)$"):
+        dc_operating_point(cells.build_saturation_cell())
+    assert walked.count((0.0, 1.0)) == 3
+
+
 @pytest.mark.parametrize("bad", [
     dict(reltol=-1e-3), dict(reltol=math.nan), dict(abstol_v=math.inf),
     dict(abstol_i=-1e-9), dict(damping_limit=0.0), dict(damping_limit=math.inf),
@@ -545,6 +570,20 @@ def test_one_stamp_call_per_element_and_one_context_per_point(monkeypatch):
             result.strategies) == points
         assert len({id(ctx) for ctx in fallback}) == sum(
             st != "newton" for st in result.strategies) == 1
+
+
+def test_tracer_wraps_names_the_package_has(monkeypatch):
+    # perfbench/tracing.py swaps these attributes while it traces; a
+    # refactor that removes one must fail here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    wrapped = [(mod, attr) for mod, attr, _ in tracing.WRAPPED
+               if mod.startswith("dtlsim.")]
+    assert wrapped
+    for mod, attr in wrapped:
+        assert callable(getattr(importlib.import_module(mod), attr, None)), \
+            (mod, attr)
 
 
 def test_transient_jacobian_matches_finite_difference():
