@@ -12,11 +12,15 @@ Segmentation maps pixel intensities onto detector input voltages, looks
 the swept response up in a table and normalizes it to [0, 1]. Applied
 to a centered Gaussian intensity blob, a band detector lights an
 annulus: the ring's radius tracks where the blob crosses the band and
-its thickness tracks the band width.
+its thickness tracks the band width. The response is evaluated once per
+intensity level in the image's range, and the ring geometry once per
+image shape and center: a second detector on an image, or a later image
+of the same shape, reuses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -42,7 +46,8 @@ __all__ = [
     "write_pgm",
 ]
 
-MAX_GAUSSIAN_SIZE = 4096   # largest side; its float work arrays peak near 670 MB
+# largest side; one 134 MB float64 work array, 174 MB peak RSS in all
+MAX_GAUSSIAN_SIZE = 4096
 
 
 class ImageGray:
@@ -116,6 +121,7 @@ def gen_gaussian_image(size: int = 129, sigma: float | None = None,
 # whitespace byte after the maxval is header: the raster starts past it.
 _TOKEN = rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)(?![^\s#])"
 _HEADER = re.compile(_TOKEN * 4 + rb"\s?")
+_MAGIC = re.compile(rb"[^\s#]{0,8}")   # the first token, cut for a message
 
 
 def _p2_samples(raster, count: int) -> np.ndarray:
@@ -125,26 +131,34 @@ def _p2_samples(raster, count: int) -> np.ndarray:
     bytes.split() splits on; leading zeros are allowed.
     """
     # padding puts whitespace on both sides of every sample and keeps the
-    # indices of a sample's last three digits in bounds
+    # three digits ending at every sample's last byte in bounds
     buf = np.frombuffer(b"  " + raster + b" ", np.uint8)
-    ws = (buf == 32) | (buf - np.uint8(9) < 5)      # \t \n \v \f \r, space
-    found = np.count_nonzero(ws[:-1] & ~ws[1:])
+    token = (buf != 32) & (buf - np.uint8(9) >= 5)  # not \t\n\v\f\r or space
+    last = token[:-1] > token[1:]       # a sample's byte before whitespace
+    found = np.count_nonzero(last)
     if found < count:
         raise TruncatedData(f"expected {count} samples, got {found}")
-    ends = np.flatnonzero(~ws[:-1] & ws[1:])[:count]
-    region = slice(0, ends[-1] + 1)
-    digit = buf[region] - np.uint8(48)
-    token = ~ws[region]
-    if np.any(token & (digit > 9)):
+    ends = np.flatnonzero(last)[:count]
+    del last
+    stop = ends[-1] + 1
+    digit = buf[:stop] - np.uint8(48)
+    del buf
+    token = token[:stop]
+    if np.any((digit > 9) & token):
         raise TruncatedData("non-numeric sample in P2 raster")
-    digit[~token] = 0
-    # the last three digits; whitespace reads as 0, and the third counts
-    # only when the second belongs to the sample
-    value = (digit[ends] + digit[ends - 1] * np.uint16(10)
-             + digit[ends - 2] * token[ends - 1] * np.uint16(100))
+    digit *= token                      # whitespace reads as 0
     # out of range: above 255, or a nonzero digit left of the last three
-    far = token[1:-2] & token[2:-1] & token[3:] & (digit[:-3] != 0)
-    if np.any(value > 255) or np.any(far):
+    far = np.any((digit[:-3] != 0) & token[1:-2] & token[2:-1] & token[3:])
+    # the number spelled by the three digits ending at each byte; the
+    # hundreds count only when the tens belong to the same sample
+    value = np.multiply(digit[:-2], token[1:-1], dtype=np.uint16)
+    value *= 10
+    value += digit[1:-1]
+    value *= 10
+    value += digit[2:]
+    ends -= 2                           # in place: the largest array here
+    value = value[ends]
+    if far or np.any(value > 255):
         raise TruncatedData("P2 sample outside [0, 255]")
     return value.astype(np.uint8)
 
@@ -153,13 +167,14 @@ def read_pgm(path) -> ImageGray:
     """Read a P2 or P5 PGM file with maxval 255."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if not data.startswith((b"P2", b"P5")):
-        magic = data[:2].decode("ascii", "replace") if data else "<empty>"
-        raise BadMagic(f"not a P2/P5 PGM file (magic {magic!r})")
+    magic = _MAGIC.match(data)[0]
+    if magic not in (b"P2", b"P5"):
+        raise BadMagic(f"not a P2/P5 PGM file (magic "
+                       f"{magic.decode('ascii', 'replace') or '<empty>'!r})")
     header = _HEADER.match(data)
     if header is None:
-        raise BadHeader("header ended before magic, size and maxval")
-    magic, *fields = header.groups()
+        raise BadHeader("header ended before size and maxval")
+    fields = header.groups()[1:]
     if not all(t.isdigit() for t in fields):
         raise BadHeader(f"non-integer size or maxval in header: "
                         f"{b' '.join(fields).decode('ascii', 'replace')}")
@@ -181,19 +196,19 @@ def read_pgm(path) -> ImageGray:
     return ImageGray(arr.reshape(height, width))
 
 
-# each byte value's P2 text (its decimal digits and a space) and length
-_P2_TEXT = np.array([list(f"{v} ".encode().ljust(4)) for v in range(256)],
-                    dtype=np.uint8)
-_P2_LEN = np.array([len(str(v)) + 1 for v in range(256)], dtype=np.uint8)
+# each byte value's P2 text, NUL-padded to one 4-byte word: its decimal
+# digits and a space, or a newline for the last sample of a row
+_P2_WORD, _P2_LINE = (
+    np.array([f"{v}{end}".encode() for v in range(256)], "S4").view(np.uint32)
+    for end in " \n")
 
 
 def _p2_raster(px: np.ndarray) -> bytes:
     """P2 text of a pixel array: one row per line, samples separated by
     single spaces."""
-    text = _P2_TEXT[px]
-    length = _P2_LEN[px]
-    text[np.arange(px.shape[0]), -1, length[:, -1] - 1] = ord("\n")
-    return text[np.arange(4) < length[..., None]].tobytes()
+    text = _P2_WORD.take(px)
+    text[:, -1] = _P2_LINE.take(px[:, -1])
+    return text.tobytes().translate(None, b"\0")     # drop the padding
 
 
 def write_pgm(path, image: ImageGray, binary: bool = True) -> None:
@@ -267,10 +282,16 @@ def apply_detector(image: ImageGray, lut: ResponseLut,
 
     Pixels map affinely onto [v_low, v_high], the swept response is
     interpolated at those voltages and normalized by the table's global
-    extrema, giving a float array in [0, 1].
+    extrema, giving a float array in [0, 1]. The response is evaluated
+    once per intensity level from the image's least to its greatest, so
+    the result and any LutRangeError are those of evaluating every pixel.
     """
-    volts = pixel_to_voltage(image.pixels, v_low, v_high)
-    return lut.normalized(volts)
+    px = image.pixels
+    lo, hi = int(px.min()), int(px.max())
+    # the map rises with the level, so the table spans the same voltages
+    table = lut.normalized(pixel_to_voltage(np.arange(lo, hi + 1),
+                                            v_low, v_high))
+    return table[px - lo]
 
 
 @dataclass(frozen=True)
@@ -282,25 +303,38 @@ class RingMetrics:
     peak_brightness: float
 
 
+@functools.lru_cache(maxsize=4)     # kept: 4 B or less per pixel inside rmax
+def _ring_geometry(h: int, w: int, cy: float, cx: float, rmax: int):
+    """Pixels within rmax of (cy, cx) in an h x w image, as a read-only
+    flat index ordered by rounded radius and then row-major, and the
+    index bounds of each radius 0..rmax."""
+    yy, xx = np.ogrid[0:h, 0:w]
+    radii = np.hypot(yy - cy, xx - cx)
+    np.rint(radii, out=radii)
+    # pixels beyond rmax sort last; a stable (radix) sort keeps each
+    # radius's pixels in row-major order
+    np.minimum(radii, rmax + 1, out=radii)
+    radii = radii.astype(np.min_scalar_type(rmax + 1)).ravel()
+    order = np.argsort(radii, kind="stable")
+    bounds = np.searchsorted(radii[order], np.arange(rmax + 2))
+    index = order[:bounds[-1]].astype(np.min_scalar_type(h * w))
+    index.flags.writeable = False
+    return index, tuple(bounds.tolist())
+
+
 def _radial_profile(response: np.ndarray,
                     center: tuple[float, float] | None) -> np.ndarray:
     h, w = response.shape
     if center is None:
         center = ((h - 1) / 2.0, (w - 1) / 2.0)
-    cy, cx = center
+    cy, cx = map(float, center)
     rmax = int(min(cy, cx, h - 1 - cy, w - 1 - cx))
     if rmax < 2:
         raise NoRing("image too small for a radial profile")
-    yy, xx = np.ogrid[0:h, 0:w]
-    radii = np.rint(np.hypot(yy - cy, xx - cx))
-    inside = radii <= rmax
-    # a stable (radix) sort keeps each radius's pixels in row-major order,
-    # so every slice's mean adds the same values in the same order as
+    index, bounds = _ring_geometry(h, w, cy, cx, rmax)
+    # each slice's mean adds the same values in the same order as
     # response[radii == r].mean(); bincount or reduceat would reorder them
-    radii = radii[inside].astype(np.min_scalar_type(rmax))
-    order = np.argsort(radii, kind="stable")
-    values = response[inside][order]
-    bounds = np.searchsorted(radii[order], np.arange(rmax + 2))
+    values = response.ravel().take(index)
     return np.array([values[a:b].mean() if b > a else 0.0
                      for a, b in zip(bounds[:-1], bounds[1:])])
 
@@ -310,10 +344,12 @@ def ring_metrics(response, center: tuple[float, float] | None = None
     """Ring position, full width at half maximum and peak brightness.
 
     The response is averaged over integer-rounded radii out to the
-    largest full annulus. Raises NoRing when the profile is flat, peaks
-    at the center (a blob, not a ring), or never falls back to half
-    height on both sides of the peak. A center that is not a pair of
-    finite reals, or a non-finite response value, is a DomainError.
+    largest full annulus; the ring geometry of the last few image shapes
+    and centers is kept and reused by later calls. Raises NoRing when the
+    profile is flat, peaks at the center (a blob, not a ring), or never
+    falls back to half height on both sides of the peak. A center that is
+    not a pair of finite reals, or a non-finite response value, is a
+    DomainError.
     """
     resp = np.asarray(response, dtype=float)
     if resp.ndim != 2:

@@ -5,6 +5,8 @@ radii 10..14 has its half-maximum crossings at 9.5 and 14.5, so the
 reported thickness must be exactly 5.0.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -175,6 +177,19 @@ def test_pgm_bad_magic(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("data", [
+    b"P2x 2 1 255\n1 2\n",
+    b"P55 2 1 255\n1 2\n",
+    b"P5x 2 1 255\n\x01\x02",
+    b" P5 2 1 255\n\x01\x02",
+])
+def test_pgm_magic_is_the_whole_first_token(tmp_path, data):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(data)
+    with pytest.raises(BadMagic, match="not a P2/P5 PGM file"):
+        read_pgm(p)
+
+
 def test_pgm_bad_header(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P2\n3 x\n255\n0 0 0")
@@ -316,6 +331,64 @@ def test_lut_from_sweep():
     assert float(lut(0.5)) == 2.5
     with pytest.raises(DomainError, match=r"no node 'nope' among \['out'\]"):
         ResponseLut.from_sweep(s, "nope")
+
+
+def _lut_outcome(f, *args):
+    """The result's dtype, shape and bytes (bit-exact), or the error."""
+    try:
+        out = f(*args)
+        return out.dtype, out.shape, out.tobytes()
+    except LutRangeError as exc:
+        return type(exc), str(exc)
+
+
+def _apply_detector_per_pixel(image, lut, v_low, v_high):
+    return lut.normalized(pixel_to_voltage(image.pixels, v_low, v_high))
+
+
+@st.composite
+def _detector_cases(draw):
+    """An image on a sub-range of levels and a LUT whose swept range, in
+    levels, starts and ends within a few levels of the image's."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(0, 255))
+    hi = draw(st.integers(lo, min(lo + draw(st.sampled_from([3, 40, 255])),
+                                  255)))
+    shape = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    image = ImageGray(rng.integers(lo, hi, shape, endpoint=True))
+    v_low = draw(st.sampled_from([0.0, -0.7, 1.3]))
+    v_high = v_low + draw(st.sampled_from([3.0, 0.25, 7.0]))
+    # a LUT end on a level matches that level's voltage exactly; a
+    # fractional offset moves it between levels
+    first = lo - draw(st.integers(-2, 3)) + draw(st.sampled_from([0.0, 0.5]))
+    last = max(hi + draw(st.integers(-2, 3))
+               - draw(st.sampled_from([0.0, 0.5])), first + 1.0)
+    steps = np.cumsum(rng.uniform(0.1, 1.0, draw(st.integers(1, 8))))
+    levels = np.concatenate([[first],
+                             first + (last - first) * steps / steps[-1]])
+    outputs = (np.full(levels.size, 0.4) if draw(st.booleans())
+               else rng.normal(size=levels.size))
+    lut = ResponseLut(pixel_to_voltage(levels, v_low, v_high), outputs)
+    return image, lut, v_low, v_high
+
+
+@given(_detector_cases())
+def test_apply_detector_equals_per_pixel_evaluation(case):
+    # one table entry per level gives the same bits as evaluating every
+    # pixel, and an out-of-range level the same error
+    assert (_lut_outcome(apply_detector, *case)
+            == _lut_outcome(_apply_detector_per_pixel, *case))
+
+
+def test_apply_detector_range_error_names_the_extreme_pixel():
+    lut = ResponseLut([0.0, 1.0], [0.0, 1.0])
+    image = ImageGray([[0, 40], [90, 17]])
+    with pytest.raises(LutRangeError, match=r"voltage 1\.05882 outside sweep"):
+        apply_detector(image, lut, 0.0, 3.0)
+    with pytest.raises(LutRangeError, match=r"voltage -0\.5 outside"):
+        apply_detector(image, lut, -0.5, 2.5)
+    assert np.array_equal(apply_detector(ImageGray([[0, 85]]), lut, 0.0, 3.0),
+                          [[0.0, 1.0]])
 
 
 # --- ring metrics -----------------------------------------------------------------
@@ -490,6 +563,53 @@ def test_radial_profile_equals_its_loop(rc):
     resp, center = rc
     assert (_outcome(imaging._radial_profile, resp, center)
             == _outcome(_radial_profile_loop, resp, center))
+
+
+@given(_responses(), st.integers(0, 2**32 - 1))
+def test_reused_ring_geometry_equals_its_loop(rc, seed):
+    # later responses of one shape and center reuse the first's geometry;
+    # a transposed response is not contiguous
+    resp, center = rc
+    h, w = resp.shape
+    rng = np.random.default_rng(seed)
+    before = imaging._ring_geometry.cache_info()
+    for other in (resp, rng.random((h, w)), rng.random((w, h)).T,
+                  np.round(rng.random((h, w)), 1)):
+        assert (_outcome(imaging._radial_profile, other, center)
+                == _outcome(_radial_profile_loop, other, center))
+    after = imaging._ring_geometry.cache_info()
+    assert after.misses - before.misses <= 1
+
+
+def test_ring_geometry_is_read_only():
+    index, bounds = imaging._ring_geometry(9, 11, 4.0, 5.0, 4)
+    assert index.dtype == np.uint8 and not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0] = 0
+    assert bounds[0] == 0 and bounds[-1] == index.size
+    assert imaging._ring_geometry(257, 257, 128.0, 128.0, 128)[0].dtype \
+        == np.uint32                        # 257^2 pixels pass 2^16
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_p2_read_and_detector_memory_stay_bounded(tmp_path):
+    # traced peaks at 513^2: read_pgm 8.65x the P2 file bytes (12.3x with
+    # a gather per digit), apply_detector 9.27x the image bytes, 8x being
+    # the float64 result (24x with a voltage and a lookup per pixel)
+    image = gen_gaussian_image(513)
+    path = tmp_path / "g.pgm"
+    write_pgm(path, image, binary=False)
+    assert _traced_peak(read_pgm, path) <= 10 * path.stat().st_size
+    lut = ResponseLut([0.0, 0.9, 1.2, 1.5, 3.0], [0.0, 0.0, 2.0, 0.0, 0.0])
+    assert _traced_peak(apply_detector, image, lut) <= 10 * image.pixels.nbytes
 
 
 _SEPARATORS = [b" ", b"  ", b"\t", b"\r\n", b"\n", b" \t\n", b"\x0b\x0c"]
