@@ -1,7 +1,7 @@
 """Circuit-level and behavioral simulation of memristive dendrite cells.
 
 The package splits into a small SPICE-like core (netlist, devices,
-solver), behavioral threshold units (dendrite), reference cell builders
+solver), behavioral threshold maps (dendrite), reference cell builders
 with response analysis (cells), and image segmentation built on the
 band detector (imaging). The ``dtlsim`` console script in cli wires
 them together.
@@ -15,9 +15,8 @@ from .cells import (BandResponse, CrossValidation, DetectorConfig,
                     crossvalidate_sweep, extract_band, peak_input,
                     settle_phase_levels, smooth3)
 from .dendrite import (DendriteBranch, NeuronModel, NeuronTrace,
-                       ThresholdUnit, calibrate_xor, complement,
-                       eval_neuron, f1, f_sat, f_sat_clamp, f_spk1, f_spk2,
-                       truth_table, xor_model)
+                       calibrate_xor, complement, eval_neuron, f1, f_sat,
+                       f_sat_clamp, f_spk1, f_spk2, truth_table, xor_model)
 from .devices import (CapacitorParams, MemristorParams, MosfetParams,
                       ResistorParams, SourceWaveform, ZenerParams,
                       memristance, mosfet_current, window_factor,
@@ -56,7 +55,6 @@ __all__ = [
     "SolverOptions",
     "SourceWaveform",
     "SweepResult",
-    "ThresholdUnit",
     "TransientResult",
     "ZenerParams",
     "apply_detector",

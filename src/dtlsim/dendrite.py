@@ -1,4 +1,4 @@
-"""Behavioral dendritic threshold units and the two-branch XOR neuron.
+"""Behavioral dendritic threshold maps and the two-branch XOR neuron.
 
 Transfer functions and branch/soma evaluation are elementwise: they take
 Python floats or numpy arrays (thresholds included) and broadcast, and a
@@ -77,40 +77,6 @@ def _theta3_window(theta3, peak):
     return (peak > theta3) & (theta3 > peak / 2.0)
 
 
-_UNIT_KINDS = ("f1", "sat", "sat_clamp", "spk1", "spk2")
-
-
-@dataclass(frozen=True)
-class ThresholdUnit:
-    """One named transfer function with bound thresholds."""
-
-    kind: str
-    theta: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _UNIT_KINDS:
-            raise InvalidThreshold(f"unknown unit kind {self.kind!r}")
-        if not (math.isfinite(self.theta) and math.isfinite(self.eps)):
-            raise InvalidThreshold(f"thresholds must be finite, got "
-                                   f"theta={self.theta}, eps={self.eps}")
-        if self.kind == "sat" and not self.theta > 0.0:
-            raise InvalidThreshold(f"sat needs theta > 0, got {self.theta}")
-        if self.kind == "spk1" and not _eps_window(self.eps, self.theta):
-            raise InvalidThreshold(f"spk1 needs 0 < eps < theta, got eps={self.eps}")
-
-    def __call__(self, x: _Value) -> _Value:
-        if self.kind == "f1":
-            return f1(x, self.theta)
-        if self.kind == "sat":
-            return f_sat(x, self.theta)
-        if self.kind == "sat_clamp":
-            return f_sat_clamp(x, self.theta)
-        if self.kind == "spk1":
-            return f_spk1(x, self.theta, self.eps)
-        return f_spk2(x, self.theta)
-
-
 def _collect(weights, inputs, level):
     """Branch sum: inputs weighted +1 pass, -1 pass their complement."""
     return sum(x if w > 0 else complement(x, level)
@@ -150,9 +116,6 @@ class DendriteBranch:
             raise InvalidThreshold(
                 f"branch expects {len(self.weights)} inputs, got {len(inputs)}")
         return _collect(self.weights, inputs, level)
-
-    def spike(self, inputs: tuple[_Value, ...], level: float) -> _Value:
-        return _branch_spike(self.collect(inputs, level), self.theta2, self.eps)
 
 
 @dataclass(frozen=True)

@@ -127,9 +127,7 @@ class SourceWaveform:
         if t <= times[0]:
             return vals[0]
         for (t0, v0), (t1, v1) in zip(zip(times, vals), zip(times[1:], vals[1:])):
-            if t <= t1:
-                if t1 == t0:
-                    return v1
+            if t <= t1:   # t > t0 (else an earlier test returned), so t1 > t0
                 return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
         return vals[-1]
 

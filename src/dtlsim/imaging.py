@@ -223,6 +223,9 @@ def write_pgm(path, image: ImageGray, binary: bool = True) -> None:
 def pixel_to_voltage(pixels, v_low: float = 0.0,
                      v_high: float = 3.0) -> np.ndarray:
     """Affine map of 8-bit intensities onto [v_low, v_high]."""
+    for name, bound in (("v_low", v_low), ("v_high", v_high)):
+        if math.isinf(bound):   # NaN fails the order check below
+            raise DomainError(f"{name} must be finite, got {bound}")
     if not v_high > v_low:
         raise DomainError(f"need v_high > v_low, got {v_low} .. {v_high}")
     arr = np.asarray(pixels, dtype=float)

@@ -40,10 +40,10 @@ that converged a step seeds the next step.
 Robustness ladder for each point (SPICE2's): a strategy is a list of
 (gmin, source scale) rungs that Newton solves in turn, ending on the
 circuit itself, (0.0, 1.0). Plain Newton is that rung alone, so linear
-circuits are exact; a geometric gmin ladder, then source stepping, are
-built only when the strategies before them fail. The first strategy
-whose every rung converges wins. Update
-damping clamps per-component steps at ``options.damping_limit`` but only
+circuits are exact; a geometric gmin ladder (``_GMIN_RUNGS``), then
+source stepping, are tried only when the strategies before them fail.
+The first strategy whose every rung converges wins. Update
+damping clamps per-component steps at ``_DAMPING_LIMIT`` but only
 for unknowns that the analysis mode's nonlinear stamps touch (a memristor
 is one in transient runs only); purely linear circuits therefore converge
 in exactly one Newton iteration. The residual tolerances, the step
@@ -69,6 +69,14 @@ from .errors import DomainError, NoConvergence, SingularMatrix
 
 _W_ABSTOL = 1e-12
 _MAX_POINTS = 10**6   # points of a sweep, rows of a transient
+_DAMPING_LIMIT = 0.5   # Newton step bound on the unknowns of nonlinear stamps
+_GMIN_FINAL = 1e-12
+# gmin stepping: 1e-3 divided by 10 while above _GMIN_FINAL, which ends on
+# the near-duplicate 1.0000000000000002e-12, then _GMIN_FINAL and the circuit
+_GMIN_RUNGS = [(1e-3, 1.0)]
+while _GMIN_RUNGS[-1][0] / 10.0 > _GMIN_FINAL:
+    _GMIN_RUNGS.append((_GMIN_RUNGS[-1][0] / 10.0, 1.0))
+_GMIN_RUNGS = (*_GMIN_RUNGS, (_GMIN_FINAL, 1.0), (0.0, 1.0))
 
 
 @dataclass
@@ -77,9 +85,6 @@ class SolverOptions:
     abstol_v: float = 1e-6
     abstol_i: float = 1e-9
     max_newton_iters: int = 100
-    damping_limit: float = 0.5
-    gmin_start: float = 1e-3
-    gmin_final: float = 1e-12
     source_steps: int = 10
 
     def __post_init__(self):
@@ -88,10 +93,6 @@ class SolverOptions:
                 ("reltol", 0.0 <= self.reltol < inf, "finite and >= 0"),
                 ("abstol_v", 0.0 <= self.abstol_v < inf, "finite and >= 0"),
                 ("abstol_i", 0.0 <= self.abstol_i < inf, "finite and >= 0"),
-                ("damping_limit", 0.0 < self.damping_limit < inf, "finite and > 0"),
-                ("gmin_final", 0.0 < self.gmin_final < inf, "finite and > 0"),
-                ("gmin_start", self.gmin_final <= self.gmin_start < inf,
-                 "finite and >= gmin_final"),
                 ("max_newton_iters", isinstance(self.max_newton_iters, Integral)
                  and self.max_newton_iters >= 0, "an integer >= 0"),
                 ("source_steps", isinstance(self.source_steps, Integral)
@@ -239,7 +240,7 @@ class _System:
     def bounds(self, options: SolverOptions, mode: str) -> tuple[np.ndarray, ...]:
         """The absolute residual tolerance per row (KCL rows are currents,
         source rows voltages, state rows dimensionless), the Newton step
-        bound per unknown (``damping_limit`` on the unknowns that the
+        bound per unknown (``_DAMPING_LIMIT`` on the unknowns that the
         mode's nonlinear stamps touch, ``inf`` elsewhere) and its negative,
         and the box of every unknown: [0, 1] on states, unbounded elsewhere."""
         base = {"v": options.abstol_i, "i": options.abstol_v, "w": _W_ABSTOL}
@@ -249,7 +250,7 @@ class _System:
         step = np.full(self.n + 1, np.inf)
         for e in self.elements:
             if e.kind in nonlinear:
-                step[list(e.slots)] = options.damping_limit
+                step[list(e.slots)] = _DAMPING_LIMIT
         low, high = np.full(self.n, -np.inf), np.full(self.n, np.inf)
         low[self.states], high[self.states] = 0.0, 1.0
         return abstol, step[:self.n], -step[:self.n], low, high
@@ -359,18 +360,14 @@ def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
 
 def _strategies(sys: _System, x0: np.ndarray, options: SolverOptions):
     """(name, start, (gmin, source scale) rungs) of each strategy in turn;
-    every list ends on the circuit itself, (0.0, 1.0), and a homotopy's
-    rungs are built only when the strategies before it fail."""
+    every list ends on the circuit itself, (0.0, 1.0), and the
+    source-stepping rungs are built only when the strategies before it fail."""
     yield "newton", x0, [(0.0, 1.0)]
-    gmin, ladder = options.gmin_start, []
-    while gmin > options.gmin_final:
-        ladder.append((gmin, 1.0))
-        gmin /= 10.0
-    yield "gmin-stepping", x0, ladder + [(options.gmin_final, 1.0), (0.0, 1.0)]
+    yield "gmin-stepping", x0, _GMIN_RUNGS
     zeros = np.zeros(sys.n)
     zeros[sys.states] = x0[sys.states]
     steps = options.source_steps
-    yield "source-stepping", zeros, [(options.gmin_final, k / steps)
+    yield "source-stepping", zeros, [(_GMIN_FINAL, k / steps)
                                      for k in range(1, steps + 1)] + [(0.0, 1.0)]
 
 
@@ -404,6 +401,11 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
         residual=getattr(last, "residual", None))
 
 
+def _failed_at(exc: NoConvergence, at: float, where) -> NoConvergence:
+    """The failure ``exc`` of the point ``at``, named by ``where(at)``."""
+    return NoConvergence(f"{where(at)}: {exc}", residual=exc.residual, at=at)
+
+
 def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
            points: np.ndarray, context, options: SolverOptions, where):
     """Solve the points in order, each from the last solution and its
@@ -418,8 +420,7 @@ def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
             x, iters, strategy, memory = _solve_point(
                 sys, x, context(at, x, memory), options, bounds)
         except NoConvergence as exc:
-            raise NoConvergence(f"{where(at)}: {exc}",
-                                residual=exc.residual, at=at) from exc
+            raise _failed_at(exc, at, where) from exc
         cols[:, i] = x
         iterations.append(iters)
         strategies.append(strategy)
@@ -511,13 +512,18 @@ def transient(circuit, tstop: float, dt: float,
     if dt > tstop:
         raise ValueError(f"transient needs dt <= tstop, got {dt} > {tstop}")
     options = options or SolverOptions()
-    sys, (x, op_iters, op_strategy, memory) = _operating_point(circuit, options)
+    where = "transient failed at t={:.6g}s".format
+    try:
+        sys, (x, op_iters, op_strategy, memory) = _operating_point(
+            circuit, options)
+    except NoConvergence as exc:
+        raise _failed_at(exc, 0.0, where) from exc
     cols, iterations, strategies = _march(
         sys, "tran", x, memory, times[1:],
         lambda t, x, memory: StampContext(
             h=h, carry=carry, levels=sys.levels(t),
             prev_step=_with_ground(x), hist=memory),
-        options, lambda t: f"transient failed at t={t:.6g}s")
+        options, where)
     cols = np.column_stack((x, cols))
     keys = sys.keys
     return TransientResult(

@@ -196,6 +196,13 @@ def test_extract_band_rejects_short_sweep():
         extract_band(_sweep([0.0, 1.0], [0.0, 1.0]), "out")
 
 
+def test_extract_band_rejects_a_peak_that_smoothing_removes():
+    # smoothing clips the single-sample peak, so no smoothed sample
+    # reaches half the raw height
+    with pytest.raises(NoBand, match="never reaches half height"):
+        extract_band(_sweep(np.arange(5.0), [0.0, 0.0, 1.0, 0.0, 0.0]), "out")
+
+
 # --- peak_input -----------------------------------------------------------------
 
 def test_peak_input_triangle():
@@ -298,6 +305,13 @@ def test_settle_phase_levels_discards_transition():
     assert settle_phase_levels(_tran(t, v), "out", 1) == [1.0]
 
 
+def test_settle_phase_levels_window_without_samples():
+    # the settling windows of phases 2 and 3 hold no sample: each takes
+    # the last sample before its end, the one at t=1
+    r = _tran([0.0, 1.0, 4.0], [1.0, 2.0, 3.0])
+    assert settle_phase_levels(r, "out", 4) == [2.0, 2.0, 2.0, 3.0]
+
+
 def test_settle_phase_levels_validation():
     t = np.linspace(0.0, 1.0, 11)
     r = _tran(t, t)
@@ -333,6 +347,10 @@ def test_builder_validation():
         build_saturation_cell(vdd=0.0)
     with pytest.raises(DomainError):
         build_spike_cell(w0=1.5)
+    with pytest.raises(DomainError, match="^vdd must be positive, got 0$"):
+        build_spike_cell(vdd=0)
+    with pytest.raises(DomainError, match="^vdd must be positive, got -1$"):
+        build_xor_circuit(vdd=-1)
     with pytest.raises(DomainError):
         build_xor_circuit(edge=1e-3, phase=1e-3)
     with pytest.raises(DomainError):

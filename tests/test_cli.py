@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dtlsim import solver
-from dtlsim.cli import main
+from dtlsim.cli import _atomic_write, main
 from dtlsim.errors import NoConvergence
 from dtlsim.imaging import gen_gaussian_image, read_pgm, write_pgm
 
@@ -312,6 +312,18 @@ def test_out_onto_a_directory_names_it_and_leaves_no_temp_file(
                    for p in tmp_path.iterdir())
 
 
+def test_writer_error_propagates_and_leaves_no_temp_file(tmp_path):
+    # only an OSError is renamed to the target; anything else passes as is
+    def half_written(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+        raise ValueError("writer failed")
+    target = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="^writer failed$"):
+        _atomic_write(str(target), half_written)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_gaussian_invalid_size():
     assert main(["gen-gaussian", "--size", "1", "--out", "x.pgm"]) == 1
 
@@ -357,13 +369,17 @@ def test_segment_checks_voltage_range_before_any_work(tmp_path, capsys,
     monkeypatch.setattr(solver, "dc_sweep", no_sweep)
     img_path = tmp_path / "blob.pgm"
     write_pgm(img_path, gen_gaussian_image(9))
-    for lo, hi in (("2", "1"), ("1", "1"), ("nan", "1")):
+    order = "need v_high > v_low"
+    for lo, hi, why in (("2", "1", order), ("1", "1", order),
+                        ("nan", "1", order),
+                        ("-inf", "1", "v_low must be finite, got -inf"),
+                        # the detector's sweep ends at v_high
+                        ("0", "inf", "sweep_stop must be finite, got inf")):
         # a missing image would be an i/o error: the range is checked first
         for image in (img_path, tmp_path / "missing.pgm"):
-            assert main(["segment", str(image), "--v-low", lo,
-                         "--v-high", hi]) == 1
-            assert ("invalid argument: need v_high > v_low"
-                    in capsys.readouterr().err)
+            assert main(["segment", str(image), f"--v-low={lo}",
+                         f"--v-high={hi}"]) == 1
+            assert f"invalid argument: {why}" in capsys.readouterr().err
 
 
 def test_segment_truncated_image_is_io_error(tmp_path, capsys):

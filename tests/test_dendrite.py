@@ -1,4 +1,4 @@
-"""Behavioral threshold-unit and XOR-neuron tests; the truth table and grid
+"""Behavioral threshold-map and XOR-neuron tests; the truth table and grid
 counts are frozen, the rest are exhaustive or property-based."""
 
 import math
@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtlsim import dendrite
-from dtlsim.dendrite import (DendriteBranch, NeuronModel, ThresholdUnit,
-                             calibrate_xor, complement, eval_neuron, f1,
-                             f_sat, f_sat_clamp, f_spk1, f_spk2, truth_table,
-                             xor_model)
+from dtlsim.dendrite import (DendriteBranch, NeuronModel, calibrate_xor,
+                             complement, eval_neuron, f1, f_sat, f_sat_clamp,
+                             f_spk1, f_spk2, truth_table, xor_model)
 from dtlsim.errors import InvalidThreshold
 
 
@@ -63,33 +62,7 @@ def test_complement_is_an_involution(x, level):
     assert complement(0.0, level) == level
 
 
-# --- threshold units ---------------------------------------------------------
-
-def test_threshold_unit_dispatch():
-    assert ThresholdUnit("f1", 1.0)(2.0) == -1.0
-    assert ThresholdUnit("sat", 2.0)(1.0) == 0.5
-    assert ThresholdUnit("sat_clamp", 2.0)(3.0) == 2.0
-    assert ThresholdUnit("spk1", 1.5, eps=0.1)(1.45) == 0.0
-    assert ThresholdUnit("spk2", 0.75)(0.5) == 1.0
-
-
-def test_threshold_unit_validation():
-    with pytest.raises(InvalidThreshold):
-        ThresholdUnit("sigmoid", 1.0)
-    with pytest.raises(InvalidThreshold):
-        ThresholdUnit("spk1", 1.5, eps=0.0)
-    with pytest.raises(InvalidThreshold):
-        ThresholdUnit("spk1", 1.5, eps=1.5)
-    for kind in ("f1", "sat", "sat_clamp", "spk1", "spk2"):
-        for theta in (math.nan, math.inf, -math.inf):
-            with pytest.raises(InvalidThreshold):
-                ThresholdUnit(kind, theta, eps=0.1)
-    for theta in (0.0, -1.0):   # a + 0 divisor or a sign flip
-        with pytest.raises(InvalidThreshold):
-            ThresholdUnit("sat", theta)
-    with pytest.raises(InvalidThreshold):
-        ThresholdUnit("f1", 1.0, eps=math.nan)
-
+# --- branches and neurons ---------------------------------------------------
 
 def test_branch_validation():
     with pytest.raises(InvalidThreshold):

@@ -252,3 +252,24 @@ def test_param_validation():
                  lambda: SourceWaveform("pulse", (0, -inf, 0, 0, 0, 0, 1))):
         with pytest.raises(DomainError, match="must be finite"):
             make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SourceWaveform("dc", (1.0, 2.0)), "dc source takes one level"),
+    (lambda: SourceWaveform("pulse", (0, 1, 0, 0, 0, 1)),
+     "pulse takes (v1 v2 delay rise fall width period)"),
+    (lambda: SourceWaveform("pulse", (0, 1, -1, 0, 0, 1, 2)),
+     "pulse timing values must be non-negative, period positive"),
+    (lambda: SourceWaveform("pulse", (0, 1, 0, 1, 1, 1, 2)),
+     "pulse rise + width + fall exceeds period"),
+    (lambda: SourceWaveform("pwl", (0, 1)),
+     "pwl takes at least two (time, value) pairs"),
+    (lambda: SourceWaveform("sin", (0, 1)), "unknown source kind 'sin'"),
+    (lambda: MosfetParams(lam=-1), "lambda and gamma must be non-negative"),
+    (lambda: MemristorParams(w0=2), "w0 must lie in [0, 1], got 2"),
+    (lambda: MemristorParams(k_drift=0), "k_drift must be positive"),
+])
+def test_out_of_domain_parameters_are_named(make, message):
+    with pytest.raises(DomainError) as ei:
+        make()
+    assert str(ei.value) == message

@@ -5,6 +5,7 @@ radii 10..14 has its half-maximum crossings at 9.5 and 14.5, so the
 reported thickness must be exactly 5.0.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -274,6 +275,15 @@ def test_pixel_to_voltage_endpoints():
 def test_pixel_to_voltage_validation():
     with pytest.raises(DomainError):
         pixel_to_voltage(np.array([0]), 2.0, 1.0)
+    inf = math.inf
+    for lo, hi, name in ((0.0, inf, "v_high"), (-inf, 1.0, "v_low"),
+                         (-inf, inf, "v_low"), (inf, inf, "v_low")):
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+            pixel_to_voltage(np.array([0, 128, 255]), lo, hi)
+    # the detector maps through it: a bound is named, not a NaN voltage
+    lut = ResponseLut([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
+    with pytest.raises(DomainError, match="^v_high must be finite, got inf$"):
+        apply_detector(gen_gaussian_image(9), lut, 0.0, inf)
 
 
 def test_lut_interpolates_and_hits_samples():

@@ -292,6 +292,75 @@ def test_directive_validation():
         parse_netlist("t\nr_1 a 0 1k\n.noise v_1\n")     # unsupported
     with pytest.raises(NetlistError):
         parse_netlist("t\nr_1 a 0 1k\n.model m resistor\n")
+    # a directive built by hand is checked too
+    with pytest.raises(NetlistError, match=r"^\.dc needs a source name$"):
+        AnalysisDirective("dc", "")
+    with pytest.raises(NetlistError, match="^unknown analysis kind 'ac'$"):
+        AnalysisDirective("ac")
+
+
+_CARD = "t\nr_1 a 0 1k\n"   # the card under test is on line 3
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (_CARD + ".dc v_1 0 1 0\n", NetlistError, "line 3: .dc needs step > 0, got 0.0"),
+    (_CARD + ".dc v_1 0 1 -1\n", NetlistError,
+     "line 3: .dc needs step > 0, got -1.0"),
+    (_CARD + ".tran 0 1m\n", NetlistError,
+     "line 3: .tran needs tstop > 0 and dt > 0"),
+    (_CARD + ".tran 1m 0\n", NetlistError,
+     "line 3: .tran needs tstop > 0 and dt > 0"),
+    (_CARD + ".tran 1m -1u\n", NetlistError,
+     "line 3: .tran needs tstop > 0 and dt > 0"),
+    (_CARD + "v_1 a 0 pwl(0 0 1 1\n", NetlistError, "line 3: unbalanced '('"),
+    (_CARD + ".model m\n", ArityError, "line 3: .model needs a name and a kind"),
+    (_CARD + ".model m mosfet type=x\n", NetlistError,
+     "line 3: mosfet type must be n or p, got 'x'"),
+    (_CARD + "v_1 a 0 pwl(0 0 1 1) 5\n", NetlistError,
+     "line 3: unexpected tokens after pwl(...)"),
+    (_CARD + "v_1 a 0 dc\n", ArityError, "line 3: dc source needs a level"),
+    (_CARD + ".tran 1m\n", ArityError, "line 3: expected '.tran <tstop> <dt>'"),
+    (_CARD + ".op 1\n", ArityError, "line 3: expected '.op'"),
+    # a number a directive cannot read keeps the directive's line
+    (_CARD + ".tran 1q 1u\n", MalformedNumber, "line 3: malformed number '1q'"),
+    (_CARD + ".model z zener\n.model z zener\n", DuplicateName,
+     "line 4: duplicate model name 'z'"),
+    # a device parameter out of its domain names its card's line
+    ("t\nv_1 a 0 1\nr_1 a 0 0\n", NetlistError,
+     "line 3: resistance must be positive, got 0.0"),
+    ("t\nv_1 a 0 1\nr_1 a 0 -1k\n", NetlistError,
+     "line 3: resistance must be positive, got -1000.0"),
+    (_CARD + "c_1 a 0 0\n", NetlistError,
+     "line 3: capacitance must be positive, got 0.0"),
+    ("t\n.op\n", NetlistError, "circuit has no elements"),
+])
+def test_card_errors_name_their_line(text, error, message):
+    with pytest.raises(NetlistError) as ei:
+        parse_netlist(text)
+    assert type(ei.value) is error
+    assert str(ei.value) == message
+
+
+def test_validate_checks_hand_built_circuits():
+    r = ResistorParams(1.0)
+    for elements, error, message in (
+            ([Element("r_1", "r", ("a", "0"), r),
+              Element("r_1", "r", ("a", "b"), r)],
+             DuplicateName, "duplicate element name 'r_1'"),
+            ([Element("q_1", "q", ("a", "0"), r)],
+             UnknownElementKind, "unknown element kind 'q'"),
+            ([Element("r_1", "r", ("a",), r)],
+             ArityError, "r_1: expected 2 nodes, got 1")):
+        with pytest.raises(error) as ei:
+            Circuit("t", elements).validate()
+        assert str(ei.value) == message
+
+
+def test_element_lookup_of_an_unknown_name():
+    c = parse_netlist(_CARD)
+    assert c.element("R_1").name == "r_1"   # names are case-insensitive
+    with pytest.raises(KeyError):
+        c.element("r_9")
 
 
 def test_model_param_validation_is_a_netlist_error():

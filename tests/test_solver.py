@@ -362,6 +362,12 @@ def test_failure_names_its_point(monkeypatch):
                        match=r"^transient failed at t=2e-06s: stuck$") as ei:
         transient(parse_netlist(RC_STEP), tstop=1e-5, dt=1e-6)
     assert (ei.value.at, ei.value.residual) == (2e-6, 1.0)
+    calls.clear()
+    calls += [None, None]   # the next solve, the t=0 operating point, fails
+    with pytest.raises(NoConvergence,
+                       match=r"^transient failed at t=0s: stuck$") as ei:
+        transient(parse_netlist(RC_STEP), tstop=1e-5, dt=1e-6)
+    assert (ei.value.at, ei.value.residual) == (0.0, 1.0)
 
 
 def test_no_convergence_when_starved():
@@ -392,13 +398,13 @@ def test_no_point_is_solved_off_the_circuit(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [
-    dict(reltol=-1e-3), dict(reltol=math.nan), dict(abstol_v=math.inf),
-    dict(abstol_i=-1e-9), dict(damping_limit=0.0), dict(damping_limit=math.inf),
-    dict(gmin_final=0.0), dict(gmin_final=-1e-12), dict(gmin_final=math.nan),
-    dict(gmin_start=math.inf), dict(gmin_start=1e-13), dict(gmin_start=math.nan),
+    dict(reltol=-1e-3), dict(reltol=math.nan), dict(reltol=math.inf),
+    dict(abstol_v=-1e-6), dict(abstol_v=math.nan), dict(abstol_v=math.inf),
+    dict(abstol_i=-1e-9), dict(abstol_i=math.nan), dict(abstol_i=math.inf),
     dict(max_newton_iters=-1), dict(max_newton_iters=math.inf),
-    dict(max_newton_iters=2.5), dict(source_steps=0), dict(source_steps=1.5),
-    dict(source_steps=math.inf)])
+    dict(max_newton_iters=2.5), dict(max_newton_iters="10"),
+    dict(source_steps=0), dict(source_steps=1.5), dict(source_steps=math.inf),
+    dict(source_steps=math.nan), dict(source_steps=-1)])
 def test_solver_options_validated(bad):
     # only constructed: a solver handed some of these would never return
     with pytest.raises(ValueError, match=f"SolverOptions.{next(iter(bad))} "):
@@ -510,8 +516,7 @@ r_1 b 0 1k
 ])
 def test_newton_work_is_pinned(case, expected):
     if case == "spike-w0.3-source-stepping":
-        opts = SolverOptions(max_newton_iters=10, damping_limit=0.5,
-                             source_steps=5)
+        opts = SolverOptions(max_newton_iters=10, source_steps=5)
         op = dc_operating_point(cells.build_spike_cell(0.3), opts)
         assert op.strategy == "source-stepping"
         assert op.iterations == expected
