@@ -8,27 +8,25 @@ them together.
 """
 
 from . import errors
-from .cells import (BandResponse, CrossValidation, DetectorConfig,
-                    DETECTOR_CONFIG_1, DETECTOR_CONFIG_2,
-                    build_intensity_detector, build_saturation_cell,
-                    build_spike_cell, build_xor_circuit, crossvalidate,
-                    crossvalidate_sweep, extract_band, peak_input,
+from .cells import (BandResponse, DetectorConfig, DETECTOR_CONFIG_1,
+                    DETECTOR_CONFIG_2, build_intensity_detector,
+                    build_saturation_cell, build_spike_cell,
+                    build_xor_circuit, extract_band, peak_input,
                     settle_phase_levels, smooth3)
 from .dendrite import (DendriteBranch, NeuronModel, NeuronTrace,
                        calibrate_xor, complement, eval_neuron, f1, f_sat,
                        f_sat_clamp, f_spk1, f_spk2, truth_table, xor_model)
 from .devices import (CapacitorParams, MemristorParams, MosfetParams,
                       ResistorParams, SourceWaveform, ZenerParams,
-                      memristance, mosfet_current, window_factor,
-                      zener_current)
+                      memristance, window_factor)
 from .imaging import (ImageGray, ResponseLut, RingMetrics, apply_detector,
                       gen_gaussian_image, pixel_to_voltage, read_pgm,
                       ring_metrics, write_pgm)
 from .netlist import (AnalysisDirective, Circuit, Element, parse_netlist,
                       parse_number, serialize_netlist)
 from .solver import (OpPoint, SolverOptions, SweepResult, TransientResult,
-                     dc_operating_point, dc_sweep, residual_report,
-                     sweep_points, transient)
+                     dc_operating_point, dc_sweep, sweep_points,
+                     transient)
 
 __version__ = "0.1.0"
 
@@ -37,7 +35,6 @@ __all__ = [
     "BandResponse",
     "CapacitorParams",
     "Circuit",
-    "CrossValidation",
     "DendriteBranch",
     "DetectorConfig",
     "DETECTOR_CONFIG_1",
@@ -64,8 +61,6 @@ __all__ = [
     "build_xor_circuit",
     "calibrate_xor",
     "complement",
-    "crossvalidate",
-    "crossvalidate_sweep",
     "dc_operating_point",
     "dc_sweep",
     "errors",
@@ -78,13 +73,11 @@ __all__ = [
     "f_spk2",
     "gen_gaussian_image",
     "memristance",
-    "mosfet_current",
     "parse_netlist",
     "parse_number",
     "peak_input",
     "pixel_to_voltage",
     "read_pgm",
-    "residual_report",
     "ring_metrics",
     "serialize_netlist",
     "settle_phase_levels",
@@ -95,6 +88,5 @@ __all__ = [
     "window_factor",
     "write_pgm",
     "xor_model",
-    "zener_current",
     "__version__",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .solver import SweepResult, TransientResult
 
 __all__ = [
     "BandResponse",
-    "CrossValidation",
     "DetectorConfig",
     "DETECTOR_CONFIG_1",
     "DETECTOR_CONFIG_2",
@@ -41,8 +40,6 @@ __all__ = [
     "build_saturation_cell",
     "build_spike_cell",
     "build_xor_circuit",
-    "crossvalidate",
-    "crossvalidate_sweep",
     "extract_band",
     "peak_input",
     "settle_phase_levels",
@@ -372,49 +369,6 @@ def peak_input(sweep: SweepResult, node: str) -> float:
             f"expected exactly one interior maximum, found {maxima.size}")
     k = maxima[0]
     return float(x[(first[k] + last[k]) // 2])
-
-
-@dataclass(frozen=True)
-class CrossValidation:
-    """Agreement between a circuit response and a behavioral model."""
-
-    agreement: float
-    n_points: int
-    mismatches: tuple[int, ...]
-
-
-def _binarize(y: np.ndarray) -> np.ndarray:
-    m = float(y.max())
-    if m <= 0.0:
-        return np.zeros(len(y), dtype=bool)
-    return y >= 0.5 * m
-
-
-def crossvalidate(circuit_outputs: Sequence[float],
-                  behavioral_outputs: Sequence[float]) -> CrossValidation:
-    """Compare two responses thresholded at half their own maxima.
-
-    Each curve is binarized at half its own maximum (non-positive
-    curves binarize to all-low), so absolute scales need not match.
-    """
-    a = np.asarray(circuit_outputs, dtype=float)
-    b = np.asarray(behavioral_outputs, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("responses must be 1-D and the same length")
-    if len(a) == 0:
-        raise ValueError("cannot crossvalidate empty responses")
-    bits_a = _binarize(a)
-    bits_b = _binarize(b)
-    mism = tuple(int(i) for i in np.nonzero(bits_a != bits_b)[0])
-    return CrossValidation(agreement=1.0 - len(mism) / len(a),
-                           n_points=len(a), mismatches=mism)
-
-
-def crossvalidate_sweep(sweep: SweepResult, node: str,
-                        unit: Callable[[float], float]) -> CrossValidation:
-    """Crossvalidate a swept circuit node against a behavioral unit."""
-    model = [float(unit(float(v))) for v in sweep.inputs]
-    return crossvalidate(sweep.column(node), model)
 
 
 def settle_phase_levels(result: TransientResult, node: str,

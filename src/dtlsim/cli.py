@@ -238,9 +238,10 @@ def _cmd_gen_gaussian(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    circuit = _detector(args, args.v_high)
-    # the voltage range's check, before the image is read and swept
+    # the voltage range's check names a bad --v-high before the detector,
+    # whose sweep ends at v_high, is built and the image read
     imaging.pixel_to_voltage(0, args.v_low, args.v_high)
+    circuit = _detector(args, args.v_high)
     img = imaging.read_pgm(args.image)
     s = _run(circuit, "dc")
     lut = imaging.ResponseLut.from_sweep(s, "out")

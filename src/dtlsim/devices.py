@@ -248,11 +248,6 @@ def mosfet_ids_grad(p: MosfetParams, vgs: float, vds: float, vsb: float,
     return s * i, gg, gd, gb
 
 
-def mosfet_current(p: MosfetParams, vgs: float, vds: float, vsb: float = 0.0) -> float:
-    """Physical drain current of the level-1 model (see module docstring)."""
-    return mosfet_ids_grad(p, vgs, vds, vsb)[0]
-
-
 def zener_ig(p: ZenerParams, v: float) -> tuple[float, float]:
     """Current and small-signal conductance of the breakdown diode at v."""
     nvt = p.n * p.v_thermal
@@ -261,10 +256,6 @@ def zener_ig(p: ZenerParams, v: float) -> tuple[float, float]:
     i = p.i_sat * (ef - 1.0) - p.i_bv * er
     g = (p.i_sat * def_ + p.i_bv * der) / nvt
     return i, g
-
-
-def zener_current(p: ZenerParams, v: float) -> float:
-    return zener_ig(p, v)[0]
 
 
 def memristance(p: MemristorParams, w: float) -> float:

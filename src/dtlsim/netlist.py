@@ -129,12 +129,6 @@ class Circuit:
             seen.update(e.nodes)
         return sorted(seen)
 
-    def element(self, name: str) -> Element:
-        for e in self.elements:
-            if e.name == name.lower():
-                return e
-        raise KeyError(name)
-
     def validate(self) -> "Circuit":
         if not self.elements:
             raise NetlistError("circuit has no elements")

@@ -372,8 +372,8 @@ def _strategies(sys: _System, x0: np.ndarray, options: SolverOptions):
 
 
 def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
-                 options: SolverOptions,
-                 bounds) -> tuple[np.ndarray, int, str, list]:
+                 options: SolverOptions, bounds,
+                 kind: str) -> tuple[np.ndarray, int, str, list]:
     """Newton with homotopy fallbacks; ctx.gmin/srcscale are scratch.
 
     Each strategy walks its (gmin, source scale) rungs from its start,
@@ -382,7 +382,9 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
     is reported solved on a gmin-loaded or scaled-source solution.
 
     Returns the solution, the total iteration count, the strategy that
-    won and the companion memory of the solution's assembly.
+    won and the companion memory of the solution's assembly; a failure
+    names the ``kind`` of point ("operating point", "sweep point" or
+    "time step").
     """
     last: Exception | None = None
     for name, x, rungs in _strategies(sys, x0, options):
@@ -396,7 +398,7 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
             continue
         return x, total, name, memory
     raise NoConvergence(
-        f"operating point did not converge (newton, gmin stepping and "
+        f"{kind} did not converge (newton, gmin stepping and "
         f"source stepping all failed: {last})",
         residual=getattr(last, "residual", None))
 
@@ -415,10 +417,11 @@ def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
     cols = np.empty((sys.n, points.size))
     iterations, strategies = [], []
     bounds = sys.bounds(options, mode)
+    kind = "sweep point" if mode == "dc" else "time step"
     for i, at in enumerate(points.tolist()):
         try:
             x, iters, strategy, memory = _solve_point(
-                sys, x, context(at, x, memory), options, bounds)
+                sys, x, context(at, x, memory), options, bounds, kind)
         except NoConvergence as exc:
             raise _failed_at(exc, at, where) from exc
         cols[:, i] = x
@@ -440,7 +443,7 @@ def _operating_point(circuit, options: SolverOptions, overrides=None,
                              f"for an unknown of the circuit")
         start[sys.keys.index(key)] = value
     return sys, _solve_point(sys, start, ctx, options,
-                             sys.bounds(options, "dc"))
+                             sys.bounds(options, "dc"), "operating point")
 
 
 def dc_operating_point(circuit, options: SolverOptions | None = None, *,
@@ -530,26 +533,3 @@ def transient(circuit, tstop: float, dt: float,
         times, {k[1]: col for k, col in zip(keys, cols[:sys.nv])},
         {k[1]: col for k, col in zip(keys[sys.states], cols[sys.states])},
         [op_iters] + iterations, [op_strategy] + strategies)
-
-
-def residual_report(circuit, op: OpPoint,
-                    options: SolverOptions | None = None, *,
-                    overrides: dict[str, float] | None = None) -> dict:
-    """Re-assemble the DC residual at a solved point (zero gmin).
-
-    Returns {unknown key: (|residual|, tolerance)} for every unknown of
-    the circuit, memristor states included, each read from ``op.raw``
-    (DomainError names one it lacks); useful for verifying the
-    convergence contract independently of the Newton loop. Pass the same
-    ``overrides`` the point was solved with.
-    """
-    options = options or SolverOptions()
-    sys = _System(circuit)
-    missing = [k for k in sys.keys if k not in op.raw]
-    if missing:
-        raise DomainError(f"the operating point has no unknown {missing[0]!r}")
-    ctx = StampContext(levels=sys.levels(0.0, overrides))
-    xs = [op.raw[k] for k in sys.keys] + [0.0]
-    _, res, scale, _, _ = sys.assemble(xs, ctx)
-    tol = sys.bounds(options, "dc")[0] + options.reltol * scale
-    return {k: (abs(float(res[i])), float(tol[i])) for i, k in enumerate(sys.keys)}

@@ -1,6 +1,6 @@
-"""Shared test helpers: directive-driven runs, hypothesis settings and the
-finite-difference Jacobian harness used by both the solver tests and the
-acceptance gate."""
+"""Shared test helpers: directive-driven runs, hypothesis settings, the
+finite-difference Jacobian harness and the KCL judge used by both the
+solver tests and the acceptance gate."""
 
 import math
 
@@ -8,6 +8,8 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from dtlsim import devices, solver
+from dtlsim.devices import (memristance, memristor_state_rate,
+                            mosfet_ids_grad, zener_ig)
 
 settings.register_profile(
     "dtlsim",
@@ -144,3 +146,83 @@ def make_tran_ctx_maker(circuit, dt=1e-6, method="trapezoidal"):
         return devices.StampContext(h=h, carry=carry, levels=levels,
                                     prev_step=list(prev), hist=list(hist))
     return ctx_maker
+
+
+# the solver's absolute tolerance on a memristor's state row
+_W_ABSTOL = 1e-12
+
+
+def _rows(circuit, v, levels, step, opts):
+    """(row, terms, absolute tolerance) of each equation of one solved
+    point: KCL at every node that no voltage source touches, each source's
+    voltage equation and, in a backward-Euler ``step`` (dt, last voltages,
+    states, last states), each memristor's state equation."""
+    dt, v_last, w_now, w_last = step or (0.0, None, None, None)
+    kcl, rows, sourced = {}, [], {"0"}
+    for e in circuit.elements:
+        p, nodes = e.params, e.nodes
+        if e.kind == "v":
+            sourced.update(nodes)
+            rows.append((e.name, (v[nodes[0]], -v[nodes[1]], -levels[e.name]),
+                         opts.abstol_v))
+            continue
+        a, b = (nodes[0], nodes[2]) if e.kind == "m" else nodes
+        vab = v[a] - v[b]
+        if e.kind == "m":   # drain current into the drain, out of the source
+            vd, vg, vs, vb = (v[nd] for nd in nodes)
+            i = mosfet_ids_grad(p, vg - vs, vd - vs, vs - vb, clamp_body=True)[0]
+        elif e.kind == "r":
+            i = vab / p.resistance
+        elif e.kind == "d":
+            i = zener_ig(p, vab)[0]
+        elif e.kind == "c":   # open in DC
+            i = p.capacitance * (vab - (v_last[a] - v_last[b])) / dt if dt else 0.0
+        else:   # memristor, held at w0 in DC
+            w = w_now[e.name] if dt else p.w0
+            i = vab / memristance(p, w)
+            if dt:
+                rows.append((e.name, (w - w_last[e.name],
+                                      -dt * memristor_state_rate(p, w, i)),
+                             _W_ABSTOL))
+        kcl.setdefault(a, []).append(i)
+        kcl.setdefault(b, []).append(-i)
+    return rows + [(nd, terms, opts.abstol_i) for nd, terms in kcl.items()
+                   if nd not in sourced]
+
+
+def kcl_judge(circuit, result, options=None, overrides=None):
+    """Worst |residual| / tolerance over every point of a solved result,
+    and where it was, recomputed from ``circuit.elements`` and the public
+    device equations alone, against the solver's own tolerance: abstol +
+    reltol * the sum of the row's term magnitudes.
+
+    ``result`` is an OpPoint (solved with ``overrides``), a SweepResult or
+    a backward-Euler TransientResult, whose t=0 row is a DC point.
+    """
+    opts = options or solver.SolverOptions()
+    sources = [e for e in circuit.elements if e.kind == "v"]
+
+    def levels(t=0.0, fixed=None):
+        fixed = fixed or {}
+        return {e.name: fixed.get(e.name, e.params.value(t)) for e in sources}
+
+    def row(table, k):   # with ground, which no state is named
+        return {"0": 0.0} | {name: float(col[k]) for name, col in table.items()}
+
+    if isinstance(result, solver.SweepResult):
+        points = [(f"{result.source}={x:.6g}", levels(fixed={result.source: x}),
+                   row(result.voltages, k), None)
+                  for k, x in enumerate(result.inputs.tolist())]
+    elif isinstance(result, solver.TransientResult):
+        times, vs, ws = result.times.tolist(), result.voltages, result.states
+        points = [(f"t={t:.6g}s", levels(t), row(vs, k), None if k == 0 else
+                   (times[1], row(vs, k - 1), row(ws, k), row(ws, k - 1)))
+                  for k, t in enumerate(times)]
+    else:
+        points = [("op", levels(fixed=overrides), {"0": 0.0} | result, None)]
+    worst = (0.0, "")
+    for label, level, v, step in points:
+        for name, terms, abstol in _rows(circuit, v, level, step, opts):
+            tol = abstol + opts.reltol * sum(map(abs, terms))
+            worst = max(worst, (abs(sum(terms)) / tol, f"{label} {name}"))
+    return worst

@@ -19,14 +19,14 @@ from dtlsim.cells import (DETECTOR_CONFIG_1, DETECTOR_CONFIG_2,
                           settle_phase_levels, smooth3)
 from dtlsim.cli import main as cli_main
 from dtlsim.dendrite import calibrate_xor, truth_table, xor_model
-from dtlsim.devices import ZenerParams, zener_current
+from dtlsim.devices import ZenerParams, zener_ig
 from dtlsim.imaging import (ResponseLut, apply_detector, gen_gaussian_image,
                             read_pgm, ring_metrics, write_pgm)
 from dtlsim.netlist import parse_netlist, serialize_netlist
 from dtlsim.solver import dc_operating_point, transient
 
 from conftest import (FD_BENCH_DC, FD_BENCH_TRAN, dc_from_directive,
-                      fd_jacobian_check, make_tran_ctx_maker,
+                      fd_jacobian_check, kcl_judge, make_tran_ctx_maker,
                       tran_from_directive)
 
 from dtlsim.devices import StampContext
@@ -50,28 +50,39 @@ def _n_interior_maxima(ys) -> int:
     return n
 
 
+def _kcl_detail(circuit, result) -> tuple[bool, str]:
+    """The KCL judge's verdict on every point of a result, and its worst row."""
+    ratio, where = kcl_judge(circuit, result)
+    return ratio <= 1.0, f"KCL worst {ratio:.3f} of tolerance at {where}"
+
+
 def test_saturation_cell_clamps_near_zener_breakdown():
     t0 = time.perf_counter()
-    sweep = dc_from_directive(build_saturation_cell())
+    circuit = build_saturation_cell()
+    sweep = dc_from_directive(circuit)
     peak = float(np.max(sweep.column("out")))
     elapsed = time.perf_counter() - t0
+    kcl_ok, kcl = _kcl_detail(circuit, sweep)
     lo, hi = 4.2 * 0.95, 4.2 * 1.05
-    ok = lo <= peak <= hi and elapsed < 5.0
+    ok = lo <= peak <= hi and elapsed < 5.0 and kcl_ok
     _gate("saturation clamp", ok,
-          f"peak {peak:.4f} V in [{lo:.3f}, {hi:.3f}], {elapsed:.2f} s < 5 s")
+          f"peak {peak:.4f} V in [{lo:.3f}, {hi:.3f}], {elapsed:.2f} s < 5 s, "
+          f"{kcl}")
 
 
 def test_spike_cell_sweep_has_single_interior_maximum():
     t0 = time.perf_counter()
-    sweep = dc_from_directive(build_spike_cell())
+    circuit = build_spike_cell()
+    sweep = dc_from_directive(circuit)
     ys = smooth3(sweep.column("out"))
     n_max = _n_interior_maxima(ys)
     ipk = int(np.argmax(ys))
     elapsed = time.perf_counter() - t0
-    ok = n_max == 1 and 0 < ipk < len(ys) - 1 and elapsed < 5.0
+    kcl_ok, kcl = _kcl_detail(circuit, sweep)
+    ok = n_max == 1 and 0 < ipk < len(ys) - 1 and elapsed < 5.0 and kcl_ok
     _gate("spike shape", ok,
           f"{n_max} interior maximum at sample {ipk}/{len(ys) - 1}, "
-          f"{elapsed:.2f} s < 5 s")
+          f"{elapsed:.2f} s < 5 s, {kcl}")
 
 
 def test_behavioral_xor_and_calibration_grid():
@@ -106,29 +117,34 @@ def test_circuit_xor_settles_to_truth_table():
     result = tran_from_directive(circuit)
     levels = settle_phase_levels(result, "out", 4)
     elapsed = time.perf_counter() - t0
+    kcl_ok, kcl = _kcl_detail(circuit, result)   # every backward-Euler step
     # phases drive (0,0), (0,1), (1,0), (1,1)
     high = [lv > 0.7 * vdd for lv in levels]
     low = [lv < 0.3 * vdd for lv in levels]
     ok = (high == [False, True, True, False]
-          and low == [True, False, False, True] and elapsed < 30.0)
+          and low == [True, False, False, True] and elapsed < 30.0 and kcl_ok)
     _gate("circuit XOR", ok,
           "settled [" + ", ".join(f"{lv:.3f}" for lv in levels) + "] V "
-          f"vs rails 0.3/0.7 x {vdd:.0f} V, {elapsed:.2f} s < 30 s")
+          f"vs rails 0.3/0.7 x {vdd:.0f} V, {elapsed:.2f} s < 30 s, {kcl}")
 
 
 def test_detector_band_widens_and_rises_with_second_supplies():
     t0 = time.perf_counter()
-    bands = []
+    bands, solved = [], []
     for config in (DETECTOR_CONFIG_1, DETECTOR_CONFIG_2):
-        sweep = dc_from_directive(build_intensity_detector(config))
+        circuit = build_intensity_detector(config)
+        sweep = dc_from_directive(circuit)
         bands.append(extract_band(sweep, "out"))
+        solved.append((circuit, sweep))
     b1, b2 = bands
     elapsed = time.perf_counter() - t0
-    ok = b2.width > b1.width and b2.height > b1.height and elapsed < 20.0
+    kcl = [_kcl_detail(circuit, sweep) for circuit, sweep in solved]
+    ok = (b2.width > b1.width and b2.height > b1.height and elapsed < 20.0
+          and all(kcl_ok for kcl_ok, _ in kcl))
     _gate("detector ordering", ok,
           f"width {b2.width:.3f} > {b1.width:.3f} V, "
           f"height {b2.height:.3f} > {b1.height:.3f} V, "
-          f"{elapsed:.2f} s < 20 s")
+          f"{elapsed:.2f} s < 20 s, " + "; ".join(detail for _, detail in kcl))
 
 
 def test_gaussian_ring_thicker_and_brighter_with_second_supplies():
@@ -159,7 +175,7 @@ def test_solver_matches_independent_oracles():
                           "d_1 d 0 zen\n.model zen zener\n")
     p = ZenerParams()
     vd_ref = scipy.optimize.bisect(
-        lambda vd: (5.0 - vd) / 10e3 - zener_current(p, vd),
+        lambda vd: (5.0 - vd) / 10e3 - zener_ig(p, vd)[0],
         0.0, 5.0, xtol=1e-12)
     diode_err = abs(dc_operating_point(diode)["d"] - vd_ref)
 

@@ -14,8 +14,7 @@ from dtlsim import cells
 from dtlsim.cells import (DETECTOR_CONFIG_1, DETECTOR_CONFIG_2,
                           DetectorConfig, build_intensity_detector,
                           build_saturation_cell, build_spike_cell,
-                          build_xor_circuit, crossvalidate,
-                          crossvalidate_sweep, extract_band, peak_input,
+                          build_xor_circuit, extract_band, peak_input,
                           settle_phase_levels, smooth3)
 from dtlsim.errors import DomainError, NoBand, NotUnimodal
 from dtlsim.netlist import parse_netlist, serialize_netlist
@@ -245,42 +244,6 @@ def test_unknown_node_is_a_domain_error_naming_the_nodes():
                  lambda: settle_phase_levels(_tran(t, t), "nope", 2)):
         with pytest.raises(DomainError, match=r"no node 'nope' among \['out'\]"):
             call()
-
-
-# --- crossvalidate -----------------------------------------------------------------
-
-def test_crossvalidate_identical_and_scaled():
-    xs = _grid_100ths(300)
-    ys = _triangle(xs)
-    assert crossvalidate(ys, ys).agreement == 1.0
-    assert crossvalidate(ys, 100.0 * ys).agreement == 1.0
-    assert crossvalidate(ys, 100.0 * ys).mismatches == ()
-
-
-def test_crossvalidate_counts_mismatches():
-    cv = crossvalidate([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
-    assert cv.n_points == 3
-    assert cv.mismatches == (1, 2)
-    assert cv.agreement == pytest.approx(1.0 / 3.0)
-
-
-def test_crossvalidate_nonpositive_binarizes_low():
-    cv = crossvalidate([0.0, -1.0, 0.0], [0.0, 0.0, 0.0])
-    assert cv.agreement == 1.0
-
-
-def test_crossvalidate_validation():
-    with pytest.raises(ValueError):
-        crossvalidate([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        crossvalidate([], [])
-
-
-def test_crossvalidate_sweep_against_unit():
-    xs = _grid_100ths(300)
-    s = _sweep(xs, _triangle(xs))
-    inside = lambda v: 1.0 if 1.25 <= v <= 1.75 else 0.0
-    assert crossvalidate_sweep(s, "out", inside).agreement == 1.0
 
 
 # --- settle_phase_levels ----------------------------------------------------------

@@ -373,8 +373,8 @@ def test_segment_checks_voltage_range_before_any_work(tmp_path, capsys,
     for lo, hi, why in (("2", "1", order), ("1", "1", order),
                         ("nan", "1", order),
                         ("-inf", "1", "v_low must be finite, got -inf"),
-                        # the detector's sweep ends at v_high
-                        ("0", "inf", "sweep_stop must be finite, got inf")):
+                        ("0", "inf", "v_high must be finite, got inf"),
+                        ("0", "nan", order)):
         # a missing image would be an i/o error: the range is checked first
         for image in (img_path, tmp_path / "missing.pgm"):
             assert main(["segment", str(image), f"--v-low={lo}",
@@ -524,7 +524,7 @@ def test_segment_non_finite_detector_arguments_are_invalid(tmp_path, capsys):
     assert main(["segment", str(img_path), "--w0", "nan"]) == 1
     assert "invalid argument: w0" in capsys.readouterr().err
     assert main(["segment", str(img_path), "--v-high", "nan"]) == 1
-    assert "invalid argument: sweep_stop" in capsys.readouterr().err
+    assert "invalid argument: need v_high > v_low" in capsys.readouterr().err
 
 
 def test_gen_gaussian_size_over_limit_is_domain_exit(tmp_path, capsys):

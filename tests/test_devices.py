@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from dtlsim.devices import (CapacitorParams, MemristorParams, MosfetParams,
                             ResistorParams, SourceWaveform, ZenerParams,
                             memristance, memristor_state_rate,
-                            mosfet_current, mosfet_defaults, mosfet_ids_grad,
-                            window_factor, zener_current, zener_ig)
+                            mosfet_defaults, mosfet_ids_grad, window_factor,
+                            zener_ig)
 from dtlsim.errors import DomainError
 
 
@@ -22,36 +22,36 @@ def _vth(p: MosfetParams, vsb: float) -> float:
 
 def test_mosfet_cutoff():
     p = mosfet_defaults("n")
-    assert mosfet_current(p, 0.3, 2.0) == 0.0
-    assert mosfet_current(p, 0.45, 2.0) == 0.0  # boundary inclusive
+    assert mosfet_ids_grad(p, 0.3, 2.0, 0.0)[0] == 0.0
+    assert mosfet_ids_grad(p, 0.45, 2.0, 0.0)[0] == 0.0  # boundary inclusive
 
 
 def test_mosfet_saturation_frozen():
     p = mosfet_defaults("n")
     # 0.5 * kp * wl * vov^2 * (1 + lam*vds), vov = 1.0 - 0.45
     expect = 0.5 * 170e-6 * 1.0 * 0.55 ** 2 * (1.0 + 0.05 * 2.0)
-    assert mosfet_current(p, 1.0, 2.0) == pytest.approx(expect, rel=1e-12)
+    assert mosfet_ids_grad(p, 1.0, 2.0, 0.0)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_mosfet_triode_frozen():
     p = mosfet_defaults("n")
     # kp * wl * (vov*vds - vds^2/2) * (1 + lam*vds)
     expect = 170e-6 * (1.55 * 0.1 - 0.5 * 0.1 ** 2) * (1.0 + 0.05 * 0.1)
-    assert mosfet_current(p, 2.0, 0.1) == pytest.approx(expect, rel=1e-12)
+    assert mosfet_ids_grad(p, 2.0, 0.1, 0.0)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_mosfet_body_effect():
     p = mosfet_defaults("n")
     vth1 = _vth(p, 1.0)
     assert vth1 > p.vth0
-    assert mosfet_current(p, vth1 - 0.01, 2.0, vsb=1.0) == 0.0
-    assert mosfet_current(p, vth1 + 0.10, 2.0, vsb=1.0) > 0.0
+    assert mosfet_ids_grad(p, vth1 - 0.01, 2.0, vsb=1.0)[0] == 0.0
+    assert mosfet_ids_grad(p, vth1 + 0.10, 2.0, vsb=1.0)[0] > 0.0
 
 
 def test_mosfet_body_domain_error():
     p = mosfet_defaults("n")
     with pytest.raises(DomainError):
-        mosfet_current(p, 1.0, 1.0, vsb=-0.8)
+        mosfet_ids_grad(p, 1.0, 1.0, vsb=-0.8)
 
 
 def test_pchannel_mirror():
@@ -61,8 +61,8 @@ def test_pchannel_mirror():
                       phi2=pn.phi2)
     for vgs, vds, vsb in [(-1.0, -2.0, 0.0), (-2.0, -0.1, 0.0),
                           (-1.5, -1.0, -0.5), (1.0, 0.5, 0.0)]:
-        assert mosfet_current(pp, vgs, vds, vsb) == pytest.approx(
-            -mosfet_current(pn, -vgs, -vds, -vsb), rel=1e-12, abs=1e-30)
+        assert mosfet_ids_grad(pp, vgs, vds, vsb)[0] == pytest.approx(
+            -mosfet_ids_grad(pn, -vgs, -vds, -vsb)[0], rel=1e-12, abs=1e-30)
 
 
 def test_reverse_vds_terminal_swap():
@@ -71,8 +71,8 @@ def test_reverse_vds_terminal_swap():
     p = mosfet_defaults("n")
     for vgs, vds, vsb in [(2.0, -1.0, 0.5), (1.0, -0.3, 0.0),
                           (2.0, -0.5, 0.2)]:
-        assert mosfet_current(p, vgs, vds, vsb) == pytest.approx(
-            -mosfet_current(p, vgs - vds, -vds, vsb + vds), rel=1e-12)
+        assert mosfet_ids_grad(p, vgs, vds, vsb)[0] == pytest.approx(
+            -mosfet_ids_grad(p, vgs - vds, -vds, vsb + vds)[0], rel=1e-12)
 
 
 def test_mosfet_gradients_vs_finite_difference():
@@ -97,12 +97,12 @@ def test_mosfet_gradients_vs_finite_difference():
         if min(abs(vov), abs(svds), abs(vov - svds)) < 1e-3:
             continue
         i, gg, gd, gb = mosfet_ids_grad(p, vgs, vds, vsb)
-        fd_g = (mosfet_current(p, vgs + h, vds, vsb)
-                - mosfet_current(p, vgs - h, vds, vsb)) / (2 * h)
-        fd_d = (mosfet_current(p, vgs, vds + h, vsb)
-                - mosfet_current(p, vgs, vds - h, vsb)) / (2 * h)
-        fd_b = (mosfet_current(p, vgs, vds, vsb + h)
-                - mosfet_current(p, vgs, vds, vsb - h)) / (2 * h)
+        fd_g = (mosfet_ids_grad(p, vgs + h, vds, vsb)[0]
+                - mosfet_ids_grad(p, vgs - h, vds, vsb)[0]) / (2 * h)
+        fd_d = (mosfet_ids_grad(p, vgs, vds + h, vsb)[0]
+                - mosfet_ids_grad(p, vgs, vds - h, vsb)[0]) / (2 * h)
+        fd_b = (mosfet_ids_grad(p, vgs, vds, vsb + h)[0]
+                - mosfet_ids_grad(p, vgs, vds, vsb - h)[0]) / (2 * h)
         for a, b in ((gg, fd_g), (gd, fd_d), (gb, fd_b)):
             assert a == pytest.approx(b, rel=1e-5, abs=1e-10)
         checked += 1
@@ -112,7 +112,7 @@ def test_mosfet_gradients_vs_finite_difference():
 
 def test_zener_anchor_zero_bias():
     p = ZenerParams()
-    assert abs(zener_current(p, 0.0)) < 1e-60
+    assert abs(zener_ig(p, 0.0)[0]) < 1e-60
 
 
 def test_zener_anchor_forward():
@@ -120,14 +120,14 @@ def test_zener_anchor_forward():
     nvt = 1.2 * 0.02585
     expect = 1e-14 * (math.exp(0.7 / nvt) - 1.0) \
         - 1e-3 * math.exp(-(0.7 + 4.2) / nvt)
-    assert zener_current(p, 0.7) == pytest.approx(expect, rel=1e-12)
+    assert zener_ig(p, 0.7)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_zener_anchor_breakdown():
     p = ZenerParams()
-    assert zener_current(p, -4.2) == pytest.approx(-1e-3, rel=1e-9)
+    assert zener_ig(p, -4.2)[0] == pytest.approx(-1e-3, rel=1e-9)
     # an extra volt of overdrive multiplies the branch enormously
-    assert zener_current(p, -5.2) < -1e9 * 1e-3
+    assert zener_ig(p, -5.2)[0] < -1e9 * 1e-3
 
 
 @given(st.floats(min_value=-10.0, max_value=25.0),
@@ -135,13 +135,13 @@ def test_zener_anchor_breakdown():
 def test_zener_monotone_nondecreasing(v1, v2):
     p = ZenerParams()
     lo, hi = sorted((v1, v2))
-    assert zener_current(p, lo) <= zener_current(p, hi)
+    assert zener_ig(p, lo)[0] <= zener_ig(p, hi)[0]
 
 
 def test_zener_large_forward_stays_finite():
     p = ZenerParams()
     # the exponential is linearized past its cap instead of overflowing
-    i1, i2 = zener_current(p, 50.0), zener_current(p, 100.0)
+    i1, i2 = zener_ig(p, 50.0)[0], zener_ig(p, 100.0)[0]
     assert math.isfinite(i1) and math.isfinite(i2) and i2 > i1 > 0.0
 
 
@@ -151,7 +151,7 @@ def test_zener_gradient_vs_finite_difference():
     h = 1e-7
     for v in rng.uniform(-6.0, 1.2, size=100):
         _, g = zener_ig(p, float(v))
-        fd = (zener_current(p, v + h) - zener_current(p, v - h)) / (2 * h)
+        fd = (zener_ig(p, v + h)[0] - zener_ig(p, v - h)[0]) / (2 * h)
         assert g == pytest.approx(fd, rel=1e-5, abs=1e-18)
 
 

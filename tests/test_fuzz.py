@@ -4,10 +4,11 @@ Each drawn circuit has one to four nodes, each with a resistor to ground
 or to an earlier node (so every node has a DC path), one DC source to
 sweep and up to five more R/C/V/D/M/XMR elements between random
 terminals. The operating point, a short DC sweep and a ten-step
-transient must each either converge, the operating point with every
-residual inside its tolerance, or raise a named ``DtlsimError``: any
-other exception (a numpy ``RuntimeWarning`` among them) fails the test.
-No analysis may stamp more often than the homotopy ladder allows.
+transient must each either converge, every point of it (each step of a
+backward-Euler transient) passing the KCL judge, or raise a named
+``DtlsimError``: any other exception (a numpy ``RuntimeWarning`` among
+them) fails the test. No analysis may stamp more often than the homotopy
+ladder allows.
 """
 
 from unittest import mock
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from dtlsim import devices, solver
 from dtlsim.errors import DtlsimError
 from dtlsim.netlist import parse_netlist
+
+from conftest import kcl_judge
 
 MODELS = """.model zen zener
 .model nmod mosfet type=n
@@ -102,10 +105,13 @@ def test_random_netlists_converge_or_raise_named_errors(text, method):
                                         options), text
         return result
 
+    def judged(result):
+        worst = kcl_judge(circuit, result, options)
+        assert worst[0] <= 1.0, (text, worst)
+
     op = run(lambda: solver.dc_operating_point(circuit, options), 1)
     if op is not None:
-        for key, (res, tol) in solver.residual_report(circuit, op).items():
-            assert res <= tol, (text, key, res, tol)
+        judged(op)
         for e in circuit.elements:   # DC holds every state at w0
             if e.kind == "xmr":
                 assert op.raw[("w", e.name)] == e.params.w0
@@ -114,6 +120,7 @@ def test_random_netlists_converge_or_raise_named_errors(text, method):
                                         level + 1.0, 0.5, options), 5)
     if sweep is not None:
         assert all(np.isfinite(col).all() for col in sweep.voltages.values())
+        judged(sweep)
 
     tr = run(lambda: solver.transient(circuit, 1e-5, 1e-6, method, options),
              11)
@@ -121,3 +128,5 @@ def test_random_netlists_converge_or_raise_named_errors(text, method):
         assert len(tr.times) == 11
         assert all(np.isfinite(col).all() for col in tr.voltages.values())
         assert all(((w >= 0.0) & (w <= 1.0)).all() for w in tr.states.values())
+        if method == "backward-euler":
+            judged(tr)

@@ -180,7 +180,8 @@ def test_comment_first_means_no_title():
 def test_title_preserves_case_while_cards_normalize():
     c = parse_netlist("My Title\nR_Big A 0 1k\nV_SRC A 0 5\n")
     assert c.title == "My Title"
-    assert c.element("r_big").nodes == ("a", "0")
+    assert c.elements[0].name == "r_big"
+    assert c.elements[0].nodes == ("a", "0")
 
 
 def test_continuation_lines_join():
@@ -208,15 +209,13 @@ xmr_x q d mem w0=0.25
 .model nmod mosfet type=n
 .model mem memristor
 """
-    c = parse_netlist(text)
-    assert c.element("r_load").params.resistance == 10e3
-    assert c.element("c_tank").params.capacitance == 1e-6
-    assert c.element("d_clamp").model == "zen"
-    m = c.element("m_sw")
-    assert m.nodes == ("q", "g", "0", "0")
+    _, r, cap, d, m, x = parse_netlist(text).elements
+    assert r.name == "r_load" and r.params.resistance == 10e3
+    assert cap.name == "c_tank" and cap.params.capacitance == 1e-6
+    assert d.name == "d_clamp" and d.model == "zen"
+    assert m.name == "m_sw" and m.nodes == ("q", "g", "0", "0")
     assert m.overrides == {"w_over_l": 2.0}
-    x = c.element("xmr_x")
-    assert x.overrides == {"w0": 0.25}
+    assert x.name == "xmr_x" and x.overrides == {"w0": 0.25}
 
 
 def test_waveform_cards():
@@ -226,15 +225,13 @@ def test_waveform_cards():
             "v_c c 0 pulse(0 5 1m 1u 1u 4m 10m)\n"
             "v_d d 0 pwl(0 0 1m 5 2m 0)\n"
             "r_1 a 0 1k\nr_2 b 0 1k\nr_3 c 0 1k\nr_4 d 0 1k\n")
-    c = parse_netlist(text)
-    assert c.element("v_a").params.kind == "dc"
-    assert c.element("v_a").params.value() == 5.0
-    assert c.element("v_b").params.value() == 3.0
-    pc = c.element("v_c").params
+    pa, pb, pc, pd = (e.params for e in parse_netlist(text).elements[:4])
+    assert pa.kind == "dc"
+    assert pa.value() == 5.0
+    assert pb.value() == 3.0
     assert pc.kind == "pulse"
     assert pc.value(0.0) == 0.0
     assert pc.value(1.1e-3) == 5.0
-    pd = c.element("v_d").params
     assert pd.value(0.5e-3) == pytest.approx(2.5)
     assert pd.value(9.0) == 0.0
 
@@ -242,7 +239,7 @@ def test_waveform_cards():
 def test_model_declaration_order_is_free():
     # model cards may come after the elements that reference them
     c = parse_netlist("t\nd_1 a 0 zen\nv_1 a 0 1\n.model zen zener\n")
-    assert c.element("d_1").model == "zen"
+    assert c.elements[0].model == "zen"
 
 
 # --- errors -----------------------------------------------------------------
@@ -356,11 +353,9 @@ def test_validate_checks_hand_built_circuits():
         assert str(ei.value) == message
 
 
-def test_element_lookup_of_an_unknown_name():
-    c = parse_netlist(_CARD)
-    assert c.element("R_1").name == "r_1"   # names are case-insensitive
-    with pytest.raises(KeyError):
-        c.element("r_9")
+def test_element_names_are_case_insensitive():
+    c = parse_netlist(_CARD.upper())
+    assert [e.name for e in c.elements] == ["r_1"]
 
 
 def test_model_param_validation_is_a_netlist_error():
@@ -404,9 +399,9 @@ xmr_m out 0 mem w0=0.75
 
 def test_round_trip_preserves_exact_values():
     c = parse_netlist("t\nr_1 a 0 1.1k\nv_1 a 0 0.1\n")
-    r = _rt(c)
-    assert r.element("r_1").params.resistance == float("1.1e3")
-    assert r.element("v_1").params.value() == 0.1
+    r, v = _rt(c).elements
+    assert r.params.resistance == float("1.1e3")
+    assert v.params.value() == 0.1
 
 
 _NAMES = st.lists(st.from_regex(r"\A[a-z][a-z0-9_]{0,5}\Z"),
