@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 from .errors import DomainError
 
@@ -193,41 +194,7 @@ class MemristorParams:
 
 
 # ---------------------------------------------------------------------------
-# device equations
-
-
-def _square_law(p: MosfetParams, vgs: float, vds: float, vsb: float,
-                clamp_body: bool) -> tuple[float, float, float, float]:
-    """n-sense level-1 current and partials, vds >= 0 assumed.
-
-    Returns (ids, di/dvgs, di/dvds, di/dvsb). ``p.polarity`` is not read:
-    p-channel devices arrive here mirrored.
-    """
-    body = p.phi2 + vsb
-    if body < 0.0:
-        if not clamp_body:
-            raise DomainError(
-                f"phi2 + vsb = {body:.6g} < 0: source-bulk junction forward biased")
-        body = 0.0
-    root = math.sqrt(body)
-    vth = p.vth0 + p.gamma * (root - math.sqrt(p.phi2))
-    dvth = p.gamma / (2.0 * root) if p.gamma and root else 0.0
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    k = p.kprime * p.w_over_l
-    cm = 1.0 + p.lam * vds
-    if vds < vov:
-        i = k * (vov * vds - 0.5 * vds * vds) * cm
-        di_dvgs = k * vds * cm
-        di_dvds = k * ((vov - vds) * cm + (vov * vds - 0.5 * vds * vds) * p.lam)
-        di_dvth = -k * vds * cm
-    else:
-        i = 0.5 * k * vov * vov * cm
-        di_dvgs = k * vov * cm
-        di_dvds = 0.5 * k * vov * vov * p.lam
-        di_dvth = -k * vov * cm
-    return i, di_dvgs, di_dvds, di_dvth * dvth
+# device equations, each stated once and shared with the stamps below
 
 
 def mosfet_ids_grad(p: MosfetParams, vgs: float, vds: float, vsb: float,
@@ -238,60 +205,111 @@ def mosfet_ids_grad(p: MosfetParams, vgs: float, vds: float, vsb: float,
     the "wrong" sign, so the result is differentiable except at the usual
     region boundaries.
     """
-    s = -1.0 if p.polarity == "p" else 1.0   # p-channel: mirrored n-sense
-    vgs, vds, vsb = s * vgs, s * vds, s * vsb
-    if vds >= 0.0:
-        i, gg, gd, gb = _square_law(p, vgs, vds, vsb, clamp_body)
-    else:   # swapped operation: the drain terminal acts as source
-        i, gg, gd, gb = _square_law(p, vgs - vds, -vds, vsb + vds, clamp_body)
-        i, gg, gd, gb = -i, -gg, gg + gd - gb, -gb
-    return s * i, gg, gd, gb
+    # the MOSFET's stamp on one element, (d, g, s, b) at (vds, vgs, 0, -vsb)
+    out = SimpleNamespace(values=[])
+    _bind_mosfet(p, (0, 1, 2, 3), 0, clamp_body)([vds, vgs, 0.0, -vsb], None, out)
+    i, _, gd, _, gg, _, _, _, _, gb = out.values
+    return i, gg, gd, gb
+
+
+def _zener_laws(p: ZenerParams):
+    """The breakdown diode bound to p: ``limit(v, vprev)``, the voltage to
+    linearize at and whether either branch's limiting moved it, and
+    ``current(v)``, the current and small-signal conductance at v."""
+    i_sat, i_bv, vz = p.i_sat, p.i_bv, p.vz
+    nvt = p.n * p.v_thermal
+    vcrit_f = nvt * math.log(nvt / (math.sqrt(2.0) * i_sat))
+    vcrit_r = nvt * math.log(nvt / (math.sqrt(2.0) * i_bv))
+
+    def limit(v, vprev):
+        vf = _pnjlim(v, vprev, nvt, vcrit_f)
+        # breakdown branch, mirrored: overdrive u = -(v + vz)
+        u = -(vf + vz)
+        ur = _pnjlim(u, -(vprev + vz), nvt, vcrit_r)
+        return -ur - vz, vf != v or ur != u
+
+    def current(v):
+        ef, def_ = _safe_exp(v / nvt)
+        er, der = _safe_exp(-(v + vz) / nvt)
+        return i_sat * (ef - 1.0) - i_bv * er, (i_sat * def_ + i_bv * der) / nvt
+    return limit, current
+
+
+def _pnjlim(vnew: float, vold: float, nvt: float, vcrit: float) -> float:
+    """Classic junction-voltage limiting for one exponential branch."""
+    if vnew <= vcrit or abs(vnew - vold) <= 2.0 * nvt:
+        return vnew
+    if vold > 0.0:
+        arg = 1.0 + (vnew - vold) / nvt
+        return vold + nvt * math.log(arg) if arg > 0.0 else vcrit
+    return nvt * math.log(max(vnew / nvt, 1.0 + 1e-12))
 
 
 def zener_ig(p: ZenerParams, v: float) -> tuple[float, float]:
     """Current and small-signal conductance of the breakdown diode at v."""
-    nvt = p.n * p.v_thermal
-    ef, def_ = _safe_exp(v / nvt)
-    er, der = _safe_exp(-(v + p.vz) / nvt)
-    i = p.i_sat * (ef - 1.0) - p.i_bv * er
-    g = (p.i_sat * def_ + p.i_bv * der) / nvt
-    return i, g
+    return _zener_laws(p)[1](v)
+
+
+def _zener_limited_v(p: ZenerParams, v: float,
+                     vprev: float) -> tuple[float, bool]:
+    """The voltage to linearize at, and whether either branch's limiting
+    moved it."""
+    return _zener_laws(p)[0](v, vprev)
+
+
+def _memristor_laws(p: MemristorParams):
+    """The memristor bound to p: ``resistance(w)``, and ``drift(w, i)``,
+    the state rate at device current i with the window and its gradient."""
+    r_on, r_off, k_drift = p.r_on, p.r_off, p.k_drift
+    power, grad = 2 * p.p_window, -4.0 * p.p_window
+
+    def resistance(w):
+        return r_on * w + r_off * (1.0 - w)
+
+    def drift(w, i):
+        u = 2.0 * w - 1.0
+        fw = 1.0 - u ** power
+        return k_drift * i * fw, fw, grad * u ** (power - 1)
+    return resistance, drift
 
 
 def memristance(p: MemristorParams, w: float) -> float:
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"state w must lie in [0, 1], got {w}")
-    return p.r_on * w + p.r_off * (1.0 - w)
+    return _memristor_laws(p)[0](w)
 
 
 def window_factor(p: MemristorParams, w: float) -> float:
     """Joglekar boundary window, zero at w = 0 and w = 1."""
-    return 1.0 - (2.0 * w - 1.0) ** (2 * p.p_window)
+    return _memristor_laws(p)[1](w, 0.0)[1]
 
 
 def memristor_state_rate(p: MemristorParams, w: float, i: float) -> float:
     """dw/dt for device current i (first node to second)."""
-    return p.k_drift * i * window_factor(p, w)
+    return _memristor_laws(p)[1](w, i)[0]
 
 
 def _window_grad(p: MemristorParams, w: float) -> float:
-    return -4.0 * p.p_window * (2.0 * w - 1.0) ** (2 * p.p_window - 1)
+    return _memristor_laws(p)[1](w, 0.0)[2]
 
 
 # ---------------------------------------------------------------------------
 # stamps
 #
-# A stamp reads the iterate ``x``, a flat sequence indexed by unknown
-# number whose last slot is ground and holds 0.0, and its element as the
-# solver bound it once per circuit: ``elem.slots`` are its unknown numbers
-# (its nodes in netlist order, then its source branch current or memristor
-# state) and ``elem.number`` is its position, which indexes the per-point
-# lists ``ctx.levels``, ``ctx.hist`` and ``out.memory``. It writes into its
-# target ``out``:
+# A stamp is bound once per circuit: ``_bind_<kind>(params, slots, number)``
+# returns its ``load(x, ctx, out)``, which holds the element's slots (its
+# unknown numbers: its nodes in netlist order, then its source branch
+# current or memristor state), its ``number`` (its position, which indexes
+# the per-point lists ``ctx.levels``, ``ctx.hist`` and ``out.memory``) and
+# every constant that depends on its parameters alone. The solver keeps the
+# load on its element record, and ``stamp`` runs it at every assembly. A
+# load reads the iterate ``x``, a flat sequence indexed by unknown number
+# whose last slot is ground and holds 0.0, and writes into its target
+# ``out``:
 #
 # * ``out.values``: an ``array('d')`` buffer that takes the element's
 #   residual values, then its Jacobian values, in one ``extend``;
-# * ``out.memory[elem.number]``: companion memory that the next transient
+# * ``out.memory[number]``: companion memory that the next transient
 #   step reads back as ``ctx.hist`` (capacitor current, memristor drift
 #   rate), recorded at every assembly so the converged one holds it;
 # * ``out.limited``: set when junction limiting moved a voltage, so the
@@ -335,7 +353,8 @@ class StampContext:
     gmin: float = 0.0
     levels: list = field(default_factory=list)      # source levels before srcscale
     prev_step: list = field(default_factory=list)   # iterate at t_n
-    prev_iter: list = field(default_factory=list)   # last Newton iterate
+    # last Newton iterate; a point's first assembly has the iterate itself
+    prev_iter: list = field(default_factory=list)
     hist: list = field(default_factory=list)        # companion memory at t_n
 
 
@@ -345,23 +364,30 @@ class StampContext:
 _TWO_TERMINAL = ((0, 1), ((0, 0), (0, 1), (1, 0), (1, 1)))
 
 
-def _stamp_resistor(elem, x, ctx, out):
-    a, b = elem.slots
-    g = 1.0 / elem.params.resistance
-    i = (x[a] - x[b]) * g
-    out.values.extend((i, -i, g, -g, -g, g))
+def _bind_resistor(p, slots, number):
+    a, b = slots
+    g = 1.0 / p.resistance
+
+    def load(x, ctx, out):
+        i = (x[a] - x[b]) * g
+        out.values.extend((i, -i, g, -g, -g, g))
+    return load
 
 
-def _stamp_capacitor(elem, x, ctx, out):
-    a, b = elem.slots
-    if ctx.h:   # companion of c*(v1 - v0) = h*(i1 + carry*i0)
-        g = elem.params.capacitance / ctx.h
-        i = (g * ((x[a] - x[b]) - (ctx.prev_step[a] - ctx.prev_step[b]))
-             - ctx.carry * ctx.hist[elem.number])
-    else:   # DC: open circuit
-        g = i = 0.0
-    out.memory[elem.number] = i
-    out.values.extend((i, -i, g, -g, -g, g))
+def _bind_capacitor(p, slots, number):
+    a, b = slots
+    c = p.capacitance
+
+    def load(x, ctx, out):
+        if ctx.h:   # companion of c*(v1 - v0) = h*(i1 + carry*i0)
+            g = c / ctx.h
+            i = (g * ((x[a] - x[b]) - (ctx.prev_step[a] - ctx.prev_step[b]))
+                 - ctx.carry * ctx.hist[number])
+        else:   # DC: open circuit
+            g = i = 0.0
+        out.memory[number] = i
+        out.values.extend((i, -i, g, -g, -g, g))
+    return load
 
 
 # slots (a, b, k): the branch current in the KCL rows, and the branch row
@@ -369,54 +395,32 @@ def _stamp_capacitor(elem, x, ctx, out):
 _VSOURCE = ((0, 1, 2, 2, 2), ((0, 2), (1, 2), (2, 0), (2, 1)))
 
 
-def _stamp_vsource(elem, x, ctx, out):
-    a, b, k = elem.slots
-    level = ctx.levels[elem.number] * ctx.srcscale
-    i = x[k]
-    out.values.extend((i, -i, x[a], -x[b], -level, 1.0, -1.0, 1.0, -1.0))
+def _bind_vsource(p, slots, number):
+    a, b, k = slots
+
+    def load(x, ctx, out):
+        level = ctx.levels[number] * ctx.srcscale
+        i = x[k]
+        out.values.extend((i, -i, x[a], -x[b], -level, 1.0, -1.0, 1.0, -1.0))
+    return load
 
 
-def _pnjlim(vnew: float, vold: float, nvt: float, vcrit: float) -> float:
-    """Classic junction-voltage limiting for one exponential branch."""
-    if vnew <= vcrit or abs(vnew - vold) <= 2.0 * nvt:
-        return vnew
-    if vold > 0.0:
-        arg = 1.0 + (vnew - vold) / nvt
-        return vold + nvt * math.log(arg) if arg > 0.0 else vcrit
-    return nvt * math.log(max(vnew / nvt, 1.0 + 1e-12))
+def _bind_zener(p, slots, number):
+    a, b = slots
+    limit, current = _zener_laws(p)
 
-
-def _zener_limited_v(p: ZenerParams, v: float,
-                     vprev: float) -> tuple[float, bool]:
-    """The voltage to linearize at, and whether either branch's limiting
-    moved it."""
-    nvt = p.n * p.v_thermal
-    vcrit_f = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_sat))
-    vf = _pnjlim(v, vprev, nvt, vcrit_f)
-    # breakdown branch, mirrored: overdrive u = -(v + vz)
-    vcrit_r = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_bv))
-    u = -(vf + p.vz)
-    ur = _pnjlim(u, -(vprev + p.vz), nvt, vcrit_r)
-    return -ur - p.vz, vf != v or ur != u
-
-
-def _stamp_zener(elem, x, ctx, out):
-    a, b = elem.slots
-    p = elem.params
-    v = x[a] - x[b]
-    if ctx.prev_iter:
-        vlim, limited = _zener_limited_v(
-            p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
+    def load(x, ctx, out):
+        v = x[a] - x[b]
+        vlim, limited = limit(v, ctx.prev_iter[a] - ctx.prev_iter[b])
         # the tangent then belongs to another voltage than the iterate's:
         # the assembly cannot end Newton (SPICE's non-convergence count)
         out.limited |= limited
-    else:
-        vlim = v
-    i0, g = zener_ig(p, vlim)
-    # tangent extrapolation back to the unlimited voltage; exact once
-    # the iterates stop moving
-    i = i0 + g * (v - vlim)
-    out.values.extend((i, -i, g, -g, -g, g))
+        i0, g = current(vlim)
+        # tangent extrapolation back to the unlimited voltage; exact once
+        # the iterates stop moving
+        i = i0 + g * (v - vlim)
+        out.values.extend((i, -i, g, -g, -g, g))
+    return load
 
 
 # slots (d, g, s, b): the drain current in rows d and s, its partials in
@@ -425,13 +429,48 @@ _MOSFET = ((0, 2), ((0, 0), (2, 0), (0, 1), (2, 1),
                     (0, 2), (2, 2), (0, 3), (2, 3)))
 
 
-def _stamp_mosfet(elem, x, ctx, out):
-    d, g_, s, b = elem.slots
-    i, di_dvgs, di_dvds, di_dvsb = mosfet_ids_grad(
-        elem.params, x[g_] - x[s], x[d] - x[s], x[s] - x[b], clamp_body=True)
-    di_dvs = -di_dvgs - di_dvds + di_dvsb
-    out.values.extend((i, -i, di_dvds, -di_dvds, di_dvgs, -di_dvgs,
-                       di_dvs, -di_dvs, -di_dvsb, di_dvsb))
+def _bind_mosfet(p, slots, number, clamp_body=True):
+    d, g, s, b = slots
+    sign = -1.0 if p.polarity == "p" else 1.0   # p-channel: mirrored n-sense
+    vth0, gamma, phi2, lam = p.vth0, p.gamma, p.phi2, p.lam
+    root_phi2 = math.sqrt(phi2)
+    k = p.kprime * p.w_over_l
+
+    def load(x, ctx, out):
+        vs = x[s]
+        vgs, vds, vsb = sign * (x[g] - vs), sign * (x[d] - vs), sign * (vs - x[b])
+        swapped = vds < 0.0
+        if swapped:   # the drain terminal acts as source
+            vgs, vds, vsb = vgs - vds, -vds, vsb + vds
+        body = phi2 + vsb
+        if body < 0.0:
+            if not clamp_body:
+                raise DomainError(f"phi2 + vsb = {body:.6g} < 0: "
+                                  f"source-bulk junction forward biased")
+            body = 0.0
+        root = math.sqrt(body)
+        vov = vgs - (vth0 + gamma * (root - root_phi2))
+        if vov <= 0.0:
+            i = gg = gd = gb = 0.0
+        else:
+            cm = 1.0 + lam * vds
+            if vds < vov:
+                i = k * (vov * vds - 0.5 * vds * vds) * cm
+                gg = k * vds * cm
+                gd = k * ((vov - vds) * cm + (vov * vds - 0.5 * vds * vds) * lam)
+                gth = -k * vds * cm
+            else:
+                i = 0.5 * k * vov * vov * cm
+                gg = k * vov * cm
+                gd = 0.5 * k * vov * vov * lam
+                gth = -k * vov * cm
+            gb = gth * (gamma / (2.0 * root) if gamma and root else 0.0)
+        if swapped:
+            i, gg, gd, gb = -i, -gg, gg + gd - gb, -gb
+        i *= sign
+        gs = -gg - gd + gb
+        out.values.extend((i, -i, gd, -gd, gg, -gg, gs, -gs, -gb, gb))
+    return load
 
 
 # slots (a, b, k): the two-terminal pattern, the current's partial in
@@ -443,44 +482,47 @@ _MEMRISTOR = ((0, 1, 2, 2), _TWO_TERMINAL[1] + (
     (0, 2), (1, 2), (2, 2), (2, 0), (2, 1)))
 
 
-def _stamp_memristor(elem, x, ctx, out):
-    p = elem.params
-    a, b, k = elem.slots
-    h = ctx.h
-    w = min(max(x[k], 0.0), 1.0) if h else p.w0
-    va, vb = x[a], x[b]
-    r = memristance(p, w)
-    g = 1.0 / r
-    i = (va - vb) * g
-    rate = memristor_state_rate(p, w, i)
-    out.memory[elem.number] = rate
-    if not h:   # DC: state held at w0, decoupled from the nodes
-        out.values.extend((i, -i, x[k] - w, 0.0,
-                           g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
-        return
-    di_dw = -(va - vb) * (p.r_on - p.r_off) / (r * r)
-    # implicit state equation, same integration rule as the node system
-    fw = window_factor(p, w)
-    drate_dw = p.k_drift * (di_dw * fw + i * _window_grad(p, w))
-    drate_dv = p.k_drift * fw * g
-    drift = -h * (rate + ctx.carry * ctx.hist[elem.number])
-    out.values.extend((i, -i, w - ctx.prev_step[k], drift,
-                       g, -g, -g, g, di_dw, -di_dw, 1.0 - h * drate_dw,
-                       -(h * drate_dv), h * drate_dv))
+def _bind_memristor(p, slots, number):
+    a, b, k = slots
+    resistance, drift = _memristor_laws(p)
+    w0, k_drift, dr = p.w0, p.k_drift, p.r_on - p.r_off
+
+    def load(x, ctx, out):
+        h = ctx.h
+        w = min(max(x[k], 0.0), 1.0) if h else w0
+        va, vb = x[a], x[b]
+        r = resistance(w)
+        g = 1.0 / r
+        i = (va - vb) * g
+        rate, fw, dfw = drift(w, i)
+        out.memory[number] = rate
+        if not h:   # DC: state held at w0, decoupled from the nodes
+            out.values.extend((i, -i, x[k] - w, 0.0,
+                               g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
+            return
+        di_dw = -(va - vb) * dr / (r * r)
+        # implicit state equation, same integration rule as the node system
+        drate_dw = k_drift * (di_dw * fw + i * dfw)
+        drate_dv = k_drift * fw * g
+        state = -h * (rate + ctx.carry * ctx.hist[number])
+        out.values.extend((i, -i, w - ctx.prev_step[k], state,
+                           g, -g, -g, g, di_dw, -di_dw, 1.0 - h * drate_dw,
+                           -(h * drate_dv), h * drate_dv))
+    return load
 
 
-# kind -> (stamp, (residual rows, Jacobian cells) of its values in every mode)
+# kind -> (binder, (residual rows, Jacobian cells) of its values in every mode)
 KINDS = {
-    "r": (_stamp_resistor, _TWO_TERMINAL),
-    "c": (_stamp_capacitor, _TWO_TERMINAL),
-    "v": (_stamp_vsource, _VSOURCE),
-    "d": (_stamp_zener, _TWO_TERMINAL),
-    "m": (_stamp_mosfet, _MOSFET),
-    "xmr": (_stamp_memristor, _MEMRISTOR),
+    "r": (_bind_resistor, _TWO_TERMINAL),
+    "c": (_bind_capacitor, _TWO_TERMINAL),
+    "v": (_bind_vsource, _VSOURCE),
+    "d": (_bind_zener, _TWO_TERMINAL),
+    "m": (_bind_mosfet, _MOSFET),
+    "xmr": (_bind_memristor, _MEMRISTOR),
 }
 
 
 def stamp(elem, x, ctx: StampContext, out) -> None:
     """Write elem's residual and Jacobian values (in the order of its
     ``KINDS`` pattern) and its companion memory at iterate x."""
-    KINDS[elem.kind][0](elem, x, ctx, out)
+    elem.load(x, ctx, out)

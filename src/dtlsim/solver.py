@@ -15,12 +15,15 @@ throughout: F(x) collects KCL sums per node, source voltage equations
 and implicit state equations, and Newton solves J dx = -F.
 
 Assembly is split as in SPICE's setup and load. When it numbers the
-unknowns, ``_System`` maps each element's stamp pattern
-(``devices.KINDS``, one per kind in every mode) through its slots into
-one flat index over the residual bins, then the Jacobian bins, once.
-Each assembly then only calls the stamps, which list values into one
-buffer, and one ``np.bincount`` adds every value into its place; it adds
-in input order, so each sum is the one the stamps' ``+=`` would give.
+unknowns, ``_System`` binds each element's stamp once (``devices.KINDS``
+holds a binder and a pattern per kind): the binder returns the element's
+load, which holds its slots, its position and every constant of its
+parameters, and the pattern, one per kind in every mode, is mapped
+through the slots into one flat index over the residual bins, then the
+Jacobian bins. Each assembly then only runs the loads, one
+``devices.stamp`` call per element, which list values into one buffer,
+and one ``np.bincount`` adds every value into its place; it adds in
+input order, so each sum is the one the stamps' ``+=`` would give.
 
 Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to
@@ -141,13 +144,14 @@ class TransientResult(_Voltages):
     strategies: list[str] = field(default_factory=list)
 
 
-# a netlist element bound to its unknown numbers and its position
+# a netlist element bound to its unknown numbers, position and stamp load
 @dataclass(frozen=True, slots=True)
 class _Element:
     kind: str
     params: object
     slots: tuple[int, ...]
     number: int
+    load: object
 
 
 class _Assembly:
@@ -193,8 +197,9 @@ class _System:
                 slots += (index[("i", e.name)],)
             elif e.kind == "xmr":
                 slots += (index[("w", e.name)],)
-            self.elements.append(_Element(e.kind, e.params, slots, number))
-            rows, cells = devices.KINDS[e.kind][1]
+            bind, (rows, cells) = devices.KINDS[e.kind]
+            self.elements.append(_Element(e.kind, e.params, slots, number,
+                                          bind(e.params, slots, number)))
             flat += [slots[r] for r in rows]
             flat += [(slots[r] + 1) * (n + 1) + slots[c] for r, c in cells]
         self.sources = {e.name: bound for e, bound in zip(elements, self.elements)

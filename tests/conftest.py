@@ -96,9 +96,16 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
     Draws node voltages uniformly in [-1.5, 1.5] (memristor states in
     [0.05, 0.95]), rejecting points within 1e-3 of a device's piecewise
     boundary, and asserts entrywise agreement to ``rel`` relative with an
-    absolute ``floor``. Returns the number of points checked.
+    absolute ``floor``. Each point is assembled as the solver's first
+    assembly of a point is, with the last iterate the iterate itself.
+    Returns the number of points checked.
     """
     sys_ = solver._System(circuit)
+
+    def assemble(x):
+        ctx = ctx_maker()
+        ctx.prev_iter = x
+        return sys_.assemble(x, ctx)
     mosfets = [e for e in sys_.elements if e.kind == "m"]
     zeners = [e for e in sys_.elements if e.kind == "d"]
     checked = 0
@@ -111,7 +118,7 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
             continue
         if not all(zener_bias_sane(e, xs) for e in zeners):
             continue
-        jac, res, _, _, _ = sys_.assemble(xs, ctx_maker())
+        jac, res, _, _, _ = assemble(xs)
         h = 1e-7
         fd = np.empty_like(jac)
         for j in range(sys_.n):
@@ -119,8 +126,8 @@ def fd_jacobian_check(circuit, ctx_maker, rng, n_points,
             xm = list(xs)
             xp[j] += h
             xm[j] -= h
-            _, rp, _, _, _ = sys_.assemble(xp, ctx_maker())
-            _, rm, _, _, _ = sys_.assemble(xm, ctx_maker())
+            _, rp, _, _, _ = assemble(xp)
+            _, rm, _, _, _ = assemble(xm)
             fd[:, j] = (rp - rm) / (2 * h)
         scale = np.maximum(np.abs(jac), np.abs(fd))
         assert np.all(np.abs(fd - jac) <= rel * scale + floor)
@@ -138,7 +145,7 @@ def make_tran_ctx_maker(circuit, dt=1e-6, method="trapezoidal"):
     sys_ = solver._System(circuit)
     prev = [op.raw[k] for k in sys_.keys] + [0.0]
     _, _, _, hist, _ = sys_.assemble(prev, devices.StampContext(
-        levels=sys_.levels()))
+        levels=sys_.levels(), prev_iter=prev))
     levels = sys_.levels(dt)
     h, carry = devices.integration(method, dt)
 

@@ -12,12 +12,18 @@ levels, slots and history by element name; the solver's stamps read the
 coefficients of ``devices.integration`` and lists by element number. Both
 sides are fed from the same random draw, so the comparison also judges
 the coefficient form of the integration rule against its branch form.
+
+The reference evaluates the devices through the public functions, which
+share their laws with the solver's bound loads; ``test_device_laws``
+pins those laws, and the comparison here judges what each load adds:
+its slots, its own folded constants and the order of its values.
 """
 
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtlsim import cells, devices, solver
 from dtlsim.devices import (StampContext, _window_grad, _zener_limited_v,
@@ -121,10 +127,7 @@ def _stamp_zener(elem, x, ctx, out):
     a, b = out.slots[elem.name]
     p = elem.params
     v = x[a] - x[b]
-    if ctx.prev_iter:
-        vlim, _ = _zener_limited_v(p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
-    else:
-        vlim = v
+    vlim, _ = _zener_limited_v(p, v, ctx.prev_iter[a] - ctx.prev_iter[b])
     i0, g = zener_ig(p, vlim)
     _stamp_two_terminal(out, a, b, i0 + g * (v - vlim), g)
 
@@ -253,11 +256,10 @@ def _reference_view(sys_, circuit, mode):
                                  n=sys_.n, nv=sys_.nv)
 
 
-@pytest.mark.parametrize("mode, method, gmin, srcscale", CONTEXTS)
-@pytest.mark.parametrize("name", list(CIRCUITS))
-def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
-                                               srcscale):
-    circuit = CIRCUITS[name]()
+def _compare(circuit, mode, method, gmin, srcscale, rng, trials):
+    """Assemble ``circuit`` in one context mode at ``trials`` random
+    iterates, by the solver and by the reference, and require the same
+    bits."""
     sys_ = solver._System(circuit)
     oracle = _reference_view(sys_, circuit, mode)
     names = [e.name for e in circuit.elements]
@@ -265,19 +267,17 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
     # has no state rows in DC, is compared outside them
     states = np.arange(sys_.n)[sys_.states]
     w0 = np.array([e.params.w0 for e in circuit.elements if e.kind == "xmr"])
-    rng = np.random.default_rng(
-        [list(CIRCUITS).index(name),
-         CONTEXTS.index((mode, method, gmin, srcscale))])
     history = {e.name: float(rng.uniform(-1e-3, 1e-3))
                for e in circuit.elements if e.kind in ("c", "xmr")}
-    for trial in range(12):
+    for trial in range(trials):
+        xs = _iterate(sys_, rng)
         ref = types.SimpleNamespace(
             mode=mode, dt=float(rng.choice([1e-7, 1e-5])), method=method,
             srcscale=srcscale, gmin=gmin,
             levels=sys_.levels(float(rng.uniform(0.0, 1e-3))),
             prev_step=_iterate(sys_, rng) if mode == "tran" else [],
-            # the first assembly of a point has no last iterate to limit by
-            prev_iter=_iterate(sys_, rng) if trial % 3 else [],
+            # a point's first assembly has the iterate as its last one
+            prev_iter=_iterate(sys_, rng) if trial % 3 else xs,
             hist=dict(history))
         h, carry = (devices.integration(method, ref.dt) if mode == "tran"
                     else (0.0, 0.0))
@@ -288,7 +288,6 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
             hist=[history.get(name, 0.0) for name in names])
         ref.levels = {name: ref.levels[e.number]
                       for name, e in sys_.sources.items()}
-        xs = _iterate(sys_, rng)
         jac, res, scale, memory, _ = sys_.assemble(xs, ctx)
         want = reference_assemble(oracle, xs, ref)
         keep = np.arange(sys_.n)
@@ -307,6 +306,58 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
         assert set(want[3]) == set(history)
 
 
+@pytest.mark.parametrize("mode, method, gmin, srcscale", CONTEXTS)
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_assembly_equals_nested_list_reference(name, mode, method, gmin,
+                                               srcscale):
+    rng = np.random.default_rng(
+        [list(CIRCUITS).index(name),
+         CONTEXTS.index((mode, method, gmin, srcscale))])
+    _compare(CIRCUITS[name](), mode, method, gmin, srcscale, rng, 12)
+
+
+def _positive(lo, hi):
+    """Floats log-uniform in [lo, hi], written as a netlist number."""
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: repr(10.0 ** e))
+
+
+@st.composite
+def model_cards(draw):
+    """The ``.model`` cards of ALL_KINDS with drawn parameters: either
+    channel polarity for both MOSFETs, gamma and lambda 0 or not, any
+    zener currents and knee, r_on equal to r_off or not, p_window 1-4."""
+    def mosfet(name):
+        kv = {"type": draw(st.sampled_from(["n", "p"])),
+              "vth0": draw(st.sampled_from(["0.2", "0.45", "0.9"])),
+              "kp": draw(_positive(1e-5, 1e-3)),
+              "wl": draw(_positive(0.2, 20.0)),
+              "gamma": draw(st.sampled_from(["0", "0.4"]) | _positive(1e-3, 1.5)),
+              "lambda": draw(st.sampled_from(["0", "0.05"]) | _positive(1e-4, 0.3)),
+              "phi2": draw(_positive(0.3, 1.0))}
+        return f".model {name} mosfet " + " ".join(f"{k}={v}" for k, v in kv.items())
+    r_on = float(draw(_positive(10.0, 1e5)))
+    r_off = r_on * draw(st.just(1.0) | st.floats(1.0, 1e3))
+    return "\n".join([
+        mosfet("nmod"), mosfet("pmod"),
+        f".model zen zener is={draw(_positive(1e-16, 1e-9))} "
+        f"n={draw(_positive(1.0, 2.0))} vz={draw(_positive(1.0, 9.0))} "
+        f"ibv={draw(_positive(1e-6, 1e-2))}",
+        f".model mem memristor ron={r_on!r} roff={r_off!r} "
+        f"k={draw(_positive(1e2, 1e7))} p={draw(st.integers(1, 4))}"])
+
+
+@pytest.mark.parametrize("mode, method, gmin, srcscale", CONTEXTS)
+@settings(max_examples=25)
+@given(cards=model_cards(), seed=st.integers(0, 2**32 - 1))
+def test_assembly_with_drawn_models_equals_reference(cards, seed, mode,
+                                                     method, gmin, srcscale):
+    # every circuit above uses default or near-default models: a constant
+    # that a load folds wrongly for another parameter set shows only here
+    text = ALL_KINDS[:ALL_KINDS.index(".model")] + cards + "\n"
+    _compare(parse_netlist(text), mode, method, gmin, srcscale,
+             np.random.default_rng(seed), 3)
+
+
 def test_each_stamp_lists_its_pattern():
     # every value a stamp writes has a place in its kind's one pattern, in
     # every mode, and every place gets a value
@@ -321,7 +372,7 @@ def test_each_stamp_lists_its_pattern():
                          levels=sys_.levels(), prev_step=prev,
                          hist=[0.0] * count)
             for method in ("backward-euler", "trapezoidal")]:
-        xs = _iterate(sys_, rng)
+        xs = ctx.prev_iter = _iterate(sys_, rng)
         for e in sys_.elements:
             out = solver._Assembly(count)
             devices.stamp(e, xs, ctx, out)
