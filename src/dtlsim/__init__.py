@@ -24,9 +24,8 @@ from .imaging import (ImageGray, ResponseLut, RingMetrics, apply_detector,
                       ring_metrics, write_pgm)
 from .netlist import (AnalysisDirective, Circuit, Element, parse_netlist,
                       parse_number, serialize_netlist)
-from .solver import (OpPoint, SolverOptions, SweepResult, TransientResult,
-                     dc_operating_point, dc_sweep, sweep_points,
-                     transient)
+from .solver import (OpPoint, SweepResult, TransientResult,
+                     dc_operating_point, dc_sweep, sweep_points, transient)
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "ResistorParams",
     "ResponseLut",
     "RingMetrics",
-    "SolverOptions",
     "SourceWaveform",
     "SweepResult",
     "TransientResult",

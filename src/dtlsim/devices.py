@@ -349,9 +349,11 @@ class StampContext:
 
     h: float = 0.0                    # step coefficients of ``integration``;
     carry: float = 0.0                # h == 0 is DC
-    srcscale: float = 1.0             # source-stepping homotopy scale
-    gmin: float = 0.0
-    levels: list = field(default_factory=list)      # source levels before srcscale
+    # set and read by nothing in the package; kept only because
+    # perfbench/tracing.py still reads it (ROADMAP item A removes it)
+    srcscale: float = 1.0
+    gmin: float = 0.0                 # gmin-stepping node leak to ground
+    levels: list = field(default_factory=list)      # source levels by element
     prev_step: list = field(default_factory=list)   # iterate at t_n
     # last Newton iterate; a point's first assembly has the iterate itself
     prev_iter: list = field(default_factory=list)
@@ -399,9 +401,9 @@ def _bind_vsource(p, slots, number):
     a, b, k = slots
 
     def load(x, ctx, out):
-        level = ctx.levels[number] * ctx.srcscale
         i = x[k]
-        out.values.extend((i, -i, x[a], -x[b], -level, 1.0, -1.0, 1.0, -1.0))
+        out.values.extend((i, -i, x[a], -x[b], -ctx.levels[number],
+                           1.0, -1.0, 1.0, -1.0))
     return load
 
 

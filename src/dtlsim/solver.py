@@ -40,12 +40,12 @@ memory (capacitor currents, memristor drift rates) is computed only by
 the stamps: every assembly records it, and the record of the assembly
 that converged a step seeds the next step.
 
-Robustness ladder for each point (SPICE2's): a strategy is a list of
-(gmin, source scale) rungs that Newton solves in turn, ending on the
-circuit itself, (0.0, 1.0). Plain Newton is that rung alone, so linear
-circuits are exact; a geometric gmin ladder (``_GMIN_RUNGS``), then
-source stepping, are tried only when the strategies before them fail.
-The first strategy whose every rung converges wins. Update
+Robustness ladder for each point (``_LADDER``, after SPICE2's): a
+strategy is a list of gmin rungs that Newton solves in turn, ending on
+the circuit itself, gmin 0. Plain Newton is that rung alone, so linear
+circuits are exact; a geometric gmin ladder (``_GMIN_RUNGS``) is tried
+only when plain Newton fails, and wins if its every rung converges. The
+tolerances and the iteration cap are module constants. Update
 damping clamps per-component steps at ``_DAMPING_LIMIT`` but only
 for unknowns that the analysis mode's nonlinear stamps touch (a memristor
 is one in transient runs only); purely linear circuits therefore converge
@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -70,39 +70,23 @@ from . import devices
 from .devices import StampContext
 from .errors import DomainError, NoConvergence, SingularMatrix
 
-_W_ABSTOL = 1e-12
+_RELTOL = 1e-3
+# absolute residual tolerance of a row by its unknown's kind: KCL rows
+# (node voltages) are currents, source rows (branch currents) voltages
+# and state rows dimensionless
+_ABSTOL = {"v": 1e-9, "i": 1e-6, "w": 1e-12}
+_MAX_NEWTON_ITERS = 100
 _MAX_POINTS = 10**6   # points of a sweep, rows of a transient
 _DAMPING_LIMIT = 0.5   # Newton step bound on the unknowns of nonlinear stamps
 _GMIN_FINAL = 1e-12
 # gmin stepping: 1e-3 divided by 10 while above _GMIN_FINAL, which ends on
 # the near-duplicate 1.0000000000000002e-12, then _GMIN_FINAL and the circuit
-_GMIN_RUNGS = [(1e-3, 1.0)]
-while _GMIN_RUNGS[-1][0] / 10.0 > _GMIN_FINAL:
-    _GMIN_RUNGS.append((_GMIN_RUNGS[-1][0] / 10.0, 1.0))
-_GMIN_RUNGS = (*_GMIN_RUNGS, (_GMIN_FINAL, 1.0), (0.0, 1.0))
-
-
-@dataclass
-class SolverOptions:
-    reltol: float = 1e-3
-    abstol_v: float = 1e-6
-    abstol_i: float = 1e-9
-    max_newton_iters: int = 100
-    source_steps: int = 10
-
-    def __post_init__(self):
-        inf = math.inf   # every bound below is also False for NaN
-        for name, ok, rule in (
-                ("reltol", 0.0 <= self.reltol < inf, "finite and >= 0"),
-                ("abstol_v", 0.0 <= self.abstol_v < inf, "finite and >= 0"),
-                ("abstol_i", 0.0 <= self.abstol_i < inf, "finite and >= 0"),
-                ("max_newton_iters", isinstance(self.max_newton_iters, Integral)
-                 and self.max_newton_iters >= 0, "an integer >= 0"),
-                ("source_steps", isinstance(self.source_steps, Integral)
-                 and self.source_steps >= 1, "an integer >= 1")):
-            if not ok:
-                raise ValueError(f"SolverOptions.{name} must be {rule}, "
-                                 f"got {getattr(self, name)!r}")
+_GMIN_RUNGS = [1e-3]
+while _GMIN_RUNGS[-1] / 10.0 > _GMIN_FINAL:
+    _GMIN_RUNGS.append(_GMIN_RUNGS[-1] / 10.0)
+# (name, gmin rungs) of each strategy in turn; each ends on the circuit
+_LADDER = (("newton", (0.0,)),
+           ("gmin-stepping", (*_GMIN_RUNGS, _GMIN_FINAL, 0.0)))
 
 
 class OpPoint(dict):
@@ -230,26 +214,26 @@ class _System:
 
     def levels(self, t: float = 0.0,
                overrides: dict[str, float] | None = None) -> list[float]:
-        """Every voltage source's level at time t before source stepping, by
-        element number; ``overrides`` must set voltage sources to finite reals."""
+        """Every voltage source's level at time t, by element number;
+        ``overrides`` must set voltage sources, named in any case, to
+        finite reals."""
         levels = [e.params.value(t) if e.kind == "v" else 0.0
                   for e in self.elements]
         for name, level in (overrides or {}).items():
-            if name not in self.sources:
+            source = self.sources.get(_fold(name))
+            if source is None:
                 raise ValueError(f"override {name!r} is not a voltage source")
             if not (isinstance(level, Real) and math.isfinite(level)):
                 raise ValueError(f"override {name}={level!r} is not a finite real")
-            levels[self.sources[name].number] = float(level)
+            levels[source.number] = float(level)
         return levels
 
-    def bounds(self, options: SolverOptions, mode: str) -> tuple[np.ndarray, ...]:
-        """The absolute residual tolerance per row (KCL rows are currents,
-        source rows voltages, state rows dimensionless), the Newton step
-        bound per unknown (``_DAMPING_LIMIT`` on the unknowns that the
+    def bounds(self, mode: str) -> tuple[np.ndarray, ...]:
+        """The absolute residual tolerance per row (``_ABSTOL``), the Newton
+        step bound per unknown (``_DAMPING_LIMIT`` on the unknowns that the
         mode's nonlinear stamps touch, ``inf`` elsewhere) and its negative,
         and the box of every unknown: [0, 1] on states, unbounded elsewhere."""
-        base = {"v": options.abstol_i, "i": options.abstol_v, "w": _W_ABSTOL}
-        abstol = np.array([base[k[0]] for k in self.keys])
+        abstol = np.array([_ABSTOL[k[0]] for k in self.keys])
         # in DC a memristor is a resistor of fixed state
         nonlinear = ("d", "m", "xmr") if mode == "tran" else ("d", "m")
         step = np.full(self.n + 1, np.inf)
@@ -259,6 +243,14 @@ class _System:
         low, high = np.full(self.n, -np.inf), np.full(self.n, np.inf)
         low[self.states], high[self.states] = 0.0, 1.0
         return abstol, step[:self.n], -step[:self.n], low, high
+
+
+def _fold(key):
+    """``key``, a name or a tuple of names, in lower case as the netlist
+    stores names; anything else unchanged, for the caller to reject."""
+    if isinstance(key, tuple):
+        return tuple(map(_fold, key))
+    return key.lower() if isinstance(key, str) else key
 
 
 def _with_ground(x: np.ndarray) -> list[float]:
@@ -336,7 +328,7 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
 
 
 def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
-            options: SolverOptions, bounds) -> tuple[np.ndarray, int, list]:
+            bounds) -> tuple[np.ndarray, int, list]:
     """Damped Newton from x within ``sys.bounds``; returns the
     solution, the iteration count and the companion memory recorded by
     the converged assembly. An assembly in which junction limiting moved
@@ -347,9 +339,9 @@ def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
     while True:
         jac, res, scale, memory, limited = sys.assemble(xs, ctx)
         absres = np.abs(res)
-        if not limited and (absres <= abstol + options.reltol * scale).all():
+        if not limited and (absres <= abstol + _RELTOL * scale).all():
             return x, iters, memory
-        if iters >= options.max_newton_iters:
+        if iters >= _MAX_NEWTON_ITERS:
             last_res = float(absres.max())
             raise NoConvergence(
                 f"no convergence after {iters} Newton iterations "
@@ -363,28 +355,14 @@ def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
         iters += 1
 
 
-def _strategies(sys: _System, x0: np.ndarray, options: SolverOptions):
-    """(name, start, (gmin, source scale) rungs) of each strategy in turn;
-    every list ends on the circuit itself, (0.0, 1.0), and the
-    source-stepping rungs are built only when the strategies before it fail."""
-    yield "newton", x0, [(0.0, 1.0)]
-    yield "gmin-stepping", x0, _GMIN_RUNGS
-    zeros = np.zeros(sys.n)
-    zeros[sys.states] = x0[sys.states]
-    steps = options.source_steps
-    yield "source-stepping", zeros, [(_GMIN_FINAL, k / steps)
-                                     for k in range(1, steps + 1)] + [(0.0, 1.0)]
-
-
-def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
-                 options: SolverOptions, bounds,
+def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext, bounds,
                  kind: str) -> tuple[np.ndarray, int, str, list]:
-    """Newton with homotopy fallbacks; ctx.gmin/srcscale are scratch.
+    """Newton with a gmin-stepping fallback; ctx.gmin is scratch.
 
-    Each strategy walks its (gmin, source scale) rungs from its start,
-    each rung's solution starting the next; the first strategy whose every
-    rung converges wins. The last rung is the circuit itself, so no point
-    is reported solved on a gmin-loaded or scaled-source solution.
+    Each strategy of ``_LADDER`` walks its gmin rungs from x0, each rung's
+    solution starting the next; the first strategy whose every rung
+    converges wins. The last rung is the circuit itself, so no point is
+    reported solved on a gmin-loaded solution.
 
     Returns the solution, the total iteration count, the strategy that
     won and the companion memory of the solution's assembly; a failure
@@ -392,19 +370,19 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
     "time step").
     """
     last: Exception | None = None
-    for name, x, rungs in _strategies(sys, x0, options):
-        total = 0
+    for name, rungs in _LADDER:
+        x, total = x0, 0
         try:
-            for ctx.gmin, ctx.srcscale in rungs:
-                x, iters, memory = _newton(sys, x, ctx, options, bounds)
+            for ctx.gmin in rungs:
+                x, iters, memory = _newton(sys, x, ctx, bounds)
                 total += iters
         except (NoConvergence, SingularMatrix) as exc:
             last = exc
             continue
         return x, total, name, memory
     raise NoConvergence(
-        f"{kind} did not converge (newton, gmin stepping and "
-        f"source stepping all failed: {last})",
+        f"{kind} did not converge (newton and gmin stepping "
+        f"both failed: {last})",
         residual=getattr(last, "residual", None))
 
 
@@ -414,19 +392,19 @@ def _failed_at(exc: NoConvergence, at: float, where) -> NoConvergence:
 
 
 def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
-           points: np.ndarray, context, options: SolverOptions, where):
+           points: np.ndarray, context, where):
     """Solve the points in order, each from the last solution and its
     companion memory through a fresh ``context(point, x, memory)`` of the
     analysis ``mode``; a failure is re-raised naming ``where(point)``.
     Returns the solutions as columns, the iterations and the strategies."""
     cols = np.empty((sys.n, points.size))
     iterations, strategies = [], []
-    bounds = sys.bounds(options, mode)
+    bounds = sys.bounds(mode)
     kind = "sweep point" if mode == "dc" else "time step"
     for i, at in enumerate(points.tolist()):
         try:
             x, iters, strategy, memory = _solve_point(
-                sys, x, context(at, x, memory), options, bounds, kind)
+                sys, x, context(at, x, memory), bounds, kind)
         except NoConvergence as exc:
             raise _failed_at(exc, at, where) from exc
         cols[:, i] = x
@@ -435,35 +413,34 @@ def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
     return cols, iterations, strategies
 
 
-def _operating_point(circuit, options: SolverOptions, overrides=None,
-                     x0: dict | None = None):
+def _operating_point(circuit, overrides=None, x0: dict | None = None):
     """Checked DC solve: returns the system and _solve_point's result."""
     sys = _System(circuit)
     ctx = StampContext(levels=sys.levels(0.0, overrides))
     start = sys.start.copy()
     for key, value in (x0 or {}).items():
-        if key not in sys.keys or not (isinstance(value, Real)
-                                       and math.isfinite(value)):
+        unknown = _fold(key)
+        if unknown not in sys.keys or not (isinstance(value, Real)
+                                           and math.isfinite(value)):
             raise ValueError(f"x0[{key!r}] = {value!r}: need a finite real "
                              f"for an unknown of the circuit")
-        start[sys.keys.index(key)] = value
-    return sys, _solve_point(sys, start, ctx, options,
-                             sys.bounds(options, "dc"), "operating point")
+        start[sys.keys.index(unknown)] = value
+    return sys, _solve_point(sys, start, ctx, sys.bounds("dc"),
+                             "operating point")
 
 
-def dc_operating_point(circuit, options: SolverOptions | None = None, *,
-                       overrides: dict[str, float] | None = None,
+def dc_operating_point(circuit, *, overrides: dict[str, float] | None = None,
                        x0: dict | None = None) -> OpPoint:
     """Solve the DC operating point; memristor states stay frozen at w0.
 
     Returns an OpPoint mapping node name -> voltage (ground excluded), with
     ``raw`` (all unknowns, the memristor states at w0 among them),
     ``iterations`` and ``strategy`` attached. ``overrides`` set source
-    levels by name and ``x0`` starts unknowns keyed as in ``raw``; both
-    take finite reals only, checked before any Newton work.
+    levels by name and ``x0`` starts unknowns keyed as in ``raw``, names
+    in any case; both take finite reals only, checked before any Newton
+    work.
     """
-    sys, (x, iters, strategy, _) = _operating_point(
-        circuit, options or SolverOptions(), overrides, x0)
+    sys, (x, iters, strategy, _) = _operating_point(circuit, overrides, x0)
     raw = dict(zip(sys.keys, x.tolist()))
     voltages = {k[1]: v for k, v in raw.items() if k[0] == "v"}
     return OpPoint(voltages, raw, iters, strategy)
@@ -482,12 +459,12 @@ def sweep_points(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(int(math.floor(steps)) + 1)
 
 
-def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
-             options: SolverOptions | None = None) -> SweepResult:
+def dc_sweep(circuit, source: str, start: float, stop: float,
+             step: float) -> SweepResult:
     """Swept operating points with continuation (each solution seeds the next)."""
     values = sweep_points(start, stop, step)
     sys = _System(circuit)
-    source = source.lower()
+    source = _fold(source)
     swept = sys.sources.get(source)
     if swept is None or swept.params.kind != "dc":
         raise ValueError(f"{source!r} is not a DC voltage source")
@@ -497,15 +474,14 @@ def dc_sweep(circuit, source: str, start: float, stop: float, step: float,
         levels[swept.number] = val
         return StampContext(levels=levels)
     cols, iterations, strategies = _march(
-        sys, "dc", sys.start, [], values, context, options or SolverOptions(),
+        sys, "dc", sys.start, [], values, context,
         lambda val: f"sweep failed at {source}={val:.6g}")
     columns = {k[1]: col for k, col in zip(sys.keys, cols[:sys.nv])}
     return SweepResult(source, values, columns, iterations, strategies)
 
 
 def transient(circuit, tstop: float, dt: float,
-              method: str = "backward-euler",
-              options: SolverOptions | None = None) -> TransientResult:
+              method: str = "backward-euler") -> TransientResult:
     """Fixed-step transient integration.
 
     The t=0 row is the DC operating point with sources evaluated at t=0;
@@ -519,11 +495,9 @@ def transient(circuit, tstop: float, dt: float,
     times = sweep_points(0.0, tstop, dt)
     if dt > tstop:
         raise ValueError(f"transient needs dt <= tstop, got {dt} > {tstop}")
-    options = options or SolverOptions()
     where = "transient failed at t={:.6g}s".format
     try:
-        sys, (x, op_iters, op_strategy, memory) = _operating_point(
-            circuit, options)
+        sys, (x, op_iters, op_strategy, memory) = _operating_point(circuit)
     except NoConvergence as exc:
         raise _failed_at(exc, 0.0, where) from exc
     cols, iterations, strategies = _march(
@@ -531,7 +505,7 @@ def transient(circuit, tstop: float, dt: float,
         lambda t, x, memory: StampContext(
             h=h, carry=carry, levels=sys.levels(t),
             prev_step=_with_ground(x), hist=memory),
-        options, where)
+        where)
     cols = np.column_stack((x, cols))
     keys = sys.keys
     return TransientResult(

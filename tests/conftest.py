@@ -19,20 +19,19 @@ settings.register_profile(
 settings.load_profile("dtlsim")
 
 
-def dc_from_directive(circuit, options=None):
+def dc_from_directive(circuit):
     """Run the first .dc directive embedded in a circuit."""
     for d in circuit.analyses:
         if d.kind == "dc":
-            return solver.dc_sweep(circuit, d.source, d.start, d.stop,
-                                   d.step, options)
+            return solver.dc_sweep(circuit, d.source, d.start, d.stop, d.step)
     raise AssertionError("circuit has no .dc directive")
 
 
-def tran_from_directive(circuit, options=None):
+def tran_from_directive(circuit):
     """Run the first .tran directive embedded in a circuit."""
     for d in circuit.analyses:
         if d.kind == "tran":
-            return solver.transient(circuit, d.tstop, d.dt, options=options)
+            return solver.transient(circuit, d.tstop, d.dt)
     raise AssertionError("circuit has no .tran directive")
 
 
@@ -155,15 +154,13 @@ def make_tran_ctx_maker(circuit, dt=1e-6, method="trapezoidal"):
     return ctx_maker
 
 
-# the solver's absolute tolerance on a memristor's state row
-_W_ABSTOL = 1e-12
-
-
-def _rows(circuit, v, levels, step, opts):
+def _rows(circuit, v, levels, step, abstol):
     """(row, terms, absolute tolerance) of each equation of one solved
     point: KCL at every node that no voltage source touches, each source's
     voltage equation and, in a backward-Euler ``step`` (dt, last voltages,
-    states, last states), each memristor's state equation."""
+    states, last states), each memristor's state equation; ``abstol``
+    holds the absolute tolerance of each kind of row, keyed as the
+    solver's ``_ABSTOL`` is."""
     dt, v_last, w_now, w_last = step or (0.0, None, None, None)
     kcl, rows, sourced = {}, [], {"0"}
     for e in circuit.elements:
@@ -171,7 +168,7 @@ def _rows(circuit, v, levels, step, opts):
         if e.kind == "v":
             sourced.update(nodes)
             rows.append((e.name, (v[nodes[0]], -v[nodes[1]], -levels[e.name]),
-                         opts.abstol_v))
+                         abstol["i"]))
             continue
         a, b = (nodes[0], nodes[2]) if e.kind == "m" else nodes
         vab = v[a] - v[b]
@@ -190,23 +187,24 @@ def _rows(circuit, v, levels, step, opts):
             if dt:
                 rows.append((e.name, (w - w_last[e.name],
                                       -dt * memristor_state_rate(p, w, i)),
-                             _W_ABSTOL))
+                             abstol["w"]))
         kcl.setdefault(a, []).append(i)
         kcl.setdefault(b, []).append(-i)
-    return rows + [(nd, terms, opts.abstol_i) for nd, terms in kcl.items()
+    return rows + [(nd, terms, abstol["v"]) for nd, terms in kcl.items()
                    if nd not in sourced]
 
 
-def kcl_judge(circuit, result, options=None, overrides=None):
+def kcl_judge(circuit, result, overrides=None):
     """Worst |residual| / tolerance over every point of a solved result,
     and where it was, recomputed from ``circuit.elements`` and the public
     device equations alone, against the solver's own tolerance: abstol +
     reltol * the sum of the row's term magnitudes.
 
     ``result`` is an OpPoint (solved with ``overrides``), a SweepResult or
-    a backward-Euler TransientResult, whose t=0 row is a DC point.
+    a backward-Euler TransientResult, whose t=0 row is a DC point. The
+    tolerances are the solver's constants, read at each call.
     """
-    opts = options or solver.SolverOptions()
+    reltol, abstol = solver._RELTOL, solver._ABSTOL
     sources = [e for e in circuit.elements if e.kind == "v"]
 
     def levels(t=0.0, fixed=None):
@@ -229,7 +227,7 @@ def kcl_judge(circuit, result, options=None, overrides=None):
         points = [("op", levels(fixed=overrides), {"0": 0.0} | result, None)]
     worst = (0.0, "")
     for label, level, v, step in points:
-        for name, terms, abstol in _rows(circuit, v, level, step, opts):
-            tol = abstol + opts.reltol * sum(map(abs, terms))
+        for name, terms, floor in _rows(circuit, v, level, step, abstol):
+            tol = floor + reltol * sum(map(abs, terms))
             worst = max(worst, (abs(sum(terms)) / tol, f"{label} {name}"))
     return worst

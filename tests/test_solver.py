@@ -18,8 +18,7 @@ from dtlsim import cells, devices, solver
 from dtlsim.devices import StampContext, ZenerParams, zener_ig
 from dtlsim.errors import NoConvergence, SingularMatrix
 from dtlsim.netlist import Circuit, parse_netlist
-from dtlsim.solver import (SolverOptions, dc_operating_point, dc_sweep,
-                           sweep_points, transient)
+from dtlsim.solver import dc_operating_point, dc_sweep, sweep_points, transient
 
 from conftest import (FD_BENCH_DC, FD_BENCH_TRAN, fd_jacobian_check,
                       kcl_judge, make_tran_ctx_maker)
@@ -89,6 +88,10 @@ def test_op_overrides(monkeypatch):
     start = dc_operating_point(c, x0={("v", "mid"): np.float64(1.0),
                                       ("i", "v_1"): 0})
     assert abs(start["mid"] - 4.0) <= 1e-9
+    # netlist names are case-insensitive, as dc_sweep's source is
+    upper = dc_operating_point(c, overrides={"V_1": 3.0}, x0={("v", "MID"): 2.5})
+    lower = dc_operating_point(c, overrides={"v_1": 3.0}, x0={("v", "mid"): 2.5})
+    assert upper.raw == lower.raw
 
     def no_newton(*args):
         raise AssertionError("Newton ran on a bad override or start")
@@ -217,30 +220,33 @@ def test_sweep_points_counts():
             sweep_points(start, stop, step)
 
 
-# default tolerances leave ~1e-5 of slack between differently seeded Newton
-# runs; comparisons against pointwise solutions need the residual pushed down
-TIGHT = SolverOptions(reltol=1e-9, abstol_v=1e-9, abstol_i=1e-12)
+@pytest.fixture
+def tight(monkeypatch):
+    """Default tolerances leave ~1e-5 of slack between differently seeded
+    Newton runs; comparisons against pointwise solutions need the residual
+    pushed down: reltol 1e-9, 1e-9 V on source rows, 1e-12 A on KCL rows."""
+    monkeypatch.setattr(solver, "_RELTOL", 1e-9)
+    monkeypatch.setattr(solver, "_ABSTOL", {"v": 1e-12, "i": 1e-9, "w": 1e-12})
 
 
-def test_sweep_matches_pointwise_ops():
+def test_sweep_matches_pointwise_ops(tight):
     c = parse_netlist(DIODE)
-    s = dc_sweep(c, "v_1", 0.0, 5.0, 1.0, TIGHT)
+    s = dc_sweep(c, "v_1", 0.0, 5.0, 1.0)
     assert len(s.inputs) == 6
     for val, vd in zip(s.inputs, s.column("d")):
-        op = dc_operating_point(c, TIGHT, overrides={"v_1": float(val)})
+        op = dc_operating_point(c, overrides={"v_1": float(val)})
         assert vd == pytest.approx(op["d"], abs=1e-8)
 
 
-def test_sweep_reversal_is_hysteresis_free():
+def test_sweep_reversal_is_hysteresis_free(tight):
     # warm-started descending ops land on the same curve the ascending
     # continuation produced; nothing in the DC model carries memory
     c = parse_netlist(DIODE)
-    up = dc_sweep(c, "v_1", 0.0, 5.0, 0.5, TIGHT)
+    up = dc_sweep(c, "v_1", 0.0, 5.0, 0.5)
     x0 = None
     down = []
     for val in reversed(up.inputs):
-        op = dc_operating_point(c, TIGHT, overrides={"v_1": float(val)},
-                                x0=x0)
+        op = dc_operating_point(c, overrides={"v_1": float(val)}, x0=x0)
         x0 = op.raw
         down.append(op["d"])
     assert np.allclose(up.column("d"), list(reversed(down)), atol=1e-8)
@@ -370,31 +376,36 @@ def test_failure_names_its_point(monkeypatch):
     assert (ei.value.at, ei.value.residual) == (0.0, 1.0)
 
 
-def test_no_convergence_when_starved():
-    opts = SolverOptions(max_newton_iters=1)
+def test_no_convergence_when_starved(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 1)
     with pytest.raises(NoConvergence):
-        dc_operating_point(parse_netlist(DIODE), opts)
+        dc_operating_point(parse_netlist(DIODE))
+    # at ten iterations a rung, the spike cell's operating point fails
+    # both strategies and the failure says so
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 10)
+    with pytest.raises(NoConvergence, match=r"^operating point did not "
+                       r"converge \(newton and gmin stepping both failed: "
+                       r"no convergence after 10 Newton iterations") as ei:
+        dc_operating_point(cells.build_spike_cell(0.3))
+    assert ei.value.residual > 0.0
 
 
 def test_no_point_is_solved_off_the_circuit(monkeypatch):
-    # every strategy ends on the circuit itself, zero gmin and full
-    # sources; a homotopy whose last rung fails gives no answer
-    system = solver._System(parse_netlist(DIVIDER))
-    assert [(name, rungs[-1]) for name, _, rungs in solver._strategies(
-        system, system.start, SolverOptions())] == [
-            ("newton", (0.0, 1.0)), ("gmin-stepping", (0.0, 1.0)),
-            ("source-stepping", (0.0, 1.0))]
+    # every strategy ends on the circuit itself, zero gmin; a homotopy
+    # whose last rung fails gives no answer
+    assert [(name, rungs[-1]) for name, rungs in solver._LADDER] == [
+        ("newton", 0.0), ("gmin-stepping", 0.0)]
     newton, walked = solver._newton, []
 
-    def circuit_fails(system, x, ctx, options, bounds):
-        walked.append((ctx.gmin, ctx.srcscale))
-        if ctx.gmin == 0.0 and ctx.srcscale == 1.0:
+    def circuit_fails(system, x, ctx, bounds):
+        walked.append(ctx.gmin)
+        if ctx.gmin == 0.0:
             raise NoConvergence("stuck", residual=1.0)
-        return newton(system, x, ctx, options, bounds)
+        return newton(system, x, ctx, bounds)
     monkeypatch.setattr(solver, "_newton", circuit_fails)
-    with pytest.raises(NoConvergence, match=r"all failed: stuck\)$"):
+    with pytest.raises(NoConvergence, match=r"both failed: stuck\)$"):
         dc_operating_point(cells.build_saturation_cell())
-    assert walked.count((0.0, 1.0)) == 3
+    assert walked.count(0.0) == 2
 
 
 def test_failure_names_its_kind_of_point(monkeypatch):
@@ -402,10 +413,10 @@ def test_failure_names_its_kind_of_point(monkeypatch):
     # ramp's level tells the failing points apart
     newton = solver._newton
 
-    def fails_at_level(system, x, ctx, options, bounds):
+    def fails_at_level(system, x, ctx, bounds):
         if ctx.levels[0] == level:
             raise NoConvergence("stuck", residual=1.0)
-        return newton(system, x, ctx, options, bounds)
+        return newton(system, x, ctx, bounds)
     monkeypatch.setattr(solver, "_newton", fails_at_level)
     ramp = parse_netlist(RC_RAMP)
     for level, run, point in (
@@ -418,28 +429,8 @@ def test_failure_names_its_kind_of_point(monkeypatch):
         with pytest.raises(NoConvergence) as ei:
             run()
         assert str(ei.value).startswith(f"{point} did not converge (")
-        assert str(ei.value).endswith("all failed: stuck)")
+        assert str(ei.value).endswith("both failed: stuck)")
         assert "operating point" not in str(ei.value)
-
-
-@pytest.mark.parametrize("bad", [
-    dict(reltol=-1e-3), dict(reltol=math.nan), dict(reltol=math.inf),
-    dict(abstol_v=-1e-6), dict(abstol_v=math.nan), dict(abstol_v=math.inf),
-    dict(abstol_i=-1e-9), dict(abstol_i=math.nan), dict(abstol_i=math.inf),
-    dict(max_newton_iters=-1), dict(max_newton_iters=math.inf),
-    dict(max_newton_iters=2.5), dict(max_newton_iters="10"),
-    dict(source_steps=0), dict(source_steps=1.5), dict(source_steps=math.inf),
-    dict(source_steps=math.nan), dict(source_steps=-1)])
-def test_solver_options_validated(bad):
-    # only constructed: a solver handed some of these would never return
-    with pytest.raises(ValueError, match=f"SolverOptions.{next(iter(bad))} "):
-        SolverOptions(**bad)
-
-
-def test_solver_options_accept_numpy_integers():
-    opts = SolverOptions(max_newton_iters=np.int64(10), source_steps=np.int32(5))
-    op = dc_operating_point(cells.build_spike_cell(0.3), opts)
-    assert (op.strategy, op.iterations) == ("source-stepping", 18)
 
 
 def test_transient_argument_validation():
@@ -531,21 +522,14 @@ r_1 b 0 1k
 # --- pinned Newton work ---------------------------------------------------------
 
 # Counts of the paper's cells: a refactor of assembly or history handling
-# must reproduce them exactly; the trapezoidal run reads companion history,
-# and the starved spike cell is the one case that wins by source stepping.
+# must reproduce them exactly; the trapezoidal run reads companion history.
 @pytest.mark.parametrize("case, expected", [
     ("detector-config2", 302),
     ("xor-backward-euler", 903),
     ("xor-trapezoidal", 1222),
-    ("spike-w0.3-source-stepping", 18),
 ])
 def test_newton_work_is_pinned(case, expected):
-    if case == "spike-w0.3-source-stepping":
-        opts = SolverOptions(max_newton_iters=10, source_steps=5)
-        op = dc_operating_point(cells.build_spike_cell(0.3), opts)
-        assert op.strategy == "source-stepping"
-        assert op.iterations == expected
-    elif case == "detector-config2":
+    if case == "detector-config2":
         c = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
         d = next(d for d in c.analyses if d.kind == "dc")
         s = dc_sweep(c, d.source, d.start, d.stop, d.step)
@@ -574,12 +558,12 @@ def test_dc_jacobian_matches_finite_difference():
 def test_one_stamp_call_per_element_and_one_context_per_point(monkeypatch):
     # perfbench/tracing.py counts assemblies as devices.stamp calls over
     # elements, and fallback points as the distinct contexts stamped with
-    # gmin or scaled sources; its traced baseline pins both runs' counts
+    # gmin; its traced baseline pins both runs' counts
     stamp, contexts, fallback = devices.stamp, [], []
 
     def counted(elem, x, ctx, out):
         contexts.append(ctx)
-        if ctx.gmin or ctx.srcscale != 1.0:
+        if ctx.gmin:
             fallback.append(ctx)
         return stamp(elem, x, ctx, out)
     monkeypatch.setattr(devices, "stamp", counted)
