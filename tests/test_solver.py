@@ -380,6 +380,9 @@ def test_no_convergence_when_starved(monkeypatch):
     monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 1)
     with pytest.raises(NoConvergence):
         dc_operating_point(parse_netlist(DIODE))
+
+
+def test_spike_cell_fails_named_at_ten_iterations(monkeypatch):
     # at ten iterations a rung, the spike cell's operating point fails
     # both strategies and the failure says so
     monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 10)
