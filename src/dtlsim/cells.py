@@ -372,17 +372,14 @@ def peak_input(sweep: SweepResult, node: str) -> float:
 
 
 def settle_phase_levels(result: TransientResult, node: str,
-                        n_phases: int,
-                        settle_frac: float = 0.2) -> list[float]:
+                        n_phases: int) -> list[float]:
     """Mean node voltage over the tail of each equal-length phase.
 
     Splits [0, tstop] into ``n_phases`` windows and averages the last
-    ``settle_frac`` of each, which discards the transition transients.
+    fifth of each, which discards the transition transients.
     """
     if not (isinstance(n_phases, (int, np.integer)) and n_phases >= 1):
         raise ValueError(f"n_phases must be an integer >= 1, got {n_phases!r}")
-    if not 0.0 < settle_frac <= 1.0:
-        raise ValueError(f"settle_frac must lie in (0, 1], got {settle_frac}")
     t = np.asarray(result.times, dtype=float)
     y = np.asarray(result.column(node), dtype=float)
     tstop = float(t[-1])
@@ -392,7 +389,7 @@ def settle_phase_levels(result: TransientResult, node: str,
     levels = []
     for k in range(n_phases):
         hi = span * (k + 1)
-        lo = hi - settle_frac * span
+        lo = hi - 0.2 * span
         m = (t >= lo) & (t <= hi)
         if not m.any():
             m = t <= hi

@@ -73,8 +73,9 @@ def _eps_window(eps, theta2):
     return (0.0 < eps) & (eps < theta2)
 
 
-def _theta3_window(theta3, peak):
-    return (peak > theta3) & (theta3 > peak / 2.0)
+def _theta3_window(theta3):
+    # the averaging soma's input peaks at 1
+    return (1.0 > theta3) & (theta3 > 0.5)
 
 
 def _collect(weights, inputs, level):
@@ -87,9 +88,8 @@ def _branch_spike(total, theta2, eps):
     return f_spk1(f_sat_clamp(total, theta2), theta2, eps)
 
 
-def _soma_input(spikes, soma_combine: str):
-    c = sum(spikes)
-    return c / len(spikes) if soma_combine == "avg" else c
+def _soma_input(spikes):
+    return sum(spikes) / len(spikes)
 
 
 @dataclass(frozen=True)
@@ -120,30 +120,26 @@ class DendriteBranch:
 
 @dataclass(frozen=True)
 class NeuronModel:
-    """Parallel dendrite branches into an averaging or summing soma."""
+    """Parallel dendrite branches into a soma that averages their spikes.
+
+    Spikes are 0/1, so the soma's input is at most 1 and theta3 must lie
+    in (1/2, 1).
+    """
 
     branches: tuple[DendriteBranch, ...]
     theta3: float
     logic_high: float = 1.0
-    soma_combine: str = "avg"
 
     def __post_init__(self):
         if not self.branches:
             raise InvalidThreshold("neuron needs at least one branch")
-        if self.soma_combine not in ("avg", "sum"):
-            raise InvalidThreshold(f"unknown soma combine {self.soma_combine!r}")
         if not _positive_finite(self.logic_high):
             raise InvalidThreshold(
                 f"logic_high must be positive and finite, got {self.logic_high}")
-        peak = self.max_soma_input()
-        if not _theta3_window(self.theta3, peak):
+        if not _theta3_window(self.theta3):
             raise InvalidThreshold(
                 f"theta3 must satisfy max > theta3 > max/2 "
-                f"(max={peak}, theta3={self.theta3})")
-
-    def max_soma_input(self) -> float:
-        """Largest soma input over branch spike values (spikes are 0/1)."""
-        return 1.0 if self.soma_combine == "avg" else float(len(self.branches))
+                f"(max=1.0, theta3={self.theta3})")
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ def eval_neuron(model: NeuronModel, inputs: tuple[_Value, ...]) -> NeuronTrace:
     sums = tuple(b.collect(tuple(inputs), model.logic_high) for b in model.branches)
     spikes = tuple(_branch_spike(s, b.theta2, b.eps)
                    for s, b in zip(sums, model.branches))
-    c = _soma_input(spikes, model.soma_combine)
+    c = _soma_input(spikes)
     return NeuronTrace(f_spk2(c, model.theta3), sums, spikes, c)
 
 
@@ -232,15 +228,14 @@ def calibrate_xor(theta2_grid, eps_grid, theta3_grid,
             f"logic_high must be positive and finite, got {logic_high}")
     values = [_grid_array(name, grid) for name, grid in grids.items()]
     theta2, eps, theta3 = np.ix_(*values)
-    # xor_model's windows, then NeuronModel's theta3 window for its
-    # averaging soma, whose largest input is 1
+    # xor_model's windows, then NeuronModel's theta3 window
     hit = (_theta2_window(theta2, logic_high) & _eps_window(eps, theta2)
-           & _theta3_window(theta3, 1.0))
+           & _theta3_window(theta3))
     with np.errstate(over="ignore"):   # theta2 - eps of a masked-out pair
         for inputs, want in zip(_logic_inputs(logic_high), _XOR_TABLE):
             spikes = [_branch_spike(_collect(w, inputs, logic_high), theta2, eps)
                       for w in _XOR_WEIGHTS]
-            hit &= f_spk2(_soma_input(spikes, "avg"), theta3) == want
+            hit &= f_spk2(_soma_input(spikes), theta3) == want
     i, j, k = np.nonzero(hit)
     return list(zip(values[0][i].tolist(), values[1][j].tolist(),
                     values[2][k].tolist()))

@@ -13,9 +13,9 @@ the swept response up in a table and normalizes it to [0, 1]. Applied
 to a centered Gaussian intensity blob, a band detector lights an
 annulus: the ring's radius tracks where the blob crosses the band and
 its thickness tracks the band width. The response is evaluated once per
-intensity level in the image's range, and the ring geometry once per
-image shape and center: a second detector on an image, or a later image
-of the same shape, reuses it.
+intensity level in the image's range, and the ring geometry about the
+image center once per image shape: a second detector on an image, or a
+later image of the same shape, reuses it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -108,9 +107,15 @@ def gen_gaussian_image(size: int = 129, sigma: float | None = None,
     if not 0 < amplitude <= 255:
         raise DomainError(f"amplitude must lie in (0, 255], got {amplitude}")
     c = (size - 1) / 2.0
+    # r^2 / (2 sigma^2) must be in range up to the corners, where r^2 is
+    # largest: an underflowed divisor makes the center pixel 0/0
+    divisor = 2.0 * sigma * sigma
+    if not (divisor > 0.0 and (c * c + c * c) / divisor < math.inf):
+        raise DomainError(f"sigma {sigma} is too small for a {size}x{size} "
+                          f"image: r^2 / (2 sigma^2) is out of range")
     yy, xx = np.ogrid[0:size, 0:size]   # a column and a row, broadcast
     vals = (yy - c) ** 2 + (xx - c) ** 2   # r^2, the one full-size array
-    vals /= -2.0 * sigma * sigma
+    vals /= -divisor
     np.exp(vals, out=vals)
     vals *= amplitude
     return ImageGray(np.rint(vals, out=vals).astype(np.uint8))
@@ -307,10 +312,13 @@ class RingMetrics:
 
 
 @functools.lru_cache(maxsize=4)     # kept: 4 B or less per pixel inside rmax
-def _ring_geometry(h: int, w: int, cy: float, cx: float, rmax: int):
-    """Pixels within rmax of (cy, cx) in an h x w image, as a read-only
-    flat index ordered by rounded radius and then row-major, and the
-    index bounds of each radius 0..rmax."""
+def _ring_geometry(h: int, w: int):
+    """Pixels within rmax of the center of an h x w image, rmax the
+    largest full annulus, as a read-only flat index ordered by rounded
+    radius and then row-major, and the index bounds of each radius
+    0..rmax."""
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rmax = int(min(cy, cx))
     yy, xx = np.ogrid[0:h, 0:w]
     radii = np.hypot(yy - cy, xx - cx)
     np.rint(radii, out=radii)
@@ -325,16 +333,10 @@ def _ring_geometry(h: int, w: int, cy: float, cx: float, rmax: int):
     return index, tuple(bounds.tolist())
 
 
-def _radial_profile(response: np.ndarray,
-                    center: tuple[float, float] | None) -> np.ndarray:
-    h, w = response.shape
-    if center is None:
-        center = ((h - 1) / 2.0, (w - 1) / 2.0)
-    cy, cx = map(float, center)
-    rmax = int(min(cy, cx, h - 1 - cy, w - 1 - cx))
-    if rmax < 2:
+def _radial_profile(response: np.ndarray) -> np.ndarray:
+    if min(response.shape) < 5:   # rmax < 2
         raise NoRing("image too small for a radial profile")
-    index, bounds = _ring_geometry(h, w, cy, cx, rmax)
+    index, bounds = _ring_geometry(*response.shape)
     # each slice's mean adds the same values in the same order as
     # response[radii == r].mean(); bincount or reduceat would reorder them
     values = response.ravel().take(index)
@@ -342,28 +344,22 @@ def _radial_profile(response: np.ndarray,
                      for a, b in zip(bounds[:-1], bounds[1:])])
 
 
-def ring_metrics(response, center: tuple[float, float] | None = None
-                 ) -> RingMetrics:
+def ring_metrics(response) -> RingMetrics:
     """Ring position, full width at half maximum and peak brightness.
 
-    The response is averaged over integer-rounded radii out to the
-    largest full annulus; the ring geometry of the last few image shapes
-    and centers is kept and reused by later calls. Raises NoRing when the
-    profile is flat, peaks at the center (a blob, not a ring), or never
-    falls back to half height on both sides of the peak. A center that is
-    not a pair of finite reals, or a non-finite response value, is a
-    DomainError.
+    The response is averaged over integer-rounded radii about the image
+    center ((h-1)/2, (w-1)/2) out to the largest full annulus; the ring
+    geometry of the last few image shapes is kept and reused by later
+    calls. Raises NoRing when the profile is flat, peaks at the center
+    (a blob, not a ring), or never falls back to half height on both
+    sides of the peak. A non-finite response value is a DomainError.
     """
     resp = np.asarray(response, dtype=float)
     if resp.ndim != 2:
         raise DomainError("response must be a 2-D array")
-    if center is not None and not (
-            np.asarray(center, dtype=object).shape == (2,)
-            and all(isinstance(c, Real) and math.isfinite(c) for c in center)):
-        raise DomainError(f"ring center must be a finite pair, got {center}")
     if not np.all(np.isfinite(resp)):
         raise DomainError("response holds a non-finite value")
-    prof = _radial_profile(resp, center)
+    prof = _radial_profile(resp)
     peak = float(prof.max())
     if peak <= 0.0 or peak - float(prof.min()) < 1e-12:
         raise NoRing("radial profile is flat")

@@ -30,7 +30,7 @@ circuit and runs the structural checks: every node needs a DC path to
 ground (the offending node is named) and no voltage sources may form a
 loop (the loop's sources are named). Each solved point gets a fresh
 ``StampContext`` whose ``levels`` hold every source's level at that point,
-evaluated once (``_System.levels``, which also checks overrides). DC sweeps
+evaluated once (``_System.levels``). DC sweeps
 and transients share one point loop (``_march``): each point starts from
 the last solution, and its iterations and winning strategy are recorded.
 
@@ -53,8 +53,9 @@ in exactly one Newton iteration. The residual tolerances, the step
 bounds and the state box are built once per analysis (``_System.bounds``).
 
 A Newton step that ``numpy.linalg.solve`` finds singular, or that comes
-out non-finite, raises SingularMatrix naming the unknown with the largest
-component of the Jacobian's null vector (its last right-singular vector).
+out non-finite, raises SingularMatrix naming the first non-finite row of
+the Jacobian, or in a finite Jacobian the unknown with the largest
+component of its null vector (its last right-singular vector).
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -212,21 +212,10 @@ class _System:
             scale[:nv] += np.abs(leak)
         return jac, res, scale, out.memory, out.limited
 
-    def levels(self, t: float = 0.0,
-               overrides: dict[str, float] | None = None) -> list[float]:
-        """Every voltage source's level at time t, by element number;
-        ``overrides`` must set voltage sources, named in any case, to
-        finite reals."""
-        levels = [e.params.value(t) if e.kind == "v" else 0.0
-                  for e in self.elements]
-        for name, level in (overrides or {}).items():
-            source = self.sources.get(_fold(name))
-            if source is None:
-                raise ValueError(f"override {name!r} is not a voltage source")
-            if not (isinstance(level, Real) and math.isfinite(level)):
-                raise ValueError(f"override {name}={level!r} is not a finite real")
-            levels[source.number] = float(level)
-        return levels
+    def levels(self, t: float = 0.0) -> list[float]:
+        """Every voltage source's level at time t, by element number."""
+        return [e.params.value(t) if e.kind == "v" else 0.0
+                for e in self.elements]
 
     def bounds(self, mode: str) -> tuple[np.ndarray, ...]:
         """The absolute residual tolerance per row (``_ABSTOL``), the Newton
@@ -243,14 +232,6 @@ class _System:
         low, high = np.full(self.n, -np.inf), np.full(self.n, np.inf)
         low[self.states], high[self.states] = 0.0, 1.0
         return abstol, step[:self.n], -step[:self.n], low, high
-
-
-def _fold(key):
-    """``key``, a name or a tuple of names, in lower case as the netlist
-    stores names; anything else unchanged, for the caller to reject."""
-    if isinstance(key, tuple):
-        return tuple(map(_fold, key))
-    return key.lower() if isinstance(key, str) else key
 
 
 def _with_ground(x: np.ndarray) -> list[float]:
@@ -319,10 +300,13 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
             return dx
     except np.linalg.LinAlgError:
         pass
-    try:
-        weight = np.abs(np.linalg.svd(jac)[2][-1])
-    except np.linalg.LinAlgError:   # no SVD: name the first non-finite row
-        weight = ~np.isfinite(jac).all(axis=1)
+    # the first non-finite row; LAPACK's SVD may never return on one
+    weight = ~np.isfinite(jac).all(axis=1)
+    if not weight.any():
+        try:
+            weight = np.abs(np.linalg.svd(jac)[2][-1])
+        except np.linalg.LinAlgError:   # no SVD: name the first unknown
+            pass
     k = keys[int(weight.argmax())]
     raise SingularMatrix(f"singular system at unknown {k!r}", node=k[1])
 
@@ -413,34 +397,22 @@ def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
     return cols, iterations, strategies
 
 
-def _operating_point(circuit, overrides=None, x0: dict | None = None):
+def _operating_point(circuit):
     """Checked DC solve: returns the system and _solve_point's result."""
     sys = _System(circuit)
-    ctx = StampContext(levels=sys.levels(0.0, overrides))
-    start = sys.start.copy()
-    for key, value in (x0 or {}).items():
-        unknown = _fold(key)
-        if unknown not in sys.keys or not (isinstance(value, Real)
-                                           and math.isfinite(value)):
-            raise ValueError(f"x0[{key!r}] = {value!r}: need a finite real "
-                             f"for an unknown of the circuit")
-        start[sys.keys.index(unknown)] = value
-    return sys, _solve_point(sys, start, ctx, sys.bounds("dc"),
-                             "operating point")
+    return sys, _solve_point(sys, sys.start, StampContext(levels=sys.levels()),
+                             sys.bounds("dc"), "operating point")
 
 
-def dc_operating_point(circuit, *, overrides: dict[str, float] | None = None,
-                       x0: dict | None = None) -> OpPoint:
+def dc_operating_point(circuit) -> OpPoint:
     """Solve the DC operating point; memristor states stay frozen at w0.
 
-    Returns an OpPoint mapping node name -> voltage (ground excluded), with
-    ``raw`` (all unknowns, the memristor states at w0 among them),
-    ``iterations`` and ``strategy`` attached. ``overrides`` set source
-    levels by name and ``x0`` starts unknowns keyed as in ``raw``, names
-    in any case; both take finite reals only, checked before any Newton
-    work.
+    The sources sit at their t=0 levels and Newton starts from zero, the
+    memristor states from w0. Returns an OpPoint mapping node name ->
+    voltage (ground excluded), with ``raw`` (all unknowns, the memristor
+    states at w0 among them), ``iterations`` and ``strategy`` attached.
     """
-    sys, (x, iters, strategy, _) = _operating_point(circuit, overrides, x0)
+    sys, (x, iters, strategy, _) = _operating_point(circuit)
     raw = dict(zip(sys.keys, x.tolist()))
     voltages = {k[1]: v for k, v in raw.items() if k[0] == "v"}
     return OpPoint(voltages, raw, iters, strategy)
@@ -464,8 +436,10 @@ def dc_sweep(circuit, source: str, start: float, stop: float,
     """Swept operating points with continuation (each solution seeds the next)."""
     values = sweep_points(start, stop, step)
     sys = _System(circuit)
-    source = _fold(source)
-    swept = sys.sources.get(source)
+    swept = None
+    if isinstance(source, str):   # a list or set would not hash
+        source = source.lower()
+        swept = sys.sources.get(source)
     if swept is None or swept.params.kind != "dc":
         raise ValueError(f"{source!r} is not a DC voltage source")
     levels = sys.levels()

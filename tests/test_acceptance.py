@@ -99,8 +99,8 @@ def test_behavioral_xor_and_calibration_grid():
                 for t2 in theta2s for e in epss for t3 in theta3s
                 if t2 - e > 1.0}
     revalid = all(
-        truth_table(m := xor_model(1.0, t2, e, t3)) == [0, 1, 1, 0]
-        and m.max_soma_input() > t3 > m.max_soma_input() / 2.0
+        truth_table(xor_model(1.0, t2, e, t3)) == [0, 1, 1, 0]
+        and 1.0 > t3 > 1.0 / 2.0
         for t2, e, t3 in hits)
     elapsed = time.perf_counter() - t0
     ok = (table == [0, 1, 1, 0] and hits and set(hits) == expected

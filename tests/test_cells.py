@@ -284,10 +284,6 @@ def test_settle_phase_levels_validation():
     assert settle_phase_levels(r, "out", np.int64(2)) == \
         settle_phase_levels(r, "out", 2)
     with pytest.raises(ValueError):
-        settle_phase_levels(r, "out", 2, settle_frac=0.0)
-    with pytest.raises(ValueError):
-        settle_phase_levels(r, "out", 2, settle_frac=1.5)
-    with pytest.raises(ValueError):
         settle_phase_levels(_tran([0.0], [0.0]), "out", 1)
 
 

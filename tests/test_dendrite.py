@@ -86,17 +86,11 @@ def test_neuron_model_validation():
             NeuronModel(b, theta3=bad)
     with pytest.raises(InvalidThreshold):
         NeuronModel((), theta3=0.75)
-    with pytest.raises(InvalidThreshold):
-        NeuronModel(b, theta3=0.75, soma_combine="median")
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(InvalidThreshold):
             NeuronModel(b, theta3=0.75, logic_high=bad)
     with pytest.raises(InvalidThreshold):
         NeuronModel(b, theta3=math.nan)
-    # summing soma shifts the window to (1, 2)
-    assert NeuronModel(b, theta3=1.5, soma_combine="sum").max_soma_input() == 2.0
-    with pytest.raises(InvalidThreshold):
-        NeuronModel(b, theta3=0.75, soma_combine="sum")
 
 
 def test_xor_model_parameter_windows():
@@ -132,13 +126,6 @@ def test_eval_neuron_trace_intermediate_values():
     assert tr.branch_spikes == (1.0, 1.0)
     assert tr.soma_input == 1.0
     assert tr.output == 0.0
-
-
-def test_xor_with_summing_soma():
-    b = (DendriteBranch((1.0, -1.0), 1.5, 0.1),
-         DendriteBranch((-1.0, 1.0), 1.5, 0.1))
-    m = NeuronModel(b, theta3=1.5, soma_combine="sum")
-    assert truth_table(m) == [0, 1, 1, 0]
 
 
 @given(st.floats(1.001, 1.999),

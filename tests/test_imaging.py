@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dtlsim import imaging
 from dtlsim.cells import (DETECTOR_CONFIG_1, DETECTOR_CONFIG_2,
@@ -110,6 +110,14 @@ def test_gaussian_validation():
     for sigma in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
             gen_gaussian_image(9, sigma=sigma)
+    # at 1e-300, 2 sigma^2 underflows to 0 and the center pixel is 0/0;
+    # at 1e-160, r^2 / (2 sigma^2) overflows at the corners
+    for sigma in (1e-300, 1e-160):
+        with pytest.raises(DomainError, match=f"sigma {sigma} is too small"):
+            gen_gaussian_image(5, sigma=sigma)
+    # a sigma in range gives the formula's image: amplitude at r = 0 only
+    assert gen_gaussian_image(5, sigma=1e-150).pixels.tolist() == [
+        [0] * 5, [0] * 5, [0, 0, 255, 0, 0], [0] * 5, [0] * 5]
     assert gen_gaussian_image(np.int64(9)) == gen_gaussian_image(9)
 
 
@@ -403,11 +411,10 @@ def test_apply_detector_range_error_names_the_extreme_pixel():
 
 # --- ring metrics -----------------------------------------------------------------
 
-def _annulus(size=65, r_lo=10, r_hi=14, center=None):
-    c = (size - 1) / 2.0 if center is None else None
-    cy, cx = (c, c) if center is None else center
+def _annulus(size=65, r_lo=10, r_hi=14):
+    c = (size - 1) / 2.0
     yy, xx = np.mgrid[0:size, 0:size]
-    rr = np.rint(np.hypot(yy - cy, xx - cx)).astype(int)
+    rr = np.rint(np.hypot(yy - c, xx - c)).astype(int)
     return np.where((rr >= r_lo) & (rr <= r_hi), 1.0, 0.0)
 
 
@@ -416,14 +423,6 @@ def test_ring_metrics_annulus_oracle_exact():
     assert m.peak_radius == 10.0        # first sample of the unit plateau
     assert m.thickness == 5.0           # crossings at exactly 9.5 and 14.5
     assert m.peak_brightness == 1.0
-
-
-def test_ring_metrics_respects_center_argument():
-    size = 65
-    resp = _annulus(size=81, center=(20.0, 40.0))[:size, :]
-    m = ring_metrics(resp, center=(20.0, 40.0))
-    assert m.peak_radius == 10.0
-    assert m.thickness == 5.0
 
 
 def test_ring_metrics_transpose_invariant():
@@ -461,20 +460,10 @@ def test_ring_metrics_too_small():
 def test_ring_metrics_rejects_non_finite_input():
     resp = _annulus()
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            ring_metrics(resp, center=(bad, 32.0))
-        with pytest.raises(DomainError):
-            ring_metrics(resp, center=(32.0, -bad))
         poisoned = resp.copy()
         poisoned[32, 44] = bad
         with pytest.raises(DomainError):
             ring_metrics(poisoned)
-    for center in ((1.0, 2.0, 3.0), (32.0,), 32.0, ((32.0, 32.0),),
-                   ("a", 1), (32.0, "32"), (32.0, None), (1j, 32.0),
-                   ((32.0, 32.0), 32.0)):
-        with pytest.raises(DomainError, match="pair"):
-            ring_metrics(resp, center=center)
-    assert ring_metrics(resp, center=np.array([32, 32])) == ring_metrics(resp)
 
 
 # --- end-to-end: blob through a band lut lights a ring ------------------------------
@@ -507,11 +496,9 @@ def test_gaussian_rings_are_frozen():
 
 # --- loop references of the vectorized imaging paths --------------------------------
 
-def _radial_profile_loop(response, center):
+def _radial_profile_loop(response):
     h, w = response.shape
-    if center is None:
-        center = ((h - 1) / 2.0, (w - 1) / 2.0)
-    cy, cx = center
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     yy, xx = np.mgrid[0:h, 0:w]
     radii = np.rint(np.hypot(yy - cy, xx - cx)).astype(int)
     rmax = int(min(cy, cx, h - 1 - cy, w - 1 - cx))
@@ -557,47 +544,44 @@ def _responses(draw):
     # plateaus and ties from a few levels, or all-distinct values
     levels = rng.choice([0.0, 0.1, 0.3, 1.0], size=(h, w))
     kind = draw(st.sampled_from(["levels", "random", "mixed"]))
-    resp = {"levels": levels, "random": rng.random((h, w)),
+    return {"levels": levels, "random": rng.random((h, w)),
             "mixed": np.where(rng.random((h, w)) < 0.5, levels,
                               rng.random((h, w)))}[kind]
-    center = draw(st.one_of(
-        st.none(),
-        st.tuples(st.floats(0.0, h - 1.0), st.floats(0.0, w - 1.0)),
-        st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
-          .map(lambda c: (c[0] + 0.5, c[1] + 0.5))))
-    return resp, center
 
 
+# the center is a pixel on an odd side and half-integer on an even one
 @given(_responses())
-def test_radial_profile_equals_its_loop(rc):
-    resp, center = rc
-    assert (_outcome(imaging._radial_profile, resp, center)
-            == _outcome(_radial_profile_loop, resp, center))
+@example(np.random.default_rng(1).random((9, 9)))
+@example(np.random.default_rng(2).random((8, 8)))
+@example(np.random.default_rng(3).random((8, 11)))
+@example(np.random.default_rng(4).random((11, 8)))
+def test_radial_profile_equals_its_loop(resp):
+    assert (_outcome(imaging._radial_profile, resp)
+            == _outcome(_radial_profile_loop, resp))
 
 
 @given(_responses(), st.integers(0, 2**32 - 1))
-def test_reused_ring_geometry_equals_its_loop(rc, seed):
-    # later responses of one shape and center reuse the first's geometry;
-    # a transposed response is not contiguous
-    resp, center = rc
+def test_reused_ring_geometry_equals_its_loop(resp, seed):
+    # later responses of one shape reuse the first's geometry; a
+    # transposed response is not contiguous
     h, w = resp.shape
     rng = np.random.default_rng(seed)
     before = imaging._ring_geometry.cache_info()
     for other in (resp, rng.random((h, w)), rng.random((w, h)).T,
                   np.round(rng.random((h, w)), 1)):
-        assert (_outcome(imaging._radial_profile, other, center)
-                == _outcome(_radial_profile_loop, other, center))
+        assert (_outcome(imaging._radial_profile, other)
+                == _outcome(_radial_profile_loop, other))
     after = imaging._ring_geometry.cache_info()
     assert after.misses - before.misses <= 1
 
 
 def test_ring_geometry_is_read_only():
-    index, bounds = imaging._ring_geometry(9, 11, 4.0, 5.0, 4)
+    index, bounds = imaging._ring_geometry(9, 11)
     assert index.dtype == np.uint8 and not index.flags.writeable
     with pytest.raises(ValueError):
         index[0] = 0
     assert bounds[0] == 0 and bounds[-1] == index.size
-    assert imaging._ring_geometry(257, 257, 128.0, 128.0, 128)[0].dtype \
+    assert imaging._ring_geometry(257, 257)[0].dtype \
         == np.uint32                        # 257^2 pixels pass 2^16
 
 
