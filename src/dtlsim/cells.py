@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, NoBand, NotUnimodal
 from .netlist import Circuit, parse_netlist
-from .solver import SweepResult, TransientResult
+from .solver import _MAX_POINTS, SweepResult, TransientResult
 
 __all__ = [
     "BandResponse",
@@ -376,23 +376,26 @@ def settle_phase_levels(result: TransientResult, node: str,
     """Mean node voltage over the tail of each equal-length phase.
 
     Splits [0, tstop] into ``n_phases`` windows and averages the last
-    fifth of each, which discards the transition transients.
+    fifth of each, which discards the transition transients; a tail that
+    holds no sample takes the last sample before its end. ``n_phases``
+    is at most ``_MAX_POINTS`` and the times must be non-decreasing.
     """
-    if not (isinstance(n_phases, (int, np.integer)) and n_phases >= 1):
-        raise ValueError(f"n_phases must be an integer >= 1, got {n_phases!r}")
+    if not (isinstance(n_phases, (int, np.integer))
+            and 1 <= n_phases <= _MAX_POINTS):
+        raise ValueError(f"n_phases must be an integer in [1, {_MAX_POINTS}], "
+                         f"got {n_phases!r}")
     t = np.asarray(result.times, dtype=float)
-    y = np.asarray(result.column(node), dtype=float)
+    y = np.ascontiguousarray(result.column(node), dtype=float)
     tstop = float(t[-1])
-    if tstop <= 0.0:
+    if not tstop > 0.0:
         raise ValueError("transient must span a positive time interval")
+    if not (t[1:] >= t[:-1]).all():
+        raise ValueError("transient times must be non-decreasing")
     span = tstop / n_phases
-    levels = []
-    for k in range(n_phases):
-        hi = span * (k + 1)
-        lo = hi - 0.2 * span
-        m = (t >= lo) & (t <= hi)
-        if not m.any():
-            m = t <= hi
-            m[:-1] &= t[1:] > hi  # fall back to the last sample in range
-        levels.append(float(y[m].mean()))
-    return levels
+    hi = span * np.arange(1, n_phases + 1)
+    # each tail [hi - span/5, hi] as the sample slice [start, stop)
+    starts = np.searchsorted(t, hi - 0.2 * span, "left").tolist()
+    stops = np.searchsorted(t, hi, "right").tolist()
+    # an empty tail falls back to the last sample at or before its end
+    return [float(y[max(b - 1, 0) if a == b else a:b].mean())
+            for a, b in zip(starts, stops)]

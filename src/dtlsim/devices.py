@@ -23,6 +23,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -103,6 +104,8 @@ class SourceWaveform:
             times = self.params[0::2]
             if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
                 raise DomainError("pwl times must be non-decreasing")
+            # the corner times and values, split once for ``value``
+            object.__setattr__(self, "_corners", (times, self.params[1::2]))
         else:
             raise DomainError(f"unknown source kind {self.kind!r}")
 
@@ -123,14 +126,14 @@ class SourceWaveform:
             if tt < fall:
                 return v2 + (v1 - v2) * tt / fall
             return v1
-        times = self.params[0::2]
-        vals = self.params[1::2]
-        if t <= times[0]:
+        times, vals = self._corners
+        j = bisect_left(times, t)   # the first corner at or after t
+        if j == 0:
             return vals[0]
-        for (t0, v0), (t1, v1) in zip(zip(times, vals), zip(times[1:], vals[1:])):
-            if t <= t1:   # t > t0 (else an earlier test returned), so t1 > t0
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return vals[-1]
+        if j == len(times):
+            return vals[-1]
+        t0, t1, v0, v1 = times[j - 1], times[j], vals[j - 1], vals[j]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)   # t0 < t <= t1
 
 
 @dataclass(frozen=True)
@@ -307,8 +310,10 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 # whose last slot is ground and holds 0.0, and writes into its target
 # ``out``:
 #
-# * ``out.values``: an ``array('d')`` buffer that takes the element's
-#   residual values, then its Jacobian values, in one ``extend``;
+# * ``out.values``: a list that takes the element's residual values, then
+#   its Jacobian values, in one ``extend`` (not an ``array('d')``, whose
+#   ``extend`` converts item by item at ten times the cost; the solver
+#   converts the list once per assembly);
 # * ``out.memory[number]``: companion memory that the next transient
 #   step reads back as ``ctx.hist`` (capacitor current, memristor drift
 #   rate), recorded at every assembly so the converged one holds it;

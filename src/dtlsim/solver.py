@@ -21,16 +21,17 @@ load, which holds its slots, its position and every constant of its
 parameters, and the pattern, one per kind in every mode, is mapped
 through the slots into one flat index over the residual bins, then the
 Jacobian bins. Each assembly then only runs the loads, one
-``devices.stamp`` call per element, which list values into one buffer,
-and one ``np.bincount`` adds every value into its place; it adds in
-input order, so each sum is the one the stamps' ``+=`` would give.
+``devices.stamp`` call per element, which extend one Python list with
+their values. ``np.fromiter`` converts the list once, and one
+``np.bincount`` adds every value into its place; it adds in input order,
+so each sum is the one the stamps' ``+=`` would give.
 
 Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to
 ground (the offending node is named) and no voltage sources may form a
 loop (the loop's sources are named). Each solved point gets a fresh
 ``StampContext`` whose ``levels`` hold every source's level at that point,
-evaluated once (``_System.levels``). DC sweeps
+evaluated once per source (``_System.levels``). DC sweeps
 and transients share one point loop (``_march``): each point starts from
 the last solution, and its iterations and winning strategy are recorded.
 
@@ -61,7 +62,6 @@ component of its null vector (its last right-singular vector).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,13 +139,13 @@ class _Element:
 
 
 class _Assembly:
-    """Stamp target of one assembly: the value buffer that the stamps
+    """Stamp target of one assembly: the value list that the stamps
     extend in element order (see the stamps section of ``devices``)."""
 
     __slots__ = ("values", "memory", "limited")
 
     def __init__(self, count: int):
-        self.values = array("d")
+        self.values = []
         self.memory = [0.0] * count
         self.limited = False
 
@@ -199,7 +199,7 @@ class _System:
         for e in self.elements:
             devices.stamp(e, xs, ctx, out)
         n, nv, size = self.n, self.nv, self.n + 1
-        values = np.frombuffer(out.values)
+        values = np.fromiter(out.values, float)
         flat = np.bincount(self.index, values, size + size * size)
         res = flat[:n]
         jac = flat[size:].reshape(size, size)[:n, :n]
@@ -213,9 +213,12 @@ class _System:
         return jac, res, scale, out.memory, out.limited
 
     def levels(self, t: float = 0.0) -> list[float]:
-        """Every voltage source's level at time t, by element number."""
-        return [e.params.value(t) if e.kind == "v" else 0.0
-                for e in self.elements]
+        """Every voltage source's level at time t by element number, 0.0
+        at the other elements."""
+        levels = [0.0] * len(self.elements)
+        for e in self.sources.values():
+            levels[e.number] = e.params.value(t)
+        return levels
 
     def bounds(self, mode: str) -> tuple[np.ndarray, ...]:
         """The absolute residual tolerance per row (``_ABSTOL``), the Newton

@@ -7,7 +7,7 @@ from solved operating points and sweeps.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dtlsim import cells
@@ -285,6 +285,48 @@ def test_settle_phase_levels_validation():
         settle_phase_levels(r, "out", 2)
     with pytest.raises(ValueError):
         settle_phase_levels(_tran([0.0], [0.0]), "out", 1)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        settle_phase_levels(_tran([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]), "out", 1)
+
+
+def test_settle_phase_levels_bounds_phases_before_any_work():
+    # the count is checked before the node is looked up
+    r = _tran(np.linspace(0.0, 1.0, 11), np.zeros(11))
+    for bad in (cells._MAX_POINTS + 1, 10**9):
+        with pytest.raises(ValueError, match="n_phases must be an integer"):
+            settle_phase_levels(r, "nope", bad)
+
+
+def _masked_phase_levels(t, y, n_phases):
+    """Reference: one mask over the whole time axis per phase."""
+    span = float(t[-1]) / n_phases
+    levels = []
+    for k in range(n_phases):
+        hi = span * (k + 1)
+        lo = hi - 0.2 * span
+        m = (t >= lo) & (t <= hi)
+        if not m.any():
+            m = t <= hi
+            m[:-1] &= t[1:] > hi  # fall back to the last sample in range
+        levels.append(float(y[m].mean()))
+    return levels
+
+
+# times from 0 on a coarse grid, so that repeated times and windows
+# without samples are common, or arbitrary floats
+_phase_times = st.one_of(
+    st.lists(st.integers(0, 40), min_size=1, max_size=60).map(
+        lambda ks: [k / 8.0 for k in ks]),
+    st.lists(st.floats(0.0, 1e3), min_size=1, max_size=60))
+
+
+@given(_phase_times, st.integers(1, 300), st.randoms(use_true_random=False))
+def test_settle_phase_levels_equals_masked_loop(times, n_phases, rnd):
+    t = np.array(sorted([0.0] + times))
+    assume(t[-1] > 0.0)
+    y = np.array([rnd.uniform(-5.0, 5.0) for _ in t])
+    assert settle_phase_levels(_tran(t, y), "out", n_phases) == \
+        _masked_phase_levels(t, y, n_phases)
 
 
 # --- builders --------------------------------------------------------------------

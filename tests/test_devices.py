@@ -1,6 +1,7 @@
 """Device models: frozen anchors, region behavior, analytic gradients."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -234,6 +235,47 @@ def test_pwl_waveform_shape():
     assert w.value(1e-3) == 5.0
     assert w.value(1.5e-3) == pytest.approx(3.0)
     assert w.value(10.0) == 1.0
+    # a vertical edge: at its time, the segment that ends there
+    w = SourceWaveform("pwl", (0.0, 0.0, 1.0, 2.0, 1.0, 6.0, 2.0, 6.0))
+    assert w.value(1.0) == 2.0
+    assert w.value(1.5) == 6.0
+
+
+def _pwl_linear_scan(params, t):
+    """Reference: the first segment whose end is at or after t."""
+    times, vals = params[0::2], params[1::2]
+    if t <= times[0]:
+        return vals[0]
+    for (t0, v0), (t1, v1) in zip(zip(times, vals), zip(times[1:], vals[1:])):
+        if t <= t1:   # t > t0 (else an earlier test returned), so t1 > t0
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    return vals[-1]
+
+
+@st.composite
+def _pwl_and_times(draw):
+    # corners on a coarse grid, so that repeated times (vertical edges)
+    # are common; queries before, on, between and after the corners
+    times = sorted(draw(st.lists(st.integers(0, 12), min_size=2,
+                                 max_size=12)))
+    times = [k / 4.0 for k in times]
+    vals = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(times),
+                         max_size=len(times)))
+    queries = draw(st.lists(st.one_of(
+        st.sampled_from(times), st.floats(-1.0, 4.0),
+        st.sampled_from([-math.inf, math.inf, times[0] - 1e-12,
+                         times[-1] + 1e-12])), min_size=1, max_size=20))
+    params = tuple(x for pair in zip(times, vals) for x in pair)
+    return params, queries
+
+
+@given(_pwl_and_times())
+def test_pwl_value_equals_linear_scan_bit_for_bit(case):
+    params, queries = case
+    w = SourceWaveform("pwl", params)
+    for t in queries:
+        got, ref = w.value(t), _pwl_linear_scan(params, t)
+        assert struct.pack("d", got) == struct.pack("d", ref), (t, got, ref)
 
 
 def test_param_validation():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 import scipy.integrate
 import scipy.optimize
 
@@ -519,6 +520,20 @@ def test_newton_work_is_pinned(case, expected):
         tr = transient(c, d.tstop, d.dt, method=case.removeprefix("xor-"))
         assert len(tr.times) == 801
         assert sum(tr.iterations) == expected
+
+
+_XOR = cells.build_xor_circuit()
+_XOR_CORNERS = sorted({t for e in _XOR.elements if e.kind == "v"
+                       and e.params.kind == "pwl" for t in e.params.params[0::2]})
+
+
+@given(st.lists(st.one_of(st.sampled_from(_XOR_CORNERS),
+                          st.floats(-1e-3, 5e-3)), min_size=1, max_size=20))
+def test_levels_evaluate_the_sources_by_element_number(times):
+    sys_ = solver._System(_XOR)
+    for t in times:
+        assert sys_.levels(t) == [e.params.value(t) if e.kind == "v" else 0.0
+                                  for e in _XOR.elements]
 
 
 # --- system-level finite-difference Jacobians -----------------------------------
