@@ -378,7 +378,8 @@ def settle_phase_levels(result: TransientResult, node: str,
     Splits [0, tstop] into ``n_phases`` windows and averages the last
     fifth of each, which discards the transition transients; a tail that
     holds no sample takes the last sample before its end. ``n_phases``
-    is at most ``_MAX_POINTS`` and the times must be non-decreasing.
+    is at most ``_MAX_POINTS``, the times must be non-decreasing and the
+    first phase may not end before the first sample.
     """
     if not (isinstance(n_phases, (int, np.integer))
             and 1 <= n_phases <= _MAX_POINTS):
@@ -396,6 +397,9 @@ def settle_phase_levels(result: TransientResult, node: str,
     # each tail [hi - span/5, hi] as the sample slice [start, stop)
     starts = np.searchsorted(t, hi - 0.2 * span, "left").tolist()
     stops = np.searchsorted(t, hi, "right").tolist()
+    if stops[0] == 0:   # no sample to average or fall back to
+        raise ValueError(f"phase 1 of {n_phases} ends at t={hi[0]:.6g}s, "
+                         f"before the first sample at t={t[0]:.6g}s")
     # an empty tail falls back to the last sample at or before its end
     return [float(y[max(b - 1, 0) if a == b else a:b].mean())
             for a, b in zip(starts, stops)]

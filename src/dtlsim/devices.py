@@ -360,8 +360,9 @@ class StampContext:
     gmin: float = 0.0                 # gmin-stepping node leak to ground
     levels: list = field(default_factory=list)      # source levels by element
     prev_step: list = field(default_factory=list)   # iterate at t_n
-    # last Newton iterate; a point's first assembly has the iterate itself
-    prev_iter: list = field(default_factory=list)
+    # last Newton iterate; None (as at a point's first assembly) is the
+    # iterate itself
+    prev_iter: list | None = None
     hist: list = field(default_factory=list)        # companion memory at t_n
 
 
@@ -418,7 +419,8 @@ def _bind_zener(p, slots, number):
 
     def load(x, ctx, out):
         v = x[a] - x[b]
-        vlim, limited = limit(v, ctx.prev_iter[a] - ctx.prev_iter[b])
+        last = ctx.prev_iter or x
+        vlim, limited = limit(v, last[a] - last[b])
         # the tangent then belongs to another voltage than the iterate's:
         # the assembly cannot end Newton (SPICE's non-convergence count)
         out.limited |= limited

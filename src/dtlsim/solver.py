@@ -53,10 +53,15 @@ is one in transient runs only); purely linear circuits therefore converge
 in exactly one Newton iteration. The residual tolerances, the step
 bounds and the state box are built once per analysis (``_System.bounds``).
 
-A Newton step that ``numpy.linalg.solve`` finds singular, or that comes
-out non-finite, raises SingularMatrix naming the first non-finite row of
-the Jacobian, or in a finite Jacobian the unknown with the largest
-component of its null vector (its last right-singular vector).
+Each Newton update is one LAPACK call, ``solve1``: the ``dd->d`` gufunc
+under ``numpy.linalg.solve``, without its Python wrapper. Every analysis
+enters ``np.errstate(all="ignore")`` once, around its point loop
+(``_march``) or its operating point, and restores numpy's error state
+as it returns or raises; the loads compute on Python floats, so the
+scope hides nothing of theirs. A singular or overflowing step thus comes
+back non-finite and raises SingularMatrix naming the first non-finite
+row of the Jacobian, or in a finite Jacobian the unknown with the
+largest component of its null vector (its last right-singular vector).
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1
 
 from . import devices
 from .devices import StampContext
@@ -297,12 +303,12 @@ def _check_source_loops(circuit) -> None:
 
 
 def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray:
-    try:
-        dx = np.linalg.solve(jac, rhs)
-        if np.isfinite(dx).all():
-            return dx
-    except np.linalg.LinAlgError:
-        pass
+    """The Newton update dx of jac dx = rhs, by one LAPACK call. Inside an
+    analysis' error-state scope a singular jac gives a non-finite dx
+    without a warning; a non-finite dx raises SingularMatrix."""
+    dx = solve1(jac, rhs)
+    if np.isfinite(dx).all():
+        return dx
     # the first non-finite row; LAPACK's SVD may never return on one
     weight = ~np.isfinite(jac).all(axis=1)
     if not weight.any():
@@ -388,23 +394,26 @@ def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
     iterations, strategies = [], []
     bounds = sys.bounds(mode)
     kind = "sweep point" if mode == "dc" else "time step"
-    for i, at in enumerate(points.tolist()):
-        try:
-            x, iters, strategy, memory = _solve_point(
-                sys, x, context(at, x, memory), bounds, kind)
-        except NoConvergence as exc:
-            raise _failed_at(exc, at, where) from exc
-        cols[:, i] = x
-        iterations.append(iters)
-        strategies.append(strategy)
+    with np.errstate(all="ignore"):
+        for i, at in enumerate(points.tolist()):
+            try:
+                x, iters, strategy, memory = _solve_point(
+                    sys, x, context(at, x, memory), bounds, kind)
+            except NoConvergence as exc:
+                raise _failed_at(exc, at, where) from exc
+            cols[:, i] = x
+            iterations.append(iters)
+            strategies.append(strategy)
     return cols, iterations, strategies
 
 
 def _operating_point(circuit):
     """Checked DC solve: returns the system and _solve_point's result."""
     sys = _System(circuit)
-    return sys, _solve_point(sys, sys.start, StampContext(levels=sys.levels()),
-                             sys.bounds("dc"), "operating point")
+    with np.errstate(all="ignore"):
+        return sys, _solve_point(sys, sys.start,
+                                 StampContext(levels=sys.levels()),
+                                 sys.bounds("dc"), "operating point")
 
 
 def dc_operating_point(circuit) -> OpPoint:

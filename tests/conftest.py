@@ -154,15 +154,21 @@ def make_tran_ctx_maker(circuit, dt=1e-6, method="trapezoidal"):
     return ctx_maker
 
 
-def _rows(circuit, v, levels, step, abstol):
-    """(row, terms, absolute tolerance) of each equation of one solved
-    point: KCL at every node that no voltage source touches, each source's
-    voltage equation and, in a backward-Euler ``step`` (dt, last voltages,
-    states, last states), each memristor's state equation; ``abstol``
-    holds the absolute tolerance of each kind of row, keyed as the
-    solver's ``_ABSTOL`` is."""
-    dt, v_last, w_now, w_last = step or (0.0, None, None, None)
-    kcl, rows, sourced = {}, [], {"0"}
+def _rows(circuit, v, levels, step, last, abstol):
+    """The equations of one solved point and its companion memory.
+
+    The equations are (row, terms, absolute tolerance): KCL at every node
+    that no voltage source touches, each source's voltage equation and, in
+    a transient ``step`` (h, carry, last voltages, states, last states) of
+    the rule x1 - x0 = h*(f1 + carry*f0), each memristor's state equation
+    w - w_last - h*(rate + carry*rate_last); ``abstol`` holds the absolute
+    tolerance of each kind of row, keyed as the solver's ``_ABSTOL`` is.
+    The memory maps each capacitor to its current, c*dv/h - carry*i_last
+    (0 in DC), and each memristor to its state rate (at w0 in DC); ``last``
+    is the previous point's.
+    """
+    h, carry, v_last, w_now, w_last = step or (0.0, 0.0, None, None, None)
+    kcl, rows, sourced, memory = {}, [], {"0"}, {}
     for e in circuit.elements:
         p, nodes = e.params, e.nodes
         if e.kind == "v":
@@ -180,28 +186,34 @@ def _rows(circuit, v, levels, step, abstol):
         elif e.kind == "d":
             i = zener_ig(p, vab)[0]
         elif e.kind == "c":   # open in DC
-            i = p.capacitance * (vab - (v_last[a] - v_last[b])) / dt if dt else 0.0
+            i = 0.0
+            if h:
+                i = (p.capacitance * (vab - (v_last[a] - v_last[b])) / h
+                     - carry * last[e.name])
+            memory[e.name] = i
         else:   # memristor, held at w0 in DC
-            w = w_now[e.name] if dt else p.w0
+            w = w_now[e.name] if h else p.w0
             i = vab / memristance(p, w)
-            if dt:
-                rows.append((e.name, (w - w_last[e.name],
-                                      -dt * memristor_state_rate(p, w, i)),
+            rate = memory[e.name] = memristor_state_rate(p, w, i)
+            if h:
+                rows.append((e.name, (w - w_last[e.name], -h * rate,
+                                      -h * carry * last[e.name]),
                              abstol["w"]))
         kcl.setdefault(a, []).append(i)
         kcl.setdefault(b, []).append(-i)
     return rows + [(nd, terms, abstol["v"]) for nd, terms in kcl.items()
-                   if nd not in sourced]
+                   if nd not in sourced], memory
 
 
-def kcl_judge(circuit, result, overrides=None):
+def kcl_judge(circuit, result, overrides=None, method="backward-euler"):
     """Worst |residual| / tolerance over every point of a solved result,
     and where it was, recomputed from ``circuit.elements`` and the public
     device equations alone, against the solver's own tolerance: abstol +
     reltol * the sum of the row's term magnitudes.
 
     ``result`` is an OpPoint (solved with ``overrides``), a SweepResult or
-    a backward-Euler TransientResult, whose t=0 row is a DC point. The
+    a TransientResult integrated by ``method``, whose t=0 row is a DC
+    point; each step reads the companion memory of the row before it. The
     tolerances are the solver's constants, read at each call.
     """
     reltol, abstol = solver._RELTOL, solver._ABSTOL
@@ -220,14 +232,16 @@ def kcl_judge(circuit, result, overrides=None):
                   for k, x in enumerate(result.inputs.tolist())]
     elif isinstance(result, solver.TransientResult):
         times, vs, ws = result.times.tolist(), result.voltages, result.states
+        h, carry = devices.integration(method, times[1])
         points = [(f"t={t:.6g}s", levels(t), row(vs, k), None if k == 0 else
-                   (times[1], row(vs, k - 1), row(ws, k), row(ws, k - 1)))
+                   (h, carry, row(vs, k - 1), row(ws, k), row(ws, k - 1)))
                   for k, t in enumerate(times)]
     else:
         points = [("op", levels(fixed=overrides), {"0": 0.0} | result, None)]
-    worst = (0.0, "")
+    worst, memory = (0.0, ""), {}
     for label, level, v, step in points:
-        for name, terms, floor in _rows(circuit, v, level, step, abstol):
+        rows, memory = _rows(circuit, v, level, step, memory, abstol)
+        for name, terms, floor in rows:
             tol = floor + reltol * sum(map(abs, terms))
             worst = max(worst, (abs(sum(terms)) / tol, f"{label} {name}"))
     return worst

@@ -359,6 +359,23 @@ def test_assembly_with_drawn_models_equals_reference(cards, seed, mode,
              np.random.default_rng(seed), 3)
 
 
+def test_context_without_last_iterate_linearizes_at_the_iterate():
+    # a context built without prev_iter assembles as a point's first
+    # assembly does, with the iterate as its own last one
+    for text in (FD_BENCH_DC, FD_BENCH_TRAN):
+        circuit = parse_netlist(text)
+        assert any(e.kind == "d" for e in circuit.elements)
+        sys_ = solver._System(circuit)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            xs = _iterate(sys_, rng)
+            contexts = (StampContext(levels=sys_.levels()),
+                        StampContext(levels=sys_.levels(), prev_iter=xs))
+            without, with_ = (sys_.assemble(xs, ctx) for ctx in contexts)
+            for a, b in zip(without, with_):
+                assert np.array_equal(a, b)
+
+
 def test_each_stamp_lists_its_pattern():
     # every value a stamp writes has a place in its kind's one pattern, in
     # every mode, and every place gets a value

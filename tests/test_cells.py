@@ -275,6 +275,15 @@ def test_settle_phase_levels_window_without_samples():
     assert settle_phase_levels(r, "out", 4) == [2.0, 2.0, 2.0, 3.0]
 
 
+def test_settle_phase_levels_phase_before_the_first_sample():
+    # phase 1 of 4 ends at t=0.25, before any sample: no level to report
+    r = _tran([0.5, 1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^phase 1 of 4 ends at t=0\.25s, "
+                       r"before the first sample at t=0\.5s$"):
+        settle_phase_levels(r, "out", 4)
+    assert settle_phase_levels(r, "out", 2) == [1.0, 2.0]
+
+
 def test_settle_phase_levels_validation():
     t = np.linspace(0.0, 1.0, 11)
     r = _tran(t, t)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -286,13 +287,77 @@ def test_voltage_sources_without_loop_solve():
 def test_singular_step_names_null_vector_unknown():
     keys = [("v", "a"), ("v", "b"), ("i", "v_1")]
     jac = np.diag([1.0, 0.0, 1.0])
-    with pytest.raises(SingularMatrix) as ei:
+    # the error-state scope every analysis enters around its solves
+    with np.errstate(all="ignore"), pytest.raises(SingularMatrix) as ei:
         solver._lu_solve(jac, np.ones(3), keys)
     assert ei.value.node == "b"
     jac[0, 0] = math.nan   # the non-finite row is named
-    with pytest.raises(SingularMatrix) as ei:
+    with np.errstate(all="ignore"), pytest.raises(SingularMatrix) as ei:
         solver._lu_solve(jac, np.ones(3), keys)
     assert ei.value.node == "a"
+
+
+def test_lu_solve_equals_numpy_solve_bit_for_bit():
+    # one LAPACK call gives the bits of np.linalg.solve, on contiguous
+    # systems and on the non-contiguous [:n, :n] view that assemble returns
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 21):
+        keys = [("v", str(k)) for k in range(n)]
+        full = rng.standard_normal((n + 1, n + 1))
+        rhs = rng.standard_normal(n)
+        view = full[:n, :n]
+        assert n == 1 or not view.flags.c_contiguous
+        for jac in (view, np.ascontiguousarray(view)):
+            assert (solver._lu_solve(jac, rhs, keys).tobytes()
+                    == np.linalg.solve(jac, rhs).tobytes()), n
+
+
+def test_analyses_leave_numpy_error_state_as_found():
+    # each analysis ignores floating-point errors inside its own scope only,
+    # whether it returns or raises
+    detector = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
+    d = next(d for d in detector.analyses if d.kind == "dc")
+    runs = [
+        lambda: dc_sweep(detector, d.source, d.start, d.stop, d.step),
+        lambda: transient(parse_netlist(RC_STEP), 1e-4, 1e-5),
+        lambda: transient(cells.build_xor_circuit(phase=2e-5, edge=1e-6,
+                                                  dt=1e-6), 1e-5, 1e-6),
+        lambda: dc_operating_point(parse_netlist(DIODE))]
+    failing = [   # a structural check, then a singular step inside Newton
+        (SingularMatrix, "t\nv_1 a 0 1\nr_1 b c 1k\n"),
+        (NoConvergence, "t\nv_1 a 0 1\nr_1 a b 1e-320\nr_2 b 0 1k\n")]
+    with np.errstate(divide="raise", over="warn", under="print",
+                     invalid="raise"):
+        state = np.geterr()
+        for run in runs:
+            run()
+            assert np.geterr() == state
+        for error, text in failing:
+            with pytest.raises(error):
+                dc_operating_point(parse_netlist(text))
+            assert np.geterr() == state
+
+
+def test_singular_first_sweep_point_warns_nothing(monkeypatch):
+    # the zero start of the detector's first sweep point gives a singular
+    # Jacobian: plain Newton fails there without a RuntimeWarning and gmin
+    # stepping wins the point
+    singular, lu_solve = [], solver._lu_solve
+
+    def recorded(jac, rhs, keys):
+        try:
+            return lu_solve(jac, rhs, keys)
+        except SingularMatrix as exc:
+            singular.append(exc)
+            raise
+    monkeypatch.setattr(solver, "_lu_solve", recorded)
+    c = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
+    d = next(d for d in c.analyses if d.kind == "dc")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = dc_sweep(c, d.source, d.start, d.stop, d.step)
+    assert singular
+    assert s.strategies[0] == "gmin-stepping"
 
 
 def test_non_finite_jacobian_is_named_without_svd(monkeypatch):
@@ -520,6 +585,18 @@ def test_newton_work_is_pinned(case, expected):
         tr = transient(c, d.tstop, d.dt, method=case.removeprefix("xor-"))
         assert len(tr.times) == 801
         assert sum(tr.iterations) == expected
+
+
+def test_trapezoidal_xor_passes_the_kcl_judge():
+    # every step against the rule with the previous row's capacitor
+    # currents and memristor rates; judged as backward Euler, the same rows
+    # fail, since the trapezoidal rule's history terms are then missing
+    c = cells.build_xor_circuit()
+    d = next(d for d in c.analyses if d.kind == "tran")
+    tr = transient(c, d.tstop, d.dt, method="trapezoidal")
+    ratio, where = kcl_judge(c, tr, method="trapezoidal")
+    assert ratio <= 1.0, (ratio, where)
+    assert kcl_judge(c, tr)[0] > 1.0
 
 
 _XOR = cells.build_xor_circuit()
