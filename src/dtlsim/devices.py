@@ -332,6 +332,23 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 # magnitudes, so a row with several contributions (a source's branch row, a
 # memristor's state row) lists each one as a separate value, not their sum.
 #
+# Two loads keep a one-entry memo of their last evaluation (SPICE's device
+# bypass in its exact form): a step's first assembly sits at the last
+# step's converged iterate, so about half of the loads see exactly their
+# previous inputs. A MOSFET's values depend on its four slot values alone,
+# its key; a transient memristor's w, i, rate and Jacobian values depend on
+# its three slot values and h, its key, while the two values that read the
+# step's context (w - w_n and the state term with carry and ctx.hist) and
+# its companion memory are computed again at every call. Equal keys (``==``)
+# hand back the values the same float operations gave. The other kinds
+# keep none: the zener's tangent also depends on ``ctx.prev_iter``, the
+# capacitor and source values on the step's context, and a resistor's load
+# costs about what the comparison would. A hit can also match 0.0 with
+# -0.0: no load divides by a quantity that can be zero, so that flips at
+# most the sign of a zero among its values and memory (and of a zero state
+# term the next step computes from that memory). It changes no bin,
+# because ``np.bincount`` sums from +0.0, and the scale takes magnitudes.
+#
 # Ground is an ordinary row and column of the target; the solver drops it.
 
 GROUND = "0"
@@ -444,10 +461,15 @@ def _bind_mosfet(p, slots, number, clamp_body=True):
     vth0, gamma, phi2, lam = p.vth0, p.gamma, p.phi2, p.lam
     root_phi2 = math.sqrt(phi2)
     k = p.kprime * p.w_over_l
+    last = values = None   # the last load's inputs and the values they gave
 
     def load(x, ctx, out):
-        vs = x[s]
-        vgs, vds, vsb = sign * (x[g] - vs), sign * (x[d] - vs), sign * (vs - x[b])
+        nonlocal last, values
+        vd, vg, vs, vb = inputs = x[d], x[g], x[s], x[b]
+        if inputs == last:
+            out.values.extend(values)
+            return
+        vgs, vds, vsb = sign * (vg - vs), sign * (vd - vs), sign * (vs - vb)
         swapped = vds < 0.0
         if swapped:   # the drain terminal acts as source
             vgs, vds, vsb = vgs - vds, -vds, vsb + vds
@@ -478,7 +500,8 @@ def _bind_mosfet(p, slots, number, clamp_body=True):
             i, gg, gd, gb = -i, -gg, gg + gd - gb, -gb
         i *= sign
         gs = -gg - gd + gb
-        out.values.extend((i, -i, gd, -gd, gg, -gg, gs, -gs, -gb, gb))
+        last, values = inputs, (i, -i, gd, -gd, gg, -gg, gs, -gs, -gb, gb)
+        out.values.extend(values)
     return load
 
 
@@ -495,28 +518,35 @@ def _bind_memristor(p, slots, number):
     a, b, k = slots
     resistance, drift = _memristor_laws(p)
     w0, k_drift, dr = p.w0, p.k_drift, p.r_on - p.r_off
+    # the last transient load's inputs, and its w, i, rate and Jacobian
+    last = cached = None
 
     def load(x, ctx, out):
-        h = ctx.h
-        w = min(max(x[k], 0.0), 1.0) if h else w0
-        va, vb = x[a], x[b]
-        r = resistance(w)
-        g = 1.0 / r
-        i = (va - vb) * g
-        rate, fw, dfw = drift(w, i)
+        nonlocal last, cached
+        va, vb, xk, h = inputs = x[a], x[b], x[k], ctx.h
+        if h and inputs == last:
+            w, i, rate, jac = cached
+        else:
+            w = min(max(xk, 0.0), 1.0) if h else w0
+            r = resistance(w)
+            g = 1.0 / r
+            i = (va - vb) * g
+            rate, fw, dfw = drift(w, i)
+            if not h:   # DC: state held at w0, decoupled from the nodes
+                out.memory[number] = rate
+                out.values.extend((i, -i, xk - w, 0.0,
+                                   g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
+                return
+            di_dw = -(va - vb) * dr / (r * r)
+            # implicit state equation, same integration rule as the node system
+            drate_dw = k_drift * (di_dw * fw + i * dfw)
+            drate_dv = k_drift * fw * g
+            jac = (g, -g, -g, g, di_dw, -di_dw, 1.0 - h * drate_dw,
+                   -(h * drate_dv), h * drate_dv)
+            last, cached = inputs, (w, i, rate, jac)
         out.memory[number] = rate
-        if not h:   # DC: state held at w0, decoupled from the nodes
-            out.values.extend((i, -i, x[k] - w, 0.0,
-                               g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
-            return
-        di_dw = -(va - vb) * dr / (r * r)
-        # implicit state equation, same integration rule as the node system
-        drate_dw = k_drift * (di_dw * fw + i * dfw)
-        drate_dv = k_drift * fw * g
         state = -h * (rate + ctx.carry * ctx.hist[number])
-        out.values.extend((i, -i, w - ctx.prev_step[k], state,
-                           g, -g, -g, g, di_dw, -di_dw, 1.0 - h * drate_dw,
-                           -(h * drate_dv), h * drate_dv))
+        out.values.extend((i, -i, w - ctx.prev_step[k], state) + jac)
     return load
 
 

@@ -24,7 +24,10 @@ Jacobian bins. Each assembly then only runs the loads, one
 ``devices.stamp`` call per element, which extend one Python list with
 their values. ``np.fromiter`` converts the list once, and one
 ``np.bincount`` adds every value into its place; it adds in input order,
-so each sum is the one the stamps' ``+=`` would give.
+so each sum is the one the stamps' ``+=`` would give. A MOSFET's or a
+transient memristor's load reuses its last values when its inputs repeat
+bit for bit (see the stamps section of ``devices``); the loads are bound
+per ``_System``, so no memo outlives one analysis.
 
 Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to

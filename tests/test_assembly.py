@@ -19,15 +19,18 @@ pins those laws, and the comparison here judges what each load adds:
 its slots, its own folded constants and the order of its values.
 """
 
+import collections
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtlsim import cells, devices, solver
-from dtlsim.devices import (StampContext, _window_grad, _zener_limited_v,
-                            memristance, memristor_state_rate,
+from dtlsim.devices import (MemristorParams, StampContext, _window_grad,
+                            _zener_limited_v, memristance,
+                            memristor_state_rate, mosfet_defaults,
                             mosfet_ids_grad, window_factor, zener_ig)
 from dtlsim.netlist import parse_netlist
 
@@ -400,3 +403,95 @@ def test_each_stamp_lists_its_pattern():
             width = len(e.slots)
             assert all(0 <= p < width for p in rows)
             assert all(0 <= p < width for cell in cells_ for p in cell)
+
+
+# --- the MOSFET and memristor memo ------------------------------------------------
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _fresh(elem, x, ctx):
+    """What a freshly bound load of elem, with no memo yet, writes at x."""
+    out = solver._Assembly(elem.number + 1)
+    devices.KINDS[elem.kind][0](elem.params, elem.slots, elem.number)(
+        x, ctx, out)
+    return out.values, out.memory[elem.number]
+
+
+def _memo_checked(analysis):
+    """Run ``analysis()`` with every MOSFET and memristor load compared,
+    bit for bit, with a freshly bound load of its element at the same
+    iterate and context; return the number of compared loads whose inputs
+    (slot values and h) repeat their element's last ones, by kind."""
+    stamp, last, repeats = devices.stamp, {}, collections.Counter()
+
+    def checked(elem, x, ctx, out):
+        start = len(out.values)
+        stamp(elem, x, ctx, out)
+        if elem.kind not in ("m", "xmr"):
+            return
+        values, memory = _fresh(elem, x, ctx)
+        assert _bits(out.values[start:]) == _bits(values), elem
+        assert _bits([out.memory[elem.number]]) == _bits([memory]), elem
+        key = tuple(x[slot] for slot in elem.slots) + (ctx.h,)
+        if elem.kind == "m" or ctx.h:   # a DC memristor load has no memo
+            repeats[elem.kind] += last.get(elem.number) == key
+        last[elem.number] = key
+    with mock.patch.object(devices, "stamp", checked):
+        analysis()
+    return repeats
+
+
+@pytest.mark.parametrize("method", ["backward-euler", "trapezoidal"])
+def test_memoized_loads_equal_fresh_loads_over_an_xor_transient(method):
+    circuit = cells.build_xor_circuit(phase=2e-5, edge=1e-6, dt=1e-6)
+    d = next(d for d in circuit.analyses if d.kind == "tran")
+    repeats = _memo_checked(
+        lambda: solver.transient(circuit, d.tstop, d.dt, method))
+    assert repeats["m"] and repeats["xmr"], repeats
+
+
+def test_memoized_loads_equal_fresh_loads_over_a_detector_sweep():
+    circuit = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
+    d = next(d for d in circuit.analyses if d.kind == "dc")
+    repeats = _memo_checked(
+        lambda: solver.dc_sweep(circuit, d.source, d.start, d.stop, d.step))
+    assert repeats["m"], repeats
+
+
+def test_memo_hit_reads_the_context_and_every_terminal():
+    # one memristor load at the same iterate and h under two contexts that
+    # differ in w_n, history and carry: the second call repeats the first's
+    # inputs and must still write the second context's state row and
+    # memory; then one MOSFET load whose bulk alone moves
+    xmr = solver._Element("xmr", MemristorParams(k_drift=1e6), (0, 1, 2), 0,
+                          None)
+    load = devices.KINDS["xmr"][0](xmr.params, xmr.slots, xmr.number)
+    x = [1.3, 0.2, 0.4, 0.0]
+    written = []
+    for method, dt, prev_step, hist in (("backward-euler", 1e-6,
+                                         [1.1, 0.3, 0.38, 0.0], [2e3]),
+                                        ("trapezoidal", 2e-6,
+                                         [0.9, 0.1, 0.41, 0.0], [-5e2])):
+        ctx = StampContext(*devices.integration(method, dt),
+                           prev_step=prev_step, hist=hist)
+        out = solver._Assembly(1)
+        load(x, ctx, out)
+        values, memory = _fresh(xmr, x, ctx)
+        assert _bits(out.values) == _bits(values), method
+        assert _bits(out.memory) == _bits([memory]), method
+        written.append(out.values)
+    assert written[0][2:4] != written[1][2:4]   # the contexts differ there
+
+    m = solver._Element("m", mosfet_defaults("n"), (0, 1, 2, 3), 0, None)
+    load = devices.KINDS["m"][0](m.params, m.slots, m.number)
+    written = []
+    for vb in (0.0, -1.0):
+        x = [2.0, 1.5, 0.0, vb, 0.0]
+        out = solver._Assembly(1)
+        load(x, StampContext(), out)
+        assert _bits(out.values) == _bits(_fresh(m, x, StampContext())[0]), vb
+        written.append(out.values)
+    assert written[0] != written[1]   # the body effect moves the current

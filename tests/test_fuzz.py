@@ -122,6 +122,11 @@ def _judged(circuit, result, label: str, method: str) -> None:
 # not let a linearized residual end Newton
 @example("fuzz\nr_s0 n0 0 10\nv_1 n0 0 1\nd_e0 n0 0 zen\n" + MODELS,
          "backward-euler")
+# a capacitor charged through a ramp, judged under the trapezoidal rule:
+# the drawn netlists pass with the sign of its carry term flipped
+@example("fuzz\nr_s0 n0 0 1000\nr_s1 n1 n0 1000\nr_s2 n2 0 1000\nv_1 n0 0 1\n"
+         "c_e0 n1 0 1e-9\nv_e1 n2 0 pwl(0 0 5u 3)\nr_e2 n2 n1 1000\n" + MODELS,
+         "trapezoidal")
 @seed(20261018)
 @settings(max_examples=150)
 @given(netlists(), st.sampled_from(["backward-euler", "trapezoidal"]))
