@@ -35,10 +35,9 @@ _EXP_CAP = 700.0
 
 
 def _safe_exp(x: float) -> tuple[float, float]:
-    """Return (exp(x), d/dx exp(x)) with a linear tail above the cap."""
-    if x <= _EXP_CAP:
-        e = math.exp(x)
-        return e, e
+    """Return (exp(x), d/dx exp(x)) for x past ``_EXP_CAP`` only: the
+    linear tail that continues exp above the cap. At or below the cap
+    both are ``math.exp(x)``, which callers compute themselves."""
     cap = math.exp(_EXP_CAP)
     return cap * (1.0 + (x - _EXP_CAP)), cap
 
@@ -221,27 +220,41 @@ def _zener_laws(p: ZenerParams):
     ``current(v)``, the current and small-signal conductance at v."""
     i_sat, i_bv, vz = p.i_sat, p.i_bv, p.vz
     nvt = p.n * p.v_thermal
+    two_nvt = 2.0 * nvt
     vcrit_f = nvt * math.log(nvt / (math.sqrt(2.0) * i_sat))
     vcrit_r = nvt * math.log(nvt / (math.sqrt(2.0) * i_bv))
+    exp = math.exp
 
+    # each branch limits (``_pnjlim``) only past its guard, as SPICE's
+    # pnjlim: a voltage above vcrit that moved more than 2*nvt
     def limit(v, vprev):
-        vf = _pnjlim(v, vprev, nvt, vcrit_f)
+        vf = (v if v <= vcrit_f or abs(v - vprev) <= two_nvt
+              else _pnjlim(v, vprev, nvt, vcrit_f))
         # breakdown branch, mirrored: overdrive u = -(v + vz)
-        u = -(vf + vz)
-        ur = _pnjlim(u, -(vprev + vz), nvt, vcrit_r)
+        u, uprev = -(vf + vz), -(vprev + vz)
+        ur = (u if u <= vcrit_r or abs(u - uprev) <= two_nvt
+              else _pnjlim(u, uprev, nvt, vcrit_r))
         return -ur - vz, vf != v or ur != u
 
+    # exp and its derivative are one value up to _EXP_CAP; past it the
+    # linear tail of ``_safe_exp``
     def current(v):
-        ef, def_ = _safe_exp(v / nvt)
-        er, der = _safe_exp(-(v + vz) / nvt)
+        xf, xr = v / nvt, -(v + vz) / nvt
+        if xf <= _EXP_CAP:
+            ef = def_ = exp(xf)
+        else:
+            ef, def_ = _safe_exp(xf)
+        if xr <= _EXP_CAP:
+            er = der = exp(xr)
+        else:
+            er, der = _safe_exp(xr)
         return i_sat * (ef - 1.0) - i_bv * er, (i_sat * def_ + i_bv * der) / nvt
     return limit, current
 
 
 def _pnjlim(vnew: float, vold: float, nvt: float, vcrit: float) -> float:
-    """Classic junction-voltage limiting for one exponential branch."""
-    if vnew <= vcrit or abs(vnew - vold) <= 2.0 * nvt:
-        return vnew
+    """Classic junction-voltage limiting for one exponential branch, past
+    its guard: vnew above vcrit and more than 2*nvt away from vold."""
     if vold > 0.0:
         arg = 1.0 + (vnew - vold) / nvt
         return vold + nvt * math.log(arg) if arg > 0.0 else vcrit
@@ -313,7 +326,9 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 # * ``out.values``: a list that takes the element's residual values, then
 #   its Jacobian values, in one ``extend`` (not an ``array('d')``, whose
 #   ``extend`` converts item by item at ten times the cost; the solver
-#   converts the list once per assembly);
+#   packs the list into doubles once per assembly, with one ``struct``
+#   of the list's fixed length, so a load that writes a wrong number of
+#   values fails that assembly);
 # * ``out.memory[number]``: companion memory that the next transient
 #   step reads back as ``ctx.hist`` (capacitor current, memristor drift
 #   rate), recorded at every assembly so the converged one holds it;
@@ -364,7 +379,7 @@ def integration(method: str, dt: float) -> tuple[float, float]:
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StampContext:
     """Everything a stamp may need beyond the current iterate; the solver
     makes one per operating point, sweep point or time step."""
@@ -527,7 +542,8 @@ def _bind_memristor(p, slots, number):
         if h and inputs == last:
             w, i, rate, jac = cached
         else:
-            w = min(max(xk, 0.0), 1.0) if h else w0
+            # the state clamped to [0, 1]; NaN and -0.0 pass unchanged
+            w = (0.0 if xk < 0.0 else 1.0 if xk > 1.0 else xk) if h else w0
             r = resistance(w)
             g = 1.0 / r
             i = (va - vb) * g

@@ -15,7 +15,8 @@ Grammar subset:
   element kind.
 * Directives: ``.op``, ``.dc <vsource> <start> <stop> <step>``,
   ``.tran <tstop> <dt>`` and ``.model <name> <kind> key=value ...``; a
-  mosfet model also takes ``type=n|p``.
+  mosfet model also takes ``type=n|p``. Each analysis directive may appear
+  once; a second one is a ``DuplicateName`` naming both lines.
 * Numbers take scientific notation plus the SI suffixes t g meg k m u n p f.
   Suffixes are recombined with any written exponent at the string level, so
   ``1.1k`` parses bit-identically to ``1.1e3``.
@@ -375,6 +376,7 @@ def parse_netlist(text: str) -> Circuit:
     models: dict[str, tuple[str, object]] = {}
     circuit = Circuit(title=title, models=models)
     seen: set[str] = set()
+    directives: dict[str, int] = {}   # directive -> the line it is on
     try:   # a device parameter out of its domain is an error of its card
         for lineno, tokens in content:
             if tokens[0] == ".model":
@@ -387,6 +389,11 @@ def parse_netlist(text: str) -> Circuit:
                 continue
             if tokens[0].startswith("."):
                 circuit.analyses.append(_parse_directive(tokens, lineno))
+                if tokens[0] in directives:
+                    raise DuplicateName(
+                        f"duplicate {tokens[0]} directive, first on line "
+                        f"{directives[tokens[0]]}", lineno)
+                directives[tokens[0]] = lineno
             else:
                 elem = _resolve(_parse_card(tokens, lineno), models, lineno)
                 if elem.name in seen:

@@ -22,10 +22,11 @@ parameters, and the pattern, one per kind in every mode, is mapped
 through the slots into one flat index over the residual bins, then the
 Jacobian bins. Each assembly then only runs the loads, one
 ``devices.stamp`` call per element, which extend one Python list with
-their values. ``np.fromiter`` converts the list once, and one
-``np.bincount`` adds every value into its place; it adds in input order,
-so each sum is the one the stamps' ``+=`` would give. A MOSFET's or a
-transient memristor's load reuses its last values when its inputs repeat
+their values. One ``struct`` pack of the list's fixed length converts it
+to doubles (``struct.error`` if a load wrote too many or too few values),
+and one ``np.bincount`` adds every value into its place; it adds in input
+order, so each sum is the one the stamps' ``+=`` would give. A MOSFET's or
+a transient memristor's load reuses its last values when its inputs repeat
 bit for bit (see the stamps section of ``devices``); the loads are bound
 per ``_System``, so no memo outlives one analysis.
 
@@ -70,6 +71,7 @@ largest component of its null vector (its last right-singular vector).
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,16 +201,19 @@ class _System:
                         if e.kind == "v"}
         self.index = np.array(flat, dtype=np.intp)   # [residual | Jacobian] bins
         self.scale_index = np.minimum(self.index, n)   # Jacobian into ground row
+        # the value list as doubles; struct.error unless it has one per bin
+        self.pack = struct.Struct(f"{len(flat)}d").pack
 
     def assemble(self, xs: list[float], ctx: StampContext):
         """Jacobian, residual, residual scale, companion memory and the
         junction-limiting flag at the iterate ``xs`` (unknowns, then 0.0
         for the ground slot)."""
         out = _Assembly(len(self.elements))
+        stamp = devices.stamp
         for e in self.elements:
-            devices.stamp(e, xs, ctx, out)
+            stamp(e, xs, ctx, out)
         n, nv, size = self.n, self.nv, self.n + 1
-        values = np.fromiter(out.values, float)
+        values = np.frombuffer(self.pack(*out.values))
         flat = np.bincount(self.index, values, size + size * size)
         res = flat[:n]
         jac = flat[size:].reshape(size, size)[:n, :n]
@@ -330,11 +335,13 @@ def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
     the converged assembly. An assembly in which junction limiting moved
     a voltage does not end the loop: its residual is not the iterate's."""
     abstol, step, back, low, high = bounds
+    assemble, keys = sys.assemble, sys.keys
+    absolute, maximum, minimum = np.abs, np.maximum, np.minimum
     xs = ctx.prev_iter = _with_ground(x)
     iters = 0
     while True:
-        jac, res, scale, memory, limited = sys.assemble(xs, ctx)
-        absres = np.abs(res)
+        jac, res, scale, memory, limited = assemble(xs, ctx)
+        absres = absolute(res)
         if not limited and (absres <= abstol + _RELTOL * scale).all():
             return x, iters, memory
         if iters >= _MAX_NEWTON_ITERS:
@@ -343,9 +350,9 @@ def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
                 f"no convergence after {iters} Newton iterations "
                 f"(max residual {last_res:.3e})", residual=last_res)
         # plain ufuncs, not np.clip or a fancy index: call overhead dominates
-        x = x + np.minimum(np.maximum(_lu_solve(jac, -res, sys.keys), back), step)
-        np.maximum(x, low, out=x)
-        np.minimum(x, high, out=x)
+        x = x + minimum(maximum(_lu_solve(jac, -res, keys), back), step)
+        maximum(x, low, out=x)
+        minimum(x, high, out=x)
         ctx.prev_iter = xs
         xs = _with_ground(x)
         iters += 1

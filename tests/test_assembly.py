@@ -20,6 +20,8 @@ its slots, its own folded constants and the order of its values.
 """
 
 import collections
+import dataclasses
+import struct
 import types
 from unittest import mock
 
@@ -403,6 +405,26 @@ def test_each_stamp_lists_its_pattern():
             width = len(e.slots)
             assert all(0 <= p < width for p in rows)
             assert all(0 <= p < width for cell in cells_ for p in cell)
+
+
+@pytest.mark.parametrize("extra", [1, -1], ids=["one too many", "one too few"])
+def test_a_mis_sized_load_fails_the_assembly(extra):
+    # a load that writes one value too many or too few raises in the
+    # assembly that ran it, and the assembly returns nothing
+    sys_ = solver._System(parse_netlist(ALL_KINDS))
+    k = next(i for i, e in enumerate(sys_.elements) if e.kind == "d")
+    load = sys_.elements[k].load
+
+    def mis_sized(x, ctx, out):
+        load(x, ctx, out)
+        if extra > 0:
+            out.values.append(0.0)
+        else:
+            out.values.pop()
+    sys_.elements[k] = dataclasses.replace(sys_.elements[k], load=mis_sized)
+    xs = _iterate(sys_, np.random.default_rng(5))
+    with pytest.raises((ValueError, struct.error)):
+        sys_.assemble(xs, StampContext(levels=sys_.levels()))
 
 
 # --- the MOSFET and memristor memo ------------------------------------------------

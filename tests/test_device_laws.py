@@ -10,12 +10,14 @@ finite-difference checks in ``test_devices`` would pass.
 
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dtlsim.devices import (MemristorParams, MosfetParams, ZenerParams,
-                            _window_grad, _zener_limited_v, memristance,
+from dtlsim.devices import (KINDS, MemristorParams, MosfetParams,
+                            StampContext, ZenerParams, _window_grad,
+                            _zener_limited_v, memristance,
                             memristor_state_rate, mosfet_defaults,
                             mosfet_ids_grad, window_factor, zener_ig)
 from dtlsim.errors import DomainError
@@ -110,3 +112,25 @@ PINNED = {
 @pytest.mark.parametrize("law", list(PINNED))
 def test_device_law_is_pinned_bit_for_bit(law):
     assert _digest(law) == PINNED[law]
+
+
+@pytest.mark.parametrize("p", ZENERS, ids=["default", "custom"])
+def test_zener_load_is_its_limit_then_its_law(p):
+    # the bound load, bit for bit: limit against the last iterate, the law
+    # at the limited voltage, the tangent back to the iterate's voltage;
+    # with no last iterate the load linearizes at the iterate itself
+    load = KINDS["d"][0](p, (0, 1), 0)
+    cases = [(v, [vprev, 0.0]) for v in LIMIT_VOLTS for vprev in LIMIT_VOLTS]
+    cases += [(v, None) for v in ZENER_VOLTS]
+    limited = set()
+    for v, prev_iter in cases:
+        out = SimpleNamespace(values=[], limited=False)
+        load([v, 0.0], StampContext(prev_iter=prev_iter), out)
+        vlim, moved = _zener_limited_v(p, v, v if prev_iter is None
+                                       else prev_iter[0])
+        i0, g = zener_ig(p, vlim)
+        want = (i0 + g * (v - vlim), g, moved)
+        got = (out.values[0], out.values[2], out.limited)
+        assert _text(got) == _text(want), (v, prev_iter)
+        limited.add(moved)
+    assert limited == {False, True}

@@ -330,6 +330,14 @@ _CARD = "t\nr_1 a 0 1k\n"   # the card under test is on line 3
     (_CARD + "c_1 a 0 0\n", NetlistError,
      "line 3: capacitance must be positive, got 0.0"),
     ("t\n.op\n", NetlistError, "circuit has no elements"),
+    # a second analysis directive of a kind names both lines, also with
+    # another kind between the two
+    (_CARD + ".op\n.op\n", DuplicateName,
+     "line 4: duplicate .op directive, first on line 3"),
+    (_CARD + ".dc v_1 0 1 0.1\n.op\n.dc v_1 0 2 0.1\n", DuplicateName,
+     "line 5: duplicate .dc directive, first on line 3"),
+    (_CARD + ".tran 1m 1u\n.tran 2m 1u\n", DuplicateName,
+     "line 4: duplicate .tran directive, first on line 3"),
 ])
 def test_card_errors_name_their_line(text, error, message):
     with pytest.raises(NetlistError) as ei:
