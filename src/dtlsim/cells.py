@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NoBand, NotUnimodal
-from .netlist import Circuit, parse_netlist
+from .netlist import Circuit, _fmt as _f, parse_netlist
 from .solver import _MAX_POINTS, SweepResult, TransientResult
 
 __all__ = [
@@ -45,10 +45,6 @@ __all__ = [
     "settle_phase_levels",
     "smooth3",
 ]
-
-
-def _f(x: float) -> str:
-    return repr(float(x))
 
 
 def _check_finite(**values: float) -> None:

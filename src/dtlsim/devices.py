@@ -11,7 +11,8 @@ Conventions used throughout:
   channel is symmetric, terminals swap roles).
 * The square-law is the level-1 model: body effect through
   vth = vth0 + gamma*(sqrt(phi2 + vsb) - sqrt(phi2)) and channel-length
-  modulation through (1 + lambda*vds).
+  modulation through (1 + lambda*vds). Forward body bias past
+  phi2 + vsb < 0 holds the body term at sqrt(0), and its d/dvsb at 0.
 * The breakdown diode is a two-exponential curve, strictly increasing in v:
   i(v) = i_sat*(exp(v/(n*vt)) - 1) - i_bv*exp(-(v + vz)/(n*vt)).
 * The memristor is linear ion drift with a Joglekar window:
@@ -199,8 +200,8 @@ class MemristorParams:
 # device equations, each stated once and shared with the stamps below
 
 
-def mosfet_ids_grad(p: MosfetParams, vgs: float, vds: float, vsb: float,
-                    clamp_body: bool = False) -> tuple[float, float, float, float]:
+def mosfet_ids_grad(p: MosfetParams, vgs: float, vds: float,
+                    vsb: float) -> tuple[float, float, float, float]:
     """Drain current and its partials w.r.t. (vgs, vds, vsb), physical sign.
 
     Handles p-channel mirroring and drain/source role reversal for vds of
@@ -209,7 +210,7 @@ def mosfet_ids_grad(p: MosfetParams, vgs: float, vds: float, vsb: float,
     """
     # the MOSFET's stamp on one element, (d, g, s, b) at (vds, vgs, 0, -vsb)
     out = SimpleNamespace(values=[])
-    _bind_mosfet(p, (0, 1, 2, 3), 0, clamp_body)([vds, vgs, 0.0, -vsb], None, out)
+    _bind_mosfet(p, (0, 1, 2, 3), 0)([vds, vgs, 0.0, -vsb], None, out)
     i, _, gd, _, gg, _, _, _, _, gb = out.values
     return i, gg, gd, gb
 
@@ -470,7 +471,7 @@ _MOSFET = ((0, 2), ((0, 0), (2, 0), (0, 1), (2, 1),
                     (0, 2), (2, 2), (0, 3), (2, 3)))
 
 
-def _bind_mosfet(p, slots, number, clamp_body=True):
+def _bind_mosfet(p, slots, number):
     d, g, s, b = slots
     sign = -1.0 if p.polarity == "p" else 1.0   # p-channel: mirrored n-sense
     vth0, gamma, phi2, lam = p.vth0, p.gamma, p.phi2, p.lam
@@ -489,10 +490,7 @@ def _bind_mosfet(p, slots, number, clamp_body=True):
         if swapped:   # the drain terminal acts as source
             vgs, vds, vsb = vgs - vds, -vds, vsb + vds
         body = phi2 + vsb
-        if body < 0.0:
-            if not clamp_body:
-                raise DomainError(f"phi2 + vsb = {body:.6g} < 0: "
-                                  f"source-bulk junction forward biased")
+        if body < 0.0:   # forward body bias: the body term is sqrt(0)
             body = 0.0
         root = math.sqrt(body)
         vov = vgs - (vth0 + gamma * (root - root_phi2))

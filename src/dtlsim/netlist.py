@@ -22,6 +22,9 @@ Grammar subset:
   ``1.1k`` parses bit-identically to ``1.1e3``.
 * Names and node labels are case-insensitive and normalized to lower case;
   the title keeps its case.
+* An error of a card names the card's (first) line: the helpers raise
+  without a line and ``parse_netlist`` attaches it, raising a device
+  parameter's ``DomainError`` as a ``NetlistError``.
 
 The tables ``_MODELS``, ``_ELEMENTS`` and ``_DIRECTIVES`` are the single
 statement of the grammar: node counts, model references, card keys and
@@ -59,11 +62,11 @@ def _shown(token: str) -> str:
     return repr(token) if len(token) <= 40 else repr(token[:40]) + "..."
 
 
-def parse_number(token: str, line: int | None = None) -> float:
+def parse_number(token: str) -> float:
     """Parse a number with optional SI suffix; exact w.r.t. e-notation."""
     m = _NUM_RE.match(token.strip().lower())
     if not m:
-        raise MalformedNumber(f"malformed number {_shown(token)}", line)
+        raise MalformedNumber(f"malformed number {_shown(token)}")
     mantissa, exp, suffix = m.groups()
     digits = (exp or "").lstrip("+-").lstrip("0")
     # past 5 digits the power of ten over- or underflows a double anyway;
@@ -75,7 +78,7 @@ def parse_number(token: str, line: int | None = None) -> float:
         e += _SUFFIX_EXP[suffix]
     value = float(f"{mantissa}e{e}")
     if not math.isfinite(value):
-        raise MalformedNumber(f"number {_shown(token)} is out of range", line)
+        raise MalformedNumber(f"number {_shown(token)} is out of range")
     return value
 
 
@@ -193,7 +196,7 @@ def _join_continuations(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _split_fields(line: str, lineno: int) -> list[str]:
+def _split_fields(line: str) -> list[str]:
     """Whitespace tokenization that keeps pulse(...)/pwl(...) groups whole."""
     tokens: list[str] = []
     depth = 0
@@ -205,7 +208,7 @@ def _split_fields(line: str, lineno: int) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise NetlistError("unbalanced ')'", lineno)
+                raise NetlistError("unbalanced ')'")
             cur.append(ch)
         elif ch.isspace() and depth == 0:
             if cur:
@@ -214,32 +217,32 @@ def _split_fields(line: str, lineno: int) -> list[str]:
         else:
             cur.append(ch)
     if depth != 0:
-        raise NetlistError("unbalanced '('", lineno)
+        raise NetlistError("unbalanced '('")
     if cur:
         tokens.append("".join(cur))
     return tokens
 
 
-def _keyvals(tokens: list[str], allowed: dict[str, str], lineno: int,
+def _keyvals(tokens: list[str], allowed: dict[str, str],
              what: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for tok in tokens:
         if "=" not in tok:
-            raise NetlistError(f"expected key=value, got {tok!r} in {what}", lineno)
+            raise NetlistError(f"expected key=value, got {tok!r} in {what}")
         key, _, val = tok.partition("=")
         key = key.strip()
         if key not in allowed:
-            raise NetlistError(f"unknown {what} key {key!r}", lineno)
-        out[allowed[key]] = parse_number(val, lineno)
+            raise NetlistError(f"unknown {what} key {key!r}")
+        out[allowed[key]] = parse_number(val)
     return out
 
 
-def _parse_model_card(tokens: list[str], lineno: int):
+def _parse_model_card(tokens: list[str]):
     if len(tokens) < 3:
-        raise ArityError(".model needs a name and a kind", lineno)
+        raise ArityError(".model needs a name and a kind")
     name, kind, rest = tokens[1], tokens[2], tokens[3:]
     if kind not in _MODELS:
-        raise UnknownModel(f"unknown model kind {kind!r}", lineno)
+        raise UnknownModel(f"unknown model kind {kind!r}")
     cls, keys = _MODELS[kind]
     base = cls()
     if kind == "mosfet":
@@ -248,11 +251,11 @@ def _parse_model_card(tokens: list[str], lineno: int):
             if tok.startswith("type="):
                 polarity = tok.partition("=")[2]
                 if polarity not in ("n", "p"):
-                    raise NetlistError(f"mosfet type must be n or p, got {polarity!r}", lineno)
+                    raise NetlistError(f"mosfet type must be n or p, got {polarity!r}")
             else:
                 kv_tokens.append(tok)
         base, rest = devices.mosfet_defaults(polarity), kv_tokens
-    kv = _keyvals(rest, keys, lineno, f"{kind} model")
+    kv = _keyvals(rest, keys, f"{kind} model")
     # an integer field (the memristor window exponent) takes a whole number
     # as an int; a fractional one is left for the params check to reject
     kv = {f: int(v) if isinstance(getattr(base, f), int) and v.is_integer() else v
@@ -260,36 +263,35 @@ def _parse_model_card(tokens: list[str], lineno: int):
     return name, (kind, dataclasses.replace(base, **kv))
 
 
-def _parse_waveform(tokens: list[str], lineno: int) -> devices.SourceWaveform:
+def _parse_waveform(tokens: list[str]) -> devices.SourceWaveform:
     if not tokens:
-        raise ArityError("voltage source needs a level or waveform", lineno)
+        raise ArityError("voltage source needs a level or waveform")
     head = tokens[0]
     if head.startswith("pulse(") or head.startswith("pwl("):
         if len(tokens) != 1:
-            raise NetlistError(f"unexpected tokens after {head.split('(')[0]}(...)", lineno)
+            raise NetlistError(f"unexpected tokens after {head.split('(')[0]}(...)")
         kind, _, inside = head.partition("(")
         inside = inside[:-1]  # trailing ')'
-        vals = tuple(parse_number(t, lineno)
-                     for t in inside.replace(",", " ").split())
+        vals = tuple(parse_number(t) for t in inside.replace(",", " ").split())
         return devices.SourceWaveform(kind, vals)
     if head == "dc":
         tokens = tokens[1:]
         if not tokens:
-            raise ArityError("dc source needs a level", lineno)
+            raise ArityError("dc source needs a level")
     if len(tokens) != 1:
-        raise ArityError("too many tokens for a dc source", lineno)
-    return devices.SourceWaveform("dc", (parse_number(tokens[0], lineno),))
+        raise ArityError("too many tokens for a dc source")
+    return devices.SourceWaveform("dc", (parse_number(tokens[0]),))
 
 
-def _element_kind(name: str, lineno: int) -> str:
+def _element_kind(name: str) -> str:
     kind = "xmr" if name.startswith("xmr") else name[0]
     if kind not in _ELEMENTS:
         hint = " (only xmr... is supported)" if kind == "x" else ""
-        raise UnknownElementKind(f"unknown element kind for {name!r}{hint}", lineno)
+        raise UnknownElementKind(f"unknown element kind for {name!r}{hint}")
     return kind
 
 
-def _parse_card(tokens: list[str], lineno: int) -> Element:
+def _parse_card(tokens: list[str]) -> Element:
     """Read one element card without looking up its model.
 
     Checks the arity, the numbers and the instance keys and builds a
@@ -297,25 +299,24 @@ def _parse_card(tokens: list[str], lineno: int) -> Element:
     :func:`_resolve` builds the params.
     """
     name = tokens[0]
-    kind = _element_kind(name, lineno)
+    kind = _element_kind(name)
     n_nodes, model_kind, instance_keys = _ELEMENTS[kind]
     what = "a model" if model_kind else "a value"
     if len(tokens) < n_nodes + 2:
-        raise ArityError(f"{name}: expected {n_nodes} nodes and {what}", lineno)
+        raise ArityError(f"{name}: expected {n_nodes} nodes and {what}")
     nodes = tuple(tokens[1:n_nodes + 1])
     head, rest = tokens[n_nodes + 1], tokens[n_nodes + 2:]
     if kind == "v":
-        return Element(name, kind, nodes, _parse_waveform([head, *rest], lineno))
+        return Element(name, kind, nodes, _parse_waveform([head, *rest]))
     if rest and not instance_keys:
-        raise ArityError(f"{name}: unexpected tokens after {what}", lineno)
+        raise ArityError(f"{name}: unexpected tokens after {what}")
     if model_kind is None:
-        return Element(name, kind, nodes, parse_number(head, lineno))
-    overrides = _keyvals(rest, instance_keys, lineno, f"{model_kind} instance")
+        return Element(name, kind, nodes, parse_number(head))
+    overrides = _keyvals(rest, instance_keys, f"{model_kind} instance")
     return Element(name, kind, nodes, None, model=head, overrides=overrides)
 
 
-def _resolve(card: Element, models: dict[str, tuple[str, object]],
-             lineno: int) -> Element:
+def _resolve(card: Element, models: dict[str, tuple[str, object]]) -> Element:
     """Build a parsed card's params: R/C from its number, the model-based
     kinds from their model with the instance overrides applied."""
     model_kind = _ELEMENTS[card.kind][1]
@@ -327,27 +328,23 @@ def _resolve(card: Element, models: dict[str, tuple[str, object]],
         kind, base = models.get(card.model, (None, None))
         if kind != model_kind:
             raise UnknownModel(
-                f"{card.name}: no {model_kind} model named {card.model!r}", lineno)
+                f"{card.name}: no {model_kind} model named {card.model!r}")
         card.params = dataclasses.replace(base, **card.overrides)
     return card
 
 
-def _parse_directive(tokens: list[str], lineno: int) -> AnalysisDirective:
+def _parse_directive(tokens: list[str]) -> AnalysisDirective:
     head, args = tokens[0], tokens[1:]
     if head not in _DIRECTIVES:
-        raise NetlistError(f"unsupported directive {head!r}", lineno)
+        raise NetlistError(f"unsupported directive {head!r}")
     fields = _DIRECTIVES[head]
     if len(args) != len(fields):
         usage = " ".join([head, *(f"<{f}>" for f in fields)])
-        raise ArityError(f"expected '{usage}'", lineno)
-    try:   # the source is a name, every other field a number
-        return AnalysisDirective(head[1:], **{
-            f: tok if f == "source" else parse_number(tok, lineno)
-            for f, tok in zip(fields, args)})
-    except NetlistError as exc:
-        if exc.line is None:
-            raise type(exc)(str(exc), lineno) from exc
-        raise
+        raise ArityError(f"expected '{usage}'")
+    # the source is a name, every other field a number
+    return AnalysisDirective(head[1:], **{
+        f: tok if f == "source" else parse_number(tok)
+        for f, tok in zip(fields, args)})
 
 
 def parse_netlist(text: str) -> Circuit:
@@ -355,53 +352,54 @@ def parse_netlist(text: str) -> Circuit:
     content: list[tuple[int, list[str]]] = []
     title = ""
     title_candidate = True
-    for lineno, line in _join_continuations(text):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("*"):
-            continue
-        low = stripped.lower()
-        if low == ".end":
-            break
-        if title_candidate:
-            title_candidate = False
-            if not low.startswith("."):
-                try:
-                    _parse_card(_split_fields(low, lineno), lineno)
-                except (NetlistError, DomainError):
-                    title = stripped
-                    continue
-        content.append((lineno, _split_fields(low, lineno)))
+    try:   # an error of a card names the card's line
+        for lineno, line in _join_continuations(text):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("*"):
+                continue
+            low = stripped.lower()
+            if low == ".end":
+                break
+            if title_candidate:
+                title_candidate = False
+                if not low.startswith("."):
+                    try:
+                        _parse_card(_split_fields(low))
+                    except (NetlistError, DomainError):
+                        title = stripped
+                        continue
+            content.append((lineno, _split_fields(low)))
 
-    # models may be referenced before their card appears, so collect first
-    models: dict[str, tuple[str, object]] = {}
-    circuit = Circuit(title=title, models=models)
-    seen: set[str] = set()
-    directives: dict[str, int] = {}   # directive -> the line it is on
-    try:   # a device parameter out of its domain is an error of its card
+        # models may be referenced before their card appears, so collect first
+        models: dict[str, tuple[str, object]] = {}
+        circuit = Circuit(title=title, models=models)
+        seen: set[str] = set()
+        directives: dict[str, int] = {}   # directive -> the line it is on
         for lineno, tokens in content:
             if tokens[0] == ".model":
-                name, spec = _parse_model_card(tokens, lineno)
+                name, spec = _parse_model_card(tokens)
                 if name in models:
-                    raise DuplicateName(f"duplicate model name {name!r}", lineno)
+                    raise DuplicateName(f"duplicate model name {name!r}")
                 models[name] = spec
         for lineno, tokens in content:
             if tokens[0] == ".model":
                 continue
             if tokens[0].startswith("."):
-                circuit.analyses.append(_parse_directive(tokens, lineno))
+                circuit.analyses.append(_parse_directive(tokens))
                 if tokens[0] in directives:
                     raise DuplicateName(
                         f"duplicate {tokens[0]} directive, first on line "
-                        f"{directives[tokens[0]]}", lineno)
+                        f"{directives[tokens[0]]}")
                 directives[tokens[0]] = lineno
             else:
-                elem = _resolve(_parse_card(tokens, lineno), models, lineno)
+                elem = _resolve(_parse_card(tokens), models)
                 if elem.name in seen:
-                    raise DuplicateName(f"duplicate element name {elem.name!r}", lineno)
+                    raise DuplicateName(f"duplicate element name {elem.name!r}")
                 seen.add(elem.name)
                 circuit.elements.append(elem)
-    except DomainError as exc:
-        raise NetlistError(str(exc), lineno) from exc
+    except (NetlistError, DomainError) as exc:
+        error = type(exc) if isinstance(exc, NetlistError) else NetlistError
+        raise error(str(exc), lineno) from exc
     return circuit.validate()
 
 

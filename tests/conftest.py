@@ -180,7 +180,7 @@ def _rows(circuit, v, levels, step, last, abstol):
         vab = v[a] - v[b]
         if e.kind == "m":   # drain current into the drain, out of the source
             vd, vg, vs, vb = (v[nd] for nd in nodes)
-            i = mosfet_ids_grad(p, vg - vs, vd - vs, vs - vb, clamp_body=True)[0]
+            i = mosfet_ids_grad(p, vg - vs, vd - vs, vs - vb)[0]
         elif e.kind == "r":
             i = vab / p.resistance
         elif e.kind == "d":

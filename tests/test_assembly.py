@@ -140,7 +140,7 @@ def _stamp_zener(elem, x, ctx, out):
 def _stamp_mosfet(elem, x, ctx, out):
     d, g_, s, b = cols = out.slots[elem.name]
     i, di_dvgs, di_dvds, di_dvsb = mosfet_ids_grad(
-        elem.params, x[g_] - x[s], x[d] - x[s], x[s] - x[b], clamp_body=True)
+        elem.params, x[g_] - x[s], x[d] - x[s], x[s] - x[b])
     _add_f(out, d, i)
     _add_f(out, s, -i)
     jd, js = out.jac[d], out.jac[s]

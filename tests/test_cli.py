@@ -45,6 +45,14 @@ def rc(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def blob(tmp_path):
+    # the image ``gen-gaussian --size 65`` writes
+    p = tmp_path / "blob.pgm"
+    write_pgm(p, gen_gaussian_image(65))
+    return str(p)
+
+
 # --- op -----------------------------------------------------------------
 
 def test_op_csv(divider, capsys):
@@ -478,9 +486,21 @@ def test_calibrate_nonfinite_grid_is_usage_exit(monkeypatch, capsys):
     (["calibrate-xor", "--theta2", "1.1:1.9:21", "--eps", "0.05:0.45:21",
       "--theta3", "0.55:0.95:21"],
      "90fdc8f3f8a15efa1f21555fdeb70c3d57a7a1d4da3a27501a085f586d26de5b"),
+    # the paper's cells and the imaging pipeline; config 2 sweeps the
+    # detector's first stage with its source-bulk junctions forward biased
+    (["detector"],
+     "85ad02b4bc29ebba8566159ee9d70faf4bbb6c4e6b8b450a9d0be2ee13d30e60"),
+    (["detector", "--config", "2"],
+     "9141c164bab8b683e83e89a99e66e1c2253b0c0996c09e3fbfee9aed19c42074"),
+    (["xor"],
+     "2ecbd8fc22fa2c006a2f075d664898c6698d568552ebe64a66ed16bf5607e433"),
+    (["segment", "{blob}"],
+     "f9565883d6716599030720d591042feb2225684f3552f03ff60af91826624ec7"),
+    (["segment", "{blob}", "--config", "2"],
+     "8040a43f5cf5907c55f1fab5f3d054eaa68d33576defa4456ea24b932a3cbc22"),
 ])
-def test_stdout_is_pinned(divider, rc, capsys, argv, digest):
-    argv = [a.format(divider=divider, rc=rc) for a in argv]
+def test_stdout_is_pinned(divider, rc, blob, capsys, argv, digest):
+    argv = [a.format(divider=divider, rc=rc, blob=blob) for a in argv]
     assert main(argv) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest

@@ -49,10 +49,25 @@ def test_mosfet_body_effect():
     assert mosfet_ids_grad(p, vth1 + 0.10, 2.0, vsb=1.0)[0] > 0.0
 
 
-def test_mosfet_body_domain_error():
-    p = mosfet_defaults("n")
-    with pytest.raises(DomainError):
-        mosfet_ids_grad(p, 1.0, 1.0, vsb=-0.8)
+@pytest.mark.parametrize("p", [mosfet_defaults("n"), mosfet_defaults("p"),
+                               MosfetParams(gamma=0.9, phi2=0.6)])
+def test_forward_body_bias_holds_the_body_term_at_zero(p):
+    # past phi2 + vsb = 0 the threshold stops falling: every deeper
+    # forward bias gives the values at vsb = -phi2, bit for bit, and no
+    # body transconductance
+    sign = -1.0 if p.polarity == "p" else 1.0   # n-sense to physical
+
+    def law(vgs, vds, vsb):
+        return mosfet_ids_grad(p, sign * vgs, sign * vds, sign * vsb)
+    edge = -p.phi2
+    for vgs in (-1.0, 0.0, 0.3, 0.9, 1.6, 3.3):
+        for vds in (0.0, 0.05, 0.7, 3.0):
+            at_edge = [x.hex() for x in law(vgs, vds, edge)]
+            for vsb in (math.nextafter(edge, -math.inf), edge - 0.01,
+                        edge - 0.3, edge - 1.2, edge - 40.0):
+                values = law(vgs, vds, vsb)
+                assert [x.hex() for x in values] == at_edge
+                assert values[3] == 0.0
 
 
 def test_pchannel_mirror():

@@ -1,6 +1,7 @@
 """Netlist grammar: numbers, titles, cards, errors, round-trips."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,18 +110,18 @@ def _card_shape_ok(tokens: list[str]) -> bool:
             parse_number(tokens[3])
             return True
         if kind == "v":
-            _parse_waveform(tokens[3:], None)
+            _parse_waveform(tokens[3:])
             return True
         if kind == "d":
             return len(tokens) == 4
         if kind == "m":
             if len(tokens) < 6:
                 return False
-            _keyvals(tokens[6:], {"wl": "w_over_l"}, None, "mosfet instance")
+            _keyvals(tokens[6:], {"wl": "w_over_l"}, "mosfet instance")
             return True
         if len(tokens) < 4:
             return False
-        _keyvals(tokens[4:], {"w0": "w0"}, None, "memristor instance")
+        _keyvals(tokens[4:], {"w0": "w0"}, "memristor instance")
         return True
     except (NetlistError, DomainError):
         return False
@@ -161,7 +162,7 @@ def _first_lines(draw):
 @given(_first_lines())
 def test_first_line_is_title_exactly_when_reference_says(line):
     try:
-        expected = not _card_shape_ok(_split_fields(line.lower(), 1))
+        expected = not _card_shape_ok(_split_fields(line.lower()))
     except NetlistError:
         expected = True
     try:
@@ -338,12 +339,56 @@ _CARD = "t\nr_1 a 0 1k\n"   # the card under test is on line 3
      "line 5: duplicate .dc directive, first on line 3"),
     (_CARD + ".tran 1m 1u\n.tran 2m 1u\n", DuplicateName,
      "line 4: duplicate .tran directive, first on line 3"),
+    # one case for each other raise site a card reaches
+    (_CARD + "v_1 a 0 pwl(0 0 1 1))\n", NetlistError, "line 3: unbalanced ')'"),
+    (_CARD + "m_1 d g s b nmod wl\n.model nmod mosfet\n", NetlistError,
+     "line 3: expected key=value, got 'wl' in mosfet instance"),
+    (_CARD + "m_1 d g s b nmod w0=1\n.model nmod mosfet\n", NetlistError,
+     "line 3: unknown mosfet instance key 'w0'"),
+    (_CARD + ".model z zener foo=1\n", NetlistError,
+     "line 3: unknown zener model key 'foo'"),
+    (_CARD + ".model m resistor\n", UnknownModel,
+     "line 3: unknown model kind 'resistor'"),
+    (_CARD + "v_1 a 0 1 2\n", ArityError,
+     "line 3: too many tokens for a dc source"),
+    (_CARD + "q1 a 0 2k\n", UnknownElementKind,
+     "line 3: unknown element kind for 'q1'"),
+    (_CARD + "x1 a 0 mem\n", UnknownElementKind,
+     "line 3: unknown element kind for 'x1' (only xmr... is supported)"),
+    (_CARD + "r_2 a 1k\n", ArityError,
+     "line 3: r_2: expected 2 nodes and a value"),
+    (_CARD + "r_2 a 0 1k 5\n", ArityError,
+     "line 3: r_2: unexpected tokens after a value"),
+    (_CARD + "d_1 a 0 ghost\n", UnknownModel,
+     "line 3: d_1: no zener model named 'ghost'"),
+    (_CARD + ".noise v_1\n", NetlistError, "line 3: unsupported directive '.noise'"),
+    (_CARD + ".dc v1 1 0 0.1\n", NetlistError,
+     "line 3: .dc needs stop > start, got 1.0 .. 0.0"),
+    (_CARD + ".tran 1m 2m\n", NetlistError, "line 3: .tran needs dt <= tstop"),
+    (_CARD + "d_1 a 0 z\n.model z zener n=-1\n", NetlistError,
+     "line 4: zener parameters must all be positive"),
+    (_CARD + "v_1 a 0 pulse(0 1 0 1u 1u 1m 2m 5)\n", NetlistError,
+     "line 3: pulse takes (v1 v2 delay rise fall width period)"),
+    (_CARD + ".model mem memristor p=2.5\n", NetlistError,
+     "line 3: p_window must be a positive integer"),
+    (_CARD + "r_2 a 0 5q\n", MalformedNumber, "line 3: malformed number '5q'"),
+    (_CARD + "r_2 a 0 1e999\n", MalformedNumber,
+     "line 3: number '1e999' is out of range"),
+    (_CARD + "r_1 a b 2k\n", DuplicateName,
+     "line 3: duplicate element name 'r_1'"),
+    # a card continued with + is named by its first line
+    (_CARD + "v_1 a 0 pwl(0 0\n+ 1 1\n+ 2))\n", NetlistError,
+     "line 3: unbalanced ')'"),
+    (_CARD + "r_2 a 0\n+ -1k\n", NetlistError,
+     "line 3: resistance must be positive, got -1000.0"),
 ])
 def test_card_errors_name_their_line(text, error, message):
     with pytest.raises(NetlistError) as ei:
         parse_netlist(text)
     assert type(ei.value) is error
     assert str(ei.value) == message
+    named = re.match(r"line (\d+): ", message)
+    assert ei.value.line == (int(named[1]) if named else None)
 
 
 def test_validate_checks_hand_built_circuits():
