@@ -266,7 +266,7 @@ def smooth3(y: Sequence[float] | np.ndarray) -> np.ndarray:
     """3-point running median; endpoints are copied through."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
-        raise ValueError("smooth3 expects a 1-D sequence")
+        raise DomainError("smooth3 expects a 1-D sequence")
     out = y.copy()
     a, b, c = y[:-2], y[1:-1], y[2:]
     out[1:-1] = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
@@ -379,23 +379,23 @@ def settle_phase_levels(result: TransientResult, node: str,
     """
     if not (isinstance(n_phases, (int, np.integer))
             and 1 <= n_phases <= _MAX_POINTS):
-        raise ValueError(f"n_phases must be an integer in [1, {_MAX_POINTS}], "
-                         f"got {n_phases!r}")
+        raise DomainError(f"n_phases must be an integer in "
+                          f"[1, {_MAX_POINTS}], got {n_phases!r}")
     t = np.asarray(result.times, dtype=float)
     y = np.ascontiguousarray(result.column(node), dtype=float)
     tstop = float(t[-1])
     if not tstop > 0.0:
-        raise ValueError("transient must span a positive time interval")
+        raise DomainError("transient must span a positive time interval")
     if not (t[1:] >= t[:-1]).all():
-        raise ValueError("transient times must be non-decreasing")
+        raise DomainError("transient times must be non-decreasing")
     span = tstop / n_phases
     hi = span * np.arange(1, n_phases + 1)
     # each tail [hi - span/5, hi] as the sample slice [start, stop)
     starts = np.searchsorted(t, hi - 0.2 * span, "left").tolist()
     stops = np.searchsorted(t, hi, "right").tolist()
     if stops[0] == 0:   # no sample to average or fall back to
-        raise ValueError(f"phase 1 of {n_phases} ends at t={hi[0]:.6g}s, "
-                         f"before the first sample at t={t[0]:.6g}s")
-    # an empty tail falls back to the last sample at or before its end
-    return [float(y[max(b - 1, 0) if a == b else a:b].mean())
+        raise DomainError(f"phase 1 of {n_phases} ends at t={hi[0]:.6g}s, "
+                          f"before the first sample at t={t[0]:.6g}s")
+    # an empty tail takes the last sample at or before its end (b >= 1)
+    return [float(y[b - 1 if a == b else a:b].mean())
             for a, b in zip(starts, stops)]

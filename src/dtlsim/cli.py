@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"dtlsim: usage error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, InvalidThreshold, LutRangeError, ValueError) as exc:
+    except (DomainError, InvalidThreshold, LutRangeError) as exc:
         print(f"dtlsim: invalid argument: {exc}", file=sys.stderr)
         return 1
     except NetlistError as exc:

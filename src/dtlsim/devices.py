@@ -118,7 +118,7 @@ class SourceWaveform:
                 return v1
             tt = math.fmod(t - delay, period)
             if tt < rise:
-                return v2 if rise == 0.0 else v1 + (v2 - v1) * tt / rise
+                return v1 + (v2 - v1) * tt / rise   # tt >= 0: rise > 0
             tt -= rise
             if tt < width:
                 return v2
@@ -377,7 +377,7 @@ def integration(method: str, dt: float) -> tuple[float, float]:
         return dt, 0.0
     if method == "trapezoidal":
         return 0.5 * dt, 1.0
-    raise ValueError(f"unknown method {method!r}")
+    raise DomainError(f"unknown method {method!r}")
 
 
 @dataclass(slots=True)
@@ -393,8 +393,9 @@ class StampContext:
     gmin: float = 0.0                 # gmin-stepping node leak to ground
     levels: list = field(default_factory=list)      # source levels by element
     prev_step: list = field(default_factory=list)   # iterate at t_n
-    # last Newton iterate; None (as at a point's first assembly) is the
-    # iterate itself
+    # last Newton iterate; the solver sets it to the iterate itself at a
+    # point's first assembly, and None, from a context built outside the
+    # solver, reads as the iterate itself
     prev_iter: list | None = None
     hist: list = field(default_factory=list)        # companion memory at t_n
 

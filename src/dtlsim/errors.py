@@ -37,8 +37,9 @@ class UnknownModel(NetlistError):
     pass
 
 
-class DomainError(DtlsimError):
-    """Argument outside a device equation's physical domain."""
+class DomainError(DtlsimError, ValueError):
+    """Argument outside a device equation's domain or an analysis' range;
+    also a ValueError, so code that catches ValueError still catches it."""
 
 
 class SolverError(DtlsimError):

@@ -183,6 +183,12 @@ def read_pgm(path) -> ImageGray:
     if not all(t.isdigit() for t in fields):
         raise BadHeader(f"non-integer size or maxval in header: "
                         f"{b' '.join(fields).decode('ascii', 'replace')}")
+    # int() refuses more than 4300 digits; 18 hold any size that fits a file
+    fields = [t.lstrip(b"0") or b"0" for t in fields]
+    for t in fields:
+        if len(t) > 18:
+            raise BadHeader(f"header number {t[:40].decode()}... has more "
+                            "than 18 digits")
     width, height, maxval = map(int, fields)
     off = header.end()
     if width <= 0 or height <= 0:

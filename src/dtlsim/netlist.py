@@ -264,8 +264,6 @@ def _parse_model_card(tokens: list[str]):
 
 
 def _parse_waveform(tokens: list[str]) -> devices.SourceWaveform:
-    if not tokens:
-        raise ArityError("voltage source needs a level or waveform")
     head = tokens[0]
     if head.startswith("pulse(") or head.startswith("pwl("):
         if len(tokens) != 1:

@@ -35,9 +35,10 @@ circuit and runs the structural checks: every node needs a DC path to
 ground (the offending node is named) and no voltage sources may form a
 loop (the loop's sources are named). Each solved point gets a fresh
 ``StampContext`` whose ``levels`` hold every source's level at that point,
-evaluated once per source (``_System.levels``). DC sweeps
-and transients share one point loop (``_march``): each point starts from
-the last solution, and its iterations and winning strategy are recorded.
+evaluated once per source (``_System.levels``). Every analysis, the
+operating point too, is one point loop (``_march``) from ``_System.start``:
+each point starts from the last solution, and its iterations and winning
+strategy are recorded; a transient's t=0 row is its operating point.
 
 A transient step's context carries the coefficients (h, carry) of one
 integration rule (``devices.integration``); DC is h == 0. Companion
@@ -52,20 +53,20 @@ circuits are exact; a geometric gmin ladder (``_GMIN_RUNGS``) is tried
 only when plain Newton fails, and wins if its every rung converges. The
 tolerances and the iteration cap are module constants. Update
 damping clamps per-component steps at ``_DAMPING_LIMIT`` but only
-for unknowns that the analysis mode's nonlinear stamps touch (a memristor
-is one in transient runs only); purely linear circuits therefore converge
-in exactly one Newton iteration. The residual tolerances, the step
-bounds and the state box are built once per analysis (``_System.bounds``).
+for unknowns that the point's nonlinear stamps touch (a memristor is one
+at transient steps only); purely linear circuits therefore converge in
+exactly one Newton iteration. The residual tolerances, the step bounds
+and the state box are built once per analysis (``_System.bounds``).
 
 Each Newton update is one LAPACK call, ``solve1``: the ``dd->d`` gufunc
 under ``numpy.linalg.solve``, without its Python wrapper. Every analysis
-enters ``np.errstate(all="ignore")`` once, around its point loop
-(``_march``) or its operating point, and restores numpy's error state
-as it returns or raises; the loads compute on Python floats, so the
-scope hides nothing of theirs. A singular or overflowing step thus comes
-back non-finite and raises SingularMatrix naming the first non-finite
-row of the Jacobian, or in a finite Jacobian the unknown with the
-largest component of its null vector (its last right-singular vector).
+enters ``np.errstate(all="ignore")`` once, in ``_march``, and restores
+numpy's error state as it returns or raises; the loads compute on Python
+floats, so the scope hides nothing of theirs. A singular or overflowing
+step thus comes back non-finite and raises SingularMatrix naming the
+first non-finite row of the Jacobian, or in a finite Jacobian the
+unknown with the largest component of its null vector (its last
+right-singular vector).
 """
 
 from __future__ import annotations
@@ -389,41 +390,32 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext, bounds,
         residual=getattr(last, "residual", None))
 
 
-def _failed_at(exc: NoConvergence, at: float, where) -> NoConvergence:
-    """The failure ``exc`` of the point ``at``, named by ``where(at)``."""
-    return NoConvergence(f"{where(at)}: {exc}", residual=exc.residual, at=at)
-
-
-def _march(sys: _System, mode: str, x: np.ndarray, memory: list,
-           points: np.ndarray, context, where):
-    """Solve the points in order, each from the last solution and its
-    companion memory through a fresh ``context(point, x, memory)`` of the
-    analysis ``mode``; a failure is re-raised naming ``where(point)``.
-    Returns the solutions as columns, the iterations and the strategies."""
-    cols = np.empty((sys.n, points.size))
+def _march(sys: _System, points: list[float], context, where, kind: str):
+    """Solve the points in order from ``sys.start``, each from the last
+    solution and its companion memory through a fresh ``context(point, x,
+    memory)``; a failure names the point a ``kind`` (a "time step" at
+    h > 0) and is re-raised naming ``where(point)`` unless ``where`` is
+    None. Returns the solutions as columns, the iterations and strategies."""
+    cols = np.empty((sys.n, len(points)))
     iterations, strategies = [], []
-    bounds = sys.bounds(mode)
-    kind = "sweep point" if mode == "dc" else "time step"
+    x, memory = sys.start, []
+    bounds = sys.bounds("dc"), sys.bounds("tran")
     with np.errstate(all="ignore"):
-        for i, at in enumerate(points.tolist()):
+        for i, at in enumerate(points):
+            ctx = context(at, x, memory)
+            tran = ctx.h > 0.0
             try:
                 x, iters, strategy, memory = _solve_point(
-                    sys, x, context(at, x, memory), bounds, kind)
+                    sys, x, ctx, bounds[tran], "time step" if tran else kind)
             except NoConvergence as exc:
-                raise _failed_at(exc, at, where) from exc
+                if where is None:
+                    raise
+                raise NoConvergence(f"{where(at)}: {exc}",
+                                    residual=exc.residual, at=at) from exc
             cols[:, i] = x
             iterations.append(iters)
             strategies.append(strategy)
     return cols, iterations, strategies
-
-
-def _operating_point(circuit):
-    """Checked DC solve: returns the system and _solve_point's result."""
-    sys = _System(circuit)
-    with np.errstate(all="ignore"):
-        return sys, _solve_point(sys, sys.start,
-                                 StampContext(levels=sys.levels()),
-                                 sys.bounds("dc"), "operating point")
 
 
 def dc_operating_point(circuit) -> OpPoint:
@@ -434,8 +426,11 @@ def dc_operating_point(circuit) -> OpPoint:
     voltage (ground excluded), with ``raw`` (all unknowns, the memristor
     states at w0 among them), ``iterations`` and ``strategy`` attached.
     """
-    sys, (x, iters, strategy, _) = _operating_point(circuit)
-    raw = dict(zip(sys.keys, x.tolist()))
+    sys = _System(circuit)
+    cols, (iters,), (strategy,) = _march(
+        sys, [0.0], lambda at, x, memory: StampContext(levels=sys.levels()),
+        None, "operating point")
+    raw = dict(zip(sys.keys, cols[:, 0].tolist()))
     voltages = {k[1]: v for k, v in raw.items() if k[0] == "v"}
     return OpPoint(voltages, raw, iters, strategy)
 
@@ -444,12 +439,12 @@ def sweep_points(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop (within 1e-9 of a step)."""
     if not (all(map(math.isfinite, (start, stop, step)))
             and stop > start and step > 0.0):
-        raise ValueError(f"range needs finite start < stop and step > 0, got "
-                         f"{start}, {stop}, {step}")
+        raise DomainError(f"range needs finite start < stop and step > 0, got "
+                          f"{start}, {stop}, {step}")
     steps = (stop - start) / step + 1e-9
     if not steps < _MAX_POINTS:
-        raise ValueError(f"{np.floor(steps) + 1:.7g} points from {start} to "
-                         f"{stop} exceed the limit of {_MAX_POINTS}")
+        raise DomainError(f"{np.floor(steps) + 1:.7g} points from {start} to "
+                          f"{stop} exceed the limit of {_MAX_POINTS}")
     return start + step * np.arange(int(math.floor(steps)) + 1)
 
 
@@ -463,15 +458,15 @@ def dc_sweep(circuit, source: str, start: float, stop: float,
         source = source.lower()
         swept = sys.sources.get(source)
     if swept is None or swept.params.kind != "dc":
-        raise ValueError(f"{source!r} is not a DC voltage source")
+        raise DomainError(f"{source!r} is not a DC voltage source")
     levels = sys.levels()
 
     def context(val, x, memory):   # points are solved one at a time
         levels[swept.number] = val
         return StampContext(levels=levels)
     cols, iterations, strategies = _march(
-        sys, "dc", sys.start, [], values, context,
-        lambda val: f"sweep failed at {source}={val:.6g}")
+        sys, values.tolist(), context,
+        lambda val: f"sweep failed at {source}={val:.6g}", "sweep point")
     columns = {k[1]: col for k, col in zip(sys.keys, cols[:sys.nv])}
     return SweepResult(source, values, columns, iterations, strategies)
 
@@ -490,21 +485,19 @@ def transient(circuit, tstop: float, dt: float,
     h, carry = devices.integration(method, dt)
     times = sweep_points(0.0, tstop, dt)
     if dt > tstop:
-        raise ValueError(f"transient needs dt <= tstop, got {dt} > {tstop}")
-    where = "transient failed at t={:.6g}s".format
-    try:
-        sys, (x, op_iters, op_strategy, memory) = _operating_point(circuit)
-    except NoConvergence as exc:
-        raise _failed_at(exc, 0.0, where) from exc
+        raise DomainError(f"transient needs dt <= tstop, got {dt} > {tstop}")
+    sys = _System(circuit)
+
+    def context(t, x, memory):
+        if t == 0.0:
+            return StampContext(levels=sys.levels())
+        return StampContext(h=h, carry=carry, levels=sys.levels(t),
+                            prev_step=_with_ground(x), hist=memory)
     cols, iterations, strategies = _march(
-        sys, "tran", x, memory, times[1:],
-        lambda t, x, memory: StampContext(
-            h=h, carry=carry, levels=sys.levels(t),
-            prev_step=_with_ground(x), hist=memory),
-        where)
-    cols = np.column_stack((x, cols))
+        sys, times.tolist(), context,
+        "transient failed at t={:.6g}s".format, "operating point")
     keys = sys.keys
     return TransientResult(
         times, {k[1]: col for k, col in zip(keys, cols[:sys.nv])},
         {k[1]: col for k, col in zip(keys[sys.states], cols[sys.states])},
-        [op_iters] + iterations, [op_strategy] + strategies)
+        iterations, strategies)

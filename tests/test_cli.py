@@ -397,6 +397,13 @@ def test_segment_truncated_image_is_io_error(tmp_path, capsys):
     assert "image error" in capsys.readouterr().err
 
 
+def test_segment_over_long_header_number_is_image_error(tmp_path, capsys):
+    p = tmp_path / "long.pgm"
+    p.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n")
+    assert main(["segment", str(p)]) == 4
+    assert "image error: header number" in capsys.readouterr().err
+
+
 # --- calibrate-xor --------------------------------------------------------------------
 
 def test_calibrate_default_grid(capsys):

@@ -230,6 +230,12 @@ def test_dc_waveform():
     assert w.value(1e9) == 3.3
 
 
+def test_pulse_with_zero_edges_steps_at_its_corners():
+    w = SourceWaveform("pulse", (0, 5, 1, 0, 0, 2, 10))
+    assert [w.value(t) for t in (0.999, 1.0, 2.999, 3.0, 11.0)] \
+        == [0, 5, 5, 0, 5]
+
+
 def test_pulse_waveform_shape():
     w = SourceWaveform("pulse", (0.0, 5.0, 1e-3, 1e-6, 1e-6, 4e-3, 10e-3))
     assert w.value(0.0) == 0.0

@@ -217,6 +217,8 @@ def test_pgm_bad_header(tmp_path):
     b"P5# m\n2#w\n#\n1 # h #\n255\n",          # one between every pair
     b"P5\r2\x0b1\x0c255\r",                    # CR, VT and FF separate
     b"P5\t002 01\n255 ",                        # leading zeros
+    pytest.param(b"P5 2 1 " + b"0" * 5000 + b"255\n",   # past int()'s limit
+                 id="P5 2 1 0...0255"),
 ])
 def test_pgm_header_separators(tmp_path, header):
     p = tmp_path / "h.pgm"
@@ -238,6 +240,18 @@ def test_pgm_header_rejects(tmp_path, header, error):
     p = tmp_path / "h.pgm"
     p.write_bytes(header)
     with pytest.raises(BadHeader, match=error):
+        read_pgm(p)
+
+
+@pytest.mark.parametrize("magic", [b"P5", b"P2"])
+@pytest.mark.parametrize("field", range(3))
+def test_pgm_header_number_over_18_digits(tmp_path, magic, field):
+    # int() alone raises a plain ValueError past 4300 digits
+    fields = [b"1", b"1", b"255"]
+    fields[field] = b"1" * 5000
+    p = tmp_path / "long.pgm"
+    p.write_bytes(magic + b"\n" + b" ".join(fields) + b"\n0 ")
+    with pytest.raises(BadHeader, match=r"header number 1{40}\.\.\. has more"):
         read_pgm(p)
 
 

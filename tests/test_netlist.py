@@ -110,6 +110,8 @@ def _card_shape_ok(tokens: list[str]) -> bool:
             parse_number(tokens[3])
             return True
         if kind == "v":
+            if len(tokens) < 4:
+                return False
             _parse_waveform(tokens[3:])
             return True
         if kind == "d":

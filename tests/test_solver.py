@@ -145,6 +145,23 @@ def test_transient_starts_from_dc_op():
     assert tr.strategies == len(tr.times) * ["newton"]
 
 
+@pytest.mark.parametrize("method", ["backward-euler", "trapezoidal"])
+@pytest.mark.parametrize("circuit, tstop, dt", [
+    (cells.build_xor_circuit(phase=2e-5, edge=1e-6, dt=1e-6), 8e-5, 1e-6),
+    (parse_netlist("rc\nv_s in 0 pwl(0 0.7 1u 1)\nr_1 in out 1k\n"
+                   "c_1 out 0 1n\n"), 1e-5, 1e-7),
+], ids=["xor", "rc"])
+def test_transient_t0_row_is_the_operating_point(circuit, tstop, dt, method):
+    tr = transient(circuit, tstop, dt, method=method)
+    op = dc_operating_point(circuit)
+    assert {k: tr.voltages[k][0].hex() for k in tr.voltages} \
+        == {k: v.hex() for k, v in op.items()}
+    assert {k: tr.states[k][0].hex() for k in tr.states} \
+        == {k[1]: v.hex() for k, v in op.raw.items() if k[0] == "w"}
+    assert tr.iterations[0] == op.iterations
+    assert tr.strategies[0] == op.strategy
+
+
 def test_transient_records_strategies_from_t0():
     # the XOR cell's t=0 operating point falls back to gmin stepping
     c = cells.build_xor_circuit()
