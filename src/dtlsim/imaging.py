@@ -343,10 +343,11 @@ def _radial_profile(response: np.ndarray) -> np.ndarray:
     if min(response.shape) < 5:   # rmax < 2
         raise NoRing("image too small for a radial profile")
     index, bounds = _ring_geometry(*response.shape)
-    # each slice's mean adds the same values in the same order as
-    # response[radii == r].mean(); bincount or reduceat would reorder them
+    # each slice's sum over its count is response[radii == r].mean(): the
+    # same values added in the same order, without mean's Python wrapper;
+    # bincount or reduceat would reorder them
     values = response.ravel().take(index)
-    return np.array([values[a:b].mean() if b > a else 0.0
+    return np.array([np.add.reduce(values[a:b]) / (b - a) if b > a else 0.0
                      for a, b in zip(bounds[:-1], bounds[1:])])
 
 

@@ -22,13 +22,17 @@ parameters, and the pattern, one per kind in every mode, is mapped
 through the slots into one flat index over the residual bins, then the
 Jacobian bins. Each assembly then only runs the loads, one
 ``devices.stamp`` call per element, which extend one Python list with
-their values. One ``struct`` pack of the list's fixed length converts it
-to doubles (``struct.error`` if a load wrote too many or too few values),
-and one ``np.bincount`` adds every value into its place; it adds in input
-order, so each sum is the one the stamps' ``+=`` would give. A MOSFET's or
-a transient memristor's load reuses its last values when its inputs repeat
-bit for bit (see the stamps section of ``devices``); the loads are bound
-per ``_System``, so no memo outlives one analysis.
+their values. One ``struct`` pack of the list's fixed length writes it
+as doubles into the first half of a buffer that ``_System`` owns
+(``struct.error`` if a load wrote too many or too few values), and one
+``np.abs`` writes their magnitudes into the second half. One
+``np.bincount`` then adds the whole buffer: the values into the residual
+and Jacobian bins, the magnitudes into the residual-scale bins past
+those, every Jacobian magnitude into the dropped ground row. It adds in
+input order, so each sum is the one the stamps' ``+=`` would give. A
+MOSFET's or a transient memristor's load reuses its last values when its
+inputs repeat bit for bit (see the stamps section of ``devices``); the
+loads are bound per ``_System``, so no memo outlives one analysis.
 
 Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to
@@ -59,7 +63,10 @@ exactly one Newton iteration. The residual tolerances, the step bounds
 and the state box are built once per analysis (``_System.bounds``).
 
 Each Newton update is one LAPACK call, ``solve1``: the ``dd->d`` gufunc
-under ``numpy.linalg.solve``, without its Python wrapper. Every analysis
+under ``numpy.linalg.solve``, without its Python wrapper, on the residual
+negated in place. The step is damped, added to the iterate and boxed in
+place, and the convergence and finiteness tests reduce with
+``np.logical_and`` rather than ``ndarray.all``'s wrapper. Every analysis
 enters ``np.errstate(all="ignore")`` once, in ``_march``, and restores
 numpy's error state as it returns or raises; the loads compute on Python
 floats, so the scope hides nothing of theirs. A singular or overflowing
@@ -99,6 +106,8 @@ while _GMIN_RUNGS[-1] / 10.0 > _GMIN_FINAL:
 # (name, gmin rungs) of each strategy in turn; each ends on the circuit
 _LADDER = (("newton", (0.0,)),
            ("gmin-stepping", (*_GMIN_RUNGS, _GMIN_FINAL, 0.0)))
+# ndarray.all without its Python wrapper
+_all = np.logical_and.reduce
 
 
 class OpPoint(dict):
@@ -200,10 +209,16 @@ class _System:
             flat += [(slots[r] + 1) * (n + 1) + slots[c] for r, c in cells]
         self.sources = {e.name: bound for e, bound in zip(elements, self.elements)
                         if e.kind == "v"}
-        self.index = np.array(flat, dtype=np.intp)   # [residual | Jacobian] bins
-        self.scale_index = np.minimum(self.index, n)   # Jacobian into ground row
-        # the value list as doubles; struct.error unless it has one per bin
-        self.pack = struct.Struct(f"{len(flat)}d").pack
+        # bins [residual | Jacobian | scale]: the values' index, then their
+        # magnitudes', every Jacobian magnitude into the scale's ground row
+        index = np.array(flat, dtype=np.intp)
+        self.bins = size = (n + 1) * (n + 2)   # residual and Jacobian bins
+        self.index = np.concatenate([index, size + np.minimum(index, n)])
+        # the values, then their magnitudes; pack_into fills the first half
+        # (struct.error unless the list has one value per bin)
+        self.buffer = np.empty(2 * len(flat))
+        self.values, self.magnitudes = np.split(self.buffer, 2)
+        self.pack_into = struct.Struct(f"{len(flat)}d").pack_into
 
     def assemble(self, xs: list[float], ctx: StampContext):
         """Jacobian, residual, residual scale, companion memory and the
@@ -213,12 +228,13 @@ class _System:
         stamp = devices.stamp
         for e in self.elements:
             stamp(e, xs, ctx, out)
-        n, nv, size = self.n, self.nv, self.n + 1
-        values = np.frombuffer(self.pack(*out.values))
-        flat = np.bincount(self.index, values, size + size * size)
+        n, nv, size, bins = self.n, self.nv, self.n + 1, self.bins
+        self.pack_into(self.buffer, 0, *out.values)
+        np.abs(self.values, out=self.magnitudes)
+        flat = np.bincount(self.index, self.buffer, bins + size)
         res = flat[:n]
-        jac = flat[size:].reshape(size, size)[:n, :n]
-        scale = np.bincount(self.scale_index, np.abs(values), size)[:n]
+        jac = flat[size:bins].reshape(size, size)[:n, :n]
+        scale = flat[bins:bins + n]
         if ctx.gmin:
             diag = np.arange(nv)
             jac[diag, diag] += ctx.gmin
@@ -316,7 +332,7 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
     analysis' error-state scope a singular jac gives a non-finite dx
     without a warning; a non-finite dx raises SingularMatrix."""
     dx = solve1(jac, rhs)
-    if np.isfinite(dx).all():
+    if _all(np.isfinite(dx)):
         return dx
     # the first non-finite row; LAPACK's SVD may never return on one
     weight = ~np.isfinite(jac).all(axis=1)
@@ -337,23 +353,30 @@ def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
     a voltage does not end the loop: its residual is not the iterate's."""
     abstol, step, back, low, high = bounds
     assemble, keys = sys.assemble, sys.keys
-    absolute, maximum, minimum = np.abs, np.maximum, np.minimum
+    absolute, maximum, minimum, negative = (np.abs, np.maximum, np.minimum,
+                                            np.negative)
     xs = ctx.prev_iter = _with_ground(x)
     iters = 0
     while True:
         jac, res, scale, memory, limited = assemble(xs, ctx)
         absres = absolute(res)
-        if not limited and (absres <= abstol + _RELTOL * scale).all():
+        tol = scale * _RELTOL
+        tol += abstol
+        if not limited and _all(absres <= tol):
             return x, iters, memory
         if iters >= _MAX_NEWTON_ITERS:
             last_res = float(absres.max())
             raise NoConvergence(
                 f"no convergence after {iters} Newton iterations "
                 f"(max residual {last_res:.3e})", residual=last_res)
-        # plain ufuncs, not np.clip or a fancy index: call overhead dominates
-        x = x + minimum(maximum(_lu_solve(jac, -res, keys), back), step)
-        maximum(x, low, out=x)
-        minimum(x, high, out=x)
+        # plain ufuncs in place, not np.clip or a fancy index: call
+        # overhead dominates; the step and the assembly's arrays are fresh
+        dx = _lu_solve(jac, negative(res, out=res), keys)
+        maximum(dx, back, out=dx)
+        minimum(dx, step, out=dx)
+        dx += x
+        maximum(dx, low, out=dx)
+        x = minimum(dx, high, out=dx)
         ctx.prev_iter = xs
         xs = _with_ground(x)
         iters += 1

@@ -16,6 +16,8 @@ from dtlsim.cells import (DETECTOR_CONFIG_1, DETECTOR_CONFIG_2,
                           build_saturation_cell, build_spike_cell,
                           build_xor_circuit, extract_band, peak_input,
                           settle_phase_levels, smooth3)
+from dtlsim.dendrite import f_sat_clamp, xor_model
+from dtlsim.devices import ZenerParams
 from dtlsim.errors import DomainError, NoBand, NotUnimodal
 from dtlsim.netlist import parse_netlist, serialize_netlist
 from dtlsim.solver import (SweepResult, TransientResult, dc_operating_point,
@@ -452,6 +454,21 @@ def test_xor_circuit_settled_levels():
     assert bits == [0, 1, 1, 0]
     assert levels[1] > 0.7 * vdd and levels[2] > 0.7 * vdd
     assert levels[0] < 0.3 * vdd and levels[3] < 0.3 * vdd
+
+
+def test_xor_sum_nodes_follow_the_behavioral_branches():
+    # cross-layer oracle: each sum node averages one input and the other's
+    # complement through matched memristors, so it settles at its
+    # behavioral branch's sum (collect at logic level 1) x vdd/2, clamped
+    # by f_sat_clamp at the zener's vz; the bound, set before measuring,
+    # is 0.1 V in every phase
+    vdd = 6.0
+    tr = tran_from_directive(build_xor_circuit(vdd=vdd))
+    phases = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    for node, branch in zip(("suma", "sumb"), xor_model().branches):
+        want = [f_sat_clamp(branch.collect(x, 1.0) * vdd / 2.0,
+                            ZenerParams().vz) for x in phases]
+        assert settle_phase_levels(tr, node, 4) == pytest.approx(want, abs=0.1)
 
 
 def test_xor_circuit_static_low_corner():

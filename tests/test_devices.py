@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from dtlsim.devices import (CapacitorParams, MemristorParams, MosfetParams,
                             ResistorParams, SourceWaveform, ZenerParams,
-                            memristance, memristor_state_rate,
-                            mosfet_defaults, mosfet_ids_grad, window_factor,
-                            zener_ig)
+                            _zener_limited_v, memristance,
+                            memristor_state_rate, mosfet_defaults,
+                            mosfet_ids_grad, window_factor, zener_ig)
 from dtlsim.errors import DomainError
 
 
@@ -161,6 +161,44 @@ def test_zener_large_forward_stays_finite():
     assert math.isfinite(i1) and math.isfinite(i2) and i2 > i1 > 0.0
 
 
+@pytest.mark.parametrize("p", [
+    ZenerParams(),
+    ZenerParams(i_sat=3e-12, n=1.05, v_thermal=0.0259, vz=5.6, i_bv=2e-4)],
+    ids=["default", "custom"])
+def test_zener_limiting_follows_the_pnjlim_statement(p):
+    # SPICE's pnjlim, on each branch's own junction voltage (forward v,
+    # breakdown -(v + vz)): it limits exactly when that voltage lies above
+    # vcrit = nvt ln(nvt / (sqrt(2) i)) and moved more than 2 nvt, and
+    # never past the new voltage; an unmoved voltage is a fixed point
+    nvt = p.n * p.v_thermal
+    guard = 2.0 * nvt
+    vcrit_f = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_sat))
+    vcrit_r = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_bv))
+    knee_r = -(p.vz + vcrit_r)   # the breakdown branch's vcrit, as a v
+    volts = [-30.0, knee_r - 2.0, knee_r - 0.3, knee_r - 1e-3, knee_r + 1e-3,
+             -1.0, 0.0, vcrit_f - 1e-3, vcrit_f + 1e-3, vcrit_f + 0.3, 2.0,
+             25.0]
+    # steps just inside and just past the guard, then far past it
+    moves = [0.0, guard * (1.0 - 1e-3), guard * (1.0 + 1e-3), 0.3, 2.0, 9.0]
+    acted = set()
+    for v in volts:
+        for vprev in [v - d for d in moves] + [v + d for d in moves] + [-v]:
+            vlim, moved = _zener_limited_v(p, v, vprev)
+            forward = v > vcrit_f and abs(v - vprev) > guard
+            u, uprev = -(v + p.vz), -(vprev + p.vz)
+            breakdown = u > vcrit_r and abs(u - uprev) > guard
+            assert moved == (forward or breakdown), (v, vprev)
+            if forward:
+                assert vlim <= v, (v, vprev)
+            if breakdown:   # -(vlim + vz) <= u, up to the mirror's rounding
+                assert vlim >= v - 1e-12, (v, vprev)
+            if not moved:
+                assert vlim == pytest.approx(v, rel=0.0, abs=1e-12)
+            acted.add((forward, breakdown))
+        assert _zener_limited_v(p, v, v)[1] is False
+    assert acted == {(False, False), (True, False), (False, True)}
+
+
 def test_zener_gradient_vs_finite_difference():
     p = ZenerParams()
     rng = np.random.default_rng(7)
@@ -247,6 +285,21 @@ def test_pulse_waveform_shape():
     assert w.value(8e-3) == 0.0
     # periodic repeat
     assert w.value(13e-3) == w.value(3e-3)
+
+
+def test_pulse_from_a_nonzero_level_follows_its_closed_form():
+    # v1 != 0 on both edges: the rise is v1 + (v2 - v1)(t - delay)/rise
+    # and the fall v2 + (v1 - v2)(t - delay - rise - width)/fall
+    v1, v2, delay, rise, fall, width, period = 1.5, -2.0, 1.0, 4.0, 2.0, 3.0, 20.0
+    w = SourceWaveform("pulse", (v1, v2, delay, rise, fall, width, period))
+    for t in (1.0, 2.0, 3.5, 4.75):
+        assert w.value(t) == pytest.approx(v1 + (v2 - v1) * (t - delay) / rise)
+    for t in (8.0, 8.5, 9.25):
+        assert w.value(t) == pytest.approx(
+            v2 + (v1 - v2) * (t - delay - rise - width) / fall)
+    assert [w.value(t) for t in (0.5, 6.0, 12.0)] == [v1, v2, v1]
+    assert w.value(3.0) == pytest.approx(-0.25)   # halfway up: (v1 + v2) / 2
+    assert w.value(9.0) == pytest.approx(-0.25)   # halfway down
 
 
 def test_pwl_waveform_shape():

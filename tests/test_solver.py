@@ -493,6 +493,16 @@ def test_failure_names_its_kind_of_point(monkeypatch):
         assert "operating point" not in str(ei.value)
 
 
+def test_one_step_transient_with_dt_equal_to_tstop():
+    # dt == tstop is one step: the operating point's row and one
+    # backward-Euler row, v1 = (v0 + a vin) / (1 + a) with a = dt / RC
+    tr = transient(parse_netlist(RC_STEP), tstop=1e-5, dt=1e-5)
+    assert tr.times.tolist() == [0.0, 1e-5]
+    a = 1e-5 / 1e-3
+    assert tr.column("out").tolist() == pytest.approx([0.0, a / (1.0 + a)],
+                                                      rel=1e-9, abs=1e-12)
+
+
 def test_transient_argument_validation():
     c = parse_netlist(RC_STEP)
     with pytest.raises(ValueError):
