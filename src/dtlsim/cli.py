@@ -10,8 +10,9 @@ lines starting with ``#``. Every table goes through the one writer
 ``_csv``, one ``%`` operation per row, and every analysis through the
 one runner ``_run``, which takes the embedded ``.dc``/``.tran``
 directive with flags named like its fields overriding it. Diagnostics
-go to stderr. ``--out`` writes are atomic: a temp file in the destination directory is renamed over
-the target, so a crashed run never leaves a half-written file.
+go to stderr. ``--out`` writes are atomic: a temp file in the
+destination directory is renamed over the target, so a crashed run
+never leaves a half-written file.
 """
 
 from __future__ import annotations

@@ -388,7 +388,7 @@ class StampContext:
     h: float = 0.0                    # step coefficients of ``integration``;
     carry: float = 0.0                # h == 0 is DC
     # set and read by nothing in the package; kept only because
-    # perfbench/tracing.py still reads it (ROADMAP item A removes it)
+    # perfbench/tracing.py still reads it (ROADMAP item U1 removes it)
     srcscale: float = 1.0
     gmin: float = 0.0                 # gmin-stepping node leak to ground
     levels: list = field(default_factory=list)      # source levels by element

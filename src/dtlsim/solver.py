@@ -56,11 +56,12 @@ the circuit itself, gmin 0. Plain Newton is that rung alone, so linear
 circuits are exact; a geometric gmin ladder (``_GMIN_RUNGS``) is tried
 only when plain Newton fails, and wins if its every rung converges. The
 tolerances and the iteration cap are module constants. Update
-damping clamps per-component steps at ``_DAMPING_LIMIT`` but only
-for unknowns that the point's nonlinear stamps touch (a memristor is one
-at transient steps only); purely linear circuits therefore converge in
-exactly one Newton iteration. The residual tolerances, the step bounds
-and the state box are built once per analysis (``_System.bounds``).
+damping clamps per-component steps at ``_DAMPING_LIMIT`` in every mode,
+on the unknowns of zeners and MOSFETs alone: the junctions and channels
+that SPICE2 limits. A memristor's unknowns take the full step, its state
+boxed in [0, 1], and purely linear circuits converge in exactly one
+Newton iteration. The residual tolerances, the step bounds and the state
+box are built once per circuit (``_System.bounds``).
 
 Each Newton update is one LAPACK call, ``solve1``: the ``dd->d`` gufunc
 under ``numpy.linalg.solve``, without its Python wrapper, on the residual
@@ -96,7 +97,7 @@ _RELTOL = 1e-3
 _ABSTOL = {"v": 1e-9, "i": 1e-6, "w": 1e-12}
 _MAX_NEWTON_ITERS = 100
 _MAX_POINTS = 10**6   # points of a sweep, rows of a transient
-_DAMPING_LIMIT = 0.5   # Newton step bound on the unknowns of nonlinear stamps
+_DAMPING_LIMIT = 0.5   # Newton step bound on zener and MOSFET unknowns
 _GMIN_FINAL = 1e-12
 # gmin stepping: 1e-3 divided by 10 while above _GMIN_FINAL, which ends on
 # the near-duplicate 1.0000000000000002e-12, then _GMIN_FINAL and the circuit
@@ -219,6 +220,18 @@ class _System:
         self.buffer = np.empty(2 * len(flat))
         self.values, self.magnitudes = np.split(self.buffer, 2)
         self.pack_into = struct.Struct(f"{len(flat)}d").pack_into
+        # Newton's bounds: the absolute residual tolerance per row, the step
+        # bound on zener and MOSFET unknowns (a memristor's laws are
+        # polynomial) and its negative, and the box of every unknown,
+        # [0, 1] on the states
+        abstol = np.array([_ABSTOL[k[0]] for k in keys])
+        step = np.full(n + 1, np.inf)
+        for e in self.elements:
+            if e.kind in ("d", "m"):
+                step[list(e.slots)] = _DAMPING_LIMIT
+        low, high = np.full(n, -np.inf), np.full(n, np.inf)
+        low[self.states], high[self.states] = 0.0, 1.0
+        self.bounds = abstol, step[:n], -step[:n], low, high
 
     def assemble(self, xs: list[float], ctx: StampContext):
         """Jacobian, residual, residual scale, companion memory and the
@@ -250,22 +263,6 @@ class _System:
         for e in self.sources.values():
             levels[e.number] = e.params.value(t)
         return levels
-
-    def bounds(self, mode: str) -> tuple[np.ndarray, ...]:
-        """The absolute residual tolerance per row (``_ABSTOL``), the Newton
-        step bound per unknown (``_DAMPING_LIMIT`` on the unknowns that the
-        mode's nonlinear stamps touch, ``inf`` elsewhere) and its negative,
-        and the box of every unknown: [0, 1] on states, unbounded elsewhere."""
-        abstol = np.array([_ABSTOL[k[0]] for k in self.keys])
-        # in DC a memristor is a resistor of fixed state
-        nonlinear = ("d", "m", "xmr") if mode == "tran" else ("d", "m")
-        step = np.full(self.n + 1, np.inf)
-        for e in self.elements:
-            if e.kind in nonlinear:
-                step[list(e.slots)] = _DAMPING_LIMIT
-        low, high = np.full(self.n, -np.inf), np.full(self.n, np.inf)
-        low[self.states], high[self.states] = 0.0, 1.0
-        return abstol, step[:self.n], -step[:self.n], low, high
 
 
 def _with_ground(x: np.ndarray) -> list[float]:
@@ -345,13 +342,13 @@ def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray
     raise SingularMatrix(f"singular system at unknown {k!r}", node=k[1])
 
 
-def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
-            bounds) -> tuple[np.ndarray, int, list]:
+def _newton(sys: _System, x: np.ndarray,
+            ctx: StampContext) -> tuple[np.ndarray, int, list]:
     """Damped Newton from x within ``sys.bounds``; returns the
     solution, the iteration count and the companion memory recorded by
     the converged assembly. An assembly in which junction limiting moved
     a voltage does not end the loop: its residual is not the iterate's."""
-    abstol, step, back, low, high = bounds
+    abstol, step, back, low, high = sys.bounds
     assemble, keys = sys.assemble, sys.keys
     absolute, maximum, minimum, negative = (np.abs, np.maximum, np.minimum,
                                             np.negative)
@@ -382,7 +379,7 @@ def _newton(sys: _System, x: np.ndarray, ctx: StampContext,
         iters += 1
 
 
-def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext, bounds,
+def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
                  kind: str) -> tuple[np.ndarray, int, str, list]:
     """Newton with a gmin-stepping fallback; ctx.gmin is scratch.
 
@@ -401,7 +398,7 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext, bounds,
         x, total = x0, 0
         try:
             for ctx.gmin in rungs:
-                x, iters, memory = _newton(sys, x, ctx, bounds)
+                x, iters, memory = _newton(sys, x, ctx)
                 total += iters
         except (NoConvergence, SingularMatrix) as exc:
             last = exc
@@ -422,14 +419,12 @@ def _march(sys: _System, points: list[float], context, where, kind: str):
     cols = np.empty((sys.n, len(points)))
     iterations, strategies = [], []
     x, memory = sys.start, []
-    bounds = sys.bounds("dc"), sys.bounds("tran")
     with np.errstate(all="ignore"):
         for i, at in enumerate(points):
             ctx = context(at, x, memory)
-            tran = ctx.h > 0.0
             try:
                 x, iters, strategy, memory = _solve_point(
-                    sys, x, ctx, bounds[tran], "time step" if tran else kind)
+                    sys, x, ctx, "time step" if ctx.h > 0.0 else kind)
             except NoConvergence as exc:
                 if where is None:
                     raise

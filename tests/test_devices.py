@@ -5,13 +5,14 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, seed, strategies as st
 
 from dtlsim.devices import (CapacitorParams, MemristorParams, MosfetParams,
                             ResistorParams, SourceWaveform, ZenerParams,
-                            _zener_limited_v, memristance,
-                            memristor_state_rate, mosfet_defaults,
-                            mosfet_ids_grad, window_factor, zener_ig)
+                            _EXP_CAP, _pnjlim, _zener_limited_v,
+                            memristance, memristor_state_rate,
+                            mosfet_defaults, mosfet_ids_grad, window_factor,
+                            zener_ig)
 from dtlsim.errors import DomainError
 
 
@@ -161,10 +162,13 @@ def test_zener_large_forward_stays_finite():
     assert math.isfinite(i1) and math.isfinite(i2) and i2 > i1 > 0.0
 
 
-@pytest.mark.parametrize("p", [
+ZENERS = pytest.mark.parametrize("p", [
     ZenerParams(),
     ZenerParams(i_sat=3e-12, n=1.05, v_thermal=0.0259, vz=5.6, i_bv=2e-4)],
     ids=["default", "custom"])
+
+
+@ZENERS
 def test_zener_limiting_follows_the_pnjlim_statement(p):
     # SPICE's pnjlim, on each branch's own junction voltage (forward v,
     # breakdown -(v + vz)): it limits exactly when that voltage lies above
@@ -175,8 +179,9 @@ def test_zener_limiting_follows_the_pnjlim_statement(p):
     vcrit_f = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_sat))
     vcrit_r = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_bv))
     knee_r = -(p.vz + vcrit_r)   # the breakdown branch's vcrit, as a v
-    volts = [-30.0, knee_r - 2.0, knee_r - 0.3, knee_r - 1e-3, knee_r + 1e-3,
-             -1.0, 0.0, vcrit_f - 1e-3, vcrit_f + 1e-3, vcrit_f + 0.3, 2.0,
+    # within 1e-6 of each vcrit: a 1% change of its sqrt(2) moves it 0.15 mV
+    volts = [-30.0, knee_r - 2.0, knee_r - 0.3, knee_r - 1e-6, knee_r + 1e-6,
+             -1.0, 0.0, vcrit_f - 1e-6, vcrit_f + 1e-6, vcrit_f + 0.3, 2.0,
              25.0]
     # steps just inside and just past the guard, then far past it
     moves = [0.0, guard * (1.0 - 1e-3), guard * (1.0 + 1e-3), 0.3, 2.0, 9.0]
@@ -197,6 +202,47 @@ def test_zener_limiting_follows_the_pnjlim_statement(p):
             acted.add((forward, breakdown))
         assert _zener_limited_v(p, v, v)[1] is False
     assert acted == {(False, False), (True, False), (False, True)}
+
+
+@ZENERS
+@pytest.mark.parametrize("branch", ["forward", "breakdown"])
+def test_zener_exponentials_are_c1_across_the_cap(p, branch):
+    # each branch's exponential hands over to its linear tail where its
+    # argument reaches _EXP_CAP, at v = nvt * cap forward and
+    # v = -(vz + nvt * cap) in breakdown: current and conductance agree on
+    # either side, and the conductance is the current's slope there
+    nvt = p.n * p.v_thermal
+    x = _EXP_CAP - 1e-6, _EXP_CAP + 1e-6
+    volts = ([nvt * xk for xk in x] if branch == "forward"
+             else [-(p.vz + nvt * xk) for xk in x])
+    (i_a, g_a), (i_b, g_b) = (zener_ig(p, v) for v in volts)
+    assert i_a == pytest.approx(i_b, rel=1e-5)
+    assert g_a == pytest.approx(g_b, rel=1e-5)
+    assert (i_b - i_a) / (volts[1] - volts[0]) == pytest.approx(g_a, rel=1e-5)
+
+
+@seed(20261020)
+@example(1.0, 0.0, 0.025, 1e-14)   # from vold == 0, SPICE's second branch
+@given(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+       st.floats(0.02, 0.05), st.floats(1e-16, 1e-3))
+def test_pnjlim_never_passes_the_new_voltage(vnew, vold, nvt, i_s):
+    # SPICE's pnjlim past its guard (vnew above vcrit, more than 2 nvt
+    # from vold): from vold > 0 the exponential at the limited voltage is
+    # its tangent at vold taken to vnew, or the limit is vcrit where that
+    # tangent is not positive; from vold <= 0, exp(vlim / nvt) is
+    # vnew / nvt. Either way the limited voltage lies at or below vnew
+    vcrit = nvt * math.log(nvt / (math.sqrt(2.0) * i_s))
+    assume(vnew > vcrit and abs(vnew - vold) > 2.0 * nvt)
+    vlim = _pnjlim(vnew, vold, nvt, vcrit)
+    assert vlim <= vnew
+    tangent = 1.0 + (vnew - vold) / nvt   # exp((vnew - vold) / nvt), linear
+    if vold <= 0.0:
+        assert math.exp(vlim / nvt) == pytest.approx(vnew / nvt, rel=1e-9)
+    elif tangent > 0.0:
+        assert math.exp((vlim - vold) / nvt) == pytest.approx(tangent,
+                                                               rel=1e-9)
+    else:
+        assert vlim == vcrit
 
 
 def test_zener_gradient_vs_finite_difference():

@@ -457,11 +457,11 @@ def test_no_point_is_solved_off_the_circuit(monkeypatch):
         ("newton", 0.0), ("gmin-stepping", 0.0)]
     newton, walked = solver._newton, []
 
-    def circuit_fails(system, x, ctx, bounds):
+    def circuit_fails(system, x, ctx):
         walked.append(ctx.gmin)
         if ctx.gmin == 0.0:
             raise NoConvergence("stuck", residual=1.0)
-        return newton(system, x, ctx, bounds)
+        return newton(system, x, ctx)
     monkeypatch.setattr(solver, "_newton", circuit_fails)
     with pytest.raises(NoConvergence, match=r"both failed: stuck\)$"):
         dc_operating_point(cells.build_saturation_cell())
@@ -473,10 +473,10 @@ def test_failure_names_its_kind_of_point(monkeypatch):
     # ramp's level tells the failing points apart
     newton = solver._newton
 
-    def fails_at_level(system, x, ctx, bounds):
+    def fails_at_level(system, x, ctx):
         if ctx.levels[0] == level:
             raise NoConvergence("stuck", residual=1.0)
-        return newton(system, x, ctx, bounds)
+        return newton(system, x, ctx)
     monkeypatch.setattr(solver, "_newton", fails_at_level)
     ramp = parse_netlist(RC_RAMP)
     for level, run, point in (
@@ -574,6 +574,29 @@ xmr_1 a 0 mem w0=0.5
     w = tr.states["xmr_1"]
     assert np.all(w >= 0.0) and np.all(w <= 1.0)
     assert w[-1] > 0.95  # driven to the low-resistance bound
+
+
+@pytest.mark.parametrize("amplitude, k, rail", [
+    (5.0, "1e9", 1.0),
+    # at r_off the drive toward w = 0 is r_off / r_on times weaker
+    (-5.0, "1e10", 0.0),
+])
+def test_memristor_state_box_binds_at_either_rail(amplitude, k, rail):
+    # a pulse train drives the state into a rail, where full Newton steps
+    # leave [0, 1] and the box alone holds them: with either bound moved
+    # out by 0.01 the clamped load's Jacobian no longer matches the state
+    # and a step fails at t = 0.402 ms
+    text = f"""hard pulses
+v_s a 0 pulse(0 {amplitude} 0 1u 1u 100u 200u)
+xmr_1 a 0 mem w0=0.5
+.model mem memristor k={k}
+"""
+    c = parse_netlist(text)
+    tr = transient(c, tstop=1e-3, dt=1e-6)
+    w = tr.states["xmr_1"]
+    assert np.all(w >= 0.0) and np.all(w <= 1.0)
+    assert w[-1] == pytest.approx(rail, abs=1e-6)
+    assert kcl_judge(c, tr)[0] < 1.0, kcl_judge(c, tr)
 
 
 def test_dc_freezes_memristor_state():
