@@ -171,8 +171,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_tran(args) -> int:
     tr = _run(_load_circuit(args.netlist), "tran", args)
     _emit(_table("time", tr.times, tr.voltages, tr.states), args.out)
+    restarts = ""
+    if args.method == "trapezoidal":   # steps across a source corner
+        restarts = (f", {tr.rules.count('backward-euler')} restarted with "
+                    f"backward Euler")
     _note(f"{len(tr.times) - 1} timesteps, max {max(tr.iterations)} "
-          f"Newton iterations per step")
+          f"Newton iterations per step{restarts}")
     return 0
 
 

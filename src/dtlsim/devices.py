@@ -24,7 +24,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -134,6 +134,26 @@ class SourceWaveform:
             return vals[-1]
         t0, t1, v0, v1 = times[j - 1], times[j], vals[j - 1], vals[j]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)   # t0 < t <= t1
+
+    def corner_inside(self, a: float, b: float) -> bool:
+        """Whether a corner of the waveform, where its slope may jump, lies
+        strictly inside (a, b): a PWL time, found by bisection, or the
+        start or end of a pulse's rise or fall, found from the pulse's
+        phase at a in O(1) whatever its period."""
+        if self.kind == "dc":
+            return False
+        if self.kind == "pwl":
+            times = self._corners[0]
+            j = bisect_right(times, a)   # the first corner after a
+            return j < len(times) and times[j] < b
+        _, _, delay, rise, fall, width, period = self.params
+        if a < delay:
+            return delay < b
+        phase = math.fmod(a - delay, period)   # in [0, period)
+        # the next edge after the phase; the period's end is one
+        edge = next(e for e in (rise, rise + width, rise + width + fall, period)
+                    if e > phase)
+        return a + (edge - phase) < b
 
 
 @dataclass(frozen=True)
@@ -255,7 +275,13 @@ def _zener_laws(p: ZenerParams):
 
 def _pnjlim(vnew: float, vold: float, nvt: float, vcrit: float) -> float:
     """Classic junction-voltage limiting for one exponential branch, past
-    its guard: vnew above vcrit and more than 2*nvt away from vold."""
+    its guard: vnew above vcrit and more than 2*nvt away from vold.
+
+    From vold <= 0 the log's argument is vnew/nvt, floored just above 1 so
+    that the limited voltage stays positive. Only a saturation current
+    above nvt/(sqrt(2)*e), about 8 mA at nvt = 31 mV, puts vcrit below
+    nvt; a vnew in (vcrit, nvt) then reaches the floor, and the result is
+    nvt*1e-12, between 0 and vnew."""
     if vold > 0.0:
         arg = 1.0 + (vnew - vold) / nvt
         return vold + nvt * math.log(arg) if arg > 0.0 else vcrit

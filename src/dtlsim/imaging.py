@@ -326,7 +326,13 @@ def _ring_geometry(h: int, w: int):
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     rmax = int(min(cy, cx))
     yy, xx = np.ogrid[0:h, 0:w]
-    radii = np.hypot(yy - cy, xx - cx)
+    dy, dx = yy - cy, xx - cx
+    # the offsets are whole or half numbers, so each squared distance is
+    # exact and its correctly rounded root is a half number k + 1/2 only
+    # when the distance is; otherwise it lies at least 0.25/(2k + 2) from
+    # one, far above an ulp: the rounded root is the rounded distance
+    radii = dy * dy + dx * dx
+    np.sqrt(radii, out=radii)
     np.rint(radii, out=radii)
     # pixels beyond rmax sort last; a stable (radix) sort keeps each
     # radius's pixels in row-major order

@@ -44,11 +44,16 @@ operating point too, is one point loop (``_march``) from ``_System.start``:
 each point starts from the last solution, and its iterations and winning
 strategy are recorded; a transient's t=0 row is its operating point.
 
-A transient step's context carries the coefficients (h, carry) of one
-integration rule (``devices.integration``); DC is h == 0. Companion
-memory (capacitor currents, memristor drift rates) is computed only by
-the stamps: every assembly records it, and the record of the assembly
-that converged a step seeds the next step.
+A transient step's context carries the coefficients (h, carry) of its
+integration rule (``devices.integration``); DC is h == 0. The rule is one
+per step, not one per analysis: a backward-Euler run takes it at every
+step, while a trapezoidal run restarts with backward Euler on a step that
+has a source corner strictly inside it and on the step after it, as
+SPICE resets the order at a breakpoint (``transient`` classifies the
+steps once, before the first). Companion memory (capacitor currents,
+memristor drift rates) is computed only by the stamps: every assembly
+records it, and the record of the assembly that converged a step seeds
+the next step.
 
 Robustness ladder for each point (``_LADDER``, after SPICE2's): a
 strategy is a list of gmin rungs that Newton solves in turn, ending on
@@ -143,11 +148,16 @@ class SweepResult(_Voltages):
 
 @dataclass
 class TransientResult(_Voltages):
+    """Rows of a transient; ``iterations``, ``strategies`` and ``rules``
+    (the integration rule of each row, "dc" for the operating point) have
+    one entry per row, the operating point's first."""
+
     times: np.ndarray
     voltages: dict[str, np.ndarray]
     states: dict[str, np.ndarray]
     iterations: list[int] = field(default_factory=list)
     strategies: list[str] = field(default_factory=list)
+    rules: list[str] = field(default_factory=list)
 
 
 # a netlist element bound to its unknown numbers, position and stamp load
@@ -497,25 +507,46 @@ def transient(circuit, tstop: float, dt: float,
     memristor states start at w0, advance by the chosen implicit rule and
     stay in [0, 1] (every Newton update clamps them). Companion memory
     starts from the operating point's assembly: no capacitor current and
-    the DC memristor drift rates. ``iterations`` and ``strategies`` have
-    one entry per row, the operating point's first.
+    the DC memristor drift rates.
+
+    Under the trapezoidal rule, a step with a source corner strictly
+    inside it (``SourceWaveform.corner_inside``; a corner within 1e-9 dt
+    of a grid time lies on the grid) runs as backward Euler, which does
+    not ring after the corner. So does the step after it: the memory the
+    straddling step recorded is its average over the corner, not the
+    derivative the trapezoidal rule needs. ``iterations``, ``strategies``
+    and ``rules``, the rule each row ran, have one entry per row, the
+    operating point's first.
     """
-    h, carry = devices.integration(method, dt)
+    rule = devices.integration(method, dt)
     times = sweep_points(0.0, tstop, dt)
     if dt > tstop:
         raise DomainError(f"transient needs dt <= tstop, got {dt} > {tstop}")
     sys = _System(circuit)
+    points = times.tolist()
+    restarts = set()   # end times of the steps run as backward Euler
+    if method == "trapezoidal":
+        slack = 1e-9 * dt   # a corner this close to a grid time is on it
+        waves = [e.params for e in sys.sources.values()]
+        for k in range(1, len(points)):
+            if any(w.corner_inside(points[k - 1] + slack, points[k] - slack)
+                   for w in waves):
+                restarts.update(points[k:k + 2])
+    rules = ["dc"] + ["backward-euler" if t in restarts else method
+                      for t in points[1:]]
+    euler = devices.integration("backward-euler", dt)
 
     def context(t, x, memory):
         if t == 0.0:
             return StampContext(levels=sys.levels())
+        h, carry = euler if t in restarts else rule
         return StampContext(h=h, carry=carry, levels=sys.levels(t),
                             prev_step=_with_ground(x), hist=memory)
     cols, iterations, strategies = _march(
-        sys, times.tolist(), context,
+        sys, points, context,
         "transient failed at t={:.6g}s".format, "operating point")
     keys = sys.keys
     return TransientResult(
         times, {k[1]: col for k, col in zip(keys, cols[:sys.nv])},
         {k[1]: col for k, col in zip(keys[sys.states], cols[sys.states])},
-        iterations, strategies)
+        iterations, strategies, rules)

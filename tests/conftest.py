@@ -205,16 +205,18 @@ def _rows(circuit, v, levels, step, last, abstol):
                    if nd not in sourced], memory
 
 
-def kcl_judge(circuit, result, overrides=None, method="backward-euler"):
+def kcl_judge(circuit, result, overrides=None, rules=None):
     """Worst |residual| / tolerance over every point of a solved result,
     and where it was, recomputed from ``circuit.elements`` and the public
     device equations alone, against the solver's own tolerance: abstol +
     reltol * the sum of the row's term magnitudes.
 
     ``result`` is an OpPoint (solved with ``overrides``), a SweepResult or
-    a TransientResult integrated by ``method``, whose t=0 row is a DC
-    point; each step reads the companion memory of the row before it. The
-    tolerances are the solver's constants, read at each call.
+    a TransientResult, whose t=0 row is a DC point and each of whose steps
+    is judged under its integration rule in ``rules`` (one per row, the
+    result's own ``rules`` unless given); each step reads the companion
+    memory of the row before it. The tolerances are the solver's
+    constants, read at each call.
     """
     reltol, abstol = solver._RELTOL, solver._ABSTOL
     sources = [e for e in circuit.elements if e.kind == "v"]
@@ -232,9 +234,11 @@ def kcl_judge(circuit, result, overrides=None, method="backward-euler"):
                   for k, x in enumerate(result.inputs.tolist())]
     elif isinstance(result, solver.TransientResult):
         times, vs, ws = result.times.tolist(), result.voltages, result.states
-        h, carry = devices.integration(method, times[1])
+        rules = result.rules if rules is None else rules
+        assert len(rules) == len(times), (len(rules), len(times))
         points = [(f"t={t:.6g}s", levels(t), row(vs, k), None if k == 0 else
-                   (h, carry, row(vs, k - 1), row(ws, k), row(ws, k - 1)))
+                   (*devices.integration(rules[k], times[1]), row(vs, k - 1),
+                    row(ws, k), row(ws, k - 1)))
                   for k, t in enumerate(times)]
     else:
         points = [("op", levels(fixed=overrides), {"0": 0.0} | result, None)]

@@ -191,6 +191,35 @@ def test_tran_method_flag(rc):
     assert main(["tran", rc, "--method", "euler"]) == 1   # not a choice
 
 
+def test_tran_notes_the_steps_restarted_with_backward_euler(rc, capsys):
+    # the source's 1 ns ramp ends inside the first 2 us step: that step
+    # and the next restart; a backward-Euler run's note says nothing of it
+    assert main(["tran", rc, "--method", "trapezoidal", "--dt", "2e-6"]) == 0
+    trapezoidal = capsys.readouterr()
+    assert trapezoidal.err == ("dtlsim: 50 timesteps, max 1 Newton iterations "
+                               "per step, 2 restarted with backward Euler\n")
+    assert main(["tran", rc, "--dt", "2e-6"]) == 0
+    assert capsys.readouterr().err == (
+        "dtlsim: 50 timesteps, max 1 Newton iterations per step\n")
+
+
+def test_trapezoidal_rc_follows_its_closed_form(rc, capsys):
+    # the RC's response to the 1 ns ramp from 0 to 1 V, tau = 1 ms: past
+    # the ramp, 1 - (tau/tr)(1 - exp(-tr/tau)) exp(-(t - tr)/tau). Each
+    # printed row lies within 1e-5 V of it (1.0e-3 V when the step across
+    # the ramp ran as trapezoidal, backward Euler's own rows 9.0e-5 V)
+    assert main(["tran", rc, "--method", "trapezoidal", "--dt", "2e-6"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")
+    assert rows[0] == "time,in,out"
+    t, out = np.array([[float(x) for x in row.split(",")][::2]
+                       for row in rows[1:]]).T
+    tau, tr = 1e-3, 1e-9
+    exact = 1.0 + tau / tr * np.expm1(-tr / tau) * np.exp(-(t - tr) / tau)
+    exact[0] = 0.0
+    assert len(t) == 51
+    assert np.abs(out - exact).max() <= 1e-5, np.abs(out - exact).max()
+
+
 def test_tran_without_directive(tmp_path, capsys):
     p = tmp_path / "plain.cir"
     p.write_text("t\nv_1 in 0 5\nr_1 in 0 1k\n")
@@ -485,8 +514,11 @@ def test_calibrate_nonfinite_grid_is_usage_exit(monkeypatch, capsys):
      "153382308f50dde8fa2feb9fef4cc00385362606bdf84ab8cd6aa0d9cdc6a42c"),
     (["tran", "{rc}", "--dt", "2e-6"],
      "cc7008df62a636f1fa4f6c00174b3d206c11324a7d4b2d26a1112fe160c36569"),
+    # re-pinned when trapezoidal steps across a source corner began to
+    # restart with backward Euler; test_trapezoidal_rc_follows_its_closed_form
+    # holds these rows to the analytic response
     (["tran", "{rc}", "--method", "trapezoidal", "--dt", "2e-6"],
-     "b64e0a18b521772c7c5b1476ed5fd683bd6449bed3d9fa4eef1dd3ec636dab3e"),
+     "9eda230200311e96f3adc2ea5f21971c20555b7e133ff0af0175c2dad31ea816"),
     (["calibrate-xor", "--theta2", "1.1:1.9:9", "--eps", "0.1",
       "--theta3", "0.55:0.95:9"],
      "0fde6ecca1be0bd4e9d8ee998de8069301d1e83a828133fd0a2e8d9f7b9a96f9"),

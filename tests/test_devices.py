@@ -204,6 +204,22 @@ def test_zener_limiting_follows_the_pnjlim_statement(p):
     assert acted == {(False, False), (True, False), (False, True)}
 
 
+def test_pnjlim_floor_keeps_a_small_new_voltage_between_zero_and_itself():
+    # a saturation current of 0.1 A puts vcrit at -0.047 V, below nvt:
+    # from vold <= 0 a vnew of 1e-5 V, past the guard, reaches the log's
+    # floor, and the limited voltage must lie in [0, vnew]
+    p = ZenerParams(i_sat=0.1)
+    nvt = p.n * p.v_thermal
+    vcrit = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_sat))
+    assert -0.048 < vcrit < -0.046
+    vnew, vold = 1e-5, -0.1
+    assert vnew > vcrit and abs(vnew - vold) > 2.0 * nvt
+    vlim = _pnjlim(vnew, vold, nvt, vcrit)
+    assert math.isfinite(vlim) and 0.0 <= vlim <= vnew, vlim
+    v, moved = _zener_limited_v(p, vnew, vold)
+    assert moved and 0.0 <= v <= vnew, v
+
+
 @ZENERS
 @pytest.mark.parametrize("branch", ["forward", "breakdown"])
 def test_zener_exponentials_are_c1_across_the_cap(p, branch):
@@ -396,6 +412,50 @@ def test_pwl_value_equals_linear_scan_bit_for_bit(case):
     for t in queries:
         got, ref = w.value(t), _pwl_linear_scan(params, t)
         assert struct.pack("d", got) == struct.pack("d", ref), (t, got, ref)
+
+
+@given(_pwl_and_times())
+def test_pwl_corner_inside_equals_a_scan_of_its_times(case):
+    params, queries = case
+    w = SourceWaveform("pwl", params)
+    for a in queries:
+        for b in queries:
+            assert w.corner_inside(a, b) == any(a < t < b
+                                                for t in params[0::2]), (a, b)
+
+
+@st.composite
+def _pulse_and_interval(draw):
+    # whole-number timing and quarter-step ends: every sum is exact
+    delay, rise, width, fall = (draw(st.integers(0, 4)) for _ in range(4))
+    period = rise + width + fall + draw(st.integers(0, 4))
+    assume(period > 0)
+    a = draw(st.integers(0, 160)) / 4.0
+    b = a + draw(st.integers(0, 40)) / 4.0
+    return (0.0, 1.0, delay, rise, fall, width, period), a, b
+
+
+# ends on a corner: a at the delay, a at the rise's end, b at the delay
+@example(((0.0, 1.0, 1, 2, 2, 2, 8), 1.0, 2.0))
+@example(((0.0, 1.0, 1, 2, 2, 2, 8), 3.0, 4.0))
+@example(((0.0, 1.0, 1, 2, 2, 2, 8), 0.0, 1.0))
+@given(_pulse_and_interval())
+def test_pulse_corner_inside_equals_a_list_of_its_edges(case):
+    params, a, b = case
+    _, _, delay, rise, fall, width, period = params
+    w = SourceWaveform("pulse", params)
+    edges = [delay + n * period + offset
+             for n in range(int(b // period) + 1)
+             for offset in (0, rise, rise + width, rise + width + fall)]
+    inside = any(a < t < b for t in edges)
+    assert w.corner_inside(a, b) == inside
+    if not inside and rise and fall:   # the waveform is affine on [a, b]
+        assert w.value(0.5 * (a + b)) == pytest.approx(
+            0.5 * (w.value(a) + w.value(b)), abs=1e-12)
+
+
+def test_dc_has_no_corner():
+    assert not SourceWaveform("dc", (1.0,)).corner_inside(-1.0, 1.0)
 
 
 def test_param_validation():

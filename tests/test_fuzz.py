@@ -7,9 +7,10 @@ terminals; a voltage source is drawn only between terminals that no
 sources join yet, so no draw is a loop of sources and every circuit
 passes the structural checks. The operating point, a short DC sweep
 and a ten-step transient must each either converge, every point of it
-(each step of a transient, under either method) passing the KCL judge, or
-raise a named ``DtlsimError``: any other exception (a numpy
-``RuntimeWarning`` among them) fails the test. No analysis may stamp more often than the homotopy
+(each step of a transient under either method, judged under the rule the
+step recorded) passing the KCL judge, or raise a named ``DtlsimError``:
+any other exception (a numpy ``RuntimeWarning`` among them) fails the
+test. No analysis may stamp more often than the homotopy
 ladder allows. The paper's cells, with drawn supplies and w0, are held
 to the same bound and judge, must all converge, and gmin stepping must
 win some of their points.
@@ -113,8 +114,8 @@ def _bounded(circuit, analysis, points: int, label: str):
     return result
 
 
-def _judged(circuit, result, label: str, method: str) -> None:
-    worst = kcl_judge(circuit, result, method=method)
+def _judged(circuit, result, label: str) -> None:
+    worst = kcl_judge(circuit, result)
     assert worst[0] <= 1.0, (label, worst)
 
 
@@ -127,6 +128,13 @@ def _judged(circuit, result, label: str, method: str) -> None:
 @example("fuzz\nr_s0 n0 0 1000\nr_s1 n1 n0 1000\nr_s2 n2 0 1000\nv_1 n0 0 1\n"
          "c_e0 n1 0 1e-9\nv_e1 n2 0 pwl(0 0 5u 3)\nr_e2 n2 n1 1000\n" + MODELS,
          "trapezoidal")
+# source corners inside a step: a ramp's end at 2.5 us, and a 1 ns pulse
+# train, whose corners fall inside every step
+@example("fuzz\nr_s0 n0 0 1000\nr_s1 n1 n0 1000\nv_1 n0 0 1\nc_e0 n1 0 1e-9\n"
+         "v_e1 n2 0 pwl(0 0 2.5u 3)\nr_e2 n2 n1 1000\n" + MODELS, "trapezoidal")
+@example("fuzz\nr_s0 n0 0 1000\nv_1 n0 0 1\nc_e0 n0 n1 1e-9\nr_e1 n1 0 1000\n"
+         "v_e2 n2 n1 pulse(0 1 0.5n 0.1n 0.1n 0.5n 1n)\nxmr_e3 n2 0 mem w0=0.5\n"
+         + MODELS, "trapezoidal")
 @seed(20261018)
 @settings(max_examples=150)
 @given(netlists(), st.sampled_from(["backward-euler", "trapezoidal"]))
@@ -139,7 +147,7 @@ def test_random_netlists_converge_or_raise_named_errors(text, method):
         return _bounded(circuit, analysis, points, text)
 
     def judged(result):
-        _judged(circuit, result, text, method)
+        _judged(circuit, result, text)
 
     op = run(lambda: solver.dc_operating_point(circuit), 1)
     if op is not None:
@@ -159,6 +167,9 @@ def test_random_netlists_converge_or_raise_named_errors(text, method):
         assert len(tr.times) == 11
         assert all(np.isfinite(col).all() for col in tr.voltages.values())
         assert all(((w >= 0.0) & (w <= 1.0)).all() for w in tr.states.values())
+        # only a trapezoidal step restarts, as backward Euler
+        assert tr.rules[0] == "dc"
+        assert set(tr.rules[1:]) <= {method, "backward-euler"}, tr.rules
         judged(tr)
 
 
@@ -213,6 +224,6 @@ def test_reference_cells_converge_across_the_ladder():
                 solver.sweep_points(0.0, d.tstop, d.dt).size, label)
         assert result is not None, label
         won.update(result.strategies)
-        _judged(circuit, result, label, method or "backward-euler")
+        _judged(circuit, result, label)
     check()
     assert won["gmin-stepping"] >= 1, won

@@ -589,6 +589,21 @@ def test_reused_ring_geometry_equals_its_loop(resp, seed):
     assert after.misses - before.misses <= 1
 
 
+@pytest.mark.parametrize("h, w", [(9, 9), (10, 10), (9, 14), (14, 9),
+                                  (12, 17), (64, 96), (101, 100)])
+def test_ring_geometry_equals_its_hypot_reference(h, w):
+    # radii from np.hypot, rounded, and the same stable sort
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rmax = int(min(cy, cx))
+    yy, xx = np.ogrid[0:h, 0:w]
+    radii = np.minimum(np.rint(np.hypot(yy - cy, xx - cx)), rmax + 1).ravel()
+    order = np.argsort(radii, kind="stable")
+    bounds = np.searchsorted(radii[order], np.arange(rmax + 2))
+    index, got = imaging._ring_geometry(h, w)
+    assert got == tuple(bounds.tolist())
+    assert index.tolist() == order[:bounds[-1]].tolist()
+
+
 def test_ring_geometry_is_read_only():
     index, bounds = imaging._ring_geometry(9, 11)
     assert index.dtype == np.uint8 and not index.flags.writeable
