@@ -16,10 +16,19 @@ its thickness tracks the band width. The response is evaluated once per
 intensity level in the image's range, and the ring geometry about the
 image center once per image shape: a second detector on an image, or a
 later image of the same shape, reuses it.
+
+The P2 reader and writer, the detector lookup and the ring profile go
+through an image in blocks of one fixed size, _BLOCK bytes: the reader
+scans the raster in blocks cut just after a whitespace byte, the writer
+formats and writes a few rows at a time, the lookup fills its result a
+few rows at a time and the profile gathers a few radii at a time. Their
+temporaries are bounded by the block, not by the image; what grows with
+the image is the file's bytes, the pixels and the float64 response.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -47,6 +56,12 @@ __all__ = [
 
 # largest side; one 134 MB float64 work array, 174 MB peak RSS in all
 MAX_GAUSSIAN_SIZE = 4096
+
+# the bytes of P2 text that one step of the P2 reader scans, and of the
+# largest per-pixel work array of one step of the P2 writer, the detector
+# lookup and the ring profile: the work arrays stay in cache, and the
+# temporaries do not grow with the image
+_BLOCK = 1 << 16
 
 
 class ImageGray:
@@ -133,39 +148,66 @@ def _p2_samples(raster, count: int) -> np.ndarray:
     """The first count samples of a P2 raster (a bytes-like object).
 
     Samples are runs of ASCII digits between runs of the whitespace that
-    bytes.split() splits on; leading zeros are allowed.
+    bytes.split() splits on; leading zeros are allowed. The raster is
+    scanned in blocks of about _BLOCK bytes, each cut just after a
+    whitespace byte so that no sample spans two; bytes past the end of
+    the count-th sample are not checked.
     """
-    # padding puts whitespace on both sides of every sample and keeps the
-    # three digits ending at every sample's last byte in bounds
-    buf = np.frombuffer(b"  " + raster + b" ", np.uint8)
-    token = (buf != 32) & (buf - np.uint8(9) >= 5)  # not \t\n\v\f\r or space
-    last = token[:-1] > token[1:]       # a sample's byte before whitespace
-    found = np.count_nonzero(last)
+    data = np.frombuffer(raster, np.uint8)
+    # a sample and its separator take two bytes, so a short raster with a
+    # huge count allocates no more than the raster could hold
+    out = np.empty(min(count, (data.size + 1) // 2), np.uint8)
+    found = start = 0
+    size = _BLOCK
+    error = None        # a non-numeric sample outranks one out of range
+    while found < count and start < data.size:
+        block = data[start:start + size]
+        final = start + block.size == data.size
+        # two whitespace bytes in front keep the three digits ending at
+        # every sample's last byte in bounds; one more ends the raster
+        buf = np.full(block.size + 2 + final, 32, np.uint8)
+        buf[2:2 + block.size] = block
+        token = (buf != 32) & (buf - np.uint8(9) >= 5)  # not \t\n\v\f\r, space
+        ends = np.flatnonzero(token[:-1] > token[1:])   # whitespace follows
+        if not (ends.size or final):
+            size *= 2           # no whole sample in the block: a longer one
+            continue
+        # the next block starts just past the whitespace after the last end
+        start = data.size if final else start + ends[-1]
+        size = _BLOCK
+        if not ends.size:
+            break               # whitespace to the raster's end
+        ends = ends[:count - found]
+        stop = ends[-1] + 1
+        digit = buf[:stop] - np.uint8(48)
+        token = token[:stop]
+        if np.any((digit > 9) & token):
+            error = "non-numeric sample in P2 raster"
+        elif error is None:
+            digit *= token              # whitespace reads as 0
+            # out of range: above 255, or a nonzero digit left of the last
+            # three
+            far = np.any((digit[:-3] != 0) & token[1:-2] & token[2:-1]
+                         & token[3:])
+            # the number spelled by the three digits ending at each byte;
+            # the hundreds count only when the tens belong to the same
+            # sample
+            value = np.multiply(digit[:-2], token[1:-1], dtype=np.uint16)
+            value *= 10
+            value += digit[1:-1]
+            value *= 10
+            value += digit[2:]
+            ends -= 2
+            value = value[ends]
+            if far or np.any(value > 255):
+                error = "P2 sample outside [0, 255]"
+            out[found:found + ends.size] = value
+        found += ends.size
     if found < count:
         raise TruncatedData(f"expected {count} samples, got {found}")
-    ends = np.flatnonzero(last)[:count]
-    del last
-    stop = ends[-1] + 1
-    digit = buf[:stop] - np.uint8(48)
-    del buf
-    token = token[:stop]
-    if np.any((digit > 9) & token):
-        raise TruncatedData("non-numeric sample in P2 raster")
-    digit *= token                      # whitespace reads as 0
-    # out of range: above 255, or a nonzero digit left of the last three
-    far = np.any((digit[:-3] != 0) & token[1:-2] & token[2:-1] & token[3:])
-    # the number spelled by the three digits ending at each byte; the
-    # hundreds count only when the tens belong to the same sample
-    value = np.multiply(digit[:-2], token[1:-1], dtype=np.uint16)
-    value *= 10
-    value += digit[1:-1]
-    value *= 10
-    value += digit[2:]
-    ends -= 2                           # in place: the largest array here
-    value = value[ends]
-    if far or np.any(value > 255):
-        raise TruncatedData("P2 sample outside [0, 255]")
-    return value.astype(np.uint8)
+    if error:
+        raise TruncatedData(error)
+    return out
 
 
 def read_pgm(path) -> ImageGray:
@@ -228,7 +270,13 @@ def write_pgm(path, image: ImageGray, binary: bool = True) -> None:
     header = f"{'P5' if binary else 'P2'}\n{image.width} {image.height}\n255\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(px.tobytes() if binary else _p2_raster(px))
+        if binary:
+            fh.write(px.tobytes())
+        else:
+            # the work array holds a 4-byte word per sample
+            rows = max(1, _BLOCK // (4 * image.width))
+            for top in range(0, image.height, rows):
+                fh.write(_p2_raster(px[top:top + rows]))
 
 
 def pixel_to_voltage(pixels, v_low: float = 0.0,
@@ -302,10 +350,20 @@ def apply_detector(image: ImageGray, lut: ResponseLut,
     """
     px = image.pixels
     lo, hi = int(px.min()), int(px.max())
-    # the map rises with the level, so the table spans the same voltages
-    table = lut.normalized(pixel_to_voltage(np.arange(lo, hi + 1),
-                                            v_low, v_high))
-    return table[px - lo]
+    # the map rises with the level, so the table spans the same voltages;
+    # it is indexed by the level itself, and no pixel reads below lo
+    table = np.zeros(hi + 1)
+    table[lo:] = lut.normalized(pixel_to_voltage(np.arange(lo, hi + 1),
+                                                 v_low, v_high))
+    out = np.empty(px.shape)
+    # take converts its indices to intp, 8 bytes a pixel: a row block at a
+    # time. Every level is in the table, so "clip" only spares the bounds
+    # check and the buffered copy of out that "raise" makes
+    rows = max(1, _BLOCK // (8 * image.width))
+    for top in range(0, image.height, rows):
+        np.take(table, px[top:top + rows], out=out[top:top + rows],
+                mode="clip")
+    return out
 
 
 @dataclass(frozen=True)
@@ -349,12 +407,26 @@ def _radial_profile(response: np.ndarray) -> np.ndarray:
     if min(response.shape) < 5:   # rmax < 2
         raise NoRing("image too small for a radial profile")
     index, bounds = _ring_geometry(*response.shape)
-    # each slice's sum over its count is response[radii == r].mean(): the
-    # same values added in the same order, without mean's Python wrapper;
-    # bincount or reduceat would reorder them
-    values = response.ravel().take(index)
-    return np.array([np.add.reduce(values[a:b]) / (b - a) if b > a else 0.0
-                     for a, b in zip(bounds[:-1], bounds[1:])])
+    flat = response.ravel()
+    prof = np.zeros(len(bounds) - 1)
+    r = 0
+    while r < prof.size:
+        # radii r..end-1 are gathered together: at most _BLOCK bytes of
+        # float64 values (and of intp indices), or the one radius r if it
+        # alone has more. Every index is in the image, so "clip" only
+        # spares take's bounds check
+        first = bounds[r]
+        end = max(bisect.bisect_right(bounds, first + _BLOCK // 8) - 1, r + 1)
+        values = flat.take(index[first:bounds[end]], mode="clip")
+        # each slice's sum over its count is response[radii == k].mean():
+        # the same values added in the same order, without mean's Python
+        # wrapper; bincount or reduceat would reorder them
+        for k in range(r, end):
+            a, b = bounds[k] - first, bounds[k + 1] - first
+            if b > a:
+                prof[k] = np.add.reduce(values[a:b]) / (b - a)
+        r = end
+    return prof
 
 
 def ring_metrics(response) -> RingMetrics:

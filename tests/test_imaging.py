@@ -7,6 +7,7 @@ reported thickness must be exactly 5.0.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -407,9 +408,11 @@ def _detector_cases(draw):
 @given(_detector_cases())
 def test_apply_detector_equals_per_pixel_evaluation(case):
     # one table entry per level gives the same bits as evaluating every
-    # pixel, and an out-of-range level the same error
-    assert (_lut_outcome(apply_detector, *case)
-            == _lut_outcome(_apply_detector_per_pixel, *case))
+    # pixel, and an out-of-range level the same error, whether a block
+    # holds a part of a row, one row or several
+    blocks = (8, 40, imaging._BLOCK)
+    assert (_at_blocks(blocks, lambda: _lut_outcome(apply_detector, *case))
+            == [_lut_outcome(_apply_detector_per_pixel, *case)] * len(blocks))
 
 
 def test_apply_detector_range_error_names_the_extreme_pixel():
@@ -551,6 +554,15 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _at_blocks(blocks, run):
+    """run()'s result with imaging._BLOCK set to each of blocks in turn."""
+    results = []
+    for block in blocks:
+        with mock.patch.object(imaging, "_BLOCK", block):
+            results.append(run())
+    return results
+
+
 @st.composite
 def _responses(draw):
     h, w = draw(st.integers(3, 90)), draw(st.integers(3, 90))
@@ -570,8 +582,11 @@ def _responses(draw):
 @example(np.random.default_rng(3).random((8, 11)))
 @example(np.random.default_rng(4).random((11, 8)))
 def test_radial_profile_equals_its_loop(resp):
-    assert (_outcome(imaging._radial_profile, resp)
-            == _outcome(_radial_profile_loop, resp))
+    # groups of at most 1, 8, 128 and 1024 pixels: radii of more pixels
+    # than a group, one radius a group and several
+    blocks = (8, 64, 1024, 8192, imaging._BLOCK)
+    assert (_at_blocks(blocks, lambda: _outcome(imaging._radial_profile, resp))
+            == [_outcome(_radial_profile_loop, resp)] * len(blocks))
 
 
 @given(_responses(), st.integers(0, 2**32 - 1))
@@ -624,15 +639,21 @@ def _traced_peak(f, *args):
 
 
 def test_p2_read_and_detector_memory_stay_bounded(tmp_path):
-    # traced peaks at 513^2: read_pgm 8.65x the P2 file bytes (12.3x with
-    # a gather per digit), apply_detector 9.27x the image bytes, 8x being
-    # the float64 result (24x with a voltage and a lookup per pixel)
+    # traced peaks at 513^2, in blocks (and in whole-image steps): the P2
+    # write_pgm 0.27x the file bytes (4.39x), read_pgm 2.46x the file
+    # (8.66x), apply_detector 8.25x the image bytes, 8x being the float64
+    # result (9.28x), ring_metrics with its geometry cached 0.13x the
+    # response bytes, its finiteness mask (1.57x)
     image = gen_gaussian_image(513)
     path = tmp_path / "g.pgm"
-    write_pgm(path, image, binary=False)
-    assert _traced_peak(read_pgm, path) <= 10 * path.stat().st_size
+    write_peak = _traced_peak(write_pgm, path, image, False)
+    assert write_peak <= 0.5 * path.stat().st_size
+    assert _traced_peak(read_pgm, path) <= 3 * path.stat().st_size
     lut = ResponseLut([0.0, 0.9, 1.2, 1.5, 3.0], [0.0, 0.0, 2.0, 0.0, 0.0])
-    assert _traced_peak(apply_detector, image, lut) <= 10 * image.pixels.nbytes
+    assert _traced_peak(apply_detector, image, lut) <= 9 * image.pixels.nbytes
+    response = apply_detector(image, lut)
+    imaging._ring_geometry(*response.shape)
+    assert _traced_peak(ring_metrics, response) <= 0.25 * response.nbytes
 
 
 _SEPARATORS = [b" ", b"  ", b"\t", b"\r\n", b"\n", b" \t\n", b"\x0b\x0c"]
@@ -671,7 +692,9 @@ def test_pgm_header_pattern_equals_its_loop(pieces):
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_p2_writer_equals_its_loop(h, w, seed):
+@example(7, 4, 0)       # 64-byte blocks hold 4 rows, which do not divide 7
+@example(3, 12, 0)      # a row is wider than an 8-byte block
+def test_p2_writer_equals_its_loop(tmp_path_factory, h, w, seed):
     rng = np.random.default_rng(seed)
     px = rng.choice(np.array([0, 1, 9, 10, 99, 100, 254, 255], np.uint8),
                     size=(h, w))
@@ -679,6 +702,23 @@ def test_p2_writer_equals_its_loop(h, w, seed):
     text = imaging._p2_raster(px)
     assert text == _p2_raster_loop(px)
     assert np.array_equal(imaging._p2_samples(text, px.size), px.ravel())
+    # the file written and read back in blocks of one row or less, of a
+    # few rows, and of the whole image
+    path = tmp_path_factory.getbasetemp() / "p2_writer.pgm"
+    blocks = (8, 64, imaging._BLOCK)
+
+    def round_trip():
+        write_pgm(path, ImageGray(px), binary=False)
+        return path.read_bytes(), read_pgm(path).pixels.tolist()
+    assert (_at_blocks(blocks, round_trip)
+            == [(b"P2\n%d %d\n255\n" % (w, h) + _p2_raster_loop(px),
+                 px.tolist())] * len(blocks))
+
+
+# blocks of a byte or a few cut samples, whitespace runs and the end of
+# the count-th sample at every place
+_P2_BLOCKS = (1, 3, 8, 64, imaging._BLOCK)
+_GAP = b" " * 70        # the samples on either side lie in different blocks
 
 
 @given(st.lists(st.one_of(st.integers(0, 255), st.sampled_from(_BAD_SAMPLES)),
@@ -694,8 +734,9 @@ def test_p2_reader_equals_its_loop(samples, data):
         raster += zeros + b"%d" % v if isinstance(v, int) else v
     raster += data.draw(st.sampled_from([b"", b"\n"] + _SEPARATORS))
     count = data.draw(st.integers(1, len(samples) + 2))
-    assert (_outcome(imaging._p2_samples, raster, count)
-            == _outcome(_p2_samples_loop, raster, count))
+    assert (_at_blocks(_P2_BLOCKS,
+                       lambda: _outcome(imaging._p2_samples, raster, count))
+            == [_outcome(_p2_samples_loop, raster, count)] * len(_P2_BLOCKS))
 
 
 @pytest.mark.parametrize("raster, error", [
@@ -704,10 +745,27 @@ def test_p2_reader_equals_its_loop(samples, data):
     (b"0 300 1 2", "P2 sample outside [0, 255]"),
     (b"0 0300 1 2", "P2 sample outside [0, 255]"),
     (b"0 1000 1 2", "P2 sample outside [0, 255]"),
+    pytest.param(b"0 1" + _GAP + b"zz", "expected 4 samples, got 3",
+                 id="a short count beats a bad sample in a later block"),
+    pytest.param(b"300 1" + _GAP + b"zz 2", "non-numeric sample in P2 raster",
+                 id="a non-numeric byte beats an earlier sample out of range"),
 ])
 def test_p2_reader_errors_match_its_loop(raster, error):
-    assert (_outcome(imaging._p2_samples, raster, 4)
-            == _outcome(_p2_samples_loop, raster, 4) == (TruncatedData, error))
+    expected = _outcome(_p2_samples_loop, raster, 4)
+    assert expected == (TruncatedData, error)
+    assert (_at_blocks(_P2_BLOCKS,
+                       lambda: _outcome(imaging._p2_samples, raster, 4))
+            == [expected] * len(_P2_BLOCKS))
+
+
+@pytest.mark.parametrize("raster", [b"0 1 2 3 zz 999 -5", b"0 1 2 3\t0300x",
+                                    b"0 1 2" + _GAP + b"3 zz"])
+def test_p2_reader_ignores_what_follows_the_last_sample(raster):
+    # junk past the count-th sample, in its block or in a later one
+    assert (_at_blocks(_P2_BLOCKS,
+                       lambda: _outcome(imaging._p2_samples, raster, 4))
+            == [_outcome(_p2_samples_loop, raster, 4)] * len(_P2_BLOCKS)
+            == [[0, 1, 2, 3]] * len(_P2_BLOCKS))
 
 
 @pytest.mark.parametrize("sample", [b"+5", b"-0", b"1_0", b"-5"])
