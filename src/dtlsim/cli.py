@@ -13,6 +13,10 @@ directive with flags named like its fields overriding it. Diagnostics
 go to stderr. ``--out`` writes are atomic: a temp file in the
 destination directory is renamed over the target, so a crashed run
 never leaves a half-written file.
+
+A process imports only the layers its command runs: each command
+imports its own, and a command's arguments, some of which are read
+from a layer's field table, are added only when that command is parsed.
 """
 
 from __future__ import annotations
@@ -27,10 +31,8 @@ import tempfile
 
 import numpy as np
 
-from . import cells, dendrite, imaging, solver
 from .errors import (AnalysisEmpty, DomainError, InvalidThreshold,
                      LutRangeError, NetlistError, PgmError, SolverError)
-from .netlist import _DIRECTIVES, parse_netlist
 
 _FMT = "%.9f"
 
@@ -40,6 +42,16 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill   # adds the arguments when the parser first runs
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            self._fill, fill = None, self._fill
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
     # argparse exits with status 2 on bad usage; we reserve 2 for parse
     # errors, so route usage problems through the exception path instead
     def error(self, message):
@@ -109,6 +121,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_circuit(path: str):
+    from .netlist import parse_netlist
     data = pathlib.Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -128,7 +141,11 @@ _NEEDS = {"dc": "sweep needs {} or a .dc directive in the netlist",
 
 def _run(circuit, kind: str, args=None):
     """Run the circuit's embedded ``.dc`` or ``.tran`` directive; a flag
-    in ``args`` named like one of the directive's fields overrides it."""
+    in ``args`` named like one of the directive's fields overrides it. A
+    transient notes each source with more corners than it has steps: the
+    steps read such a source only at their own times."""
+    from . import solver
+    from .netlist import _DIRECTIVES
     fields = _DIRECTIVES["." + kind]
     d = next((d for d in circuit.analyses if d.kind == kind), None)
     values = [getattr(args, f, None) for f in fields]
@@ -141,7 +158,14 @@ def _run(circuit, kind: str, args=None):
     if kind == "dc":
         return solver.dc_sweep(circuit, *values)
     options = {} if args is None else {"method": args.method}
-    return solver.transient(circuit, *values, **options)
+    tr = solver.transient(circuit, *values, **options)
+    steps, tstop = len(tr.times) - 1, float(tr.times[-1])
+    for e in circuit.elements:
+        if e.kind == "v" and (corners := e.params.corners(tstop)) > steps:
+            _note(f"source {e.name} has {corners} corners in [0, {tstop:g}] "
+                  f"s but the run has {steps} steps, which see it only at "
+                  f"their own times")
+    return tr
 
 
 def _note(msg: str) -> None:
@@ -149,6 +173,7 @@ def _note(msg: str) -> None:
 
 
 def _cmd_op(args) -> int:
+    from . import solver
     c = _load_circuit(args.netlist)
     op = solver.dc_operating_point(c)
     rows = [(n, op[n]) for n in sorted(op)]
@@ -181,6 +206,7 @@ def _cmd_tran(args) -> int:
 
 
 def _cmd_xor(args) -> int:
+    from . import cells
     c = cells.build_xor_circuit(vdd=args.vdd, w0=args.w0, phase=args.phase,
                                 edge=args.edge, dt=args.dt,
                                 load_cap=args.load_cap)
@@ -202,21 +228,20 @@ def _cmd_xor(args) -> int:
     return 0 if bits == expected else 5
 
 
-_DETECTOR_FIELDS = [f.name for f in dataclasses.fields(cells.DetectorConfig)]
-
-
 def _detector(args, sweep_stop: float):
     """The preset detector with the overrides given as flags."""
+    from . import cells
     cfg = (cells.DETECTOR_CONFIG_2 if args.config == 2
            else cells.DETECTOR_CONFIG_1)
     cfg = dataclasses.replace(cfg, **{
-        name: getattr(args, name) for name in _DETECTOR_FIELDS
-        if getattr(args, name) is not None})
+        f.name: getattr(args, f.name) for f in dataclasses.fields(cfg)
+        if getattr(args, f.name) is not None})
     return cells.build_intensity_detector(cfg, sweep_stop=sweep_stop,
                                           sweep_step=args.step)
 
 
 def _cmd_detector(args) -> int:
+    from . import cells
     s = _run(_detector(args, args.stop), "dc")
     text = _table(s.source, s.inputs, s.voltages)
     try:
@@ -234,6 +259,7 @@ def _cmd_detector(args) -> int:
 
 
 def _cmd_gen_gaussian(args) -> int:
+    from . import imaging
     img = imaging.gen_gaussian_image(size=args.size, sigma=args.sigma,
                                      amplitude=args.amplitude)
     _atomic_write(args.out, lambda tmp: imaging.write_pgm(
@@ -243,6 +269,7 @@ def _cmd_gen_gaussian(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    from . import imaging
     # the voltage range's check names a bad --v-high before the detector,
     # whose sweep ends at v_high, is built and the image read
     imaging.pixel_to_voltage(0, args.v_low, args.v_high)
@@ -263,6 +290,7 @@ def _cmd_segment(args) -> int:
 
 
 def _grid(spec: str) -> np.ndarray:
+    from . import dendrite
     parts = spec.split(":")
     if len(parts) == 1:   # one value is a grid of one
         parts = [parts[0], parts[0], "1"]
@@ -281,6 +309,7 @@ def _grid(spec: str) -> np.ndarray:
 
 
 def _cmd_calibrate_xor(args) -> int:
+    from . import dendrite
     hits = dendrite.calibrate_xor(_grid(args.theta2), _grid(args.eps),
                                   _grid(args.theta3),
                                   logic_high=args.logic_high)
@@ -295,45 +324,41 @@ def _cmd_calibrate_xor(args) -> int:
 
 
 def _add_detector_flags(p) -> None:
+    from .cells import DetectorConfig
     p.add_argument("--config", type=int, choices=(1, 2), default=1,
                    help="detector preset (default 1, the narrow band)")
-    for name in _DETECTOR_FIELDS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=float,
-                       default=None, help=f"override {name}")
+    for f in dataclasses.fields(DetectorConfig):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=float,
+                       default=None, help=f"override {f.name}")
 
 
 def _add_directive_flags(p, kind: str) -> None:
+    from .netlist import _DIRECTIVES
     for name in _DIRECTIVES["." + kind]:   # the source is a name
         p.add_argument(f"--{name}", type=None if name == "source" else float,
                        default=None)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="dtlsim",
-                description="CMOS-memristor dendritic cell simulator")
-    sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=_Parser)
-
-    q = sub.add_parser("op", help="DC operating point of a netlist")
+def _op_args(q) -> None:
     q.add_argument("netlist")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_op)
 
-    q = sub.add_parser("sweep", help="DC sweep of a netlist source")
+
+def _sweep_args(q) -> None:
     q.add_argument("netlist")
     _add_directive_flags(q, "dc")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_sweep)
 
-    q = sub.add_parser("tran", help="transient analysis of a netlist")
+
+def _tran_args(q) -> None:
     q.add_argument("netlist")
     _add_directive_flags(q, "tran")
     q.add_argument("--method", choices=("backward-euler", "trapezoidal"),
                    default="backward-euler")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_tran)
 
-    q = sub.add_parser("xor", help="run the XOR neuron's four-phase pattern")
+
+def _xor_args(q) -> None:
     q.add_argument("--vdd", type=float, default=6.0)
     q.add_argument("--w0", type=float, default=0.5)
     q.add_argument("--phase", type=float, default=1e-3)
@@ -341,26 +366,25 @@ def _build_parser() -> _Parser:
     q.add_argument("--dt", type=float, default=None)
     q.add_argument("--load-cap", type=float, default=100e-12)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_xor)
 
-    q = sub.add_parser("detector", help="sweep the intensity band detector")
+
+def _detector_args(q) -> None:
     _add_detector_flags(q)
     q.add_argument("--stop", type=float, default=3.0)
     q.add_argument("--step", type=float, default=0.02)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_detector)
 
-    q = sub.add_parser("gen-gaussian", help="write a Gaussian test image")
+
+def _gen_gaussian_args(q) -> None:
     q.add_argument("--size", type=int, default=129)
     q.add_argument("--sigma", type=float, default=None)
     q.add_argument("--amplitude", type=int, default=255)
     q.add_argument("--ascii", action="store_true",
                    help="write P2 instead of P5")
     q.add_argument("--out", required=True)
-    q.set_defaults(func=_cmd_gen_gaussian)
 
-    q = sub.add_parser("segment", help="ring-segment an image with the "
-                                       "band detector")
+
+def _segment_args(q) -> None:
     q.add_argument("image")
     _add_detector_flags(q)
     q.add_argument("--v-low", type=float, default=0.0)
@@ -368,17 +392,41 @@ def _build_parser() -> _Parser:
     q.add_argument("--step", type=float, default=0.02)
     q.add_argument("--out", default=None,
                    help="write the normalized response as a PGM")
-    q.set_defaults(func=_cmd_segment)
 
-    q = sub.add_parser("calibrate-xor",
-                       help="grid-search behavioral XOR thresholds")
+
+def _calibrate_xor_args(q) -> None:
     q.add_argument("--theta2", default="1.1:1.9:5",
                    help="grid as value or start:stop:count")
     q.add_argument("--eps", default="0.05:0.45:5")
     q.add_argument("--theta3", default="0.55:0.95:5")
     q.add_argument("--logic-high", type=float, default=1.0)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=_cmd_calibrate_xor)
+
+
+# name, help, runner and the function that adds the command's arguments
+_COMMANDS = (
+    ("op", "DC operating point of a netlist", _cmd_op, _op_args),
+    ("sweep", "DC sweep of a netlist source", _cmd_sweep, _sweep_args),
+    ("tran", "transient analysis of a netlist", _cmd_tran, _tran_args),
+    ("xor", "run the XOR neuron's four-phase pattern", _cmd_xor, _xor_args),
+    ("detector", "sweep the intensity band detector", _cmd_detector,
+     _detector_args),
+    ("gen-gaussian", "write a Gaussian test image", _cmd_gen_gaussian,
+     _gen_gaussian_args),
+    ("segment", "ring-segment an image with the band detector", _cmd_segment,
+     _segment_args),
+    ("calibrate-xor", "grid-search behavioral XOR thresholds",
+     _cmd_calibrate_xor, _calibrate_xor_args),
+)
+
+
+def _build_parser() -> _Parser:
+    p = _Parser(prog="dtlsim",
+                description="CMOS-memristor dendritic cell simulator")
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_Parser)
+    for name, summary, func, args in _COMMANDS:
+        sub.add_parser(name, help=summary, fill=args).set_defaults(func=func)
     return p
 
 

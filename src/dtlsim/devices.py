@@ -155,6 +155,24 @@ class SourceWaveform:
                     if e > phase)
         return a + (edge - phase) < b
 
+    def corners(self, tstop: float) -> int:
+        """The number of corners in [0, tstop]: PWL times, counted by
+        bisection, or a pulse's rise and fall starts and ends, counted per
+        edge in O(1) whatever its period."""
+        if self.kind == "dc":
+            return 0
+        if self.kind == "pwl":
+            times = self._corners[0]
+            return max(0, bisect_right(times, tstop) - bisect_left(times, 0.0))
+        _, _, delay, rise, fall, width, period = self.params
+        # a zero rise or fall is one corner, and a fall that ends the
+        # period ends where the next period's rise starts
+        edges = {e for e in (0.0, rise, rise + width, rise + width + fall)
+                 if e < period}
+        count = sum(max(0.0, (tstop - delay - e) // period + 1)
+                    for e in edges)
+        return int(min(count, 2.0 ** 62))   # the quotient may overflow to inf
+
 
 @dataclass(frozen=True)
 class MosfetParams:

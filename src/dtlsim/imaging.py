@@ -34,13 +34,15 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cells import _half_crossings, _runs
 from .errors import (BadHeader, BadMagic, DomainError, LutRangeError, NoRing,
                      TruncatedData, UnsupportedMaxval)
-from .solver import SweepResult
+
+if TYPE_CHECKING:   # the circuit layers load only where a call needs them
+    from .solver import SweepResult
 
 __all__ = [
     "ImageGray",
@@ -439,6 +441,7 @@ def ring_metrics(response) -> RingMetrics:
     (a blob, not a ring), or never falls back to half height on both
     sides of the peak. A non-finite response value is a DomainError.
     """
+    from .cells import _half_crossings, _runs
     resp = np.asarray(response, dtype=float)
     if resp.ndim != 2:
         raise DomainError("response must be a 2-D array")

@@ -4,17 +4,21 @@ Everything runs in-process through main(argv) so stdout/stderr and exit
 codes can be asserted without spawning an interpreter.
 """
 
+import dataclasses
 import hashlib
 import os
+import re
 import stat
 
 import numpy as np
 import pytest
 
 from dtlsim import solver
+from dtlsim.cells import DetectorConfig
 from dtlsim.cli import _atomic_write, main
 from dtlsim.errors import NoConvergence
 from dtlsim.imaging import gen_gaussian_image, read_pgm, write_pgm
+from dtlsim.netlist import _DIRECTIVES
 
 DIVIDER = """divider
 v_1 in 0 6.0
@@ -234,6 +238,43 @@ def test_tran_reports_memristor_state_column(tmp_path, capsys):
     assert main(["tran", str(p)]) == 0
     header = capsys.readouterr().out.split("\n", 1)[0]
     assert header == "time,a,w(xmr_1)"
+
+
+# the 1 ns pulse train of the fuzz test's example, on a 1 us grid, and the
+# netlists the CI runs from the installed package
+FAST_PULSE = """fast
+r_s0 n0 0 1000
+v_1 n0 0 1
+c_e0 n0 n1 1e-9
+r_e1 n1 0 1000
+v_e2 n2 n1 pulse(0 1 0.5n 0.1n 0.1n 0.5n 1n)
+xmr_e3 n2 0 mem w0=0.5
+.model mem memristor k=1e6
+.tran 10u 1u
+"""
+CI_RC = ("rc\nv_1 in 0 pwl(0 0 1u 1)\nr_1 in out 1k\nc_1 out 0 1n\n"
+         ".tran 10u 100n\n")
+CI_DRIVE = ("drive\nv_s a 0 pulse(0 5 0 1u 1u 100u 200u)\nxmr_1 a 0 mem\n"
+            ".model mem memristor k=1e9\n.tran 1m 1u\n")
+
+
+def test_tran_notes_a_source_with_more_corners_than_steps(tmp_path, capsys):
+    # four corners a period in each of 10 us of 1 ns periods, less the two
+    # of the last period that fall past 10 us
+    p = tmp_path / "fast.cir"
+    p.write_text(FAST_PULSE)
+    assert main(["tran", str(p)]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines()
+             if "corners" in line]
+    assert notes == ["dtlsim: source v_e2 has 39998 corners in [0, 1e-05] s "
+                     "but the run has 10 steps, which see it only at their "
+                     "own times"]
+    for text, method in ((CI_RC, "trapezoidal"), (CI_DRIVE, "backward-euler")):
+        p.write_text(text)
+        assert main(["tran", str(p), "--method", method]) == 0
+        assert "corners" not in capsys.readouterr().err
+    assert main(["xor"]) == 0
+    assert "corners" not in capsys.readouterr().err
 
 
 # --- xor -------------------------------------------------------------------------
@@ -595,6 +636,34 @@ def test_gen_gaussian_size_over_limit_is_domain_exit(tmp_path, capsys):
 
 
 # --- parser level ----------------------------------------------------------------------
+
+COMMANDS = ["op", "sweep", "tran", "xor", "detector", "gen-gaussian",
+            "segment", "calibrate-xor"]
+
+
+def _help(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--help"])
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+def _flags(help_text: str) -> set:
+    return set(re.findall(r"^  (--[\w-]+)", help_text, re.M))
+
+
+def test_help_shows_every_command_and_field_flag(capsys):
+    # a command's flags are added only when it is parsed; its help still
+    # shows one for every field of the table they are read from
+    assert re.findall(r"^    (\S+) ", _help(capsys), re.M) == COMMANDS
+    detector = {f"--{f.name.replace('_', '-')}"
+                for f in dataclasses.fields(DetectorConfig)}
+    for command in ("detector", "segment"):
+        assert detector <= _flags(_help(capsys, command))
+    for command, kind in (("sweep", ".dc"), ("tran", ".tran")):
+        assert ({f"--{f}" for f in _DIRECTIVES[kind]}
+                <= _flags(_help(capsys, command)))
+
 
 def test_unknown_subcommand_and_empty_argv(capsys):
     assert main(["bogus"]) == 1

@@ -454,8 +454,36 @@ def test_pulse_corner_inside_equals_a_list_of_its_edges(case):
             0.5 * (w.value(a) + w.value(b)), abs=1e-12)
 
 
+@given(_pwl_and_times())
+def test_pwl_corners_count_its_times_in_the_run(case):
+    params, queries = case
+    w = SourceWaveform("pwl", params)
+    for tstop in queries:
+        assert w.corners(tstop) == sum(0.0 <= t <= tstop
+                                       for t in params[0::2]), tstop
+
+
+@given(_pulse_and_interval())
+def test_pulse_corners_count_a_set_of_its_edges(case):
+    # a zero rise or fall, or a fall ending the period, shares its corner
+    params, _, tstop = case
+    _, _, delay, rise, fall, width, period = params
+    edges = {delay + n * period + offset
+             for n in range(int(tstop // period) + 1)
+             for offset in (0, rise, rise + width, rise + width + fall)}
+    assert SourceWaveform("pulse", params).corners(tstop) == sum(
+        t <= tstop for t in edges)
+
+
+def test_pulse_corners_saturate_past_the_float_range():
+    # 1e10 s of 1e-300 s periods: the float quotient is inf
+    w = SourceWaveform("pulse", (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1e-300))
+    assert w.corners(1e10) == 2 ** 62
+
+
 def test_dc_has_no_corner():
     assert not SourceWaveform("dc", (1.0,)).corner_inside(-1.0, 1.0)
+    assert SourceWaveform("dc", (1.0,)).corners(1.0) == 0
 
 
 def test_param_validation():

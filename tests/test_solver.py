@@ -21,6 +21,7 @@ import dtlsim
 from dtlsim import cells, devices, solver
 from dtlsim.devices import StampContext, ZenerParams, zener_ig
 from dtlsim.errors import NoConvergence, SingularMatrix
+from dtlsim.imaging import gen_gaussian_image, write_pgm
 from dtlsim.netlist import Circuit, parse_netlist
 from dtlsim.solver import dc_operating_point, dc_sweep, sweep_points, transient
 
@@ -396,16 +397,46 @@ def test_non_finite_jacobian_is_named_without_svd(monkeypatch):
             dc_operating_point(parse_netlist(text))
 
 
-def test_import_leaves_scipy_out():
+# run in a fresh interpreter: import dtlsim, run the command if there is
+# one, and list the dtlsim and scipy modules then loaded
+_LOADED = """\
+import contextlib, io, sys
+import dtlsim
+if sys.argv[1:]:
+    from dtlsim.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules
+              if m.startswith("dtlsim.") or m.split(".")[0] == "scipy"))
+"""
+
+_CIRCUIT = ("cells", "devices", "netlist", "solver")
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ([], ()),
+    (["calibrate-xor"], ("dendrite",)),
+    (["gen-gaussian", "--size", "33", "--out", "g.pgm"], ("imaging",)),
+    (["detector", "--config", "2"], _CIRCUIT),
+    (["xor"], _CIRCUIT),
+    (["segment", "blob.pgm", "--config", "2"], _CIRCUIT + ("imaging",)),
+], ids=["import", "calibrate-xor", "gen-gaussian", "detector", "xor",
+        "segment"])
+def test_import_leaves_scipy_out(tmp_path, argv, layers):
+    """``import dtlsim`` loads no layer, each command only the layers it
+    runs, and neither loads scipy."""
+    write_pgm(tmp_path / "blob.pgm", gen_gaussian_image(65))
     src = str(Path(dtlsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dtlsim; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    expected = {"dtlsim.errors", *(f"dtlsim.{m}" for m in layers)}
+    if argv:
+        expected.add("dtlsim.cli")
+    assert proc.stdout.split() == sorted(expected)
 
 
 def test_failure_names_its_point(monkeypatch):
