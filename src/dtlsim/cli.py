@@ -17,19 +17,25 @@ never leaves a half-written file.
 A process imports only the layers its command runs: each command
 imports its own, and a command's arguments, some of which are read
 from a layer's field table, are added only when that command is parsed.
+numpy, too, is imported only by the helpers that use it.
+
+A ``dtlsim`` process (``process``: the console script and ``python -m
+dtlsim.cli``) runs with the cycle collector off, numpy's import
+included, and exits without the shutdown collection, which is safe
+because no analysis makes a reference cycle; ``main``, the in-process
+API, never touches the collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import os
 import pathlib
 import sys
 import tempfile
-
-import numpy as np
 
 from .errors import (AnalysisEmpty, DomainError, InvalidThreshold,
                      LutRangeError, NetlistError, PgmError, SolverError)
@@ -76,6 +82,7 @@ def _table(axis: str, values, voltages: dict,
            states: dict | None = None) -> str:
     """One row per point: the axis value, the node voltages in sorted
     order, then the memristor states as ``w(name)`` columns."""
+    import numpy as np
     states = states or {}
     nodes, names = sorted(voltages), sorted(states)
     columns = [values, *(voltages[n] for n in nodes),
@@ -269,6 +276,7 @@ def _cmd_gen_gaussian(args) -> int:
 
 
 def _cmd_segment(args) -> int:
+    import numpy as np
     from . import imaging
     # the voltage range's check names a bad --v-high before the detector,
     # whose sweep ends at v_high, is built and the image read
@@ -290,6 +298,7 @@ def _cmd_segment(args) -> int:
 
 
 def _grid(spec: str) -> np.ndarray:
+    import numpy as np
     from . import dendrite
     parts = spec.split(":")
     if len(parts) == 1:   # one value is a grid of one
@@ -458,5 +467,15 @@ def main(argv=None) -> int:
         return 5
 
 
+def process() -> int:
+    """The ``dtlsim`` process: ``main`` on ``sys.argv`` with the cycle
+    collector off, then every object frozen, so that the interpreter's
+    shutdown collections, which ``gc.disable`` does not stop, skip them."""
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process())

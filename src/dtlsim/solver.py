@@ -80,6 +80,11 @@ step thus comes back non-finite and raises SingularMatrix naming the
 first non-finite row of the Jacobian, or in a finite Jacobian the
 unknown with the largest component of its null vector (its last
 right-singular vector).
+
+No analysis makes a reference cycle, so a process may run it with the
+cycle collector off (the ``dtlsim`` process does): a failed strategy
+keeps its exception's text and residual, not the exception, whose
+traceback would hold the frame that holds it.
 """
 
 from __future__ import annotations
@@ -403,7 +408,6 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
     names the ``kind`` of point ("operating point", "sweep point" or
     "time step").
     """
-    last: Exception | None = None
     for name, rungs in _LADDER:
         x, total = x0, 0
         try:
@@ -411,13 +415,13 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
                 x, iters, memory = _newton(sys, x, ctx)
                 total += iters
         except (NoConvergence, SingularMatrix) as exc:
-            last = exc
+            # the text, not the exception: its traceback holds this frame
+            last, residual = str(exc), getattr(exc, "residual", None)
             continue
         return x, total, name, memory
     raise NoConvergence(
         f"{kind} did not converge (newton and gmin stepping "
-        f"both failed: {last})",
-        residual=getattr(last, "residual", None))
+        f"both failed: {last})", residual=residual)
 
 
 def _march(sys: _System, points: list[float], context, where, kind: str):

@@ -1,12 +1,18 @@
 """Shared test helpers: directive-driven runs, hypothesis settings, the
 finite-difference Jacobian harness and the KCL judge used by both the
-solver tests and the acceptance gate."""
+solver tests and the acceptance gate, and a fresh interpreter on the
+tests' own sources."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+import dtlsim
 from dtlsim import devices, solver
 from dtlsim.devices import (memristance, memristor_state_rate,
                             mosfet_ids_grad, zener_ig)
@@ -25,6 +31,16 @@ def dc_from_directive(circuit):
         if d.kind == "dc":
             return solver.dc_sweep(circuit, d.source, d.start, d.stop, d.step)
     raise AssertionError("circuit has no .dc directive")
+
+
+def run_fresh(code: str, *args: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``python -c code *args`` in cwd, importing dtlsim from the
+    sources these tests import."""
+    src = str(Path(dtlsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True)
 
 
 def tran_from_directive(circuit):

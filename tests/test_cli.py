@@ -1,10 +1,12 @@
 """Command line behavior: exit codes, CSV shapes, atomic --out writes.
 
 Everything runs in-process through main(argv) so stdout/stderr and exit
-codes can be asserted without spawning an interpreter.
+codes can be asserted without spawning an interpreter; only the process
+entry, which turns the cycle collector off, runs in a fresh one.
 """
 
 import dataclasses
+import gc
 import hashlib
 import os
 import re
@@ -13,12 +15,14 @@ import stat
 import numpy as np
 import pytest
 
-from dtlsim import solver
+from dtlsim import cells, dendrite, imaging, solver
 from dtlsim.cells import DetectorConfig
 from dtlsim.cli import _atomic_write, main
 from dtlsim.errors import NoConvergence
 from dtlsim.imaging import gen_gaussian_image, read_pgm, write_pgm
-from dtlsim.netlist import _DIRECTIVES
+from dtlsim.netlist import _DIRECTIVES, parse_netlist
+
+from conftest import dc_from_directive, run_fresh
 
 DIVIDER = """divider
 v_1 in 0 6.0
@@ -537,6 +541,10 @@ def test_calibrate_nonfinite_grid_is_usage_exit(monkeypatch, capsys):
             assert "Warning" not in err
 
 
+DETECTOR_2_DIGEST = (
+    "9141c164bab8b683e83e89a99e66e1c2253b0c0996c09e3fbfee9aed19c42074")
+
+
 # --- pinned stdout --------------------------------------------------------------------
 
 # sha256 of stdout, recorded before the command layer was reshaped around
@@ -570,8 +578,7 @@ def test_calibrate_nonfinite_grid_is_usage_exit(monkeypatch, capsys):
     # detector's first stage with its source-bulk junctions forward biased
     (["detector"],
      "85ad02b4bc29ebba8566159ee9d70faf4bbb6c4e6b8b450a9d0be2ee13d30e60"),
-    (["detector", "--config", "2"],
-     "9141c164bab8b683e83e89a99e66e1c2253b0c0996c09e3fbfee9aed19c42074"),
+    (["detector", "--config", "2"], DETECTOR_2_DIGEST),
     (["xor"],
      "2ecbd8fc22fa2c006a2f075d664898c6698d568552ebe64a66ed16bf5607e433"),
     (["segment", "{blob}"],
@@ -694,3 +701,84 @@ def test_out_files_get_the_mode_of_a_new_file(tmp_path, divider, umask, mode):
         os.umask(saved)
     for name in ("g.pgm", "op.csv"):
         assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+
+
+# --- the process entry and the cycle collector ---------------------------
+
+def _detector_sweep():
+    return dc_from_directive(
+        cells.build_intensity_detector(cells.DETECTOR_CONFIG_2))
+
+
+def _xor_transient(method):
+    c = cells.build_xor_circuit()
+    d = next(d for d in c.analyses if d.kind == "tran")
+    return solver.transient(c, d.tstop, d.dt, method=method)
+
+
+def _memristor_at_rail():
+    # the trapezoidal state equation has no root in [0, 1] at t = 4 us
+    c = parse_netlist("rail\nv_s a 0 pwl(0 0 1u 5)\nxmr_1 a 0 mem w0=0.5\n"
+                      ".model mem memristor k=1e9\n")
+    with pytest.raises(NoConvergence, match=r"^transient failed at t=4e-06s"):
+        solver.transient(c, 1e-5, 1e-6, method="trapezoidal")
+
+
+def _segment(sweep):
+    lut = imaging.ResponseLut.from_sweep(sweep, "out")
+    imaging.ring_metrics(imaging.apply_detector(gen_gaussian_image(65), lut))
+
+
+@pytest.mark.parametrize("analysis", [
+    lambda: solver.dc_operating_point(cells.build_xor_circuit()),
+    _detector_sweep,   # its first point falls back to gmin-stepping
+    lambda: _xor_transient("backward-euler"),
+    lambda: _xor_transient("trapezoidal"),
+    _memristor_at_rail,
+    lambda: _segment(_detector_sweep()),
+    lambda: cells.extract_band(_detector_sweep(), "out"),
+    lambda: dendrite.calibrate_xor(np.linspace(1.1, 1.9, 5),
+                                   np.linspace(0.05, 0.45, 5),
+                                   np.linspace(0.55, 0.95, 5)),
+], ids=["op", "detector-sweep", "transient-be", "transient-trap",
+        "no-convergence", "segment", "extract-band", "calibrate-xor"])
+def test_analyses_leave_no_cyclic_garbage(analysis):
+    """A ``dtlsim`` process runs with the cycle collector off, so every
+    analysis it runs must free all it made by reference counting."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        analysis()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# run the module as ``python -m dtlsim.cli`` does, and report the exit
+# code, stdout's digest and the collector's state after it
+_ENTRY = """\
+import contextlib, gc, hashlib, io, runpy, sys
+sys.argv = ["dtlsim", *sys.argv[1:]]
+out = io.StringIO()
+try:
+    with contextlib.redirect_stdout(out):
+        runpy.run_module("dtlsim.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+      gc.isenabled(), gc.get_freeze_count() > 0)
+"""
+
+
+def test_process_runs_without_the_collector(tmp_path):
+    proc = run_fresh(_ENTRY, "detector", "--config", "2", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", DETECTOR_2_DIGEST, "False", "True"]
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert main(["detector", "--config", "2"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)

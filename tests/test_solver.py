@@ -3,10 +3,7 @@ state integration, and finite-difference Jacobian checks."""
 
 import importlib
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 import warnings
 from pathlib import Path
@@ -17,7 +14,6 @@ from hypothesis import given, strategies as st
 import scipy.integrate
 import scipy.optimize
 
-import dtlsim
 from dtlsim import cells, devices, solver
 from dtlsim.devices import StampContext, ZenerParams, zener_ig
 from dtlsim.errors import NoConvergence, SingularMatrix
@@ -26,7 +22,7 @@ from dtlsim.netlist import Circuit, parse_netlist
 from dtlsim.solver import dc_operating_point, dc_sweep, sweep_points, transient
 
 from conftest import (FD_BENCH_DC, FD_BENCH_TRAN, fd_jacobian_check,
-                      kcl_judge, make_tran_ctx_maker)
+                      kcl_judge, make_tran_ctx_maker, run_fresh)
 
 DIVIDER = """divider
 v_1 in 0 6.0
@@ -397,45 +393,47 @@ def test_non_finite_jacobian_is_named_without_svd(monkeypatch):
             dc_operating_point(parse_netlist(text))
 
 
-# run in a fresh interpreter: import dtlsim, run the command if there is
-# one, and list the dtlsim and scipy modules then loaded
+# run in a fresh interpreter: import a module, run the command if there
+# is one, and list the dtlsim and scipy modules then loaded, and numpy
 _LOADED = """\
-import contextlib, io, sys
-import dtlsim
-if sys.argv[1:]:
+import contextlib, importlib, io, sys
+importlib.import_module(sys.argv[1])
+if sys.argv[2:]:
     from dtlsim.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(sys.argv[1:]) == 0
-print(*sorted(m for m in sys.modules
-              if m.startswith("dtlsim.") or m.split(".")[0] == "scipy"))
+        assert main(sys.argv[2:]) == 0
+print(*sorted(m for m in sys.modules if m.startswith("dtlsim.")
+              or m.split(".")[0] == "scipy" or m == "numpy"))
 """
 
 _CIRCUIT = ("cells", "devices", "netlist", "solver")
 
 
-@pytest.mark.parametrize("argv, layers", [
-    ([], ()),
-    (["calibrate-xor"], ("dendrite",)),
-    (["gen-gaussian", "--size", "33", "--out", "g.pgm"], ("imaging",)),
-    (["detector", "--config", "2"], _CIRCUIT),
-    (["xor"], _CIRCUIT),
-    (["segment", "blob.pgm", "--config", "2"], _CIRCUIT + ("imaging",)),
-], ids=["import", "calibrate-xor", "gen-gaussian", "detector", "xor",
-        "segment"])
-def test_import_leaves_scipy_out(tmp_path, argv, layers):
-    """``import dtlsim`` loads no layer, each command only the layers it
-    runs, and neither loads scipy."""
+@pytest.mark.parametrize("module, argv, layers", [
+    ("dtlsim", [], ()),
+    ("dtlsim.cli", [], ()),
+    ("dtlsim.cli", ["calibrate-xor"], ("dendrite",)),
+    ("dtlsim.cli", ["gen-gaussian", "--size", "33", "--out", "g.pgm"],
+     ("imaging",)),
+    ("dtlsim.cli", ["detector", "--config", "2"], _CIRCUIT),
+    ("dtlsim.cli", ["xor"], _CIRCUIT),
+    ("dtlsim.cli", ["segment", "blob.pgm", "--config", "2"],
+     _CIRCUIT + ("imaging",)),
+], ids=["import", "import-cli", "calibrate-xor", "gen-gaussian", "detector",
+        "xor", "segment"])
+def test_import_leaves_scipy_out(tmp_path, module, argv, layers):
+    """``import dtlsim`` loads no layer, ``import dtlsim.cli`` no layer and
+    no numpy (a ``dtlsim`` process turns the cycle collector off before
+    numpy loads), each command only the layers it runs, and none of them
+    loads scipy."""
     write_pgm(tmp_path / "blob.pgm", gen_gaussian_image(65))
-    src = str(Path(dtlsim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                          cwd=tmp_path, env=env, capture_output=True,
-                          text=True)
+    proc = run_fresh(_LOADED, module, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     expected = {"dtlsim.errors", *(f"dtlsim.{m}" for m in layers)}
-    if argv:
+    if module == "dtlsim.cli":
         expected.add("dtlsim.cli")
+    if layers:   # every layer imports numpy
+        expected.add("numpy")
     assert proc.stdout.split() == sorted(expected)
 
 
