@@ -27,24 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import DomainError, NoBand, NotUnimodal
 from .netlist import Circuit, _fmt as _f, parse_netlist
 from .solver import _MAX_POINTS, SweepResult, TransientResult
 
-__all__ = [
-    "BandResponse",
-    "DetectorConfig",
-    "DETECTOR_CONFIG_1",
-    "DETECTOR_CONFIG_2",
-    "build_intensity_detector",
-    "build_saturation_cell",
-    "build_spike_cell",
-    "build_xor_circuit",
-    "extract_band",
-    "peak_input",
-    "settle_phase_levels",
-    "smooth3",
-]
+__all__ = list(_EXPORTS["cells"])
 
 
 def _check_finite(**values: float) -> None:
@@ -59,6 +47,15 @@ def _check_w0(w0: float) -> None:
         raise DomainError(f"w0 must lie in [0, 1], got {w0}")
 
 
+def _check_cell(w0: float, vdd: float, **values: float) -> None:
+    """The checks every cell builder opens with, in this order: vdd and
+    then ``values`` finite, w0 in [0, 1], vdd positive."""
+    _check_finite(vdd=vdd, **values)
+    _check_w0(w0)
+    if vdd <= 0:
+        raise DomainError(f"vdd must be positive, got {vdd}")
+
+
 def build_saturation_cell(vdd: float = 6.0, w0: float = 0.5) -> Circuit:
     """Memristor feeding a zener-clamped output node.
 
@@ -67,10 +64,7 @@ def build_saturation_cell(vdd: float = 6.0, w0: float = 0.5) -> Circuit:
     input minus a negligible drop; past breakdown the output saturates
     just under the 4.2 V zener voltage.
     """
-    _check_finite(vdd=vdd)
-    _check_w0(w0)
-    if vdd <= 0:
-        raise DomainError(f"vdd must be positive, got {vdd}")
+    _check_cell(w0, vdd)
     text = f"""saturation cell
 v_in in 0 0.0
 xmr_mem in out mem w0={_f(w0)}
@@ -93,10 +87,7 @@ def build_spike_cell(w0: float = 0.5, vdd: float = 6.0) -> Circuit:
     lower input voltage. The zener bounds the peak height if the flip
     threshold exceeds its breakdown.
     """
-    _check_finite(vdd=vdd)
-    _check_w0(w0)
-    if vdd <= 0:
-        raise DomainError(f"vdd must be positive, got {vdd}")
+    _check_cell(w0, vdd)
     text = f"""spike cell
 v_in in 0 0.0
 v_dd vdd 0 {_f(vdd)}
@@ -135,10 +126,7 @@ def build_xor_circuit(vdd: float = 6.0, w0: float = 0.5,
     """
     if dt is None:
         dt = phase / 200.0
-    _check_finite(vdd=vdd, phase=phase, edge=edge, dt=dt, load_cap=load_cap)
-    _check_w0(w0)
-    if vdd <= 0:
-        raise DomainError(f"vdd must be positive, got {vdd}")
+    _check_cell(w0, vdd, phase=phase, edge=edge, dt=dt, load_cap=load_cap)
     if phase <= 0 or edge <= 0 or edge >= phase:
         raise DomainError(f"need 0 < edge < phase, got {edge} vs {phase}")
     if dt <= 0 or dt > phase:

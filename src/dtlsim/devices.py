@@ -98,13 +98,20 @@ class SourceWaveform:
                 raise DomainError("pulse timing values must be non-negative, period positive")
             if rise + width + fall > period:
                 raise DomainError("pulse rise + width + fall exceeds period")
+            # the distinct corner offsets in a period, for ``corners``: a
+            # zero rise or fall is one corner, and a fall that ends the
+            # period ends where the next period's rise starts
+            object.__setattr__(self, "_edges", frozenset(
+                e for e in (0.0, rise, rise + width, rise + width + fall)
+                if e < period))
         elif self.kind == "pwl":
             if len(self.params) < 4 or len(self.params) % 2:
                 raise DomainError("pwl takes at least two (time, value) pairs")
             times = self.params[0::2]
             if any(t1 < t0 for t0, t1 in zip(times, times[1:])):
                 raise DomainError("pwl times must be non-decreasing")
-            # the corner times and values, split once for ``value``
+            # the corner times and values, split once for ``value`` and
+            # ``corners``
             object.__setattr__(self, "_corners", (times, self.params[1::2]))
         else:
             raise DomainError(f"unknown source kind {self.kind!r}")
@@ -135,43 +142,27 @@ class SourceWaveform:
         t0, t1, v0, v1 = times[j - 1], times[j], vals[j - 1], vals[j]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)   # t0 < t <= t1
 
-    def corner_inside(self, a: float, b: float) -> bool:
-        """Whether a corner of the waveform, where its slope may jump, lies
-        strictly inside (a, b): a PWL time, found by bisection, or the
-        start or end of a pulse's rise or fall, found from the pulse's
-        phase at a in O(1) whatever its period."""
-        if self.kind == "dc":
-            return False
-        if self.kind == "pwl":
-            times = self._corners[0]
-            j = bisect_right(times, a)   # the first corner after a
-            return j < len(times) and times[j] < b
-        _, _, delay, rise, fall, width, period = self.params
-        if a < delay:
-            return delay < b
-        phase = math.fmod(a - delay, period)   # in [0, period)
-        # the next edge after the phase; the period's end is one
-        edge = next(e for e in (rise, rise + width, rise + width + fall, period)
-                    if e > phase)
-        return a + (edge - phase) < b
-
-    def corners(self, tstop: float) -> int:
-        """The number of corners in [0, tstop]: PWL times, counted by
-        bisection, or a pulse's rise and fall starts and ends, counted per
-        edge in O(1) whatever its period."""
+    def corners(self, a: float, b: float) -> int:
+        """The number of corners, where the slope may jump, strictly inside
+        (a, b): PWL times, counted by bisection, or the starts and ends of a
+        pulse's rises and falls, counted per edge in O(1) whatever its
+        period. For each edge of a pulse, the count of its corners before
+        b, and that of those at or before a, saturate at 2**62."""
         if self.kind == "dc":
             return 0
         if self.kind == "pwl":
             times = self._corners[0]
-            return max(0, bisect_right(times, tstop) - bisect_left(times, 0.0))
-        _, _, delay, rise, fall, width, period = self.params
-        # a zero rise or fall is one corner, and a fall that ends the
-        # period ends where the next period's rise starts
-        edges = {e for e in (0.0, rise, rise + width, rise + width + fall)
-                 if e < period}
-        count = sum(max(0.0, (tstop - delay - e) // period + 1)
-                    for e in edges)
-        return int(min(count, 2.0 ** 62))   # the quotient may overflow to inf
+            return max(0, bisect_left(times, b) - bisect_right(times, a))
+        delay, period = self.params[2], self.params[6]
+        count = 0
+        for e in self._edges:   # the corners delay + e + n*period, n >= 0
+            # how many lie before b, less how many lie at or before a; a
+            # tiny period's quotient may overflow to inf
+            before = -((delay + e - b) // period)
+            upto = (a - delay - e) // period + 1
+            count += (int(min(max(0.0, before), 2.0 ** 62))
+                      - int(min(max(0.0, upto), 2.0 ** 62)))
+        return max(0, count)
 
 
 @dataclass(frozen=True)

@@ -38,23 +38,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (BadHeader, BadMagic, DomainError, LutRangeError, NoRing,
                      TruncatedData, UnsupportedMaxval)
 
 if TYPE_CHECKING:   # the circuit layers load only where a call needs them
     from .solver import SweepResult
 
-__all__ = [
-    "ImageGray",
-    "ResponseLut",
-    "RingMetrics",
-    "apply_detector",
-    "gen_gaussian_image",
-    "pixel_to_voltage",
-    "read_pgm",
-    "ring_metrics",
-    "write_pgm",
-]
+__all__ = list(_EXPORTS["imaging"])
 
 # largest side; one 134 MB float64 work array, 174 MB peak RSS in all
 MAX_GAUSSIAN_SIZE = 4096

@@ -514,7 +514,7 @@ def transient(circuit, tstop: float, dt: float,
     the DC memristor drift rates.
 
     Under the trapezoidal rule, a step with a source corner strictly
-    inside it (``SourceWaveform.corner_inside``; a corner within 1e-9 dt
+    inside it (``SourceWaveform.corners``; a corner within 1e-9 dt
     of a grid time lies on the grid) runs as backward Euler, which does
     not ring after the corner. So does the step after it: the memory the
     straddling step recorded is its average over the corner, not the
@@ -533,7 +533,7 @@ def transient(circuit, tstop: float, dt: float,
         slack = 1e-9 * dt   # a corner this close to a grid time is on it
         waves = [e.params for e in sys.sources.values()]
         for k in range(1, len(points)):
-            if any(w.corner_inside(points[k - 1] + slack, points[k] - slack)
+            if any(w.corners(points[k - 1] + slack, points[k] - slack)
                    for w in waves):
                 restarts.update(points[k:k + 2])
     rules = ["dc"] + ["backward-euler" if t in restarts else method

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 
 import dtlsim
-from dtlsim import cells, devices, solver
+from dtlsim import cells, devices, imaging, solver
 from dtlsim.errors import DtlsimError
 from dtlsim.netlist import parse_netlist
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_every_exported_name_resolves():
-    for module in (dtlsim, cells):
+def test_every_exported_name_resolves(monkeypatch):
+    for name in dtlsim._HOME:   # unresolved, as after a fresh import
+        monkeypatch.delitem(vars(dtlsim), name, raising=False)
+    assert set(dtlsim.__all__) <= set(dir(dtlsim))
+    for module in (dtlsim, cells, imaging):
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
     namespace = {}

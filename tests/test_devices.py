@@ -415,13 +415,14 @@ def test_pwl_value_equals_linear_scan_bit_for_bit(case):
 
 
 @given(_pwl_and_times())
-def test_pwl_corner_inside_equals_a_scan_of_its_times(case):
+def test_pwl_corners_count_its_times_inside(case):
+    # a repeated time (a vertical edge) counts once for each listing
     params, queries = case
     w = SourceWaveform("pwl", params)
     for a in queries:
         for b in queries:
-            assert w.corner_inside(a, b) == any(a < t < b
-                                                for t in params[0::2]), (a, b)
+            assert w.corners(a, b) == sum(a < t < b
+                                          for t in params[0::2]), (a, b)
 
 
 @st.composite
@@ -430,60 +431,42 @@ def _pulse_and_interval(draw):
     delay, rise, width, fall = (draw(st.integers(0, 4)) for _ in range(4))
     period = rise + width + fall + draw(st.integers(0, 4))
     assume(period > 0)
-    a = draw(st.integers(0, 160)) / 4.0
+    a = draw(st.integers(-4, 160)) / 4.0
     b = a + draw(st.integers(0, 40)) / 4.0
     return (0.0, 1.0, delay, rise, fall, width, period), a, b
 
 
-# ends on a corner: a at the delay, a at the rise's end, b at the delay
+# ends on a corner: a at the delay, a at the rise's end, b at the delay;
+# then a fall that ends the period, where the next period's rise starts
 @example(((0.0, 1.0, 1, 2, 2, 2, 8), 1.0, 2.0))
 @example(((0.0, 1.0, 1, 2, 2, 2, 8), 3.0, 4.0))
 @example(((0.0, 1.0, 1, 2, 2, 2, 8), 0.0, 1.0))
+@example(((0.0, 1.0, 0, 1, 1, 2, 4), -1.0, 9.0))
 @given(_pulse_and_interval())
-def test_pulse_corner_inside_equals_a_list_of_its_edges(case):
+def test_pulse_corners_count_its_edges_inside(case):
+    # a zero rise or fall, or a fall ending the period, shares its corner
     params, a, b = case
     _, _, delay, rise, fall, width, period = params
     w = SourceWaveform("pulse", params)
-    edges = [delay + n * period + offset
+    edges = {delay + n * period + offset
              for n in range(int(b // period) + 1)
-             for offset in (0, rise, rise + width, rise + width + fall)]
-    inside = any(a < t < b for t in edges)
-    assert w.corner_inside(a, b) == inside
+             for offset in (0, rise, rise + width, rise + width + fall)}
+    inside = sum(a < t < b for t in edges)
+    assert w.corners(a, b) == inside
     if not inside and rise and fall:   # the waveform is affine on [a, b]
         assert w.value(0.5 * (a + b)) == pytest.approx(
             0.5 * (w.value(a) + w.value(b)), abs=1e-12)
 
 
-@given(_pwl_and_times())
-def test_pwl_corners_count_its_times_in_the_run(case):
-    params, queries = case
-    w = SourceWaveform("pwl", params)
-    for tstop in queries:
-        assert w.corners(tstop) == sum(0.0 <= t <= tstop
-                                       for t in params[0::2]), tstop
-
-
-@given(_pulse_and_interval())
-def test_pulse_corners_count_a_set_of_its_edges(case):
-    # a zero rise or fall, or a fall ending the period, shares its corner
-    params, _, tstop = case
-    _, _, delay, rise, fall, width, period = params
-    edges = {delay + n * period + offset
-             for n in range(int(tstop // period) + 1)
-             for offset in (0, rise, rise + width, rise + width + fall)}
-    assert SourceWaveform("pulse", params).corners(tstop) == sum(
-        t <= tstop for t in edges)
-
-
 def test_pulse_corners_saturate_past_the_float_range():
     # 1e10 s of 1e-300 s periods: the float quotient is inf
     w = SourceWaveform("pulse", (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1e-300))
-    assert w.corners(1e10) == 2 ** 62
+    assert w.corners(-1.0, 1e10) == 2 ** 62
+    assert w.corners(1e9, 1e10) == 0   # both ends' counts saturate
 
 
 def test_dc_has_no_corner():
-    assert not SourceWaveform("dc", (1.0,)).corner_inside(-1.0, 1.0)
-    assert SourceWaveform("dc", (1.0,)).corners(1.0) == 0
+    assert SourceWaveform("dc", (1.0,)).corners(-1.0, 1.0) == 0
 
 
 def test_param_validation():

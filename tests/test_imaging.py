@@ -29,9 +29,10 @@ from conftest import dc_from_directive
 # --- ImageGray -------------------------------------------------------------
 
 def test_imagegray_accepts_int_arrays():
-    im = ImageGray([[0, 128], [255, 7]])
-    assert im.width == 2 and im.height == 2
+    im = ImageGray([[0, 128, 9], [255, 7, 3]])
+    assert im.width == 3 and im.height == 2
     assert im.pixels.dtype == np.uint8
+    assert repr(im) == "ImageGray(3x2)"   # width by height
 
 
 def test_imagegray_validation():

@@ -300,7 +300,7 @@ def test_voltage_sources_without_loop_solve():
         assert op.strategy == "newton"
 
 
-def test_singular_step_names_null_vector_unknown():
+def test_singular_step_names_null_vector_unknown(monkeypatch):
     keys = [("v", "a"), ("v", "b"), ("i", "v_1")]
     jac = np.diag([1.0, 0.0, 1.0])
     # the error-state scope every analysis enters around its solves
@@ -309,6 +309,16 @@ def test_singular_step_names_null_vector_unknown():
     assert ei.value.node == "b"
     jac[0, 0] = math.nan   # the non-finite row is named
     with np.errstate(all="ignore"), pytest.raises(SingularMatrix) as ei:
+        solver._lu_solve(jac, np.ones(3), keys)
+    assert ei.value.node == "a"
+
+    def no_svd(a):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    jac[0, 0] = 1.0   # finite, but no SVD: the first unknown is named
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with np.errstate(all="ignore"), pytest.raises(
+            SingularMatrix, match=r"^singular system at unknown \('v', 'a'\)$"
+    ) as ei:
         solver._lu_solve(jac, np.ones(3), keys)
     assert ei.value.node == "a"
 
@@ -760,7 +770,7 @@ def test_trapezoidal_xor_truth_table_at_drawn_w0():
 def test_pulse_train_faster_than_the_grid_runs_as_backward_euler(monkeypatch):
     # a 1 ns pulse train on a 1 us grid puts corners inside every step, so
     # every trapezoidal row restarts and equals the backward-Euler run bit
-    # for bit; each step is classified by one query from the pulse's phase,
+    # for bit; each step is classified by one count of the pulse's corners,
     # not by listing its million edges
     text = """fast pulses
 v_s a 0 pulse(0 1 0.5n 0.1n 0.1n 0.5n 1n)
@@ -770,12 +780,12 @@ xmr_1 b 0 mem w0=0.5
 .model mem memristor k=1e6
 """
     c = parse_netlist(text)
-    corner_inside, queries = devices.SourceWaveform.corner_inside, [0]
+    corners, queries = devices.SourceWaveform.corners, [0]
 
     def counted(self, a, b):
         queries[0] += 1
-        return corner_inside(self, a, b)
-    monkeypatch.setattr(devices.SourceWaveform, "corner_inside", counted)
+        return corners(self, a, b)
+    monkeypatch.setattr(devices.SourceWaveform, "corners", counted)
     t0 = time.perf_counter()
     trap = transient(c, 1e-3, 1e-6, method="trapezoidal")
     elapsed = time.perf_counter() - t0
