@@ -414,8 +414,14 @@ def test_pwl_value_equals_linear_scan_bit_for_bit(case):
         assert struct.pack("d", got) == struct.pack("d", ref), (t, got, ref)
 
 
+# [0, tstop] as the open interval between its neighbouring floats, as
+# the command line counts a source's corners in a run
+def _run(tstop):
+    return math.nextafter(0.0, -math.inf), math.nextafter(tstop, math.inf)
+
+
 @given(_pwl_and_times())
-def test_pwl_corners_count_its_times_inside(case):
+def test_pwl_corner_inside_equals_a_scan_of_its_times(case):
     # a repeated time (a vertical edge) counts once for each listing
     params, queries = case
     w = SourceWaveform("pwl", params)
@@ -423,6 +429,15 @@ def test_pwl_corners_count_its_times_inside(case):
         for b in queries:
             assert w.corners(a, b) == sum(a < t < b
                                           for t in params[0::2]), (a, b)
+
+
+@given(_pwl_and_times())
+def test_pwl_corners_count_its_times_in_the_run(case):
+    params, queries = case
+    w = SourceWaveform("pwl", params)
+    for tstop in queries:
+        assert w.corners(*_run(tstop)) == sum(0.0 <= t <= tstop
+                                              for t in params[0::2]), tstop
 
 
 @st.composite
@@ -443,7 +458,7 @@ def _pulse_and_interval(draw):
 @example(((0.0, 1.0, 1, 2, 2, 2, 8), 0.0, 1.0))
 @example(((0.0, 1.0, 0, 1, 1, 2, 4), -1.0, 9.0))
 @given(_pulse_and_interval())
-def test_pulse_corners_count_its_edges_inside(case):
+def test_pulse_corner_inside_equals_a_list_of_its_edges(case):
     # a zero rise or fall, or a fall ending the period, shares its corner
     params, a, b = case
     _, _, delay, rise, fall, width, period = params
@@ -456,6 +471,18 @@ def test_pulse_corners_count_its_edges_inside(case):
     if not inside and rise and fall:   # the waveform is affine on [a, b]
         assert w.value(0.5 * (a + b)) == pytest.approx(
             0.5 * (w.value(a) + w.value(b)), abs=1e-12)
+
+
+@given(_pulse_and_interval())
+def test_pulse_corners_count_a_set_of_its_edges(case):
+    # a zero rise or fall, or a fall ending the period, shares its corner
+    params, _, tstop = case
+    _, _, delay, rise, fall, width, period = params
+    edges = {delay + n * period + offset
+             for n in range(int(tstop // period) + 1)
+             for offset in (0, rise, rise + width, rise + width + fall)}
+    assert SourceWaveform("pulse", params).corners(*_run(tstop)) == sum(
+        0.0 <= t <= tstop for t in edges)
 
 
 def test_pulse_corners_saturate_past_the_float_range():
