@@ -167,8 +167,10 @@ def _run(circuit, kind: str, args=None):
     options = {} if args is None else {"method": args.method}
     tr = solver.transient(circuit, *values, **options)
     steps, tstop = len(tr.times) - 1, float(tr.times[-1])
-    # [0, tstop] as the open interval between its neighbouring floats
-    run = math.nextafter(0.0, -math.inf), math.nextafter(tstop, math.inf)
+    # [0, tstop] widened by the solver's slack: a corner within 1e-9 dt of
+    # a grid time lies on it
+    slack = 1e-9 * values[1]
+    run = -slack, tstop + slack
     for e in circuit.elements:
         if e.kind == "v" and (corners := e.params.corners(*run)) > steps:
             _note(f"source {e.name} has {corners} corners in [0, {tstop:g}] "

@@ -232,11 +232,11 @@ def read_pgm(path) -> ImageGray:
         raise UnsupportedMaxval(f"only maxval 255 is supported, got {maxval}")
     count = width * height
     if magic == b"P5":
-        raster = data[off:off + count]
-        if len(raster) < count:
+        if len(data) - off < count:
             raise TruncatedData(f"expected {count} raster bytes, "
-                                f"got {len(raster)}")
-        arr = np.frombuffer(raster, dtype=np.uint8, count=count)
+                                f"got {len(data) - off}")
+        # one copy out of the file's bytes: writable, as a P2 read is
+        arr = np.frombuffer(data, np.uint8, count, off).copy()
     else:
         arr = _p2_samples(memoryview(data)[off:], count)
     return ImageGray(arr.reshape(height, width))

@@ -70,16 +70,18 @@ box are built once per circuit (``_System.bounds``).
 
 Each Newton update is one LAPACK call, ``solve1``: the ``dd->d`` gufunc
 under ``numpy.linalg.solve``, without its Python wrapper, on the residual
-negated in place. The step is damped, added to the iterate and boxed in
-place, and the convergence and finiteness tests reduce with
-``np.logical_and`` rather than ``ndarray.all``'s wrapper. Every analysis
-enters ``np.errstate(all="ignore")`` once, in ``_march``, and restores
-numpy's error state as it returns or raises; the loads compute on Python
-floats, so the scope hides nothing of theirs. A singular or overflowing
-step thus comes back non-finite and raises SingularMatrix naming the
-first non-finite row of the Jacobian, or in a finite Jacobian the
-unknown with the largest component of its null vector (its last
-right-singular vector).
+itself: J d = F gives d = -dx bit for bit, as LU is linear in the
+right-hand side. d is clamped by the symmetric step bounds, taken from
+the iterate and boxed in its own buffer. The tests count with
+``np.count_nonzero``: the update's finite components, and the rows within
+the tolerance formed in place in the assembly's fresh scale (a NaN fails
+``<=``, so it never converges). Every analysis enters
+``np.errstate(all="ignore")`` once, in ``_march``, and restores numpy's
+error state as it returns or raises; the loads compute on Python floats,
+so the scope hides nothing of theirs. A singular or overflowing step
+thus comes back non-finite and raises SingularMatrix naming the first
+non-finite row of the Jacobian, or in a finite Jacobian the unknown with
+the largest component of its null vector (its last right-singular vector).
 
 No analysis makes a reference cycle, so a process may run it with the
 cycle collector off (the ``dtlsim`` process does): a failed strategy
@@ -117,8 +119,6 @@ while _GMIN_RUNGS[-1] / 10.0 > _GMIN_FINAL:
 # (name, gmin rungs) of each strategy in turn; each ends on the circuit
 _LADDER = (("newton", (0.0,)),
            ("gmin-stepping", (*_GMIN_RUNGS, _GMIN_FINAL, 0.0)))
-# ndarray.all without its Python wrapper
-_all = np.logical_and.reduce
 
 
 class OpPoint(dict):
@@ -340,11 +340,11 @@ def _check_source_loops(circuit) -> None:
 
 
 def _lu_solve(jac: np.ndarray, rhs: np.ndarray, keys: list[tuple]) -> np.ndarray:
-    """The Newton update dx of jac dx = rhs, by one LAPACK call. Inside an
+    """The solution dx of jac dx = rhs, by one LAPACK call. Inside an
     analysis' error-state scope a singular jac gives a non-finite dx
     without a warning; a non-finite dx raises SingularMatrix."""
     dx = solve1(jac, rhs)
-    if _all(np.isfinite(dx)):
+    if np.count_nonzero(np.isfinite(dx)) == dx.size:
         return dx
     # the first non-finite row; LAPACK's SVD may never return on one
     weight = ~np.isfinite(jac).all(axis=1)
@@ -364,31 +364,31 @@ def _newton(sys: _System, x: np.ndarray,
     the converged assembly. An assembly in which junction limiting moved
     a voltage does not end the loop: its residual is not the iterate's."""
     abstol, step, back, low, high = sys.bounds
-    assemble, keys = sys.assemble, sys.keys
-    absolute, maximum, minimum, negative = (np.abs, np.maximum, np.minimum,
-                                            np.negative)
+    assemble, keys, n = sys.assemble, sys.keys, sys.n
+    # plain ufuncs, not np.clip or a fancy index: call overhead dominates
+    maximum, minimum, subtract = np.maximum, np.minimum, np.subtract
+    absolute, less_equal, count = np.abs, np.less_equal, np.count_nonzero
+    absres, within = np.empty(n), np.empty(n, dtype=bool)
     xs = ctx.prev_iter = _with_ground(x)
     iters = 0
     while True:
         jac, res, scale, memory, limited = assemble(xs, ctx)
-        absres = absolute(res)
-        tol = scale * _RELTOL
-        tol += abstol
-        if not limited and _all(absres <= tol):
+        scale *= _RELTOL   # the tolerance, in place
+        scale += abstol
+        absolute(res, out=absres)
+        if not limited and count(less_equal(absres, scale, out=within)) == n:
             return x, iters, memory
         if iters >= _MAX_NEWTON_ITERS:
             last_res = float(absres.max())
             raise NoConvergence(
                 f"no convergence after {iters} Newton iterations "
                 f"(max residual {last_res:.3e})", residual=last_res)
-        # plain ufuncs in place, not np.clip or a fancy index: call
-        # overhead dominates; the step and the assembly's arrays are fresh
-        dx = _lu_solve(jac, negative(res, out=res), keys)
-        maximum(dx, back, out=dx)
-        minimum(dx, step, out=dx)
-        dx += x
-        maximum(dx, low, out=dx)
-        x = minimum(dx, high, out=dx)
+        d = _lu_solve(jac, res, keys)
+        maximum(d, back, out=d)
+        minimum(d, step, out=d)
+        x = subtract(x, d, out=d)
+        maximum(x, low, out=x)
+        minimum(x, high, out=x)
         ctx.prev_iter = xs
         xs = _with_ground(x)
         iters += 1

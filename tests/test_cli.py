@@ -281,6 +281,18 @@ def test_tran_notes_a_source_with_more_corners_than_steps(tmp_path, capsys):
     assert "corners" not in capsys.readouterr().err
 
 
+def test_tran_notes_a_corner_on_tstop(tmp_path, capsys):
+    # corners at 3, 9 and 11 ns; 3n + 6n + 2n is an ulp past 11n, and a
+    # corner within the solver's 1e-9 dt of tstop lies on it
+    p = tmp_path / "edge.cir"
+    p.write_text("edge\nv_1 a 0 pulse(0 1 3n 6n 4n 2n 19n)\nr_1 a 0 1k\n"
+                 ".tran 11n 5.5n\n")
+    assert main(["tran", str(p)]) == 0
+    assert ("dtlsim: source v_1 has 3 corners in [0, 1.1e-08] s but the run "
+            "has 2 steps, which see it only at their own times"
+            in capsys.readouterr().err.splitlines())
+
+
 # --- xor -------------------------------------------------------------------------
 
 def test_xor_truth_table_summary(capsys):

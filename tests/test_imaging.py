@@ -146,6 +146,20 @@ def test_pgm_round_trip(tmp_path, binary):
     assert read_pgm(p) == im
 
 
+def test_p5_and_p2_reads_give_equal_writable_images(tmp_path):
+    # a P5 read copies its raster out of the file's bytes, so its pixels
+    # are writable, as a P2 read's and a generated image's are
+    im = gen_gaussian_image(33)
+    p5, p2 = tmp_path / "p5.pgm", tmp_path / "p2.pgm"
+    write_pgm(p5, im)
+    write_pgm(p2, im, binary=False)
+    images = read_pgm(p5), read_pgm(p2)
+    assert images[0] == images[1] == im
+    for img in (*images, im):
+        img.pixels[0, 0] = 7
+        assert img.pixels[0, 0] == 7
+
+
 def test_pgm_write_is_byte_deterministic(tmp_path):
     im = gen_gaussian_image(33)
     a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

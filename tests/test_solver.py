@@ -307,6 +307,10 @@ def test_singular_step_names_null_vector_unknown(monkeypatch):
     with np.errstate(all="ignore"), pytest.raises(SingularMatrix) as ei:
         solver._lu_solve(jac, np.ones(3), keys)
     assert ei.value.node == "b"
+    # one overflowing component is enough: its tiny pivot's unknown is named
+    with np.errstate(all="ignore"), pytest.raises(SingularMatrix) as ei:
+        solver._lu_solve(np.diag([1.0, 1e-300, 1.0]), np.full(3, 1e10), keys)
+    assert ei.value.node == "b"
     jac[0, 0] = math.nan   # the non-finite row is named
     with np.errstate(all="ignore"), pytest.raises(SingularMatrix) as ei:
         solver._lu_solve(jac, np.ones(3), keys)
@@ -334,8 +338,12 @@ def test_lu_solve_equals_numpy_solve_bit_for_bit():
         view = full[:n, :n]
         assert n == 1 or not view.flags.c_contiguous
         for jac in (view, np.ascontiguousarray(view)):
-            assert (solver._lu_solve(jac, rhs, keys).tobytes()
-                    == np.linalg.solve(jac, rhs).tobytes()), n
+            dx = solver._lu_solve(jac, rhs, keys)
+            assert dx.tobytes() == np.linalg.solve(jac, rhs).tobytes(), n
+            # linear in the right-hand side, bit for bit: Newton solves
+            # J d = F for d = -dx
+            assert (solver._lu_solve(jac, -rhs, keys).tobytes()
+                    == (-dx).tobytes()), n
 
 
 def test_analyses_leave_numpy_error_state_as_found():
@@ -367,14 +375,17 @@ def test_analyses_leave_numpy_error_state_as_found():
 def test_singular_first_sweep_point_warns_nothing(monkeypatch):
     # the zero start of the detector's first sweep point gives a singular
     # Jacobian: plain Newton fails there without a RuntimeWarning and gmin
-    # stepping wins the point
+    # stepping wins the point. Newton solves J d = F, and its failure names
+    # the unknown that the solve of the negated residual names
     singular, lu_solve = [], solver._lu_solve
 
     def recorded(jac, rhs, keys):
         try:
             return lu_solve(jac, rhs, keys)
         except SingularMatrix as exc:
-            singular.append(exc)
+            with pytest.raises(SingularMatrix) as negated:
+                lu_solve(jac, -rhs, keys)
+            singular.append((str(exc), str(negated.value), exc.node))
             raise
     monkeypatch.setattr(solver, "_lu_solve", recorded)
     c = cells.build_intensity_detector(cells.DETECTOR_CONFIG_2)
@@ -382,8 +393,34 @@ def test_singular_first_sweep_point_warns_nothing(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = dc_sweep(c, d.source, d.start, d.stop, d.step)
-    assert singular
+    named = "singular system at unknown ('v', 'out')"
+    assert singular == [(named, named, "out")]
     assert s.strategies[0] == "gmin-stepping"
+
+
+def test_a_nan_residual_never_ends_newton(monkeypatch):
+    # NaN fails every comparison: at the divider's own solution, where
+    # Newton ends at once, a residual row of NaN ends nothing, and the
+    # update it gives is not finite
+    c = parse_netlist(DIVIDER)
+    sys_ = solver._System(c)
+    x = np.array([dc_operating_point(c).raw[k] for k in sys_.keys])
+    ctx = StampContext(levels=sys_.levels())
+    assert solver._newton(sys_, x, ctx)[1] == 0
+    assemble = solver._System.assemble
+    for row in range(sys_.n):
+        calls = []
+
+        def nan_once(self, xs, ctx):
+            jac, res, *rest = assemble(self, xs, ctx)
+            if not calls:
+                res[row] = math.nan
+            calls.append(row)
+            return jac, res, *rest
+        monkeypatch.setattr(solver._System, "assemble", nan_once)
+        with np.errstate(all="ignore"), pytest.raises(SingularMatrix):
+            solver._newton(sys_, x, StampContext(levels=sys_.levels()))
+        assert calls == [row]
 
 
 def test_non_finite_jacobian_is_named_without_svd(monkeypatch):
