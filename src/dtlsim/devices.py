@@ -96,14 +96,18 @@ class SourceWaveform:
             _, _, delay, rise, fall, width, period = self.params
             if delay < 0 or rise < 0 or fall < 0 or width < 0 or period <= 0:
                 raise DomainError("pulse timing values must be non-negative, period positive")
-            if rise + width + fall > period:
+            # a fall's end within 1e-9 period of the period's end (the
+            # solver's slack, relative) ends the period: the float sum of
+            # the netlist's decimals may land an ulp to either side of it
+            slack = 1e-9 * period
+            if rise + width + fall - period > slack:
                 raise DomainError("pulse rise + width + fall exceeds period")
             # the distinct corner offsets in a period, for ``corners``: a
-            # zero rise or fall is one corner, and a fall that ends the
-            # period ends where the next period's rise starts
+            # zero rise or fall is one corner, and one that ends the period
+            # is where the next period's rise starts
             object.__setattr__(self, "_edges", frozenset(
                 e for e in (0.0, rise, rise + width, rise + width + fall)
-                if e < period))
+                if period - e > slack))
         elif self.kind == "pwl":
             if len(self.params) < 4 or len(self.params) % 2:
                 raise DomainError("pwl takes at least two (time, value) pairs")

@@ -26,10 +26,13 @@ their values. One ``struct`` pack of the list's fixed length writes it
 as doubles into the first half of a buffer that ``_System`` owns
 (``struct.error`` if a load wrote too many or too few values), and one
 ``np.abs`` writes their magnitudes into the second half. One
-``np.bincount`` then adds the whole buffer: the values into the residual
-and Jacobian bins, the magnitudes into the residual-scale bins past
-those, every Jacobian magnitude into the dropped ground row. It adds in
-input order, so each sum is the one the stamps' ``+=`` would give. A
+``np.bincount`` then adds the whole buffer into the bins [residual n |
+Jacobian n*n, row-major | scale n | one dump bin]: the values into the
+residual and Jacobian bins, the residual magnitudes into the scale bins;
+ground's row, column and residual and every Jacobian magnitude go into
+the dump bin, which is dropped, so the Jacobian is one C-contiguous
+reshape of its bins. It adds in input order, so each sum is the one the
+stamps' ``+=`` would give. A
 MOSFET's or a transient memristor's load reuses its last values when its
 inputs repeat bit for bit (see the stamps section of ``devices``); the
 loads are bound per ``_System``, so no memo outlives one analysis.
@@ -38,8 +41,9 @@ Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to
 ground (the offending node is named) and no voltage sources may form a
 loop (the loop's sources are named). Each solved point gets a fresh
-``StampContext`` whose ``levels`` hold every source's level at that point,
-evaluated once per source (``_System.levels``). Every analysis, the
+``StampContext`` whose ``levels`` hold every source's level at that point
+(``_System.levels``): a copy of the DC sources' levels, fixed once per
+circuit, with each time-varying source evaluated once. Every analysis, the
 operating point too, is one point loop (``_march``) from ``_System.start``:
 each point starts from the last solution, and its iterations and winning
 strategy are recorded; a transient's t=0 row is its operating point.
@@ -50,7 +54,8 @@ per step, not one per analysis: a backward-Euler run takes it at every
 step, while a trapezoidal run restarts with backward Euler on a step that
 has a source corner strictly inside it and on the step after it, as
 SPICE resets the order at a breakpoint (``transient`` classifies the
-steps once, before the first). Companion memory (capacitor currents,
+steps once, before the first, and counts a step's corners only on the
+sources that have one inside the run). Companion memory (capacitor currents,
 memristor drift rates) is computed only by the stamps: every assembly
 records it, and the record of the assembly that converged a step seeds
 the next step.
@@ -66,7 +71,8 @@ on the unknowns of zeners and MOSFETs alone: the junctions and channels
 that SPICE2 limits. A memristor's unknowns take the full step, its state
 boxed in [0, 1], and purely linear circuits converge in exactly one
 Newton iteration. The residual tolerances, the step bounds and the state
-box are built once per circuit (``_System.bounds``).
+box are built once per circuit (``_System.bounds``), as are Newton's
+buffers for |F| and its tolerance test and the gmin rungs' diagonal.
 
 Each Newton update is one LAPACK call, ``solve1``: the ``dd->d`` gufunc
 under ``numpy.linalg.solve``, without its Python wrapper, on the residual
@@ -210,6 +216,8 @@ class _System:
         self.start[self.states] = [e.params.w0 for e in memristors]
         index = {k: i for i, k in enumerate(keys)}
         index[("v", devices.GROUND)] = n   # the ground slot
+        self.dump = dump = n * (n + 2)   # the bin past the scale's
+        row = [*range(n), dump]   # each slot's residual bin
         self.elements = []
         flat = []
         for number, e in enumerate(elements):
@@ -221,15 +229,25 @@ class _System:
             bind, (rows, cells) = devices.KINDS[e.kind]
             self.elements.append(_Element(e.kind, e.params, slots, number,
                                           bind(e.params, slots, number)))
-            flat += [slots[r] for r in rows]
-            flat += [(slots[r] + 1) * (n + 1) + slots[c] for r, c in cells]
+            flat += [row[slots[r]] for r in rows]
+            flat += [n * (slots[r] + 1) + slots[c]
+                     if max(slots[r], slots[c]) < n else dump for r, c in cells]
         self.sources = {e.name: bound for e, bound in zip(elements, self.elements)
                         if e.kind == "v"}
-        # bins [residual | Jacobian | scale]: the values' index, then their
-        # magnitudes', every Jacobian magnitude into the scale's ground row
+        # the levels of the DC sources, fixed; the other sources vary in time
+        self.fixed = [0.0] * len(elements)
+        self.varying = []
+        for e in self.sources.values():
+            if e.params.kind == "dc":
+                self.fixed[e.number] = e.params.value()
+            else:
+                self.varying.append(e)
+        # bins [residual n | Jacobian n*n, row-major | scale n | dump]: the
+        # values' index, then their magnitudes'; ground's row, column and
+        # residual and every Jacobian magnitude go into the dump bin
         index = np.array(flat, dtype=np.intp)
-        self.bins = size = (n + 1) * (n + 2)   # residual and Jacobian bins
-        self.index = np.concatenate([index, size + np.minimum(index, n)])
+        self.index = np.concatenate(
+            [index, np.where(index < n, n * (n + 1) + index, dump)])
         # the values, then their magnitudes; pack_into fills the first half
         # (struct.error unless the list has one value per bin)
         self.buffer = np.empty(2 * len(flat))
@@ -247,6 +265,10 @@ class _System:
         low, high = np.full(n, -np.inf), np.full(n, np.inf)
         low[self.states], high[self.states] = 0.0, 1.0
         self.bounds = abstol, step[:n], -step[:n], low, high
+        # Newton's workspace, |F| and the rows within tolerance, and the
+        # node diagonal that a gmin rung loads
+        self.absres, self.within = np.empty(n), np.empty(n, dtype=bool)
+        self.diag = np.arange(self.nv)
 
     def assemble(self, xs: list[float], ctx: StampContext):
         """Jacobian, residual, residual scale, companion memory and the
@@ -256,15 +278,15 @@ class _System:
         stamp = devices.stamp
         for e in self.elements:
             stamp(e, xs, ctx, out)
-        n, nv, size, bins = self.n, self.nv, self.n + 1, self.bins
+        n, nv = self.n, self.nv
         self.pack_into(self.buffer, 0, *out.values)
         np.abs(self.values, out=self.magnitudes)
-        flat = np.bincount(self.index, self.buffer, bins + size)
+        flat = np.bincount(self.index, self.buffer, self.dump + 1)
         res = flat[:n]
-        jac = flat[size:bins].reshape(size, size)[:n, :n]
-        scale = flat[bins:bins + n]
+        jac = flat[n:n * (n + 1)].reshape(n, n)
+        scale = flat[n * (n + 1):self.dump]
         if ctx.gmin:
-            diag = np.arange(nv)
+            diag = self.diag
             jac[diag, diag] += ctx.gmin
             leak = ctx.gmin * np.array(xs[:nv])
             res[:nv] += leak
@@ -274,8 +296,8 @@ class _System:
     def levels(self, t: float = 0.0) -> list[float]:
         """Every voltage source's level at time t by element number, 0.0
         at the other elements."""
-        levels = [0.0] * len(self.elements)
-        for e in self.sources.values():
+        levels = self.fixed.copy()
+        for e in self.varying:
             levels[e.number] = e.params.value(t)
         return levels
 
@@ -368,7 +390,7 @@ def _newton(sys: _System, x: np.ndarray,
     # plain ufuncs, not np.clip or a fancy index: call overhead dominates
     maximum, minimum, subtract = np.maximum, np.minimum, np.subtract
     absolute, less_equal, count = np.abs, np.less_equal, np.count_nonzero
-    absres, within = np.empty(n), np.empty(n, dtype=bool)
+    absres, within = sys.absres, sys.within
     xs = ctx.prev_iter = _with_ground(x)
     iters = 0
     while True:
@@ -531,11 +553,16 @@ def transient(circuit, tstop: float, dt: float,
     restarts = set()   # end times of the steps run as backward Euler
     if method == "trapezoidal":
         slack = 1e-9 * dt   # a corner this close to a grid time is on it
-        waves = [e.params for e in sys.sources.values()]
+        # a step's count never exceeds the run's: query only the sources
+        # with a corner inside the run
+        waves = [e.params for e in sys.varying
+                 if e.params.corners(points[0] + slack, points[-1] - slack)]
         for k in range(1, len(points)):
-            if any(w.corners(points[k - 1] + slack, points[k] - slack)
-                   for w in waves):
-                restarts.update(points[k:k + 2])
+            a, b = points[k - 1] + slack, points[k] - slack
+            for w in waves:
+                if w.corners(a, b):
+                    restarts.update(points[k:k + 2])
+                    break
     rules = ["dc"] + ["backward-euler" if t in restarts else method
                       for t in points[1:]]
     euler = devices.integration("backward-euler", dt)

@@ -322,6 +322,21 @@ def test_assembly_equals_nested_list_reference(name, mode, method, gmin):
     _compare(CIRCUITS[name](), mode, method, gmin, rng, 12)
 
 
+@pytest.mark.parametrize("mode, method, gmin", CONTEXTS, ids=CONTEXT_IDS)
+def test_assembly_returns_a_square_contiguous_jacobian(mode, method, gmin):
+    # the Jacobian's bins are n x n, row-major, so it needs no view but one
+    sys_ = solver._System(parse_netlist(ALL_KINDS))
+    rng = np.random.default_rng(CONTEXTS.index((mode, method, gmin)))
+    count = len(sys_.elements)
+    h, carry = (devices.integration(method, 1e-6) if mode == "tran"
+                else (0.0, 0.0))
+    ctx = StampContext(h=h, carry=carry, gmin=gmin, levels=sys_.levels(),
+                       prev_step=_iterate(sys_, rng), hist=[0.0] * count)
+    jac, res, scale, _, _ = sys_.assemble(_iterate(sys_, rng), ctx)
+    assert jac.shape == (sys_.n, sys_.n) and jac.flags.c_contiguous
+    assert res.shape == scale.shape == (sys_.n,)
+
+
 def _positive(lo, hi):
     """Floats log-uniform in [lo, hi], written as a netlist number."""
     return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: repr(10.0 ** e))

@@ -292,6 +292,15 @@ def test_tran_notes_a_corner_on_tstop(tmp_path, capsys):
             "has 2 steps, which see it only at their own times"
             in capsys.readouterr().err.splitlines())
 
+    # corners at 3, 9, 13, 23, 29 and 33 us; the fall's end, 6u + 4u + 10u,
+    # is an ulp below the period and so where the next period starts
+    p.write_text("dbl\nv_1 a 0 pulse(0 1 3u 6u 10u 4u 20u)\nr_1 a 0 1k\n"
+                 ".tran 40u 20u\n")
+    assert main(["tran", str(p)]) == 0
+    assert ("dtlsim: source v_1 has 6 corners in [0, 4e-05] s but the run "
+            "has 2 steps, which see it only at their own times"
+            in capsys.readouterr().err.splitlines())
+
 
 # --- xor -------------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from dtlsim.devices import (CapacitorParams, MemristorParams, MosfetParams,
                             mosfet_defaults, mosfet_ids_grad, window_factor,
                             zener_ig)
 from dtlsim.errors import DomainError
+from dtlsim.netlist import parse_number
 
 
 # --- MOSFET -----------------------------------------------------------------
@@ -487,6 +488,42 @@ def test_pulse_corners_count_a_set_of_its_edges(case):
              for offset in (0, rise, rise + width, rise + width + fall)}
     assert SourceWaveform("pulse", params).corners(*_run(tstop)) == sum(
         -_SLACK < t < tstop + _SLACK for t in edges)
+
+
+@st.composite
+def _pulse_in_decimals(draw):
+    # whole ms, us or ns as a netlist writes them: the float sum of the
+    # edges may land an ulp to either side of the period they fill
+    unit = draw(st.sampled_from("mun"))
+    delay, rise, fall, width = (draw(st.integers(0, 10)) for _ in range(4))
+    period = rise + width + fall + draw(st.integers(0, 3))
+    assume(period > 0)
+    tstop = draw(st.integers(1, 60))
+    return unit, (delay, rise, fall, width, period), tstop, draw(
+        st.integers(1, tstop))
+
+
+# a fall that ends the period: 6e-6 + 4e-6 + 10e-6 is an ulp below 20e-6,
+# with corners at 3, 9, 13, 23, 29 and 33 us; 1e-6 + 1e-6 + 5e-6 is an ulp
+# past 7e-6
+@example(("u", (3, 6, 10, 4, 20), 40, 20))
+@example(("u", (0, 1, 5, 1, 7), 14, 7))
+@given(_pulse_in_decimals())
+def test_pulse_corners_in_netlist_decimals_count_each_corner_once(case):
+    # against the corner times in whole units, in the run to the last whole
+    # step widened by the solver's slack, as the command line counts them
+    unit, timing, tstop, dt = case
+    delay, rise, fall, width, period = timing
+    w = SourceWaveform("pulse", (0.0, 1.0) + tuple(
+        parse_number(f"{v}{unit}") for v in timing))
+    end = tstop // dt * dt
+    corners = {delay + n * period + offset
+               for n in range(end // period + 1)
+               for offset in (0, rise, rise + width, rise + width + fall)}
+    step = parse_number(f"{dt}{unit}")
+    slack = 1e-9 * step
+    assert w.corners(-slack, step * (tstop // dt) + slack) == sum(
+        t <= end for t in corners)
 
 
 def test_pulse_corners_saturate_past_the_float_range():
