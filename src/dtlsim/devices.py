@@ -96,10 +96,10 @@ class SourceWaveform:
             _, _, delay, rise, fall, width, period = self.params
             if delay < 0 or rise < 0 or fall < 0 or width < 0 or period <= 0:
                 raise DomainError("pulse timing values must be non-negative, period positive")
-            # a fall's end within 1e-9 period of the period's end (the
-            # solver's slack, relative) ends the period: the float sum of
-            # the netlist's decimals may land an ulp to either side of it
-            slack = 1e-9 * period
+            # a fall's end within 4 ulps of the period's end ends the
+            # period: three rounded decimals that fill a rounded period sum
+            # to within 4 ulps of it, to either side
+            slack = 4 * math.ulp(period)
             if rise + width + fall - period > slack:
                 raise DomainError("pulse rise + width + fall exceeds period")
             # the distinct corner offsets in a period, for ``corners``: a

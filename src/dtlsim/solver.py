@@ -54,11 +54,10 @@ per step, not one per analysis: a backward-Euler run takes it at every
 step, while a trapezoidal run restarts with backward Euler on a step that
 has a source corner strictly inside it and on the step after it, as
 SPICE resets the order at a breakpoint (``transient`` classifies the
-steps once, before the first, and counts a step's corners only on the
-sources that have one inside the run). Companion memory (capacitor currents,
-memristor drift rates) is computed only by the stamps: every assembly
-records it, and the record of the assembly that converged a step seeds
-the next step.
+steps once, before the first, asking only the time-varying sources).
+Companion memory (capacitor currents, memristor drift rates) is computed
+only by the stamps: every assembly records it, and the record of the
+assembly that converged a step seeds the next step.
 
 Robustness ladder for each point (``_LADDER``, after SPICE2's): a
 strategy is a list of gmin rungs that Newton solves in turn, ending on
@@ -553,10 +552,7 @@ def transient(circuit, tstop: float, dt: float,
     restarts = set()   # end times of the steps run as backward Euler
     if method == "trapezoidal":
         slack = 1e-9 * dt   # a corner this close to a grid time is on it
-        # a step's count never exceeds the run's: query only the sources
-        # with a corner inside the run
-        waves = [e.params for e in sys.varying
-                 if e.params.corners(points[0] + slack, points[-1] - slack)]
+        waves = [e.params for e in sys.varying]   # a DC source has no corner
         for k in range(1, len(points)):
             a, b = points[k - 1] + slack, points[k] - slack
             for w in waves:

@@ -457,11 +457,14 @@ def _pulse_and_interval(draw):
 
 
 # ends on a corner: a at the delay, a at the rise's end, b at the delay;
-# then a fall that ends the period, where the next period's rise starts
+# then a fall that ends the period, where the next period's rise starts;
+# then a rise that ends 5e-10 period, far more than an ulp, before the
+# period's end, its own corner
 @example(((0.0, 1.0, 1, 2, 2, 2, 8), 1.0, 2.0))
 @example(((0.0, 1.0, 1, 2, 2, 2, 8), 3.0, 4.0))
 @example(((0.0, 1.0, 1, 2, 2, 2, 8), 0.0, 1.0))
 @example(((0.0, 1.0, 0, 1, 1, 2, 4), -1.0, 9.0))
+@example(((0.0, 1.0, 0, 2e9 - 1, 0, 0, 2e9), 2e9 - 2, 2e9 - 0.5))
 @given(_pulse_and_interval())
 def test_pulse_corner_inside_equals_a_list_of_its_edges(case):
     # a zero rise or fall, or a fall ending the period, shares its corner
@@ -563,6 +566,8 @@ def test_param_validation():
      "pulse timing values must be non-negative, period positive"),
     (lambda: SourceWaveform("pulse", (0, 1, 0, 1, 1, 1, 2)),
      "pulse rise + width + fall exceeds period"),
+    (lambda: SourceWaveform("pulse", (0, 1, 0, 0, 1 + 5 * 2**-52, 0, 1)),
+     "pulse rise + width + fall exceeds period"),   # 5 ulps past the period
     (lambda: SourceWaveform("pwl", (0, 1)),
      "pwl takes at least two (time, value) pairs"),
     (lambda: SourceWaveform("sin", (0, 1)), "unknown source kind 'sin'"),
