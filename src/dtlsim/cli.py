@@ -167,7 +167,7 @@ def _run(circuit, kind: str, args=None):
     options = {} if args is None else {"method": args.method}
     tr = solver.transient(circuit, *values, **options)
     steps, tstop = len(tr.times) - 1, float(tr.times[-1])
-    slack = 1e-9 * values[1]   # the solver's: a corner this close is on tstop
+    slack = solver._GRID_SLACK * values[1]   # a corner this close is on tstop
     run = -slack, tstop + slack
     for e in circuit.elements:
         if e.kind == "v" and (corners := e.params.corners(*run)) > steps:

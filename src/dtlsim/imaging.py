@@ -17,18 +17,17 @@ intensity level in the image's range, and the ring geometry about the
 image center once per image shape: a second detector on an image, or a
 later image of the same shape, reuses it.
 
-The P2 reader and writer, the detector lookup and the ring profile go
-through an image in blocks of one fixed size, _BLOCK bytes: the reader
-scans the raster in blocks cut just after a whitespace byte, the writer
-formats and writes a few rows at a time, the lookup fills its result a
-few rows at a time and the profile gathers a few radii at a time. Their
-temporaries are bounded by the block, not by the image; what grows with
+The P2 reader and writer and the detector lookup go through an image in
+blocks of one fixed size, _BLOCK bytes: the reader scans the raster in
+blocks cut just after a whitespace byte, the writer formats and writes a
+few rows at a time and the lookup fills its result a few rows at a time.
+Their temporaries are bounded by the block and the ring profile's by one
+radius, which it gathers at a time, not by the image; what grows with
 the image is the file's bytes, the pixels and the float64 response.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -51,9 +50,9 @@ __all__ = list(_EXPORTS["imaging"])
 MAX_GAUSSIAN_SIZE = 4096
 
 # the bytes of P2 text that one step of the P2 reader scans, and of the
-# largest per-pixel work array of one step of the P2 writer, the detector
-# lookup and the ring profile: the work arrays stay in cache, and the
-# temporaries do not grow with the image
+# largest per-pixel work array of one step of the P2 writer and the
+# detector lookup: the work arrays stay in cache, and the temporaries do
+# not grow with the image (the ring profile gathers one radius at a time)
 _BLOCK = 1 << 16
 
 
@@ -400,25 +399,15 @@ def _radial_profile(response: np.ndarray) -> np.ndarray:
     if min(response.shape) < 5:   # rmax < 2
         raise NoRing("image too small for a radial profile")
     index, bounds = _ring_geometry(*response.shape)
-    flat = response.ravel()
+    take, add = response.ravel().take, np.add.reduce
     prof = np.zeros(len(bounds) - 1)
-    r = 0
-    while r < prof.size:
-        # radii r..end-1 are gathered together: at most _BLOCK bytes of
-        # float64 values (and of intp indices), or the one radius r if it
-        # alone has more. Every index is in the image, so "clip" only
-        # spares take's bounds check
-        first = bounds[r]
-        end = max(bisect.bisect_right(bounds, first + _BLOCK // 8) - 1, r + 1)
-        values = flat.take(index[first:bounds[end]], mode="clip")
-        # each slice's sum over its count is response[radii == k].mean():
-        # the same values added in the same order, without mean's Python
-        # wrapper; bincount or reduceat would reorder them
-        for k in range(r, end):
-            a, b = bounds[k] - first, bounds[k + 1] - first
-            if b > a:
-                prof[k] = np.add.reduce(values[a:b]) / (b - a)
-        r = end
+    # one radius at a time, its mean response[radii == k].mean(): the same
+    # values added in the same order, without mean's Python wrapper;
+    # bincount or reduceat would reorder them. Every index is in the
+    # image, so "clip" only spares take's bounds check
+    for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if b > a:
+            prof[k] = add(take(index[a:b], mode="clip")) / (b - a)
     return prof
 
 

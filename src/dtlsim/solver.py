@@ -59,12 +59,14 @@ Companion memory (capacitor currents, memristor drift rates) is computed
 only by the stamps: every assembly records it, and the record of the
 assembly that converged a step seeds the next step.
 
-Robustness ladder for each point (``_LADDER``, after SPICE2's): a
+Robustness ladder for each DC point (``_LADDER``, after SPICE2's): a
 strategy is a list of gmin rungs that Newton solves in turn, ending on
 the circuit itself, gmin 0. Plain Newton is that rung alone, so linear
 circuits are exact; a geometric gmin ladder (``_GMIN_RUNGS``) is tried
-only when plain Newton fails, and wins if its every rung converges. The
-tolerances and the iteration cap are module constants. Update
+only when plain Newton fails, and wins if its every rung converges. As
+in SPICE3's transient loop, that is the DC points' recovery only: a time
+step runs plain Newton alone. The tolerances and the iteration cap are
+module constants. Update
 damping clamps per-component steps at ``_DAMPING_LIMIT`` in every mode,
 on the unknowns of zeners and MOSFETs alone: the junctions and channels
 that SPICE2 limits. A memristor's unknowns take the full step, its state
@@ -114,6 +116,7 @@ _RELTOL = 1e-3
 _ABSTOL = {"v": 1e-9, "i": 1e-6, "w": 1e-12}
 _MAX_NEWTON_ITERS = 100
 _MAX_POINTS = 10**6   # points of a sweep, rows of a transient
+_GRID_SLACK = 1e-9   # steps: a stop or corner this close to the grid is on it
 _DAMPING_LIMIT = 0.5   # Newton step bound on zener and MOSFET unknowns
 _GMIN_FINAL = 1e-12
 # gmin stepping: 1e-3 divided by 10 while above _GMIN_FINAL, which ends on
@@ -417,19 +420,21 @@ def _newton(sys: _System, x: np.ndarray,
 
 def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
                  kind: str) -> tuple[np.ndarray, int, str, list]:
-    """Newton with a gmin-stepping fallback; ctx.gmin is scratch.
+    """Newton with a gmin-stepping fallback at DC points; ctx.gmin is scratch.
 
     Each strategy of ``_LADDER`` walks its gmin rungs from x0, each rung's
     solution starting the next; the first strategy whose every rung
     converges wins. The last rung is the circuit itself, so no point is
-    reported solved on a gmin-loaded solution.
+    reported solved on a gmin-loaded solution. A time step (h > 0) runs
+    the first strategy, plain Newton, alone.
 
     Returns the solution, the total iteration count, the strategy that
     won and the companion memory of the solution's assembly; a failure
     names the ``kind`` of point ("operating point", "sweep point" or
     "time step").
     """
-    for name, rungs in _LADDER:
+    step = ctx.h > 0.0
+    for name, rungs in _LADDER[:1] if step else _LADDER:
         x, total = x0, 0
         try:
             for ctx.gmin in rungs:
@@ -440,9 +445,9 @@ def _solve_point(sys: _System, x0: np.ndarray, ctx: StampContext,
             last, residual = str(exc), getattr(exc, "residual", None)
             continue
         return x, total, name, memory
-    raise NoConvergence(
-        f"{kind} did not converge (newton and gmin stepping "
-        f"both failed: {last})", residual=residual)
+    tried = "newton" if step else "newton and gmin stepping both"
+    raise NoConvergence(f"{kind} did not converge ({tried} failed: {last})",
+                        residual=residual)
 
 
 def _march(sys: _System, points: list[float], context, where, kind: str):
@@ -489,12 +494,12 @@ def dc_operating_point(circuit) -> OpPoint:
 
 
 def sweep_points(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start + step, ... up to stop (within 1e-9 of a step)."""
+    """start, start + step, ... up to stop (within _GRID_SLACK steps)."""
     if not (all(map(math.isfinite, (start, stop, step)))
             and stop > start and step > 0.0):
         raise DomainError(f"range needs finite start < stop and step > 0, got "
                           f"{start}, {stop}, {step}")
-    steps = (stop - start) / step + 1e-9
+    steps = (stop - start) / step + _GRID_SLACK
     if not steps < _MAX_POINTS:
         raise DomainError(f"{np.floor(steps) + 1:.7g} points from {start} to "
                           f"{stop} exceed the limit of {_MAX_POINTS}")
@@ -535,8 +540,8 @@ def transient(circuit, tstop: float, dt: float,
     the DC memristor drift rates.
 
     Under the trapezoidal rule, a step with a source corner strictly
-    inside it (``SourceWaveform.corners``; a corner within 1e-9 dt
-    of a grid time lies on the grid) runs as backward Euler, which does
+    inside it (``SourceWaveform.corners``; a corner within _GRID_SLACK
+    dt of a grid time lies on the grid) runs as backward Euler, which does
     not ring after the corner. So does the step after it: the memory the
     straddling step recorded is its average over the corner, not the
     derivative the trapezoidal rule needs. ``iterations``, ``strategies``
@@ -551,7 +556,7 @@ def transient(circuit, tstop: float, dt: float,
     points = times.tolist()
     restarts = set()   # end times of the steps run as backward Euler
     if method == "trapezoidal":
-        slack = 1e-9 * dt   # a corner this close to a grid time is on it
+        slack = _GRID_SLACK * dt
         waves = [e.params for e in sys.varying]   # a DC source has no corner
         for k in range(1, len(points)):
             a, b = points[k - 1] + slack, points[k] - slack

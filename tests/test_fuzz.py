@@ -11,7 +11,7 @@ and a ten-step transient must each either converge, every point of it
 step recorded) passing the KCL judge, or raise a named ``DtlsimError``:
 any other exception (a numpy ``RuntimeWarning`` among them) fails the
 test. No analysis may stamp more often than the homotopy
-ladder allows. The paper's cells, with drawn supplies and w0, are held
+ladder allows at a DC point, or plain Newton at a time step. The paper's cells, with drawn supplies and w0, are held
 to the same bound and judge, must all converge, and gmin stepping must
 win some of their points.
 """
@@ -90,16 +90,19 @@ def netlists(draw):
     return "\n".join(lines) + "\n" + MODELS
 
 
-def _stamp_bound(points: int, elements: int) -> int:
-    """Stamp calls of ``points`` solves that each walk every rung of every
-    strategy of the solver's ladder to the iteration limit."""
-    solves = sum(len(rungs) for _, rungs in solver._LADDER)
-    return points * solves * (solver._MAX_NEWTON_ITERS + 1) * elements
+def _stamp_bound(points: int, elements: int, steps: int = 0) -> int:
+    """Stamp calls of ``points`` DC solves that each walk every rung of
+    every strategy of the solver's ladder, and of ``steps`` time steps
+    that each run plain Newton once, all to the iteration limit."""
+    rungs = sum(len(rungs) for _, rungs in solver._LADDER)
+    solves = points * rungs + steps
+    return solves * (solver._MAX_NEWTON_ITERS + 1) * elements
 
 
-def _bounded(circuit, analysis, points: int, label: str):
+def _bounded(circuit, analysis, points: int, label: str, steps: int = 0):
     """The result of ``analysis()``, or None if it raised a named
-    ``DtlsimError``; either way it stamped within ``_stamp_bound``."""
+    ``DtlsimError``; either way it stamped within ``_stamp_bound`` of its
+    DC ``points`` and time ``steps``."""
     stamp, calls = devices.stamp, [0]
 
     def counted(elem, x, ctx, out):
@@ -110,7 +113,8 @@ def _bounded(circuit, analysis, points: int, label: str):
             result = analysis()
     except DtlsimError:
         result = None
-    assert calls[0] <= _stamp_bound(points, len(circuit.elements)), label
+    assert calls[0] <= _stamp_bound(points, len(circuit.elements),
+                                    steps), label
     return result
 
 
@@ -143,8 +147,8 @@ def test_random_netlists_converge_or_raise_named_errors(text, method):
     solver._System(circuit)   # the structural checks pass
     level = next(e for e in circuit.elements if e.name == "v_1").params.value()
 
-    def run(analysis, points):
-        return _bounded(circuit, analysis, points, text)
+    def run(analysis, points, steps=0):
+        return _bounded(circuit, analysis, points, text, steps)
 
     def judged(result):
         _judged(circuit, result, text)
@@ -162,7 +166,7 @@ def test_random_netlists_converge_or_raise_named_errors(text, method):
         assert all(np.isfinite(col).all() for col in sweep.voltages.values())
         judged(sweep)
 
-    tr = run(lambda: solver.transient(circuit, 1e-5, 1e-6, method), 11)
+    tr = run(lambda: solver.transient(circuit, 1e-5, 1e-6, method), 1, 10)
     if tr is not None:
         assert len(tr.times) == 11
         assert all(np.isfinite(col).all() for col in tr.voltages.values())
@@ -220,8 +224,8 @@ def test_reference_cells_converge_across_the_ladder():
         else:
             d = next(d for d in circuit.analyses if d.kind == "tran")
             result = _bounded(circuit, lambda: solver.transient(
-                circuit, d.tstop, d.dt, method),
-                solver.sweep_points(0.0, d.tstop, d.dt).size, label)
+                circuit, d.tstop, d.dt, method), 1, label,
+                solver.sweep_points(0.0, d.tstop, d.dt).size - 1)
         assert result is not None, label
         won.update(result.strategies)
         _judged(circuit, result, label)

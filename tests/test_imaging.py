@@ -597,11 +597,8 @@ def _responses(draw):
 @example(np.random.default_rng(3).random((8, 11)))
 @example(np.random.default_rng(4).random((11, 8)))
 def test_radial_profile_equals_its_loop(resp):
-    # groups of at most 1, 8, 128 and 1024 pixels: radii of more pixels
-    # than a group, one radius a group and several
-    blocks = (8, 64, 1024, 8192, imaging._BLOCK)
-    assert (_at_blocks(blocks, lambda: _outcome(imaging._radial_profile, resp))
-            == [_outcome(_radial_profile_loop, resp)] * len(blocks))
+    assert (_outcome(imaging._radial_profile, resp)
+            == _outcome(_radial_profile_loop, resp))
 
 
 @given(_responses(), st.integers(0, 2**32 - 1))
