@@ -268,7 +268,9 @@ def _zener_laws(p: ZenerParams):
         u, uprev = -(vf + vz), -(vprev + vz)
         ur = (u if u <= vcrit_r or abs(u - uprev) <= two_nvt
               else _pnjlim(u, uprev, nvt, vcrit_r))
-        return -ur - vz, vf != v or ur != u
+        if ur == u:   # unmoved: no round trip through the mirror's rounding
+            return vf, vf != v
+        return -ur - vz, True
 
     # exp and its derivative are one value up to _EXP_CAP; past it the
     # linear tail of ``_safe_exp``

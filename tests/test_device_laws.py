@@ -96,7 +96,7 @@ PINNED = {
     "zener_ig":
         "efbf27caebe32d728dd51f36a449f5dfd47a0d0f75f80beaab188c967ced6e49",
     "_zener_limited_v":
-        "b10801dee79f98bc4f127e89d57de7994f0c74bf5722371a43c29557cd04ca6b",
+        "41136f8923bc9370f88b02b570bfbf1e3c764af813741aa7b8e8b1636cefa9fd",
     "memristance":
         "4fe84f0e13d06c54fb84762bec7e3d37038b818f0e65d64ae8effad68596eb33",
     "window_factor":

@@ -174,7 +174,8 @@ def test_zener_limiting_follows_the_pnjlim_statement(p):
     # SPICE's pnjlim, on each branch's own junction voltage (forward v,
     # breakdown -(v + vz)): it limits exactly when that voltage lies above
     # vcrit = nvt ln(nvt / (sqrt(2) i)) and moved more than 2 nvt, and
-    # never past the new voltage; an unmoved voltage is a fixed point
+    # never past the new voltage; an unmoved voltage is an exact fixed
+    # point
     nvt = p.n * p.v_thermal
     guard = 2.0 * nvt
     vcrit_f = nvt * math.log(nvt / (math.sqrt(2.0) * p.i_sat))
@@ -182,8 +183,8 @@ def test_zener_limiting_follows_the_pnjlim_statement(p):
     knee_r = -(p.vz + vcrit_r)   # the breakdown branch's vcrit, as a v
     # within 1e-6 of each vcrit: a 1% change of its sqrt(2) moves it 0.15 mV
     volts = [-30.0, knee_r - 2.0, knee_r - 0.3, knee_r - 1e-6, knee_r + 1e-6,
-             -1.0, 0.0, vcrit_f - 1e-6, vcrit_f + 1e-6, vcrit_f + 0.3, 2.0,
-             25.0]
+             -1.0, 0.0, 0.1, vcrit_f - 1e-6, vcrit_f + 1e-6, vcrit_f + 0.3,
+             2.0, 25.0]
     # steps just inside and just past the guard, then far past it
     moves = [0.0, guard * (1.0 - 1e-3), guard * (1.0 + 1e-3), 0.3, 2.0, 9.0]
     acted = set()
@@ -199,7 +200,7 @@ def test_zener_limiting_follows_the_pnjlim_statement(p):
             if breakdown:   # -(vlim + vz) <= u, up to the mirror's rounding
                 assert vlim >= v - 1e-12, (v, vprev)
             if not moved:
-                assert vlim == pytest.approx(v, rel=0.0, abs=1e-12)
+                assert vlim == v, (v, vprev)
             acted.add((forward, breakdown))
         assert _zener_limited_v(p, v, v)[1] is False
     assert acted == {(False, False), (True, False), (False, True)}
