@@ -10,10 +10,10 @@ and a ten-step transient must each either converge, every point of it
 (each step of a transient under either method, judged under the rule the
 step recorded) passing the KCL judge, or raise a named ``DtlsimError``:
 any other exception (a numpy ``RuntimeWarning`` among them) fails the
-test. No analysis may stamp more often than the homotopy
-ladder allows at a DC point, or plain Newton at a time step. The paper's cells, with drawn supplies and w0, are held
-to the same bound and judge, must all converge, and gmin stepping must
-win some of their points.
+test. No analysis may stamp more often than the homotopy ladder allows
+at a DC point, or plain Newton at a time step. The paper's cells, with
+drawn supplies and w0, are held to the same bound and judge, must all
+converge, and gmin stepping must win some of their points.
 """
 
 import collections
