@@ -85,15 +85,22 @@ def test_gaussian_amplitude_and_monotone_profile():
     assert np.all(np.diff(row) <= 0)   # radially non-increasing
 
 
-@pytest.mark.parametrize("size", [3, 129, 1025, 4096])
+# odd and even sides; at 5 and 6 a 64-byte block holds two of the
+# quadrant's three rows, and at 1025 the default block 15 of its 513
+@pytest.mark.parametrize("size", [3, 4, 5, 6, 128, 129, 1024, 1025, 4096])
 def test_gaussian_equals_full_grid_formula(size):
-    # the formula on two full np.mgrid index grids, as it was first written
+    # the formula on two full np.mgrid index grids, as it was first written,
+    # against row blocks of one row, of a few rows and of the default size
     yy, xx = np.mgrid[0:size, 0:size]
     c = (size - 1) / 2.0
     r2 = (yy - c) ** 2 + (xx - c) ** 2
-    sigma = size / 6.0
-    want = np.rint(255 * np.exp(-r2 / (2.0 * sigma * sigma))).astype(np.uint8)
-    assert gen_gaussian_image(size).pixels.tobytes() == want.tobytes()
+    blocks = (8, 64, imaging._BLOCK)
+    for sigma, amplitude in ((None, 255), (size / 3.5, 255), (None, 100)):
+        s = size / 6.0 if sigma is None else sigma
+        want = np.rint(amplitude * np.exp(-r2 / (2.0 * s * s))).astype(np.uint8)
+        assert (_at_blocks(blocks, lambda: gen_gaussian_image(
+                    size, sigma, amplitude).pixels.tobytes())
+                == [want.tobytes()] * len(blocks))
 
 
 def test_gaussian_validation():
@@ -144,6 +151,13 @@ def test_pgm_round_trip(tmp_path, binary):
     p = tmp_path / "x.pgm"
     write_pgm(p, im, binary=binary)
     assert read_pgm(p) == im
+    # a strided view of the pixels writes the bytes of its contiguous copy
+    a = rng.integers(0, 256, size=(11, 14), dtype=np.uint8)
+    view, twin = tmp_path / "view.pgm", tmp_path / "twin.pgm"
+    write_pgm(view, ImageGray(a[:, ::2]), binary=binary)
+    write_pgm(twin, ImageGray(a[:, ::2].copy()), binary=binary)
+    assert view.read_bytes() == twin.read_bytes()
+    assert read_pgm(view) == ImageGray(a[:, ::2])
 
 
 def test_p5_and_p2_reads_give_equal_writable_images(tmp_path):
@@ -655,9 +669,13 @@ def test_p2_read_and_detector_memory_stay_bounded(tmp_path):
     # write_pgm 0.27x the file bytes (4.39x), read_pgm 2.46x the file
     # (8.66x), apply_detector 8.25x the image bytes, 8x being the float64
     # result (9.28x), ring_metrics with its geometry cached 0.13x the
-    # response bytes, its finiteness mask (1.57x)
+    # response bytes, its finiteness mask (1.57x); the P5 write_pgm 0.02x
+    # the pixel bytes (a whole copy, 1.02x). gen_gaussian_image(1025)
+    # 1.27x its image bytes (9.02x)
+    assert _traced_peak(gen_gaussian_image, 1025) <= 2 * 1025 * 1025
     image = gen_gaussian_image(513)
     path = tmp_path / "g.pgm"
+    assert _traced_peak(write_pgm, path, image) <= 0.1 * image.pixels.nbytes
     write_peak = _traced_peak(write_pgm, path, image, False)
     assert write_peak <= 0.5 * path.stat().st_size
     assert _traced_peak(read_pgm, path) <= 3 * path.stat().st_size
