@@ -86,7 +86,7 @@ def test_gaussian_amplitude_and_monotone_profile():
 
 
 # odd and even sides; at 5 and 6 a 64-byte block holds two of the
-# quadrant's three rows, and at 1025 the default block 15 of its 513
+# quadrant's three rows, and at 1025 a default block 15 of its 513
 @pytest.mark.parametrize("size", [3, 4, 5, 6, 128, 129, 1024, 1025, 4096])
 def test_gaussian_equals_full_grid_formula(size):
     # the formula on two full np.mgrid index grids, as it was first written,
