@@ -380,31 +380,41 @@ def _window_grad(p: MemristorParams, w: float) -> float:
 # A stamp writes values only. Where they go is fixed per kind, the same in
 # every mode, and is stated once, beside the stamp, as its pattern: the
 # residual rows and the Jacobian (row, col) cells it fills, in the order it
-# lists their values, as positions in the element's slots. A place that a
-# mode leaves unused gets 0.0, which leaves every sum as it was. The solver
-# maps the patterns to one flat index over residual and Jacobian bins when
-# it numbers the unknowns and adds every value into place with one
-# ``np.bincount``, which adds in input order. The residual scale, the
-# solver's local convergence scale, is the sum of the residual values'
-# magnitudes, so a row with several contributions (a source's branch row, a
-# memristor's state row) lists each one as a separate value, not their sum.
+# lists their values, as positions in the element's slots, then its fixed
+# cells, Jacobian cells with the constant each holds in every mode and at
+# every iterate, which the load does not write (a source's four unit
+# couplings). A place that a mode leaves unused gets 0.0, which leaves
+# every sum as it was. The solver maps the patterns to one flat index over
+# residual and Jacobian bins when it numbers the unknowns, writes the fixed
+# cells' constants once and adds every value into place with one
+# ``np.bincount``, which adds in input order: the fixed cells' bins, a
+# source's branch row and column, take no other value, so their sums are
+# those constants. The residual scale, the solver's local convergence
+# scale, is the sum of the residual values' magnitudes, so a row with
+# several contributions (a source's branch row, a memristor's state row)
+# lists each one as a separate value, not their sum.
 #
-# Two loads keep a one-entry memo of their last evaluation (SPICE's device
-# bypass in its exact form): a step's first assembly sits at the last
-# step's converged iterate, so about half of the loads see exactly their
-# previous inputs. A MOSFET's values depend on its four slot values alone,
-# its key; a transient memristor's w, i, rate and Jacobian values depend on
-# its three slot values and h, its key, while the two values that read the
-# step's context (w - w_n and the state term with carry and ctx.hist) and
-# its companion memory are computed again at every call. Equal keys (``==``)
-# hand back the values the same float operations gave. The other kinds
-# keep none: the zener's tangent also depends on ``ctx.prev_iter``, the
-# capacitor and source values on the step's context, and a resistor's load
-# costs about what the comparison would. A hit can also match 0.0 with
-# -0.0: no load divides by a quantity that can be zero, so that flips at
-# most the sign of a zero among its values and memory (and of a zero state
-# term the next step computes from that memory). It changes no bin,
-# because ``np.bincount`` sums from +0.0, and the scale takes magnitudes.
+# Three loads keep a one-entry memo of their last evaluation (SPICE's
+# device bypass in its exact form): a point's first assembly sits at the
+# last point's converged iterate, so about half of the loads see exactly
+# their previous inputs. A MOSFET's values depend on its four slot values
+# alone, its key; a transient memristor's w, i, rate and Jacobian values
+# depend on its three slot values and h, its key, while the two values that
+# read the step's context (w - w_n and the state term with carry and
+# ctx.hist) and its companion memory are computed again at every call. A
+# zener limits against ``ctx.prev_iter`` at every call and keys the law's
+# current and conductance on the limited voltage: at a point's first
+# assembly the last iterate is the iterate itself, neither branch limits,
+# and that voltage is the last converged one. Equal keys (``==``) hand back
+# the values the same float operations gave. The other kinds keep none:
+# the capacitor and source values depend on the step's context, and a
+# resistor's or a DC memristor's load (its conductance and window at w0
+# bound once) costs about what the comparison would. A hit can also match
+# 0.0 with -0.0: no load divides by a quantity that can be zero, so that
+# flips at most the sign of a zero among its values and memory (and of a
+# zero state term the next step computes from that memory); the zener's law
+# gives the same bits at either zero. It changes no bin, because
+# ``np.bincount`` sums from +0.0, and the scale takes magnitudes.
 #
 # Ground is an ordinary row and column of the target; the solver drops it.
 
@@ -441,10 +451,10 @@ class StampContext:
     hist: list = field(default_factory=list)        # companion memory at t_n
 
 
-# (residual rows, Jacobian cells) of a current i(v) with conductance g
-# between slots 0 and 1; values (i, -i) and (g, -g, -g, g), all zeros for
-# a capacitor in DC (open circuit)
-_TWO_TERMINAL = ((0, 1), ((0, 0), (0, 1), (1, 0), (1, 1)))
+# (residual rows, Jacobian cells, fixed cells) of a current i(v) with
+# conductance g between slots 0 and 1; values (i, -i) and (g, -g, -g, g),
+# all zeros for a capacitor in DC (open circuit), and no fixed cell
+_TWO_TERMINAL = ((0, 1), ((0, 0), (0, 1), (1, 0), (1, 1)), ())
 
 
 def _bind_resistor(p, slots, number):
@@ -474,8 +484,10 @@ def _bind_capacitor(p, slots, number):
 
 
 # slots (a, b, k): the branch current in the KCL rows, and the branch row
-# k = x[a] - x[b] - level as three values
-_VSOURCE = ((0, 1, 2, 2, 2), ((0, 2), (1, 2), (2, 0), (2, 1)))
+# k = x[a] - x[b] - level as three values; its unit couplings to the
+# branch current and the node voltages are fixed cells
+_VSOURCE = ((0, 1, 2, 2, 2), (), (((0, 2), 1.0), ((1, 2), -1.0),
+                                  ((2, 0), 1.0), ((2, 1), -1.0)))
 
 
 def _bind_vsource(p, slots, number):
@@ -483,23 +495,26 @@ def _bind_vsource(p, slots, number):
 
     def load(x, ctx, out):
         i = x[k]
-        out.values.extend((i, -i, x[a], -x[b], -ctx.levels[number],
-                           1.0, -1.0, 1.0, -1.0))
+        out.values.extend((i, -i, x[a], -x[b], -ctx.levels[number]))
     return load
 
 
 def _bind_zener(p, slots, number):
     a, b = slots
     limit, current = _zener_laws(p)
+    key = law = None   # the last limited voltage and the law's values there
 
     def load(x, ctx, out):
+        nonlocal key, law
         v = x[a] - x[b]
         last = ctx.prev_iter or x
         vlim, limited = limit(v, last[a] - last[b])
         # the tangent then belongs to another voltage than the iterate's:
         # the assembly cannot end Newton (SPICE's non-convergence count)
         out.limited |= limited
-        i0, g = current(vlim)
+        if vlim != key:
+            key, law = vlim, current(vlim)
+        i0, g = law
         # tangent extrapolation back to the unlimited voltage; exact once
         # the iterates stop moving
         i = i0 + g * (v - vlim)
@@ -510,7 +525,7 @@ def _bind_zener(p, slots, number):
 # slots (d, g, s, b): the drain current in rows d and s, its partials in
 # columns d, g, s, b
 _MOSFET = ((0, 2), ((0, 0), (2, 0), (0, 1), (2, 1),
-                    (0, 2), (2, 2), (0, 3), (2, 3)))
+                    (0, 2), (2, 2), (0, 3), (2, 3)), ())
 
 
 def _bind_mosfet(p, slots, number):
@@ -566,33 +581,39 @@ def _bind_mosfet(p, slots, number):
 # k = x[k] - w0 with a unit diagonal and zero couplings, so the state
 # stays at w0.
 _MEMRISTOR = ((0, 1, 2, 2), _TWO_TERMINAL[1] + (
-    (0, 2), (1, 2), (2, 2), (2, 0), (2, 1)))
+    (0, 2), (1, 2), (2, 2), (2, 0), (2, 1)), ())
 
 
 def _bind_memristor(p, slots, number):
     a, b, k = slots
     resistance, drift = _memristor_laws(p)
     w0, k_drift, dr = p.w0, p.k_drift, p.r_on - p.r_off
+    # DC holds the state at w0: the conductance and window there, and the
+    # Jacobian values they give
+    g0 = 1.0 / resistance(w0)
+    fw0 = drift(w0, 0.0)[1]
+    dc_jac = (g0, -g0, -g0, g0, 0.0, 0.0, 1.0, 0.0, 0.0)
     # the last transient load's inputs, and its w, i, rate and Jacobian
     last = cached = None
 
     def load(x, ctx, out):
         nonlocal last, cached
-        va, vb, xk, h = inputs = x[a], x[b], x[k], ctx.h
-        if h and inputs == last:
+        h = ctx.h
+        if not h:   # DC: state held at w0, decoupled from the nodes
+            i = (x[a] - x[b]) * g0
+            out.memory[number] = k_drift * i * fw0   # drift(w0, i)'s rate
+            out.values.extend((i, -i, x[k] - w0, 0.0) + dc_jac)
+            return
+        va, vb, xk, _ = inputs = x[a], x[b], x[k], h
+        if inputs == last:
             w, i, rate, jac = cached
         else:
             # the state clamped to [0, 1]; NaN and -0.0 pass unchanged
-            w = (0.0 if xk < 0.0 else 1.0 if xk > 1.0 else xk) if h else w0
+            w = 0.0 if xk < 0.0 else 1.0 if xk > 1.0 else xk
             r = resistance(w)
             g = 1.0 / r
             i = (va - vb) * g
             rate, fw, dfw = drift(w, i)
-            if not h:   # DC: state held at w0, decoupled from the nodes
-                out.memory[number] = rate
-                out.values.extend((i, -i, xk - w, 0.0,
-                                   g, -g, -g, g, 0.0, 0.0, 1.0, 0.0, 0.0))
-                return
             di_dw = -(va - vb) * dr / (r * r)
             # implicit state equation, same integration rule as the node system
             drate_dw = k_drift * (di_dw * fw + i * dfw)
@@ -606,7 +627,8 @@ def _bind_memristor(p, slots, number):
     return load
 
 
-# kind -> (binder, (residual rows, Jacobian cells) of its values in every mode)
+# kind -> (binder, (residual rows, Jacobian cells) of its values in every
+# mode, and its fixed cells as ((row, col), constant))
 KINDS = {
     "r": (_bind_resistor, _TWO_TERMINAL),
     "c": (_bind_capacitor, _TWO_TERMINAL),

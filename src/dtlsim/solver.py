@@ -18,24 +18,29 @@ Assembly is split as in SPICE's setup and load. When it numbers the
 unknowns, ``_System`` binds each element's stamp once (``devices.KINDS``
 holds a binder and a pattern per kind): the binder returns the element's
 load, which holds its slots, its position and every constant of its
-parameters, and the pattern, one per kind in every mode, is mapped
-through the slots into one flat index over the residual bins, then the
-Jacobian bins. Each assembly then only runs the loads, one
-``devices.stamp`` call per element, which extend one Python list with
-their values. One ``struct`` pack of the list's fixed length writes it
-as doubles into the first half of a buffer that ``_System`` owns
-(``struct.error`` if a load wrote too many or too few values), and one
-``np.abs`` writes their magnitudes into the second half. One
-``np.bincount`` then adds the whole buffer into the bins [residual n |
-Jacobian n*n, row-major | scale n | one dump bin]: the values into the
-residual and Jacobian bins, the residual magnitudes into the scale bins;
-ground's row, column and residual and every Jacobian magnitude go into
-the dump bin, which is dropped, so the Jacobian is one C-contiguous
-reshape of its bins. It adds in input order, so each sum is the one the
-stamps' ``+=`` would give. A
-MOSFET's or a transient memristor's load reuses its last values when its
-inputs repeat bit for bit (see the stamps section of ``devices``); the
-loads are bound per ``_System``, so no memo outlives one analysis.
+parameters (a DC memristor's conductance and window at w0 among them),
+and the pattern, one per kind in every mode, is mapped through the slots
+into one flat index over the residual bins, then the Jacobian bins, then
+the bins of the pattern's fixed cells. Each assembly then only runs the
+loads, one ``devices.stamp`` call per element, which extend one Python
+list with their values. ``_System`` owns one buffer [the loads' values |
+the fixed cells' constants | the loads' magnitudes]: the constants, a
+source's four unit couplings, are written once, when it binds; at each
+assembly one ``struct`` pack of the list's fixed length writes the
+values as doubles into the first part (``struct.error`` if a load wrote
+too many or too few values), and one ``np.abs`` writes their magnitudes
+into the last. One ``np.bincount`` then adds the whole buffer into the
+bins [residual n | Jacobian n*n, row-major | scale n | one dump bin]: the
+values and constants into the residual and Jacobian bins, the residual
+magnitudes into the scale bins; ground's row, column and residual and
+every Jacobian magnitude go into the dump bin, which is dropped, so the
+Jacobian is one C-contiguous reshape of its bins. It adds in input
+order, so each sum is the one the stamps' ``+=`` would give, and a fixed
+cell's bin, in its source's branch row or column, takes no other value.
+A MOSFET's or a transient memristor's load reuses its last values when
+its inputs repeat bit for bit, and a zener's its law's values when its
+limited voltage does (see the stamps section of ``devices``); the loads
+are bound per ``_System``, so no memo outlives one analysis.
 
 Every analysis starts from ``_System``, the one place that validates the
 circuit and runs the structural checks: every node needs a DC path to
@@ -220,20 +225,25 @@ class _System:
         index[("v", devices.GROUND)] = n   # the ground slot
         self.dump = dump = n * (n + 2)   # the bin past the scale's
         row = [*range(n), dump]   # each slot's residual bin
+
+        def jacobian(r, c):   # a Jacobian cell's bin, by slot numbers
+            return n * (r + 1) + c if max(r, c) < n else dump
         self.elements = []
-        flat = []
+        flat, fixed_bins, constants = [], [], []
         for number, e in enumerate(elements):
             slots = tuple(index[("v", nd)] for nd in e.nodes)
             if e.kind == "v":
                 slots += (index[("i", e.name)],)
             elif e.kind == "xmr":
                 slots += (index[("w", e.name)],)
-            bind, (rows, cells) = devices.KINDS[e.kind]
+            bind, (rows, cells, fixed) = devices.KINDS[e.kind]
             self.elements.append(_Element(e.kind, e.params, slots, number,
                                           bind(e.params, slots, number)))
             flat += [row[slots[r]] for r in rows]
-            flat += [n * (slots[r] + 1) + slots[c]
-                     if max(slots[r], slots[c]) < n else dump for r, c in cells]
+            flat += [jacobian(slots[r], slots[c]) for r, c in cells]
+            for (r, c), constant in fixed:
+                fixed_bins.append(jacobian(slots[r], slots[c]))
+                constants.append(constant)
         self.sources = {e.name: bound for e, bound in zip(elements, self.elements)
                         if e.kind == "v"}
         # the levels of the DC sources, fixed; the other sources vary in time
@@ -245,16 +255,21 @@ class _System:
             else:
                 self.varying.append(e)
         # bins [residual n | Jacobian n*n, row-major | scale n | dump]: the
-        # values' index, then their magnitudes'; ground's row, column and
-        # residual and every Jacobian magnitude go into the dump bin
+        # loads' values' index, the fixed cells', then the loads' values'
+        # magnitudes'; ground's row, column and residual and every Jacobian
+        # magnitude go into the dump bin
         index = np.array(flat, dtype=np.intp)
         self.index = np.concatenate(
-            [index, np.where(index < n, n * (n + 1) + index, dump)])
-        # the values, then their magnitudes; pack_into fills the first half
+            [index, np.array(fixed_bins, dtype=np.intp),
+             np.where(index < n, n * (n + 1) + index, dump)])
+        # the loads' values, the fixed cells' constants, written once, then
+        # the loads' values' magnitudes; pack_into fills the first part
         # (struct.error unless the list has one value per bin)
-        self.buffer = np.empty(2 * len(flat))
-        self.values, self.magnitudes = np.split(self.buffer, 2)
-        self.pack_into = struct.Struct(f"{len(flat)}d").pack_into
+        loads, tail = len(flat), len(flat) + len(constants)
+        self.buffer = np.empty(loads + tail)
+        self.buffer[loads:tail] = constants
+        self.values, self.magnitudes = self.buffer[:loads], self.buffer[tail:]
+        self.pack_into = struct.Struct(f"{loads}d").pack_into
         # Newton's bounds: the absolute residual tolerance per row, the step
         # bound on zener and MOSFET unknowns (a memristor's laws are
         # polynomial) and its negative, and the box of every unknown,

@@ -398,7 +398,9 @@ def test_context_without_last_iterate_linearizes_at_the_iterate():
 
 def test_each_stamp_lists_its_pattern():
     # every value a stamp writes has a place in its kind's one pattern, in
-    # every mode, and every place gets a value
+    # every mode, and every place gets a value: the loaded places the
+    # load's, each fixed cell its constant, which _System holds past the
+    # loads' values in element order
     circuit = parse_netlist(ALL_KINDS)
     assert {e.kind for e in circuit.elements} == set(devices.KINDS)
     sys_ = solver._System(circuit)
@@ -414,12 +416,41 @@ def test_each_stamp_lists_its_pattern():
         for e in sys_.elements:
             out = solver._Assembly(count)
             devices.stamp(e, xs, ctx, out)
-            rows, cells_ = devices.KINDS[e.kind][1]
+            rows, cells_, fixed = devices.KINDS[e.kind][1]
             assert len(out.values) == len(rows) + len(cells_), \
                 (e.number, ctx.h, ctx.carry)
             width = len(e.slots)
             assert all(0 <= p < width for p in rows)
             assert all(0 <= p < width for cell in cells_ for p in cell)
+            assert all(0 <= p < width and isinstance(constant, float)
+                       for cell, constant in fixed for p in cell)
+            assert not set(cells_) & {cell for cell, _ in fixed}
+    constants = [constant for e in sys_.elements
+                 for _, constant in devices.KINDS[e.kind][1][2]]
+    assert constants   # the sources' unit couplings
+    loads = len(sys_.values)
+    assert len(sys_.buffer) == 2 * loads + len(constants)
+    assert sys_.buffer[loads:loads + len(constants)].tolist() == constants
+
+
+@pytest.mark.parametrize("name", list(CIRCUITS))
+def test_fixed_cells_take_no_other_value(name):
+    # a fixed cell's constant is its bin's whole sum: no other value of the
+    # index lands in a source's fixed bins, its branch row and column, but
+    # in the dump bin, which is dropped
+    sys_ = solver._System(CIRCUITS[name]())
+    n = sys_.n
+    bins = []
+    for e in sys_.elements:
+        for (r, c), _ in devices.KINDS[e.kind][1][2]:
+            r, c = e.slots[r], e.slots[c]
+            bins.append(n * (r + 1) + c if max(r, c) < n else sys_.dump)
+    assert len(bins) == 4 * len(sys_.sources)
+    loads = len(sys_.values)
+    assert sys_.index[loads:loads + len(bins)].tolist() == bins
+    for b in set(bins) - {sys_.dump}:
+        assert n <= b < n * (n + 1)   # a Jacobian bin
+        assert np.count_nonzero(sys_.index == b) == 1, (name, divmod(b - n, n))
 
 
 @pytest.mark.parametrize("extra", [1, -1], ids=["one too many", "one too few"])
@@ -442,7 +473,7 @@ def test_a_mis_sized_load_fails_the_assembly(extra):
         sys_.assemble(xs, StampContext(levels=sys_.levels()))
 
 
-# --- the MOSFET and memristor memo ------------------------------------------------
+# --- the MOSFET, memristor and zener memos ------------------------------------------
 
 
 def _bits(values):
@@ -458,22 +489,28 @@ def _fresh(elem, x, ctx):
 
 
 def _memo_checked(analysis):
-    """Run ``analysis()`` with every MOSFET and memristor load compared,
-    bit for bit, with a freshly bound load of its element at the same
-    iterate and context; return the number of compared loads whose inputs
-    (slot values and h) repeat their element's last ones, by kind."""
+    """Run ``analysis()`` with every MOSFET, memristor and zener load
+    compared, bit for bit, with a freshly bound load of its element at the
+    same iterate and context; return the number of compared loads whose
+    key repeats their element's last one, by kind: the slot values and h,
+    or a zener's limited voltage."""
     stamp, last, repeats = devices.stamp, {}, collections.Counter()
 
     def checked(elem, x, ctx, out):
         start = len(out.values)
         stamp(elem, x, ctx, out)
-        if elem.kind not in ("m", "xmr"):
+        if elem.kind not in ("m", "xmr", "d"):
             return
         values, memory = _fresh(elem, x, ctx)
         assert _bits(out.values[start:]) == _bits(values), elem
         assert _bits([out.memory[elem.number]]) == _bits([memory]), elem
-        key = tuple(x[slot] for slot in elem.slots) + (ctx.h,)
-        if elem.kind == "m" or ctx.h:   # a DC memristor load has no memo
+        if elem.kind == "d":
+            (a, b), prev = elem.slots, ctx.prev_iter or x
+            key = _zener_limited_v(elem.params, x[a] - x[b],
+                                   prev[a] - prev[b])[0]
+        else:
+            key = tuple(x[slot] for slot in elem.slots) + (ctx.h,)
+        if elem.kind != "xmr" or ctx.h:   # a DC memristor load has no memo
             repeats[elem.kind] += last.get(elem.number) == key
         last[elem.number] = key
     with mock.patch.object(devices, "stamp", checked):
@@ -487,7 +524,7 @@ def test_memoized_loads_equal_fresh_loads_over_an_xor_transient(method):
     d = next(d for d in circuit.analyses if d.kind == "tran")
     repeats = _memo_checked(
         lambda: solver.transient(circuit, d.tstop, d.dt, method))
-    assert repeats["m"] and repeats["xmr"], repeats
+    assert repeats["m"] and repeats["xmr"] and repeats["d"], repeats
 
 
 def test_memoized_loads_equal_fresh_loads_over_a_detector_sweep():
@@ -495,7 +532,7 @@ def test_memoized_loads_equal_fresh_loads_over_a_detector_sweep():
     d = next(d for d in circuit.analyses if d.kind == "dc")
     repeats = _memo_checked(
         lambda: solver.dc_sweep(circuit, d.source, d.start, d.stop, d.step))
-    assert repeats["m"], repeats
+    assert repeats["m"] and repeats["d"], repeats
 
 
 def test_memo_hit_reads_the_context_and_every_terminal():

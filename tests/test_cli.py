@@ -39,6 +39,37 @@ c_1 out 0 1u
 """
 
 
+# CI's zener clamp
+CLAMP = """clamp
+v_1 in 0 0
+r_1 in out 1k
+d_1 0 out zen
+.model zen zener
+.dc v_1 0 6 0.5
+"""
+
+# CI's fast.net with a source whose corners lie on the grid, so that a
+# trapezoidal run takes the trapezoidal rule at every step
+MEM_RC = """mem
+v_s a 0 pwl(0 0 2u 1 6u 1 8u 0)
+r_1 a b 1k
+c_1 b 0 1n
+xmr_1 b 0 mem w0=0.5
+.model mem memristor k=1e8
+.tran 10u 0.5u
+"""
+
+
+@pytest.fixture
+def netlists(tmp_path):
+    """The paths of CLAMP and MEM_RC, by name."""
+    paths = {}
+    for name, text in (("clamp", CLAMP), ("mem_rc", MEM_RC)):
+        paths[name] = tmp_path / f"{name}.cir"
+        paths[name].write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
 @pytest.fixture
 def divider(tmp_path):
     p = tmp_path / "divider.cir"
@@ -606,9 +637,18 @@ DETECTOR_2_DIGEST = (
      "f9565883d6716599030720d591042feb2225684f3552f03ff60af91826624ec7"),
     (["segment", "{blob}", "--config", "2"],
      "8040a43f5cf5907c55f1fab5f3d054eaa68d33576defa4456ea24b932a3cbc22"),
+    # recorded before the sources' unit couplings became fixed cells and
+    # the zener's law and the DC memristor's conductance were memoized
+    (["sweep", "{clamp}"],
+     "765178dac255f23e3495bcd3defecdeac0c2377507cb2247520a81ed7f93ee36"),
+    (["tran", "{mem_rc}"],
+     "e42c10764a90e3011c173cad196155b16a808da6f8cc5b9bf64c5dc267016ca4"),
+    (["tran", "{mem_rc}", "--method", "trapezoidal"],
+     "b8bdac33a7321f66418fafe7cf105161e7b3d6039ef9e38aa8554dfa4b47cf0f"),
 ])
-def test_stdout_is_pinned(divider, rc, blob, capsys, argv, digest):
-    argv = [a.format(divider=divider, rc=rc, blob=blob) for a in argv]
+def test_stdout_is_pinned(divider, rc, blob, netlists, capsys, argv, digest):
+    argv = [a.format(divider=divider, rc=rc, blob=blob, **netlists)
+            for a in argv]
     assert main(argv) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == digest

@@ -89,18 +89,28 @@ def test_gaussian_amplitude_and_monotone_profile():
 # quadrant's three rows, and at 1025 a default block 15 of its 513
 @pytest.mark.parametrize("size", [3, 4, 5, 6, 128, 129, 1024, 1025, 4096])
 def test_gaussian_equals_full_grid_formula(size):
-    # the formula on two full np.mgrid index grids, as it was first written,
-    # against row blocks of one row, of a few rows and of the default size
-    yy, xx = np.mgrid[0:size, 0:size]
+    # the formula as it was first written, on the whole grid of row and
+    # column indices, against row blocks of one row, of a few rows and of
+    # the default size; the grid is the broadcast of two index vectors, 64
+    # rows at a time, which gives each pixel the same operations on the
+    # same numbers as two full np.mgrid grids, and one image is held at a
+    # time
+    index, tops = np.arange(size), range(0, size, 64)
     c = (size - 1) / 2.0
-    r2 = (yy - c) ** 2 + (xx - c) ** 2
-    blocks = (8, 64, imaging._BLOCK)
     for sigma, amplitude in ((None, 255), (size / 3.5, 255), (None, 100)):
         s = size / 6.0 if sigma is None else sigma
-        want = np.rint(amplitude * np.exp(-r2 / (2.0 * s * s))).astype(np.uint8)
-        assert (_at_blocks(blocks, lambda: gen_gaussian_image(
-                    size, sigma, amplitude).pixels.tobytes())
-                == [want.tobytes()] * len(blocks))
+        want = []
+        for top in tops:
+            r2 = (index[top:top + 64, None] - c) ** 2 + (index - c) ** 2
+            want.append(np.rint(amplitude * np.exp(-r2 / (2.0 * s * s)))
+                        .astype(np.uint8).tobytes())
+
+        def first_wrong_band():
+            px = gen_gaussian_image(size, sigma, amplitude).pixels
+            return next((top for top, band in zip(tops, want)
+                         if px[top:top + 64].tobytes() != band), None)
+        blocks = (8, 64, imaging._BLOCK)
+        assert _at_blocks(blocks, first_wrong_band) == [None] * len(blocks)
 
 
 def test_gaussian_validation():
